@@ -22,8 +22,6 @@ def main(argv=None) -> int:
                         help="directory for CSV and manifest outputs")
     parser.add_argument("--only", default=None,
                         help="substring filter on scenario file names")
-    parser.add_argument("--threads", type=int, default=2,
-                        help="worker threads for sweep scenarios")
     parser.add_argument("--tolerance-profile", default="default",
                         choices=["default", "strict"])
     args = parser.parse_args(argv)
@@ -39,7 +37,6 @@ def main(argv=None) -> int:
     for path in paths:
         tic = time.perf_counter()
         code = run_scenario(path, out_dir=args.out_dir,
-                            threads=args.threads,
                             tolerance_profile=args.tolerance_profile)
         elapsed = time.perf_counter() - tic
         verdict = "ok" if code == 0 else f"FAIL (exit {code})"

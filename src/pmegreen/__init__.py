@@ -16,11 +16,11 @@ from .geometry import (AssumptionReport, GrowthFunction, RicciReport,
                        unit_sphere_area)
 from .green import (BallIntegralResult, GreenBoundReport, GreenData,
                     PotentialSandwich, RadialPotential, ball_integral,
-                    green_bounds, green_exact, green_surrogate, potential,
+                    green_bounds, green_exact, green_surrogate,
                     potential_of_cells, sandwich_check)
 from .smoothing import (BoundEvaluation, LogVolumeFamily, PowerVolumeFamily,
                         SmoothingBound, family_rate, green_ball_envelope,
-                        lambert_w0, smoothing_bound_l1, smoothing_bound_l1g)
+                        lambert_w0, smoothing_bound_l1g)
 from .solver import (BarenblattParams, OptimalityReport, RadialGrid,
                      RadialState, RunRecord, SolutionEstimateReport, Stepper,
                      barenblatt, barenblatt_datum, optimality_harness,
@@ -38,13 +38,13 @@ __all__ = [
     "unit_ball_volume", "unit_sphere_area",
     "BallIntegralResult", "GreenBoundReport", "GreenData",
     "PotentialSandwich", "RadialPotential", "ball_integral", "green_bounds",
-    "green_exact", "green_surrogate", "potential", "potential_of_cells",
+    "green_exact", "green_surrogate", "potential_of_cells",
     "sandwich_check",
     "WeightedNorm", "PowerLawClass", "SeparatingSequence", "l1g_norm",
     "l1_norm_radial", "powerlaw_classify", "build_separating_sequence",
     "BoundEvaluation", "SmoothingBound", "PowerVolumeFamily",
     "LogVolumeFamily", "green_ball_envelope", "lambert_w0",
-    "smoothing_bound_l1", "smoothing_bound_l1g", "family_rate",
+    "smoothing_bound_l1g", "family_rate",
     "BarenblattParams", "OptimalityReport", "RadialGrid", "RadialState",
     "RunRecord", "SolutionEstimateReport", "Stepper", "barenblatt",
     "barenblatt_datum", "optimality_harness", "radial_cutoff", "run_pme",

@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from . import __version__
 from .geometry import (GrowthError, ProfileError, check_assumptions,
                        make_growth, make_profile)
-from .green import GreenData, green_bounds, green_exact, green_surrogate
+from .green import GreenData, green_bounds
 from .numerics import loglog_slope
 from .smoothing import SmoothingBound, smoothing_bound_l1g
 from .solver import (BarenblattParams, RadialGrid, barenblatt_datum,
@@ -260,7 +259,6 @@ def _run_green(scn, tol):
     radii = _green_radii(p)
     want_bounds = bool(p.get("bounds", growth is not None))
     columns = ["r", "green_exact", "green_surrogate", "ratio"]
-    rows = []
     checks = {}
     metrics = {}
     if want_bounds:
@@ -271,26 +269,26 @@ def _run_green(scn, tol):
                               c1=p.get("c1"), c2=p.get("c2"))
         columns += ["lower_far", "upper_tail", "upper_near",
                     "lower_ok", "tail_ok", "near_ok"]
-        for i, r in enumerate(radii):
-            ge = float(green_exact(profile, r))
-            gs = float(green_surrogate(profile, r))
-            rows.append({"r": float(r), "green_exact": ge,
-                         "green_surrogate": gs, "ratio": ge / gs,
-                         "lower_far": report.lower_far[i],
-                         "upper_tail": report.upper_tail[i],
-                         "upper_near": report.upper_near[i],
-                         "lower_ok": bool(report.lower_ok[i]),
-                         "tail_ok": bool(report.tail_ok[i]),
-                         "near_ok": bool(report.near_ok[i])})
+        g_exact, g_surr = report.green_values, report.surrogate_values
         checks["bounds_hold"] = bool(report.all_ok)
         metrics["c1"] = report.c1
         metrics["c2"] = report.c2
     else:
-        for r in radii:
-            ge = float(green_exact(profile, r))
-            gs = float(green_surrogate(profile, r))
-            rows.append({"r": float(r), "green_exact": ge,
-                         "green_surrogate": gs, "ratio": ge / gs})
+        gd = GreenData(profile)
+        g_exact, g_surr = gd.exact(radii), gd.surrogate(radii)
+    rows = []
+    for i, r in enumerate(radii):
+        ge, gs = float(g_exact[i]), float(g_surr[i])
+        row = {"r": float(r), "green_exact": ge, "green_surrogate": gs,
+               "ratio": ge / gs}
+        if want_bounds:
+            row.update({"lower_far": report.lower_far[i],
+                        "upper_tail": report.upper_tail[i],
+                        "upper_near": report.upper_near[i],
+                        "lower_ok": bool(report.lower_ok[i]),
+                        "tail_ok": bool(report.tail_ok[i]),
+                        "near_ok": bool(report.near_ok[i])})
+        rows.append(row)
     ratios = np.array([row["ratio"] for row in rows])
     metrics["ratio_min"] = float(ratios.min())
     metrics["ratio_max"] = float(ratios.max())
@@ -548,7 +546,7 @@ def _expand_grid(grid):
                       "lists")
 
 
-def _run_sweep(scn, tol, out_dir, threads):
+def _run_sweep(scn, tol, out_dir):
     base = scn.get("base")
     if not isinstance(base, dict):
         raise ConfigError("kind 'sweep' needs a base scenario")
@@ -563,10 +561,9 @@ def _run_sweep(scn, tol, out_dir, threads):
         validate_scenario(sub)
         jobs.append((i, overrides, sub))
 
-    def _one(job):
-        i, overrides, sub = job
+    def _one(sub):
         try:
-            result = _dispatch(sub, tol, out_dir, threads=1)
+            result = _dispatch(sub, tol, out_dir)
             _emit(sub, result, out_dir)
             return {"error": "", "result": result}
         except ConfigError as exc:
@@ -574,8 +571,7 @@ def _run_sweep(scn, tol, out_dir, threads):
         except Exception as exc:  # recorded per row, not fatal to the sweep
             return {"error": f"{type(exc).__name__}: {exc}", "result": None}
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        outcomes = list(pool.map(_one, jobs))
+    outcomes = [_one(sub) for _, _, sub in jobs]
 
     grid_keys = sorted({k for _, overrides, _ in jobs for k in overrides})
     metric_keys = []
@@ -605,7 +601,7 @@ def _run_sweep(scn, tol, out_dir, threads):
             "checks": {"all_rows_passed": all_ok}, "passed": all_ok}
 
 
-def _dispatch(scn, tol, out_dir, threads):
+def _dispatch(scn, tol, out_dir):
     kind = scn["kind"]
     if kind == "check":
         return _run_check(scn, tol)
@@ -620,7 +616,7 @@ def _dispatch(scn, tol, out_dir, threads):
     if kind == "optimality":
         return _run_optimality(scn, tol)
     if kind == "sweep":
-        return _run_sweep(scn, tol, out_dir, threads)
+        return _run_sweep(scn, tol, out_dir)
     raise ConfigError(f"unknown kind {kind!r}")
 
 
@@ -639,14 +635,14 @@ def _emit(scn, result, out_dir: Path) -> None:
     write_manifest(out_dir / f"{scn['name']}.manifest.json", manifest)
 
 
-def run_scenario(config_path, out_dir=None, threads: int = 1,
+def run_scenario(config_path, out_dir=None,
                  tolerance_profile: str = "default") -> int:
     """Execute one scenario file; returns the process exit code."""
     scn = load_scenario(Path(config_path))
     tol = TOLERANCE_PROFILES[tolerance_profile]
     out = Path(out_dir) if out_dir else Path.cwd()
     out.mkdir(parents=True, exist_ok=True)
-    result = _dispatch(scn, tol, out, threads)
+    result = _dispatch(scn, tol, out)
     _emit(scn, result, out)
     return 0 if result["passed"] else 1
 
@@ -770,7 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", type=str, default=None,
                         help="JSON scenario file (overrides direct flags)")
     common.add_argument("--out-dir", type=str, default=None)
-    common.add_argument("--threads", type=int, default=1)
     common.add_argument("--tolerance-profile", type=str, default="default",
                         choices=sorted(TOLERANCE_PROFILES))
     sub = parser.add_subparsers(dest="command", required=True)
@@ -835,7 +830,6 @@ def main(argv=None) -> int:
     try:
         if args.config:
             return run_scenario(args.config, out_dir=args.out_dir,
-                                threads=args.threads,
                                 tolerance_profile=args.tolerance_profile)
         if args.command == "sweep":
             raise ConfigError("sweep needs --config")
@@ -843,7 +837,7 @@ def main(argv=None) -> int:
         tol = TOLERANCE_PROFILES[args.tolerance_profile]
         out = Path(args.out_dir) if args.out_dir else Path.cwd()
         out.mkdir(parents=True, exist_ok=True)
-        result = _dispatch(scn, tol, out, args.threads)
+        result = _dispatch(scn, tol, out)
         _emit(scn, result, out)
         return 0 if result["passed"] else 1
     except ConfigError as exc:

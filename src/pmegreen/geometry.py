@@ -185,7 +185,7 @@ def _tabulated(dimension: int, table: Sequence[Sequence[float]]) -> VolumeProfil
 
     return VolumeProfile(
         dimension=dimension, form="tabulated", volume=volume, area=area,
-        r_max=math.inf, params={"table_r_max": r_end},
+        r_max=math.inf, params={"table_r_max": r_end, "table_radii": r_tab},
         alpha_infinity=slope_end)
 
 

@@ -2,7 +2,8 @@
 
 The exact Green function of a radial geometry is G(r) = int_r^inf ds/S(s); the
 surrogate replaces 1/S by t/V. Closed forms cover the euclidean and power
-presets, everything else runs through checked tail quadrature with caching.
+presets; everything else, potentials included, runs through cumulative sums of
+fixed Gauss panels, anchored by one checked far tail integral.
 """
 from __future__ import annotations
 
@@ -11,12 +12,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
 
 from .geometry import (AssumptionReport, GrowthFunction, VolumeProfile,
                        check_assumptions, unit_ball_volume, unit_sphere_area)
-from .numerics import (IntegralDivergenceError, gauss_panels, integrate,
-                       tail_integral)
+from .numerics import (IntegralDivergenceError, gauss_intervals, gauss_panels,
+                       integrate, tail_integral)
 
 BOUND_SLACK = 1e-9
 
@@ -53,87 +54,79 @@ def _closed_surrogate(profile: VolumeProfile) -> Optional[Callable]:
     return None
 
 
-def green_exact(profile: VolumeProfile, r) -> float:
-    """G(r) = int_r^inf ds/S(s); raises when the profile is parabolic."""
-    closed = _closed_exact(profile)
-    if closed is not None:
-        return closed(r) if np.ndim(r) else float(closed(r))
-    if np.ndim(r):
-        return np.array([green_exact(profile, float(x)) for x in np.asarray(r).ravel()])
-    try:
-        return tail_integral(lambda s: 1.0 / float(profile.area(s)), float(r),
-                             name="Green tail integral")
-    except IntegralDivergenceError as exc:
-        raise ParabolicProfileError(str(exc)) from exc
-
-
-def green_surrogate(profile: VolumeProfile, r) -> float:
-    """Surrogate int_r^inf t/V(t) dt, finite iff the profile is nonparabolic."""
-    closed = _closed_surrogate(profile)
-    if closed is not None:
-        return closed(r) if np.ndim(r) else float(closed(r))
-    if np.ndim(r):
-        return np.array([green_surrogate(profile, float(x)) for x in np.asarray(r).ravel()])
-    try:
-        return tail_integral(lambda t: t / float(profile.volume(t)), float(r),
-                             name="surrogate Green tail integral")
-    except IntegralDivergenceError as exc:
-        raise ParabolicProfileError(str(exc)) from exc
-
-
 class GreenData:
     """Cached Green evaluators for a profile.
 
-    Closed-form profiles evaluate directly; the rest get a log-log monotone
-    interpolant built from one far tail integral plus cumulative panel sums,
-    with direct quadrature outside the cached range.
+    Closed-form profiles evaluate directly. The rest get a log-log cubic
+    Hermite interpolant with exact slopes -r f(r)/G(r), built from one far
+    tail integral at r_max plus cumulative Gauss panels over `edges` (a log
+    grid joined with the table radii of a tabulated profile). A radius beyond
+    r_max gets its own tail integral, one below r_min the panel value at r_min
+    plus a finite integral.
     """
 
     def __init__(self, profile: VolumeProfile, r_min: float = 1e-4,
-                 r_max: float = 1e7, points: int = 900):
+                 r_max: float = 1e7):
         self.profile = profile
         self.r_min, self.r_max = float(r_min), float(r_max)
-        self._exact_closed = _closed_exact(profile)
-        self._surrogate_closed = _closed_surrogate(profile)
-        self._exact_interp = None
-        self._surrogate_interp = None
-
-    def _build(self, integrand: Callable, far_value: float) -> PchipInterpolator:
-        rs = np.geomspace(self.r_min, self.r_max, 900)
-        panels = gauss_panels(integrand, rs)
-        vals = far_value + np.concatenate([np.cumsum(panels[::-1])[::-1], [0.0]])
-        return PchipInterpolator(np.log(rs), np.log(vals), extrapolate=False)
+        breaks = np.asarray(profile.params.get("table_radii", ()), dtype=float)
+        self.edges = np.union1d(
+            np.geomspace(self.r_min, self.r_max, 900),
+            breaks[(breaks > self.r_min) & (breaks < self.r_max)])
+        self._closed = {"exact": _closed_exact(profile),
+                        "surrogate": _closed_surrogate(profile)}
+        self._interp = {}
 
     def exact(self, r):
-        if self._exact_closed is not None:
-            return self._exact_closed(r)
-        if self._exact_interp is None:
-            far = tail_integral(lambda s: 1.0 / float(self.profile.area(s)),
-                                self.r_max, name="Green tail integral")
-            self._exact_interp = self._build(
-                lambda s: 1.0 / np.asarray(self.profile.area(s), dtype=float), far)
-        return self._eval(self._exact_interp, r, green_exact)
+        """G(r) = int_r^inf ds/S(s)."""
+        return self._eval("exact", r, lambda s: 1.0 / np.asarray(
+            self.profile.area(s), dtype=float))
 
     def surrogate(self, r):
-        if self._surrogate_closed is not None:
-            return self._surrogate_closed(r)
-        if self._surrogate_interp is None:
-            far = tail_integral(lambda t: t / float(self.profile.volume(t)),
-                                self.r_max, name="surrogate Green tail integral")
-            self._surrogate_interp = self._build(
-                lambda t: t / np.asarray(self.profile.volume(t), dtype=float), far)
-        return self._eval(self._surrogate_interp, r, green_surrogate)
+        """Ghat(r) = int_r^inf t/V(t) dt."""
+        return self._eval("surrogate", r, lambda t: t / np.asarray(
+            self.profile.volume(t), dtype=float))
 
-    def _eval(self, interp, r, fallback):
-        scalar = np.ndim(r) == 0
+    @staticmethod
+    def _tail(f: Callable, a: float) -> float:
+        scalar = lambda s: float(f(s))
+        try:
+            # absolute tolerance on the scale of the integral, a f(a)
+            return tail_integral(scalar, a, abs_tol=1e-13 * a * scalar(a),
+                                 name="Green tail integral")
+        except IntegralDivergenceError as exc:
+            raise ParabolicProfileError(str(exc)) from exc
+
+    def _eval(self, kind: str, r, f: Callable):
+        closed = self._closed[kind]
+        if closed is not None:
+            return closed(r) if np.ndim(r) else float(closed(r))
+        if kind not in self._interp:
+            rs = self.edges
+            vals = self._tail(f, self.r_max) + np.concatenate(
+                [np.cumsum(gauss_panels(f, rs)[::-1])[::-1], [0.0]])
+            self._interp[kind] = CubicHermiteSpline(
+                np.log(rs), np.log(vals), -rs * f(rs) / vals)
+        interp = self._interp[kind]
         rr = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(rr)
-        inside = (rr >= self.r_min) & (rr <= self.r_max)
-        if inside.any():
-            out[inside] = np.exp(interp(np.log(rr[inside])))
-        for i in np.flatnonzero(~inside):
-            out[i] = fallback(self.profile, float(rr[i]))
-        return float(out[0]) if scalar else out
+        if np.any(rr <= 0.0):
+            raise ValueError("Green functions need positive radii")
+        out = np.exp(interp(np.log(np.clip(rr, self.r_min, self.r_max))))
+        for i in np.flatnonzero(rr > self.r_max):
+            out[i] = self._tail(f, float(rr[i]))
+        for i in np.flatnonzero(rr < self.r_min):
+            out[i] += integrate(lambda s: float(f(s)), float(rr[i]), self.r_min)
+        return float(out[0]) if np.ndim(r) == 0 else out
+
+
+def green_exact(profile: VolumeProfile, r):
+    """G(r) = int_r^inf ds/S(s); raises when the profile is parabolic."""
+    return GreenData(profile).exact(r)
+
+
+def green_surrogate(profile: VolumeProfile, r):
+    """Surrogate int_r^inf t/V(t) dt, finite iff the profile is nonparabolic."""
+    return GreenData(profile).surrogate(r)
 
 
 @dataclass
@@ -159,17 +152,20 @@ def ball_integral(profile: VolumeProfile, radius: float,
     """
     R = float(radius)
     n = profile.dimension
+    gd = green or GreenData(profile)
     if use_surrogate:
-        gval = green.surrogate(R) if green else green_surrogate(profile, R)
-        value = gval * float(profile.volume(R)) + R * R / 2.0
+        value = gd.surrogate(R) * float(profile.volume(R)) + R * R / 2.0
     elif profile.form == "euclidean":
         value = R * R / (2.0 * (n - 2.0))
     elif profile.form == "power":
         value = R * R / (2.0 * (profile.params["lam"] - 2.0))
     else:
-        gval = green.exact(R) if green else green_exact(profile, R)
-        value = gval * float(profile.volume(R)) + integrate(
-            lambda s: float(profile.volume(s)) / float(profile.area(s)), 0.0, R)
+        # Green's panel edges below R, so the kinks of a table are edges too
+        edges = np.concatenate([[0.0], gd.edges[gd.edges < R], [R]])
+        v_over_s = lambda s: (np.asarray(profile.volume(s), dtype=float) /
+                              np.asarray(profile.area(s), dtype=float))
+        value = gd.exact(R) * float(profile.volume(R)) + float(
+            np.sum(gauss_panels(v_over_s, edges)))
 
     if growth is None:
         return BallIntegralResult(R, value, None, None, None)
@@ -287,9 +283,12 @@ def green_bounds(profile: VolumeProfile, growth: GrowthFunction,
 class RadialPotential:
     """Potential of a compactly supported radial source: -Lap U = psi, U(inf) = 0.
 
-    U(r) = int_r^inf S(s)^{-1} [int_0^s S psi] ds. The enclosed mass is cached
-    as a monotone interpolant on a uniform panel grid; outside the support the
-    potential is exactly (total mass) * G(r).
+    U(r) = int_r^inf S(s)^{-1} [int_0^s S psi] ds on uniform panels of the
+    support. The enclosed mass at r is the cumulative panel mass plus one Gauss
+    rule from the panel's lower edge to r; U at the edges is a reverse
+    cumulative sum of Gauss panels of enclosed/S, and U(r) adds one Gauss rule
+    from r to the next edge. Every step is linear in psi. Outside the support
+    the potential is exactly (total mass) * G(r).
     """
 
     def __init__(self, profile: VolumeProfile, psi: Callable,
@@ -301,30 +300,45 @@ class RadialPotential:
         self.psi = psi
         self.support_radius = float(support_radius)
         self.green = green or GreenData(profile)
-        edges = np.linspace(0.0, self.support_radius, panels + 1)
-        dens = lambda s: np.asarray(psi(s), dtype=float) * np.asarray(
-            profile.area(s), dtype=float)
-        enclosed = np.concatenate([[0.0], np.cumsum(gauss_panels(dens, edges))])
-        self._enclosed = PchipInterpolator(edges, enclosed, extrapolate=False)
-        self.mass = float(enclosed[-1])
-        self._green_at_support = float(self.green.exact(self.support_radius))
+        self._edges = np.linspace(0.0, self.support_radius, panels + 1)
+        self._mass_edges = np.concatenate(
+            [[0.0], np.cumsum(gauss_panels(self._density, self._edges))])
+        self.mass = float(self._mass_edges[-1])
+        u_support = self.mass * float(self.green.exact(self.support_radius))
+        parts = gauss_panels(self._mass_over_area, self._edges)
+        self._u_edges = u_support + np.concatenate(
+            [np.cumsum(parts[::-1])[::-1], [0.0]])
+
+    def _density(self, s: np.ndarray) -> np.ndarray:
+        return np.asarray(self.psi(s), dtype=float) * np.asarray(
+            self.profile.area(s), dtype=float)
+
+    def _mass_over_area(self, s: np.ndarray) -> np.ndarray:
+        return self.enclosed(s) / np.asarray(self.profile.area(s), dtype=float)
+
+    def _panel(self, r: np.ndarray) -> np.ndarray:
+        idx = np.searchsorted(self._edges, r, side="right") - 1
+        return np.clip(idx, 0, self._edges.size - 2)
 
     def enclosed(self, r):
         r = np.asarray(r, dtype=float)
-        return np.where(r >= self.support_radius, self.mass,
-                        np.nan_to_num(self._enclosed(np.minimum(r, self.support_radius)),
-                                      nan=0.0))
+        rc = np.clip(r, 0.0, self.support_radius)
+        j = self._panel(rc)
+        inside = self._mass_edges[j] + gauss_intervals(
+            self._density, self._edges[j], rc)
+        return np.where(r >= self.support_radius, self.mass, inside)
 
     def __call__(self, r):
-        if np.ndim(r):
-            return np.array([self(float(x)) for x in np.asarray(r).ravel()])
-        r = float(r)
-        if r >= self.support_radius:
-            return self.mass * float(self.green.exact(r))
-        inner = integrate(
-            lambda s: float(self.enclosed(s)) / float(self.profile.area(s)),
-            r, self.support_radius, abs_tol=1e-12 * max(1.0, abs(self.mass)))
-        return inner + self.mass * self._green_at_support
+        rr = np.asarray(r, dtype=float)
+        rc = np.minimum(rr, self.support_radius)
+        j = self._panel(rc)
+        out = self._u_edges[j + 1] + gauss_intervals(
+            self._mass_over_area, rc, self._edges[j + 1])
+        far = rr >= self.support_radius
+        if np.any(far):
+            out = np.where(far, self.mass * np.asarray(self.green.exact(
+                np.maximum(rr, self.support_radius)), dtype=float), out)
+        return float(out) if out.ndim == 0 else out
 
     def flux_defect(self, r: float, h: Optional[float] = None) -> float:
         """|S U' + enclosed mass| via central differencing; an evaluator check."""
@@ -332,11 +346,6 @@ class RadialPotential:
         h = h or 1e-5 * max(r, 1.0)
         du = (self(r + h) - self(r - h)) / (2.0 * h)
         return abs(float(self.profile.area(r)) * du + float(self.enclosed(r)))
-
-
-def potential(profile: VolumeProfile, psi: Callable, r,
-              support_radius: float, **kwargs) -> float:
-    return RadialPotential(profile, psi, support_radius, **kwargs)(r)
 
 
 def potential_of_cells(profile: VolumeProfile, edges: np.ndarray,

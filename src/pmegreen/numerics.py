@@ -80,19 +80,23 @@ def tail_integral(f: Callable[[float], float], a: float,
     return val
 
 
+def gauss_intervals(f: Callable[[np.ndarray], np.ndarray],
+                    lo, hi) -> np.ndarray:
+    """Fixed 5-point Gauss integral of a vectorized f over each [lo_i, hi_i]."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    mid = 0.5 * (hi + lo)
+    half = 0.5 * (hi - lo)
+    nodes = mid[..., None] + half[..., None] * _GAUSS_NODES
+    vals = f(nodes.ravel()).reshape(nodes.shape)
+    return (vals * _GAUSS_WEIGHTS).sum(axis=-1) * half
+
+
 def gauss_panels(f: Callable[[np.ndarray], np.ndarray],
                  edges: np.ndarray) -> np.ndarray:
     """Fixed 5-point Gauss integral of a vectorized f over each panel."""
     edges = np.asarray(edges, dtype=float)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]
-    vals = f(nodes.ravel()).reshape(nodes.shape)
-    return (vals * _GAUSS_WEIGHTS[None, :]).sum(axis=1) * half
-
-
-def gauss_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
-    return float(gauss_panels(f, np.array([a, b]))[0])
+    return gauss_intervals(f, edges[:-1], edges[1:])
 
 
 def invert_increasing(fn: Callable[[float], float], target: float, lo: float,

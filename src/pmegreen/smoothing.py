@@ -3,8 +3,7 @@
 The large-time bound reads the decay rate off an increasing radius-to-scale
 map built from a volume lower envelope and the Green-mass envelope of a growth
 function; the small-time branch is the dimensional power law. The log-volume
-family needs the principal Lambert branch, implemented here by Halley
-iteration with an explicit residual stop.
+family needs the principal Lambert branch, taken from scipy.
 """
 from __future__ import annotations
 
@@ -12,10 +11,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from scipy.special import lambertw
+
 from .geometry import GrowthFunction, VolumeProfile
 from .numerics import invert_increasing
 
-LAMBERT_RESIDUAL_TOL = 1e-13
 THRESHOLD_TIE_REL = 1e-9
 
 
@@ -128,10 +128,6 @@ class SmoothingBound:
                                threshold_time=threshold)
 
 
-def smoothing_bound_l1(bound: SmoothingBound, t: float, norm1: float) -> BoundEvaluation:
-    return bound.evaluate_l1(t, norm1)
-
-
 def smoothing_bound_l1g(m: float, dimension: int, t: float, norm_green: float,
                         c: float = 1.0) -> BoundEvaluation:
     """Two-regime sup-norm bound from the Green-weighted norm of the data."""
@@ -153,44 +149,14 @@ def smoothing_bound_l1g(m: float, dimension: int, t: float, norm_green: float,
 
 
 def lambert_w0(x: float) -> float:
-    """Principal Lambert branch on [-1/e, inf) by Halley iteration.
-
-    Stops when |w e^w - x| <= 1e-13 max(1, |x|); the branch point returns -1
-    exactly.
-    """
+    """Principal Lambert branch on [-1/e, inf); the branch point returns -1."""
     x = float(x)
     branch_point = -math.exp(-1.0)
     if x < branch_point - 1e-15:
         raise DomainError(f"lambert_w0 needs x >= -1/e, got {x}")
     if x <= branch_point:
         return -1.0
-    if x == 0.0:
-        return 0.0
-    # initial guesses: branch-point series, log-free midrange, asymptotic log
-    if x < -0.2:
-        p = math.sqrt(2.0 * (math.e * x + 1.0))
-        w = -1.0 + p - p * p / 3.0 + 11.0 * p ** 3 / 72.0
-    elif x < 3.0:
-        w = math.log1p(x) if x > 0 else x * (1.0 - x)
-    else:
-        lx = math.log(x)
-        llx = math.log(lx)
-        w = lx - llx + llx / lx
-    tol = LAMBERT_RESIDUAL_TOL * max(1.0, abs(x))
-    for _ in range(60):
-        ew = math.exp(w)
-        f = w * ew - x
-        if abs(f) <= tol:
-            return w
-        wp1 = w + 1.0
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        step = f / denom
-        # keep the iterate above the branch point
-        w_new = w - step
-        if w_new < -1.0:
-            w_new = -1.0 + 0.5 * (w + 1.0)
-        w = w_new
-    raise ArithmeticError(f"lambert_w0 failed to meet its residual at x = {x}")
+    return float(lambertw(x).real)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import GrowthFunction, VolumeProfile
 from .green import GreenData
-from .numerics import gauss_panels, integrate, invert_decreasing
+from .numerics import gauss_intervals, integrate, invert_decreasing
 
 DEFAULT_HORIZONS = (10.0, 1e2, 1e3, 1e4)
 # a tail is declared integrable only when its local slope clears -1 by this much
@@ -77,6 +77,24 @@ def _tail_corrected(integrand: Callable[[np.ndarray], np.ndarray],
             "value": corrected[-1] if converged else math.inf}
 
 
+def _weighted_l1(profile: VolumeProfile, fn: Callable, weight: Callable,
+                 horizons: Sequence[float], rel_threshold: float) -> WeightedNorm:
+    """int_{B_1} |f| + int_{M \\ B_1} |f| w with truncation diagnostics."""
+    inner = integrate(
+        lambda r: abs(float(fn(r))) * float(profile.area(r)), 0.0, 1.0,
+        abs_tol=1e-12)
+    diag = _tail_corrected(
+        lambda r: abs(float(fn(r))) * float(weight(r)) * float(profile.area(r)),
+        1.0, horizons, rel_threshold)
+    outer = diag["value"]
+    return WeightedNorm(
+        inner=inner, outer=outer, total=inner + outer,
+        truncation_radius=float(horizons[-1]),
+        tail_estimate=diag["tail_estimate"], converged=diag["converged"],
+        outer_truncated=diag["truncated"][-1], horizons=tuple(horizons),
+        corrected=tuple(diag["corrected"]), slope_at_horizon=diag["slopes"][-1])
+
+
 def l1g_norm(profile: VolumeProfile, fn: Callable[[np.ndarray], np.ndarray],
              horizons: Sequence[float] = DEFAULT_HORIZONS,
              rel_threshold: float = 1e-3,
@@ -87,40 +105,14 @@ def l1g_norm(profile: VolumeProfile, fn: Callable[[np.ndarray], np.ndarray],
     per-horizon corrected truncations stay available for diagnosis.
     """
     gd = green or GreenData(profile)
-    inner = integrate(
-        lambda r: abs(float(fn(r))) * float(profile.area(r)), 0.0, 1.0,
-        abs_tol=1e-12)
-
-    def outer_integrand(r):
-        return abs(float(fn(r))) * float(gd.exact(r)) * float(profile.area(r))
-
-    diag = _tail_corrected(outer_integrand, 1.0, horizons, rel_threshold)
-    outer = diag["value"]
-    return WeightedNorm(
-        inner=inner, outer=outer, total=inner + outer,
-        truncation_radius=float(horizons[-1]),
-        tail_estimate=diag["tail_estimate"], converged=diag["converged"],
-        outer_truncated=diag["truncated"][-1], horizons=tuple(horizons),
-        corrected=tuple(diag["corrected"]), slope_at_horizon=diag["slopes"][-1])
+    return _weighted_l1(profile, fn, gd.exact, horizons, rel_threshold)
 
 
 def l1_norm_radial(profile: VolumeProfile, fn: Callable,
                    horizons: Sequence[float] = DEFAULT_HORIZONS,
                    rel_threshold: float = 1e-3) -> WeightedNorm:
     """Unweighted radial L1 norm with the same truncation diagnostics."""
-    inner = integrate(
-        lambda r: abs(float(fn(r))) * float(profile.area(r)), 0.0, 1.0,
-        abs_tol=1e-12)
-    diag = _tail_corrected(
-        lambda r: abs(float(fn(r))) * float(profile.area(r)), 1.0,
-        horizons, rel_threshold)
-    outer = diag["value"]
-    return WeightedNorm(
-        inner=inner, outer=outer, total=inner + outer,
-        truncation_radius=float(horizons[-1]),
-        tail_estimate=diag["tail_estimate"], converged=diag["converged"],
-        outer_truncated=diag["truncated"][-1], horizons=tuple(horizons),
-        corrected=tuple(diag["corrected"]), slope_at_horizon=diag["slopes"][-1])
+    return _weighted_l1(profile, fn, lambda r: 1.0, horizons, rel_threshold)
 
 
 @dataclass
@@ -209,16 +201,15 @@ def build_separating_sequence(profile: VolumeProfile, growth: GrowthFunction,
         prev = d
 
     shells = np.column_stack([distances - 0.5, distances + 0.5])
-    vols = np.asarray(profile.volume(shells), dtype=float)
-    amps = 1.0 / (vols[:, 1] - vols[:, 0])
-    increments = np.empty(count)
-    for j in range(count):
-        lo, hi = shells[j]
-        seg = np.linspace(lo, hi, 9)
-        weights = gauss_panels(
-            lambda r: np.asarray(gd.exact(r), dtype=float) *
-            np.asarray(profile.area(r), dtype=float), seg)
-        increments[j] = amps[j] * float(np.sum(weights))
+    # 8 panels per shell; the shell volume comes from the same Gauss rule of S
+    # as the weighted mass, not from a difference of two large volumes
+    seg = np.linspace(shells[:, 0], shells[:, 1], 9, axis=1)
+    area = lambda r: np.asarray(profile.area(r), dtype=float)
+    vols = gauss_intervals(area, seg[:, :-1], seg[:, 1:]).sum(axis=1)
+    weighted = gauss_intervals(
+        lambda r: np.asarray(gd.exact(r), dtype=float) * area(r),
+        seg[:, :-1], seg[:, 1:]).sum(axis=1)
+    increments = weighted / vols
     partial_weighted = np.cumsum(increments)
     j_idx = np.arange(1, count + 1)
     constant = float(np.max(increments * 2.0 ** j_idx))

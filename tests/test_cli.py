@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pmegreen import __version__
@@ -50,6 +51,21 @@ def test_green_scenario_outputs(tmp_path):
     assert manifest["library_version"] == __version__
     assert manifest["config"]["profile"]["dimension"] == 3
     assert "wall_time" not in json.dumps(manifest)
+
+
+def test_green_tabulated_profile(tmp_path):
+    # 60 log-spaced rows of V = r^3 on [0.01, 10], radii out to 30
+    radii = np.geomspace(0.01, 10.0, 60)
+    scn = {"schema_version": SCHEMA_VERSION, "kind": "green", "name": "gt",
+           "profile": {"form": "tabulated", "dimension": 3,
+                       "radii": radii.tolist(), "volumes": (radii ** 3).tolist()},
+           "params": {"r_min": 0.25, "r_max": 30.0, "count": 50}}
+    cfg = write_config(tmp_path, scn)
+    out = tmp_path / "out"
+    assert main(["green", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    _, rows = read_rows(out / "gt.csv")
+    assert len(rows) == 50
+    assert all(float(row["green_exact"]) > 0.0 for row in rows)
 
 
 def test_outputs_are_deterministic(tmp_path):
@@ -162,8 +178,7 @@ def test_sweep_duplicate_points_and_order(tmp_path):
                     {"profile.dimension": 3}]}
     cfg = write_config(tmp_path, scn)
     out = tmp_path / "out"
-    code = main(["sweep", "--config", str(cfg), "--out-dir", str(out),
-                 "--threads", "2"])
+    code = main(["sweep", "--config", str(cfg), "--out-dir", str(out)])
     assert code == 0
     header, rows = read_rows(out / "sw.csv")
     assert [row["index"] for row in rows] == ["0", "1", "2"]

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 import pmegreen as pg
 from pmegreen.green import ParabolicProfileError
@@ -59,6 +61,86 @@ def test_green_data_interpolant_accuracy(euclid5, green5):
     exact = np.array([pg.green_exact(euclid5, float(r)) for r in rs])
     interp = np.asarray(green5.exact(rs), dtype=float)
     assert np.allclose(interp, exact, rtol=1e-7)
+
+
+def _mp_tails(fn, radii, knots=()):
+    """int_r^inf fn by mpmath for each r, summed from the far end over the
+    radii and the kinks of fn."""
+    pts = sorted({float(r) for r in radii} |
+                 {float(k) for k in knots if k > min(radii)})
+    acc = mp.quad(fn, [pts[-1], 10 * pts[-1], 1e3 * pts[-1], mp.inf])
+    values = {pts[-1]: acc}
+    for lo, hi in zip(pts[-2::-1], pts[:0:-1]):
+        acc += mp.quad(fn, [lo, hi])
+        values[lo] = acc
+    return np.array([float(values[float(r)]) for r in radii])
+
+
+# radii below, inside and beyond the cached range [1e-4, 1e7] of GreenData
+REFERENCE_RADII = np.array([5e-5, 0.25, 1.0, 3.0, 7.0, 30.0, 1e4, 2e7])
+
+
+def test_green_power_log_matches_mpmath():
+    prof = pg.make_profile(form="power_log", dimension=4,
+                           params={"lam": 3.0, "sigma": 0.5})
+    lam, sigma = mp.mpf(3), mp.mpf("0.5")
+
+    def volume(r):
+        return r ** lam * mp.log(mp.e + r) ** sigma
+
+    def area(r):
+        ell = mp.log(mp.e + r)
+        return r ** (lam - 1) * ell ** (sigma - 1) * (
+            lam * ell + sigma * r / (mp.e + r))
+
+    with mp.workdps(20):
+        g_ref = _mp_tails(lambda s: 1 / area(s), REFERENCE_RADII)
+        s_ref = _mp_tails(lambda t: t / volume(t), REFERENCE_RADII)
+    assert np.allclose(pg.green_exact(prof, REFERENCE_RADII), g_ref,
+                       rtol=1e-9, atol=0.0)
+    assert np.allclose(pg.green_surrogate(prof, REFERENCE_RADII), s_ref,
+                       rtol=1e-9, atol=0.0)
+    assert pg.green_exact(prof, 1.0) == pytest.approx(g_ref[2], rel=1e-9)
+    # Green mass of the ball of radius 3: G(3) V(3) + int_0^3 V/S
+    with mp.workdps(20):
+        inner = float(mp.quad(lambda s: volume(s) / area(s), [0, 3]))
+    assert pg.ball_integral(prof, 3.0).value == pytest.approx(
+        g_ref[3] * float(volume(mp.mpf(3))) + inner, rel=1e-9)
+
+
+def test_green_tabulated_matches_mpmath():
+    # the table is read as the PCHIP interpolant of (r, V), pole row prepended,
+    # extended past its last row by the power law of the end slope
+    r_tab = np.geomspace(0.01, 10.0, 60)
+    prof = pg.make_profile(form="tabulated", dimension=3,
+                           table=np.column_stack([r_tab, r_tab ** 3]))
+    knots = np.concatenate([[0.0], r_tab])
+    vol = PchipInterpolator(knots, np.concatenate([[0.0], r_tab ** 3]))
+    r_end, v_end = knots[-1], r_tab[-1] ** 3
+    slope = vol.derivative()
+    p = r_end * float(slope(r_end)) / v_end
+
+    def table(poly, order, s):
+        i = min(int(np.searchsorted(knots, float(s), side="right")) - 1,
+                knots.size - 2)
+        return sum(mp.mpf(float(poly.c[k, i])) * (s - knots[i]) ** (order - k)
+                   for k in range(order + 1))
+
+    def volume(t):
+        return table(vol, 3, t) if t <= r_end else v_end * (t / r_end) ** p
+
+    def area(s):
+        if s <= r_end:
+            return table(slope, 2, s)
+        return (v_end * p / r_end) * (s / r_end) ** (p - 1)
+
+    with mp.workdps(20):
+        g_ref = _mp_tails(lambda s: 1 / area(s), REFERENCE_RADII, knots[1:])
+        s_ref = _mp_tails(lambda t: t / volume(t), REFERENCE_RADII, knots[1:])
+    assert np.allclose(pg.green_exact(prof, REFERENCE_RADII), g_ref,
+                       rtol=1e-6, atol=0.0)
+    assert np.allclose(pg.green_surrogate(prof, REFERENCE_RADII), s_ref,
+                       rtol=1e-6, atol=0.0)
 
 
 def test_ball_integral_euclidean_identity(euclid3, growth3):
@@ -134,6 +216,7 @@ def test_potential_flux_identity_and_monotone(euclid3):
 @given(st.floats(min_value=0.1, max_value=5.0),
        st.floats(min_value=0.1, max_value=5.0))
 @settings(max_examples=10, deadline=None)
+@example(a=0.1015625, b=1.0)
 def test_potential_linearity(euclid3, a, b):
     f = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2)
     g = lambda r: np.where(np.asarray(r) <= 1.0, 1.0, 0.0)

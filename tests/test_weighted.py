@@ -123,6 +123,17 @@ def test_separating_sequence_euclid5(euclid5, growth5, green5):
     assert np.all(np.diff(seq.weighted_partials) > 0.0)
 
 
+def test_separating_increments_match_closed_form(euclid5, growth5, green5):
+    # on R^5, G S = r / 3 and int S over [d - 1/2, d + 1/2] is
+    # sigma_5 (d^4 + d^2 / 2 + 1/80), so each increment is a closed form;
+    # it must hold out to d ~ 1e12, where V(d + 1/2) - V(d - 1/2) cancels
+    seq = pg.build_separating_sequence(euclid5, growth5, 20, green=green5)
+    d = seq.distances
+    assert d[-1] > 1e12
+    exact = (d / 3.0) / (pg.unit_sphere_area(5) * (d ** 4 + d ** 2 / 2.0 + 1.0 / 80.0))
+    assert np.allclose(seq.weighted_increments, exact, rtol=1e-12, atol=0.0)
+
+
 def test_separating_sequence_validation(euclid5, growth5):
     with pytest.raises(ValueError):
         pg.build_separating_sequence(euclid5, growth5, 0)
