@@ -2,7 +2,9 @@
 """Run the bundled experiment scenarios and summarize their verdicts.
 
 Each scenario writes a CSV and a manifest into the output directory; the
-script exits nonzero if any scenario fails its own checks.
+script exits with the worst exit code of its scenarios. A scenario whose
+config is rejected is reported as FAIL (exit 2) with the reason, and the
+remaining scenarios still run.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import sys
 import time
 from pathlib import Path
 
-from pmegreen.cli import run_scenario
+from pmegreen.cli import ConfigError, run_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent / "scenarios"
 
@@ -36,11 +38,15 @@ def main(argv=None) -> int:
     worst = 0
     for path in paths:
         tic = time.perf_counter()
-        code = run_scenario(path, out_dir=args.out_dir,
-                            tolerance_profile=args.tolerance_profile)
+        reason = ""
+        try:
+            code = run_scenario(path, out_dir=args.out_dir,
+                                tolerance_profile=args.tolerance_profile)
+        except ConfigError as exc:
+            code, reason = 2, f"  {exc}"
         elapsed = time.perf_counter() - tic
         verdict = "ok" if code == 0 else f"FAIL (exit {code})"
-        print(f"{path.stem:24s} {verdict:14s} {elapsed:7.2f}s")
+        print(f"{path.stem:24s} {verdict:14s} {elapsed:7.2f}s{reason}")
         worst = max(worst, code)
     return worst
 

@@ -1,18 +1,23 @@
 """Scenario runner: declarative JSON configs, CSV/manifest outputs.
 
-Scenarios are strict JSON (schema version 1, unknown keys rejected with the
-dotted path of the offender). Every run writes a CSV of rows plus a manifest
-echoing the resolved config, the library version and the headline metrics.
-Numeric CSV fields are printed with 17 significant digits so reruns diff
-clean. Exit codes: 0 all checks pass, 1 a check failed, 2 usage/config error.
+Scenarios are strict JSON (schema version 1): one spec per kind gives every
+key its type, range and default, and a bad key or value is rejected with its
+dotted path before any work starts. Every run writes a CSV of rows plus a
+manifest echoing the input config, the library version and the headline
+metrics; numeric CSV fields carry 17 significant digits so reruns diff clean.
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage/config error,
+3 internal error (traceback on stderr).
 """
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import itertools
 import json
 import math
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -41,83 +46,278 @@ class ConfigError(Exception):
     """Configuration problem; maps to exit code 2."""
 
 
-# Allowed keys, by nesting level. A value of None means "scalar or list";
-# a dict restricts the keys of a nested object.
-_PROFILE_KEYS = {"form": None, "dimension": None, "lam": None, "coeff": None,
-                 "sigma": None, "radii": None, "volumes": None}
-_GROWTH_KEYS = {"form": None, "r0": None, "params": {"k": None, "b": None}}
-_FAMILY_KEYS = {"type": None, "k": None, "delta": None, "lam": None,
-                "sigma": None}
-_INIT_KEYS = {"kind": None, "mass": None, "bracket": None, "eps": None,
-              "a": None, "path": None}
-_PARAMS_BY_KIND = {
-    "check": {"sample_min": None, "sample_max": None, "sample_points": None},
-    "green": {"radii": None, "r_min": None, "r_max": None, "count": None,
-              "use_surrogate": None, "c1": None, "c2": None, "bounds": None},
-    "l1g": {"exponents": None, "horizons": None, "rel_threshold": None},
-    "bound": {"t_min": None, "t_max": None, "count": None, "t_values": None,
-              "norm1": None, "norm_green": None, "family": _FAMILY_KEYS,
-              "fit": None},
-    "solve": {"init": _INIT_KEYS, "r_max": None, "cells": None,
-              "scheme": None, "boundary": None, "t_end": None,
-              "snapshots": None, "cfl": None, "implicit_dt": None,
-              "verify": None, "tau": None, "emit_profiles": None},
-    "optimality": {"dimension": None, "mass": None, "eps": None,
-                   "cells": None, "r_max": None, "t_end": None,
-                   "n_snapshots": None, "fit_window": None,
-                   "slope_tol": None, "band_limit": None, "l1_limit": None},
-    "sweep": {},  # sweep carries base + grid at the top level
-}
-_TOP_KEYS = {"schema_version": None, "name": None, "kind": None,
-             "profile": _PROFILE_KEYS, "growth": _GROWTH_KEYS, "m": None,
-             "seed": None, "params": "BY_KIND", "output":
-             {"csv": None, "profiles_csv": None},
-             "base": "SCENARIO", "grid": None}
+# ---------------------------------------------------------------------------
+# scenario spec: each key maps to (check, default). A check takes the value
+# and its dotted path and returns the value to use; a default is a value
+# (passed through the check), _REQUIRED, or _OPTIONAL (absent stays absent).
+
+_REQUIRED = object()
+_OPTIONAL = object()
 
 
-def _validate_keys(obj, spec, path):
+def _join(path, key):
+    return f"{path}.{key}" if path else key
+
+
+def _num(gt=None, ge=None, le=None, integer=False):
+    """A finite number, returned as a float; with integer=True an int, where
+    an integral float such as 400.0 counts as one."""
+    def check(v, where):
+        if integer and isinstance(v, float) and v.is_integer():
+            v = int(v)
+        if (isinstance(v, bool) or not isinstance(v, int if integer else
+                                                  (int, float))
+                or not abs(v) <= sys.float_info.max):
+            what = "an integer" if integer else "a finite number"
+            raise ConfigError(f"{where}: expected {what}, got {v!r}")
+        if ((gt is not None and v <= gt) or (ge is not None and v < ge) or
+                (le is not None and v > le)):
+            need = " and ".join(f"{op} {b:g}" for op, b in (
+                (">", gt), (">=", ge), ("<=", le)) if b is not None)
+            raise ConfigError(f"{where}: {v!r} is out of range (need {need})")
+        return v if integer else float(v)
+    return check
+
+
+_int = functools.partial(_num, integer=True)
+
+
+def _is(typ, what):
+    def check(v, where):
+        if not isinstance(v, typ):
+            raise ConfigError(f"{where}: expected {what}, got {v!r}")
+        return v
+    return check
+
+
+def _one_of(*choices):
+    def check(v, where):
+        if not any(type(v) is type(c) and v == c for c in choices):
+            raise ConfigError(f"{where}: expected one of {list(choices)}, "
+                              f"got {v!r}")
+        return v
+    return check
+
+
+def _list(item, min_len=1, max_len=math.inf):
+    def check(v, where):
+        if not (isinstance(v, list) and min_len <= len(v) <= max_len):
+            size = (f"{min_len} to {max_len}" if max_len < math.inf else
+                    f"at least {min_len}")
+            raise ConfigError(f"{where}: expected a list of {size} items, "
+                              f"got {v!r}")
+        return [item(x, f"{where}[{i}]") for i, x in enumerate(v)]
+    return check
+
+
+def _or_none(check):
+    return lambda v, where: None if v is None else check(v, where)
+
+
+class _Obj:
+    """A nested object: its own {key: (check, default)} spec, plus an
+    optional cross-field rule called as rule(raw, resolved, path)."""
+
+    def __init__(self, spec, rule=None):
+        self.spec, self.rule = spec, rule
+
+    def __call__(self, obj, path):
+        res = _resolve(obj, self.spec, path)
+        if self.rule is not None:
+            self.rule(obj, res, path)
+        return res
+
+
+def _resolve(obj, spec, path):
+    """Check obj against spec; return a copy with the defaults filled in."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path or 'config'}: expected an object")
-    for key, val in obj.items():
+    for key in obj:
         if key not in spec:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(f"unknown key {where!r}")
-        sub = spec[key]
-        if isinstance(sub, dict) and isinstance(val, dict):
-            _validate_keys(val, sub, f"{path}.{key}" if path else key)
-        elif isinstance(sub, dict) and val is not None:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(f"{where}: expected an object")
+            raise ConfigError(f"unknown key {_join(path, key)!r}")
+    out = {}
+    for key, (check, default) in spec.items():
+        where = _join(path, key)
+        if key in obj:
+            out[key] = check(obj[key], where)
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required key {where!r}")
+        elif default is not _OPTIONAL:
+            out[key] = check(default, where)
+    return out
 
 
-def validate_scenario(scn: dict, path: str = "") -> None:
-    spec = dict(_TOP_KEYS)
+_NUM = _num()
+_POS = _num(gt=0.0)
+_STR = _is(str, "a string")
+_BOOL = _is(bool, "a boolean")
+
+
+def _table_rule(raw, prof, where):
+    if ("radii" in prof) != ("volumes" in prof):
+        raise ConfigError(f"{where}: give both radii and volumes")
+
+
+_PROFILE = _Obj({
+    "form": (_one_of("euclidean", "power", "power_log", "tabulated"),
+             _REQUIRED),
+    "dimension": (_int(ge=1), _REQUIRED),
+    "lam": (_NUM, _OPTIONAL), "coeff": (_POS, _OPTIONAL),
+    "sigma": (_NUM, _OPTIONAL),
+    "radii": (_list(_NUM), _OPTIONAL), "volumes": (_list(_NUM), _OPTIONAL)},
+    _table_rule)
+
+_GROWTH = _Obj({
+    "form": (_one_of("power", "power_log"), _REQUIRED),
+    "r0": (_num(ge=1.0), 1.0),
+    "params": (_Obj({"k": (_NUM, _OPTIONAL), "b": (_NUM, _OPTIONAL)}), {})})
+
+
+def _init_rule(raw, init, where):
+    if "mass" in raw and "bracket" in raw:
+        raise ConfigError(f"{where}: give either mass or bracket, not both")
+    need = {"powerlaw": "a", "table": "path"}.get(init["kind"])
+    if need is not None and need not in init:
+        raise ConfigError(f"missing required key {_join(where, need)!r} "
+                          f"for kind {init['kind']!r}")
+
+
+def _snapshots(v, where):
+    """A count of equally spaced snapshots, or a list of snapshot times."""
+    if isinstance(v, list):
+        return _list(_POS, min_len=0)(v, where)
+    return _int(ge=1)(v, where)
+
+
+def _snapshots_rule(raw, p, where):
+    if isinstance(p["snapshots"], list) and max(p["snapshots"],
+                                                default=0.0) > p["t_end"]:
+        raise ConfigError(f"{_join(where, 'snapshots')}: times must lie in "
+                          f"(0, t_end] = (0, {p['t_end']:g}]")
+
+
+def _grid(v, where):
+    """Sweep points: a list of override objects, or an object of lists
+    expanded to their cartesian product."""
+    if isinstance(v, dict) and all(isinstance(x, list) for x in v.values()):
+        return [dict(zip(v, combo))
+                for combo in itertools.product(*v.values())]
+    if isinstance(v, list) and all(isinstance(x, dict) for x in v):
+        return [dict(point) for point in v]
+    raise ConfigError(f"{where}: expected a list of override objects or an "
+                      "object of lists")
+
+
+def _sweep_point(base, overrides):
+    """The raw base scenario with dotted-key overrides merged in."""
+    sub = copy.deepcopy(base)
+    for dotted, value in overrides.items():
+        *parents, leaf = dotted.split(".")
+        node = sub
+        for part in parents:
+            node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"grid override {dotted!r} crosses a scalar")
+        node[leaf] = value
+    return sub
+
+
+def _sweep_rule(raw, scn, where):
+    # base stays raw in the resolved copy: points merge into the raw base
+    validate_scenario(scn["base"], _join(where, "base"))
+    for i, overrides in enumerate(scn["grid"]):
+        validate_scenario(_sweep_point(scn["base"], overrides),
+                          _join(where, f"grid[{i}]"))
+
+
+_COMMON = {
+    "schema_version": (_one_of(SCHEMA_VERSION), _REQUIRED),
+    "kind": (_STR, _REQUIRED), "name": (_STR, _OPTIONAL),
+    "output": (_Obj({"csv": (_STR, _OPTIONAL),
+                     "profiles_csv": (_STR, _OPTIONAL)}), {})}
+_M = (_num(gt=1.0), _REQUIRED)
+
+# kind -> top-level keys besides _COMMON; "params" holds the kind's knobs.
+# Defaults that depend on other inputs (sample range from growth.r0, the
+# tolerance-profile thresholds, green bounds iff a growth is given) are left
+# to the runners.
+_SCENARIOS = {kind: _Obj({**_COMMON, **spec}, rule) for kind, spec, rule in (
+    ("check", {
+        "profile": (_PROFILE, _REQUIRED), "growth": (_GROWTH, _REQUIRED),
+        "params": (_Obj({"sample_min": (_POS, _OPTIONAL),
+                         "sample_max": (_POS, _OPTIONAL),
+                         "sample_points": (_int(ge=2), 96)}), {})}, None),
+    ("green", {
+        "profile": (_PROFILE, _REQUIRED),
+        "growth": (_or_none(_GROWTH), None),
+        "params": (_Obj({"radii": (_list(_POS), _OPTIONAL),
+                         "r_min": (_POS, 0.5), "r_max": (_POS, 100.0),
+                         "count": (_int(ge=1), 25),
+                         "use_surrogate": (_BOOL, True),
+                         "c1": (_or_none(_POS), None),
+                         "c2": (_or_none(_POS), None),
+                         "bounds": (_BOOL, _OPTIONAL)}), {})}, None),
+    ("l1g", {
+        "profile": (_PROFILE, _REQUIRED),
+        "params": (_Obj({"exponents": (_list(_NUM), _REQUIRED),
+                         "horizons": (_list(_POS), _OPTIONAL),
+                         "rel_threshold": (_POS, 1e-3)}), {})}, None),
+    ("bound", {
+        "profile": (_PROFILE, _REQUIRED), "growth": (_GROWTH, _REQUIRED),
+        "m": _M,
+        "params": (_Obj({"t_min": (_POS, 1.0), "t_max": (_POS, 1e4),
+                         "count": (_int(ge=1), 25),
+                         "t_values": (_list(_POS), _OPTIONAL),
+                         "norm1": (_POS, 1.0),
+                         "norm_green": (_or_none(_POS), None),
+                         "family": (_Obj({"type": (_STR, _OPTIONAL), **{
+                             k: (_NUM, _OPTIONAL)
+                             for k in ("k", "delta", "lam", "sigma")}}),
+                                    _OPTIONAL),
+                         "fit": (_BOOL, False)}), {})}, None),
+    ("solve", {
+        "profile": (_PROFILE, _REQUIRED), "m": _M,
+        "params": (_Obj({
+            "init": (_Obj({"kind": (_one_of("barenblatt", "powerlaw",
+                                            "table"), _REQUIRED),
+                           "mass": (_POS, 1.0),
+                           "bracket": (_POS, _OPTIONAL),
+                           "eps": (_POS, 1.0), "a": (_NUM, _OPTIONAL),
+                           "path": (_STR, _OPTIONAL)}, _init_rule),
+                     _REQUIRED),
+            "r_max": (_POS, 20.0), "cells": (_int(ge=4), 400),
+            "scheme": (_one_of("explicit", "implicit"), "explicit"),
+            "boundary": (_one_of("absorbing", "zero_flux"), "absorbing"),
+            "t_end": (_POS, 1.0), "snapshots": (_snapshots, 10),
+            "cfl": (_num(gt=0.0, le=1.0), 0.4),
+            "implicit_dt": (_or_none(_POS), None),
+            "verify": (_BOOL, False), "tau": (_POS, _OPTIONAL),
+            "emit_profiles": (_BOOL, False)}, _snapshots_rule), {})}, None),
+    ("optimality", {
+        "m": _M,
+        "params": (_Obj({"dimension": (_int(ge=1), 3), "mass": (_POS, 1.0),
+                         "eps": (_POS, 1.0), "cells": (_int(ge=4), 2000),
+                         "r_max": (_POS, 20.0), "t_end": (_POS, 10.0),
+                         "n_snapshots": (_int(ge=2), 25),
+                         "fit_window": (_or_none(_list(_POS, 2, 2)), None),
+                         "slope_tol": (_POS, _OPTIONAL),
+                         "band_limit": (_POS, _OPTIONAL),
+                         "l1_limit": (_POS, _OPTIONAL)}), {})}, None),
+    ("sweep", {"base": (_is(dict, "an object"), _REQUIRED),
+               "grid": (_grid, [])},
+     _sweep_rule))}
+
+
+def validate_scenario(scn: dict, path: str = "") -> dict:
+    """Check a scenario against its kind's spec and return a resolved copy
+    with every default filled in; raise ConfigError on bad input."""
+    if not isinstance(scn, dict):
+        raise ConfigError(f"{path or 'config'}: expected an object")
     kind = scn.get("kind")
-    if kind == "sweep":
-        spec.pop("params")
-    else:
-        spec.pop("base")
-        spec.pop("grid")
-    for key, val in scn.items():
-        if key not in spec:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(f"unknown key {where!r}")
-        sub = spec[key]
-        if sub == "BY_KIND":
-            if kind not in _PARAMS_BY_KIND:
-                raise ConfigError(f"{path or 'config'}: unknown kind {kind!r}")
-            _validate_keys(val, _PARAMS_BY_KIND[kind],
-                           f"{path}.params" if path else "params")
-        elif sub == "SCENARIO":
-            if not isinstance(val, dict):
-                raise ConfigError("base: expected an object")
-            validate_scenario(val, f"{path}.base" if path else "base")
-        elif isinstance(sub, dict):
-            _validate_keys(val, sub, f"{path}.{key}" if path else key)
-    if scn.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
-    if kind not in _PARAMS_BY_KIND:
-        raise ConfigError(f"unknown kind {kind!r}")
+    if not (isinstance(kind, str) and kind in _SCENARIOS):
+        raise ConfigError(f"{_join(path, 'kind')}: expected one of "
+                          f"{sorted(_SCENARIOS)}, got {kind!r}")
+    return _SCENARIOS[kind](scn, path)
 
 
 def load_scenario(path: Path) -> dict:
@@ -139,24 +339,11 @@ def load_scenario(path: Path) -> dict:
 
 
 def _resolve_profile(desc):
-    if desc is None:
-        raise ConfigError("scenario needs a profile descriptor")
-    desc = dict(desc)
-    form = desc.pop("form", None)
-    if form == "warped":
-        raise ConfigError("warped profiles need a callable; use the library "
-                          "API instead of the CLI")
-    spec = {"form": form, "dimension": desc.pop("dimension", None)}
-    radii = desc.pop("radii", None)
-    volumes = desc.pop("volumes", None)
-    if radii is not None or volumes is not None:
-        if radii is None or volumes is None:
-            raise ConfigError("profile: tabulated form needs both radii and "
-                              "volumes")
-        spec["table"] = np.column_stack([np.asarray(radii, dtype=float),
-                                         np.asarray(volumes, dtype=float)])
-    if desc:
-        spec["params"] = desc  # remaining keys are form-specific parameters
+    spec = {"form": desc["form"], "dimension": desc["dimension"],
+            "params": {k: desc[k] for k in ("lam", "coeff", "sigma")
+                       if k in desc}}
+    if "radii" in desc:
+        spec["table"] = np.column_stack([desc["radii"], desc["volumes"]])
     try:
         return make_profile(spec)
     except (ProfileError, ValueError, TypeError) as exc:
@@ -164,14 +351,19 @@ def _resolve_profile(desc):
 
 
 def _resolve_growth(desc):
-    if desc is None:
-        return None
     try:
-        return make_growth(form=desc.get("form"),
-                           params=desc.get("params", {}),
-                           r0=desc.get("r0", 1.0))
+        return None if desc is None else make_growth(**desc)
     except (GrowthError, ValueError, TypeError) as exc:
         raise ConfigError(f"growth: {exc}") from exc
+
+
+def _volume_exponent(profile):
+    """lam of a closed-form V = c r^lam profile; None for the other forms."""
+    if profile.form == "euclidean":
+        return float(profile.dimension)
+    if profile.form == "power":
+        return float(profile.params["lam"])
+    return None
 
 
 def _fmt(value) -> str:
@@ -192,17 +384,11 @@ def write_csv(path: Path, columns, rows) -> None:
 
 
 def _jsonable(value):
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value]
+    if isinstance(value, np.generic):
+        return value.item()
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in value]
     return value
 
@@ -214,19 +400,18 @@ def write_manifest(path: Path, payload: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# scenario runners: each returns {columns, rows, metrics, checks, passed}
+# scenario runners: each takes a resolved scenario and returns
+# {columns, rows, metrics, checks, passed}
 
-def _run_check(scn, tol):
-    profile = _resolve_profile(scn.get("profile"))
-    growth = _resolve_growth(scn.get("growth"))
-    if growth is None:
-        raise ConfigError("kind 'check' needs a growth descriptor")
-    p = scn.get("params", {})
+def _run_check(scn, tol, out_dir):
+    profile = _resolve_profile(scn["profile"])
+    growth = _resolve_growth(scn["growth"])
+    p = scn["params"]
     sample = None
     if "sample_min" in p or "sample_max" in p:
         sample = np.geomspace(p.get("sample_min", growth.r0),
                               p.get("sample_max", 1e4 * growth.r0),
-                              int(p.get("sample_points", 96)))
+                              p["sample_points"])
     report = check_assumptions(profile, growth, sample=sample)
     rows = [{"r": float(r),
              "volume": float(profile.volume(r)),
@@ -244,35 +429,26 @@ def _run_check(scn, tol):
             "metrics": metrics, "checks": checks, "passed": report.passed}
 
 
-def _green_radii(p):
-    if "radii" in p:
-        return np.asarray(p["radii"], dtype=float)
-    return np.geomspace(float(p.get("r_min", 0.5)),
-                        float(p.get("r_max", 100.0)),
-                        int(p.get("count", 25)))
-
-
-def _run_green(scn, tol):
-    profile = _resolve_profile(scn.get("profile"))
-    growth = _resolve_growth(scn.get("growth"))
-    p = scn.get("params", {})
-    radii = _green_radii(p)
-    want_bounds = bool(p.get("bounds", growth is not None))
+def _run_green(scn, tol, out_dir):
+    profile = _resolve_profile(scn["profile"])
+    growth = _resolve_growth(scn["growth"])
+    p = scn["params"]
+    radii = (np.asarray(p["radii"], dtype=float) if "radii" in p else
+             np.geomspace(p["r_min"], p["r_max"], p["count"]))
+    want_bounds = p.get("bounds", growth is not None)
     columns = ["r", "green_exact", "green_surrogate", "ratio"]
-    checks = {}
-    metrics = {}
+    checks, metrics = {}, {}
     if want_bounds:
         if growth is None:
             raise ConfigError("green bounds need a growth descriptor")
         report = green_bounds(profile, growth, radii,
-                              use_surrogate=bool(p.get("use_surrogate", True)),
-                              c1=p.get("c1"), c2=p.get("c2"))
+                              use_surrogate=p["use_surrogate"],
+                              c1=p["c1"], c2=p["c2"])
         columns += ["lower_far", "upper_tail", "upper_near",
                     "lower_ok", "tail_ok", "near_ok"]
         g_exact, g_surr = report.green_values, report.surrogate_values
         checks["bounds_hold"] = bool(report.all_ok)
-        metrics["c1"] = report.c1
-        metrics["c2"] = report.c2
+        metrics.update(c1=report.c1, c2=report.c2)
     else:
         gd = GreenData(profile)
         g_exact, g_surr = gd.exact(radii), gd.surrogate(radii)
@@ -282,53 +458,40 @@ def _run_green(scn, tol):
         row = {"r": float(r), "green_exact": ge, "green_surrogate": gs,
                "ratio": ge / gs}
         if want_bounds:
-            row.update({"lower_far": report.lower_far[i],
-                        "upper_tail": report.upper_tail[i],
-                        "upper_near": report.upper_near[i],
-                        "lower_ok": bool(report.lower_ok[i]),
-                        "tail_ok": bool(report.tail_ok[i]),
-                        "near_ok": bool(report.near_ok[i])})
+            row.update({k: getattr(report, k)[i] for k in
+                        ("lower_far", "upper_tail", "upper_near")})
+            row.update({k: bool(getattr(report, k)[i]) for k in
+                        ("lower_ok", "tail_ok", "near_ok")})
         rows.append(row)
     ratios = np.array([row["ratio"] for row in rows])
     metrics["ratio_min"] = float(ratios.min())
     metrics["ratio_max"] = float(ratios.max())
-    expected = None
-    if profile.form == "euclidean":
-        expected = 1.0 / profile.dimension
-    elif profile.form == "power":
-        expected = 1.0 / profile.params["lam"]
-    if expected is not None:
+    lam = _volume_exponent(profile)
+    if lam is not None:
+        expected = 1.0 / lam
         metrics["ratio_expected"] = expected
         checks["ratio_constant"] = bool(
             np.max(np.abs(ratios - expected)) <= tol["rel"] * expected)
-    passed = all(checks.values()) if checks else True
     return {"columns": columns, "rows": rows, "metrics": metrics,
-            "checks": checks, "passed": passed}
+            "checks": checks, "passed": all(checks.values())}
 
 
-def _run_l1g(scn, tol):
-    profile = _resolve_profile(scn.get("profile"))
-    p = scn.get("params", {})
-    exponents = p.get("exponents")
-    if not exponents:
-        raise ConfigError("kind 'l1g' needs params.exponents")
-    horizons = tuple(p["horizons"]) if "horizons" in p else None
-    rel = float(p.get("rel_threshold", 1e-3))
-    green = GreenData(profile)
+def _run_l1g(scn, tol, out_dir):
+    profile = _resolve_profile(scn["profile"])
+    p = scn["params"]
+    kwargs = {"rel_threshold": p["rel_threshold"], "green": GreenData(profile)}
+    if "horizons" in p:
+        kwargs["horizons"] = tuple(p["horizons"])
     rows = []
-    all_consistent = True
-    for a in exponents:
-        kwargs = {"rel_threshold": rel, "green": green}
-        if horizons is not None:
-            kwargs["horizons"] = horizons
-        cls = powerlaw_classify(profile, float(a), **kwargs)
+    for a in p["exponents"]:
+        cls = powerlaw_classify(profile, a, **kwargs)
         rows.append({
-            "a": float(a), "in_l1": cls.in_l1, "in_l1g": cls.in_l1g,
+            "a": a, "in_l1": cls.in_l1, "in_l1g": cls.in_l1g,
             "l1_total": cls.l1_diag.total, "l1g_total": cls.l1g_diag.total,
             "l1_converged": cls.l1_diag.converged,
             "l1g_converged": cls.l1g_diag.converged,
             "consistent": cls.consistent})
-        all_consistent = all_consistent and cls.consistent
+    all_consistent = all(row["consistent"] for row in rows)
     return {"columns": ["a", "in_l1", "in_l1g", "l1_total", "l1g_total",
                         "l1_converged", "l1g_converged", "consistent"],
             "rows": rows, "metrics": {"alpha_infinity":
@@ -337,25 +500,16 @@ def _run_l1g(scn, tol):
             "passed": all_consistent}
 
 
-def _run_bound(scn, tol):
-    profile = _resolve_profile(scn.get("profile"))
-    growth = _resolve_growth(scn.get("growth"))
-    if growth is None:
-        raise ConfigError("kind 'bound' needs a growth descriptor")
-    m = scn.get("m")
-    if m is None:
-        raise ConfigError("kind 'bound' needs the exponent m")
-    p = scn.get("params", {})
-    norm1 = float(p.get("norm1", 1.0))
-    if "t_values" in p:
-        ts = np.asarray(p["t_values"], dtype=float)
-    else:
-        ts = np.geomspace(float(p.get("t_min", 1.0)),
-                          float(p.get("t_max", 1e4)),
-                          int(p.get("count", 25)))
-    bound = SmoothingBound.from_profile(profile, float(m), growth)
+def _run_bound(scn, tol, out_dir):
+    profile = _resolve_profile(scn["profile"])
+    growth = _resolve_growth(scn["growth"])
+    m, p = scn["m"], scn["params"]
+    norm1 = p["norm1"]
+    ts = (np.asarray(p["t_values"], dtype=float) if "t_values" in p else
+          np.geomspace(p["t_min"], p["t_max"], p["count"]))
+    bound = SmoothingBound.from_profile(profile, m, growth)
     columns = ["t", "regime", "bound_l1"]
-    norm_green = p.get("norm_green")
+    norm_green = p["norm_green"]
     if norm_green is not None:
         columns.append("bound_l1g")
     rows = []
@@ -364,8 +518,7 @@ def _run_bound(scn, tol):
         row = {"t": float(t), "regime": ev.regime, "bound_l1": ev.value}
         if norm_green is not None:
             row["bound_l1g"] = smoothing_bound_l1g(
-                float(m), profile.dimension, float(t),
-                float(norm_green)).value
+                m, profile.dimension, float(t), norm_green).value
         rows.append(row)
     vals = np.array([r["bound_l1"] for r in rows])
     metrics = {"threshold_time": bound.time_threshold(norm1)}
@@ -373,142 +526,110 @@ def _run_bound(scn, tol):
                                       np.all(vals > 0.0)),
               "nonincreasing": bool(np.all(np.diff(vals) <=
                                            1e-12 * vals[:-1]))}
-    if p.get("fit", False):
+    if p["fit"]:
         large = ts >= metrics["threshold_time"]
         if np.count_nonzero(large) < 3:
             raise ConfigError("fit requested but fewer than 3 sample times "
                               "sit in the large-time regime")
         slope = loglog_slope(ts[large], vals[large])
         metrics["fitted_slope"] = slope
-        lam = None
-        if profile.form == "euclidean":
-            lam = float(profile.dimension)
-        elif profile.form == "power":
-            lam = float(profile.params["lam"])
+        lam = _volume_exponent(profile)
         if lam is not None:
-            predicted = -lam / ((float(m) - 1.0) * lam + 2.0)
+            predicted = -lam / ((m - 1.0) * lam + 2.0)
             metrics["predicted_slope"] = predicted
             checks["slope_matches"] = bool(
                 abs(slope - predicted) <= tol["slope_tol"] * abs(predicted))
-    passed = all(checks.values())
     return {"columns": columns, "rows": rows, "metrics": metrics,
-            "checks": checks, "passed": passed}
+            "checks": checks, "passed": all(checks.values())}
 
 
-def _solve_initial(init, grid):
-    kind = init.get("kind")
-    if kind == "barenblatt":
-        eps = float(init.get("eps", 1.0))
-        if "bracket" in init and "mass" in init:
-            raise ConfigError("init: give either mass or bracket, not both")
+def _solve_initial(init, m, dimension):
+    """The radial datum of a resolved `params.init`."""
+    if init["kind"] == "barenblatt":
         if "bracket" in init:
-            params = BarenblattParams(grid.profile.dimension,
-                                      m=float(init.get("_m")),
-                                      bracket=float(init["bracket"]), eps=eps)
+            params = BarenblattParams(dimension, m=m, bracket=init["bracket"],
+                                      eps=init["eps"])
         else:
-            params = BarenblattParams.from_mass(
-                grid.profile.dimension, float(init.get("_m")),
-                float(init.get("mass", 1.0)), eps=eps)
-        return barenblatt_datum(params), params
-    if kind == "powerlaw":
-        a = float(init["a"])
-        return (lambda r: (1.0 + np.asarray(r, dtype=float)) ** (-a)), None
-    if kind == "table":
-        from scipy.interpolate import PchipInterpolator
-        data = np.loadtxt(init["path"], delimiter=",", skiprows=1)
+            params = BarenblattParams.from_mass(dimension, m, init["mass"],
+                                                eps=init["eps"])
+        return barenblatt_datum(params)
+    if init["kind"] == "powerlaw":
+        a = init["a"]
+        return lambda r: (1.0 + np.asarray(r, dtype=float)) ** (-a)
+    from scipy.interpolate import PchipInterpolator
+    try:
+        data = np.loadtxt(init["path"], delimiter=",", skiprows=1, ndmin=2)
         interp = PchipInterpolator(data[:, 0], data[:, 1], extrapolate=False)
-        return (lambda r: np.nan_to_num(interp(np.asarray(r, dtype=float)),
-                                        nan=0.0)), None
-    raise ConfigError(f"unknown init kind {kind!r}")
+    except (OSError, ValueError, IndexError) as exc:
+        raise ConfigError(f"params.init.path: cannot use {init['path']!r} "
+                          f"as an (r, u) table: {exc}") from exc
+    if np.any(data[:, 1] < 0.0):
+        raise ConfigError("params.init.path: the data must be nonnegative")
+    return lambda r: np.nan_to_num(interp(np.asarray(r, dtype=float)),
+                                   nan=0.0)
 
 
-def _run_solve(scn, tol, out_dir=None):
-    profile = _resolve_profile(scn.get("profile"))
-    m = scn.get("m")
-    if m is None:
-        raise ConfigError("kind 'solve' needs the exponent m")
-    p = scn.get("params", {})
-    init = dict(p.get("init", {}))
-    if not init:
-        raise ConfigError("kind 'solve' needs params.init")
-    init["_m"] = float(m)
-    cells = int(p.get("cells", 400))
-    r_max = float(p.get("r_max", 20.0))
-    t_end = float(p.get("t_end", 1.0))
-    grid = RadialGrid.make(profile, r_max, cells)
-    datum, _ = _solve_initial(init, grid)
-    n_snap = p.get("snapshots", 10)
-    if isinstance(n_snap, list):
-        snaps = [float(s) for s in n_snap]
-    else:
-        snaps = list(np.linspace(0.0, t_end, int(n_snap) + 1)[1:])
-    record = run_pme(grid, float(m), datum, t_end=t_end, snapshots=snaps,
-                     scheme=str(p.get("scheme", "explicit")),
-                     boundary=str(p.get("boundary", "absorbing")),
-                     cfl=float(p.get("cfl", 0.4)),
-                     implicit_dt=p.get("implicit_dt"))
+def _run_solve(scn, tol, out_dir):
+    profile = _resolve_profile(scn["profile"])
+    m, p = scn["m"], scn["params"]
+    datum = _solve_initial(p["init"], m, profile.dimension)
+    grid = RadialGrid.make(profile, p["r_max"], p["cells"])
+    snaps = p["snapshots"]
+    if not isinstance(snaps, list):
+        snaps = list(np.linspace(0.0, p["t_end"], snaps + 1)[1:])
+    record = run_pme(grid, m, datum, t_end=p["t_end"], snapshots=snaps,
+                     scheme=p["scheme"], boundary=p["boundary"],
+                     cfl=p["cfl"], implicit_dt=p["implicit_dt"])
     green = GreenData(profile)
     l1g_w = grid.cell_weights(
         lambda r: np.where(np.asarray(r) < 1.0, 1.0,
                            np.asarray(green.exact(r), dtype=float)))
-    rows = []
-    for t, state, out in zip(record.times, record.states, record.outflows):
-        rows.append({"t": float(t), "sup_u": float(state.max()),
-                     "mass": float(np.sum(state * grid.cell_volumes)),
-                     "outflow": float(out),
-                     "l1g_norm": float(np.sum(state * l1g_w))})
+    rows = [{"t": float(t), "sup_u": float(state.max()),
+             "mass": float(np.sum(state * grid.cell_volumes)),
+             "outflow": float(out), "l1g_norm": float(np.sum(state * l1g_w))}
+            for t, state, out in zip(record.times, record.states,
+                                     record.outflows)]
     metrics = {"mass_defect": record.mass_defect(), "steps": record.steps,
-               "cells": cells}
+               "cells": p["cells"]}
     checks = {"mass_conserved": record.mass_defect() <= 1e-10,
               "positivity": bool(min(float(s.min())
                                      for s in record.states) >= 0.0)}
-    if p.get("verify", False):
+    if p["verify"]:
         report = verify_solution_estimates(record, green=green,
-                                           tau=float(p.get("tau",
-                                                           tol["tau"])))
+                                           tau=p.get("tau", tol["tau"]))
         for chk in report.checks:
             checks[f"estimate_{chk.name}"] = chk.passed(report.tau)
         metrics["max_estimate_violation"] = report.max_violation
     result = {"columns": ["t", "sup_u", "mass", "outflow", "l1g_norm"],
               "rows": rows, "metrics": metrics, "checks": checks,
               "passed": all(checks.values())}
-    if p.get("emit_profiles", False) and out_dir is not None:
+    if p["emit_profiles"]:
         prof_cols = ["r"] + [f"u_t{i}" for i in range(len(record.times))]
-        prof_rows = []
-        for j, r in enumerate(grid.centers):
-            row = {"r": float(r)}
-            for i, state in enumerate(record.states):
-                row[f"u_t{i}"] = float(state[j])
-            prof_rows.append(row)
-        name = scn.get("output", {}).get("profiles_csv",
-                                         f"{scn['name']}_profiles.csv")
+        prof_rows = [{"r": float(r), **{f"u_t{i}": float(state[j]) for i, state
+                                        in enumerate(record.states)}}
+                     for j, r in enumerate(grid.centers)]
+        name = scn["output"].get("profiles_csv", f"{scn['name']}_profiles.csv")
         write_csv(out_dir / name, prof_cols, prof_rows)
         result["profiles_csv"] = name
     return result
 
 
-def _run_optimality(scn, tol):
-    p = scn.get("params", {})
-    m = scn.get("m")
-    if m is None:
-        raise ConfigError("kind 'optimality' needs the exponent m")
-    dimension = int(p.get("dimension", 3))
-    fit_window = p.get("fit_window")
+def _run_optimality(scn, tol, out_dir):
+    m, p = scn["m"], scn["params"]
     report = optimality_harness(
-        dimension=dimension, m=float(m), mass=float(p.get("mass", 1.0)),
-        eps=float(p.get("eps", 1.0)), cells=int(p.get("cells", 2000)),
-        r_max=float(p.get("r_max", 20.0)), t_end=float(p.get("t_end", 10.0)),
-        n_snapshots=int(p.get("n_snapshots", 25)),
-        fit_window=tuple(fit_window) if fit_window else None)
+        dimension=p["dimension"], m=m, mass=p["mass"], eps=p["eps"],
+        cells=p["cells"], r_max=p["r_max"], t_end=p["t_end"],
+        n_snapshots=p["n_snapshots"],
+        fit_window=tuple(p["fit_window"]) if p["fit_window"] else None)
     rows = [{"t_abs": float(t), "sup_u": float(s), "sup_scaled": float(sc),
              "bound_l1": float(b), "bound_regime": reg}
             for t, s, sc, b, reg in zip(report.times_abs, report.sup_values,
                                         report.sup_scaled,
                                         report.bound_values,
                                         report.bound_regimes)]
-    slope_tol = float(p.get("slope_tol", tol["slope_tol"]))
-    band_limit = float(p.get("band_limit", tol["band_limit"]))
-    l1_limit = float(p.get("l1_limit", tol["l1_limit"]))
+    slope_tol = p.get("slope_tol", tol["slope_tol"])
+    band_limit = p.get("band_limit", tol["band_limit"])
+    l1_limit = p.get("l1_limit", tol["l1_limit"])
     metrics = {"fitted_slope": report.slope,
                "expected_slope": report.expected_slope,
                "band_ratio": report.band_ratio,
@@ -517,242 +638,163 @@ def _run_optimality(scn, tol):
                "steps": report.steps}
     checks = {"slope": abs(report.slope - report.expected_slope) <= slope_tol,
               "band": report.band_ratio <= band_limit,
-              "l1_error": report.l1_error_final <=
-              l1_limit * float(p.get("mass", 1.0)),
+              "l1_error": report.l1_error_final <= l1_limit * p["mass"],
               "mass_conserved": report.mass_defect <= 1e-10}
     return {"columns": ["t_abs", "sup_u", "sup_scaled", "bound_l1",
                         "bound_regime"], "rows": rows, "metrics": metrics,
             "checks": checks, "passed": all(checks.values())}
 
 
-def _merge_override(base: dict, dotted: str, value):
-    parts = dotted.split(".")
-    node = base
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            raise ConfigError(f"grid override {dotted!r} crosses a scalar")
-    node[parts[-1]] = value
-
-
-def _expand_grid(grid):
-    if isinstance(grid, list):
-        return [dict(point) for point in grid]
-    if isinstance(grid, dict):
-        keys = list(grid.keys())
-        combos = itertools.product(*(grid[k] for k in keys))
-        return [dict(zip(keys, combo)) for combo in combos]
-    raise ConfigError("grid must be a list of overrides or a mapping of "
-                      "lists")
-
-
 def _run_sweep(scn, tol, out_dir):
-    base = scn.get("base")
-    if not isinstance(base, dict):
-        raise ConfigError("kind 'sweep' needs a base scenario")
-    points = _expand_grid(scn.get("grid", []))
-    jobs = []
-    for i, overrides in enumerate(points):
-        sub = json.loads(json.dumps(base))
-        for dotted, value in overrides.items():
-            _merge_override(sub, dotted, value)
-        sub.setdefault("schema_version", SCHEMA_VERSION)
+    grid_keys = sorted({k for overrides in scn["grid"] for k in overrides})
+    rows, metric_keys = [], []
+    for i, overrides in enumerate(scn["grid"]):
+        sub = _sweep_point(scn["base"], overrides)
         sub["name"] = f"{scn['name']}-{i:03d}"
-        validate_scenario(sub)
-        jobs.append((i, overrides, sub))
-
-    def _one(sub):
+        row = {"index": i, "name": sub["name"], "passed": False, "error": "",
+               **{k: overrides.get(k, "") for k in grid_keys}}
         try:
-            result = _dispatch(sub, tol, out_dir)
-            _emit(sub, result, out_dir)
-            return {"error": "", "result": result}
+            result = _run(sub, validate_scenario(sub), tol, out_dir)
+            row.update(result["metrics"], passed=result["passed"])
+            metric_keys = metric_keys or sorted(result["metrics"])
         except ConfigError as exc:
-            return {"error": str(exc), "result": None}
+            row["error"] = str(exc)
         except Exception as exc:  # recorded per row, not fatal to the sweep
-            return {"error": f"{type(exc).__name__}: {exc}", "result": None}
-
-    outcomes = [_one(sub) for _, _, sub in jobs]
-
-    grid_keys = sorted({k for _, overrides, _ in jobs for k in overrides})
-    metric_keys = []
-    for outcome in outcomes:
-        if outcome["result"] is not None:
-            metric_keys = sorted(outcome["result"]["metrics"].keys())
-            break
-    columns = (["index", "name"] + grid_keys + metric_keys +
-               ["passed", "error"])
-    rows = []
-    all_ok = True
-    for (i, overrides, sub), outcome in zip(jobs, outcomes):
-        row = {"index": i, "name": sub["name"], "passed": False, "error":
-               outcome["error"]}
-        for k in grid_keys:
-            row[k] = overrides.get(k, "")
-        for k in metric_keys:
-            row[k] = ""
-        if outcome["result"] is not None:
-            for k in metric_keys:
-                row[k] = outcome["result"]["metrics"].get(k, "")
-            row["passed"] = outcome["result"]["passed"]
-        all_ok = all_ok and bool(row["passed"]) and not outcome["error"]
+            row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
-    return {"columns": columns, "rows": rows,
+    for row in rows:
+        for k in metric_keys:
+            row.setdefault(k, "")
+    all_ok = all(bool(row["passed"]) for row in rows)
+    return {"columns": (["index", "name"] + grid_keys + metric_keys +
+                        ["passed", "error"]), "rows": rows,
             "metrics": {"points": len(rows)},
             "checks": {"all_rows_passed": all_ok}, "passed": all_ok}
 
 
-def _dispatch(scn, tol, out_dir):
-    kind = scn["kind"]
-    if kind == "check":
-        return _run_check(scn, tol)
-    if kind == "green":
-        return _run_green(scn, tol)
-    if kind == "l1g":
-        return _run_l1g(scn, tol)
-    if kind == "bound":
-        return _run_bound(scn, tol)
-    if kind == "solve":
-        return _run_solve(scn, tol, out_dir)
-    if kind == "optimality":
-        return _run_optimality(scn, tol)
-    if kind == "sweep":
-        return _run_sweep(scn, tol, out_dir)
-    raise ConfigError(f"unknown kind {kind!r}")
+_RUNNERS = {"check": _run_check, "green": _run_green, "l1g": _run_l1g,
+            "bound": _run_bound, "solve": _run_solve,
+            "optimality": _run_optimality, "sweep": _run_sweep}
 
 
-def _emit(scn, result, out_dir: Path) -> None:
-    csv_name = scn.get("output", {}).get("csv", f"{scn['name']}.csv")
+def _run(scn, res, tol, out_dir: Path) -> dict:
+    """Run the resolved scenario `res`; write its CSV and a manifest that
+    echoes the input config `scn`."""
+    result = _RUNNERS[res["kind"]](res, tol, out_dir)
+    csv_name = res["output"].get("csv", f"{res['name']}.csv")
     write_csv(out_dir / csv_name, result["columns"], result["rows"])
     manifest = {"schema_version": SCHEMA_VERSION,
                 "library_version": __version__,
-                "name": scn["name"], "kind": scn["kind"],
-                "config": {k: v for k, v in scn.items()},
+                "name": res["name"], "kind": res["kind"], "config": scn,
                 "outputs": {"csv": csv_name},
                 "metrics": result["metrics"], "checks": result["checks"],
                 "passed": result["passed"]}
     if "profiles_csv" in result:
         manifest["outputs"]["profiles"] = result["profiles_csv"]
-    write_manifest(out_dir / f"{scn['name']}.manifest.json", manifest)
+    write_manifest(out_dir / f"{res['name']}.manifest.json", manifest)
+    return result
+
+
+def _execute(scn, out_dir, tolerance_profile: str) -> int:
+    """Validate, run and emit one named scenario; returns the exit code."""
+    res = validate_scenario(scn)
+    out = Path(out_dir) if out_dir else Path.cwd()
+    out.mkdir(parents=True, exist_ok=True)
+    result = _run(scn, res, TOLERANCE_PROFILES[tolerance_profile], out)
+    return 0 if result["passed"] else 1
 
 
 def run_scenario(config_path, out_dir=None,
                  tolerance_profile: str = "default") -> int:
     """Execute one scenario file; returns the process exit code."""
-    scn = load_scenario(Path(config_path))
-    tol = TOLERANCE_PROFILES[tolerance_profile]
-    out = Path(out_dir) if out_dir else Path.cwd()
-    out.mkdir(parents=True, exist_ok=True)
-    result = _dispatch(scn, tol, out)
-    _emit(scn, result, out)
-    return 0 if result["passed"] else 1
+    return _execute(load_scenario(Path(config_path)), out_dir,
+                    tolerance_profile)
 
 
 # ---------------------------------------------------------------------------
-# flag-driven scenario builders
+# flag-driven scenarios
 
-def _parse_profile_flag(text: str) -> dict:
-    parts = text.split(":")
-    form = parts[0]
-    if form == "euclidean":
-        if len(parts) != 2:
-            raise ConfigError("--profile euclidean:<dimension>")
-        return {"form": "euclidean", "dimension": int(parts[1])}
-    if form == "power":
-        if len(parts) not in (3, 4):
-            raise ConfigError("--profile power:<dimension>:<lam>[:<coeff>]")
-        desc = {"form": "power", "dimension": int(parts[1]),
-                "lam": float(parts[2])}
-        if len(parts) == 4:
-            desc["coeff"] = float(parts[3])
+# --profile/--growth/--init presets: form -> the keys that its ":"-separated
+# values fill in order; keys after "|" may be left out
+_PRESETS = {
+    "profile": ("form", {"euclidean": "dimension",
+                         "power": "dimension lam | coeff",
+                         "power_log": "dimension lam sigma"}),
+    "growth": ("form", {"power": "k | r0", "power_log": "k b | r0"}),
+    "init": ("kind", {"barenblatt": "| mass eps", "powerlaw": "a",
+                      "table": "path"}),
+}
+
+
+def _preset(flag):
+    """argparse type for a preset flag, e.g. `power:4:3` -> a profile."""
+    head, forms = _PRESETS[flag]
+
+    def parse(text):
+        form, *vals = text.split(":")
+        if form not in forms:
+            raise argparse.ArgumentTypeError(
+                f"unknown {flag} preset {text!r}; forms: {sorted(forms)}")
+        need, _, extra = (part.split() for part in
+                          forms[form].partition("|"))
+        if form == "table":
+            vals = [":".join(vals)]  # a path may itself contain ':'
+        if not len(need) <= len(vals) <= len(need) + len(extra):
+            raise argparse.ArgumentTypeError(f"{form} takes {forms[form]!r}")
+        desc = {head: form}
+        for key, val in zip(need + extra, vals):
+            node = desc.setdefault("params", {}) if key in ("k", "b") else desc
+            node[key] = (int(val) if key == "dimension" else
+                         val if key == "path" else float(val))
         return desc
-    if form == "power_log":
-        if len(parts) != 4:
-            raise ConfigError("--profile power_log:<dimension>:<lam>:<sigma>")
-        return {"form": "power_log", "dimension": int(parts[1]),
-                "lam": float(parts[2]), "sigma": float(parts[3])}
-    raise ConfigError(f"unknown profile preset {text!r}")
+    parse.__name__ = f"{flag} preset"  # argparse: "invalid <name> value"
+    return parse
 
 
-def _parse_growth_flag(text: str) -> dict:
-    parts = text.split(":")
-    form = parts[0]
-    if form == "power":
-        if len(parts) not in (2, 3):
-            raise ConfigError("--growth power:<k>[:<r0>]")
-        desc = {"form": "power", "params": {"k": float(parts[1])}}
-        if len(parts) == 3:
-            desc["r0"] = float(parts[2])
-        return desc
-    if form == "power_log":
-        if len(parts) not in (3, 4):
-            raise ConfigError("--growth power_log:<k>:<b>[:<r0>]")
-        desc = {"form": "power_log",
-                "params": {"k": float(parts[1]), "b": float(parts[2])}}
-        if len(parts) == 4:
-            desc["r0"] = float(parts[3])
-        return desc
-    raise ConfigError(f"unknown growth preset {text!r}")
+def _floats(text):
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _parse_init_flag(text: str) -> dict:
-    parts = text.split(":")
-    if parts[0] == "barenblatt":
-        init = {"kind": "barenblatt"}
-        if len(parts) >= 2:
-            init["mass"] = float(parts[1])
-        if len(parts) >= 3:
-            init["eps"] = float(parts[2])
-        return init
-    if parts[0] == "powerlaw" and len(parts) == 2:
-        return {"kind": "powerlaw", "a": float(parts[1])}
-    if parts[0] == "table" and len(parts) >= 2:
-        return {"kind": "table", "path": ":".join(parts[1:])}
-    raise ConfigError(f"unknown init {text!r}")
+# flag -> argparse type (None for a switch); its dest, the spec key it sets,
+# is the flag's name in snake case unless _DESTS says otherwise
+_FLAGS = {
+    "--profile": _preset("profile"), "--growth": _preset("growth"),
+    "--init": _preset("init"), "--radii": _floats, "--exponents": _floats,
+    "--fit": None, "--verify": None, "--scheme": str, "--boundary": str,
+    **dict.fromkeys(["--m", "--t-min", "--t-max", "--norm1", "--rmax",
+                     "--tend", "--t-end", "--mass", "--eps"], float),
+    **dict.fromkeys(["--count", "--cells", "--snapshots", "--dimension",
+                     "--n-snapshots"], int),
+}
+_DESTS = {"--rmax": "r_max", "--tend": "t_end"}
+_COMMANDS = {
+    "check-assumptions": "--profile --growth",
+    "green": "--profile --growth --radii",
+    "l1g": "--profile --exponents",
+    "bound": "--profile --growth --m --t-min --t-max --count --norm1 --fit",
+    "solve": "--profile --m --init --rmax --cells --scheme --boundary --tend "
+             "--snapshots --verify",
+    "optimality": "--m --dimension --mass --eps --cells --rmax --t-end "
+                  "--n-snapshots",
+    "sweep": "",
+}
 
 
-def _scenario_from_flags(args) -> dict:
-    scn = {"schema_version": SCHEMA_VERSION, "kind": args.command,
-           "name": f"cli-{args.command}", "params": {}}
-    if getattr(args, "profile", None):
-        scn["profile"] = _parse_profile_flag(args.profile)
-    if getattr(args, "growth", None):
-        scn["growth"] = _parse_growth_flag(args.growth)
-    if getattr(args, "m", None) is not None:
-        scn["m"] = args.m
-    p = scn["params"]
-    if args.command == "green" and getattr(args, "radii", None):
-        p["radii"] = [float(x) for x in args.radii.split(",")]
-    if args.command == "l1g" and getattr(args, "exponents", None):
-        p["exponents"] = [float(x) for x in args.exponents.split(",")]
-    if args.command == "bound":
-        for key in ("t_min", "t_max", "count", "norm1"):
+def _scenario_from_flags(args, kind: str) -> dict:
+    """Raw scenario from direct flags: each flag's dest is its spec key."""
+    scn = {"schema_version": SCHEMA_VERSION, "kind": kind,
+           "name": f"cli-{kind}", "params": {}}
+    spec = _SCENARIOS[kind].spec
+    for node, keys in ((scn, spec), (scn["params"], spec["params"][0].spec)):
+        for key, (_, default) in keys.items():
             val = getattr(args, key, None)
-            if val is not None:
-                p[key] = val
-        if getattr(args, "fit", False):
-            p["fit"] = True
-    if args.command == "solve":
-        if not getattr(args, "init", None):
-            raise ConfigError("solve needs --init")
-        p["init"] = _parse_init_flag(args.init)
-        for flag, key in (("rmax", "r_max"), ("cells", "cells"),
-                          ("scheme", "scheme"), ("tend", "t_end"),
-                          ("snapshots", "snapshots"),
-                          ("boundary", "boundary")):
-            val = getattr(args, flag, None)
-            if val is not None:
-                p[key] = val
-        if getattr(args, "verify", False):
-            p["verify"] = True
-    if args.command == "optimality":
-        for key in ("dimension", "mass", "eps", "cells", "t_end",
-                    "n_snapshots"):
-            val = getattr(args, key, None)
-            if val is not None:
-                p[key] = val
-        if getattr(args, "rmax", None) is not None:
-            p["r_max"] = args.rmax
-    validate_scenario(scn)
+            if val is not None and val is not False:
+                node[key] = val
+            elif default is _REQUIRED and hasattr(args, key):
+                raise ConfigError(f"{args.command} needs --{key}")
     return scn
 
 
@@ -769,54 +811,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tolerance-profile", type=str, default="default",
                         choices=sorted(TOLERANCE_PROFILES))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pc = sub.add_parser("check-assumptions", parents=[common])
-    pc.add_argument("--profile", type=str)
-    pc.add_argument("--growth", type=str)
-
-    pg = sub.add_parser("green", parents=[common])
-    pg.add_argument("--profile", type=str)
-    pg.add_argument("--growth", type=str)
-    pg.add_argument("--radii", type=str)
-
-    pl = sub.add_parser("l1g", parents=[common])
-    pl.add_argument("--profile", type=str)
-    pl.add_argument("--exponents", type=str)
-
-    pb = sub.add_parser("bound", parents=[common])
-    pb.add_argument("--profile", type=str)
-    pb.add_argument("--growth", type=str)
-    pb.add_argument("--m", type=float)
-    pb.add_argument("--t-min", dest="t_min", type=float)
-    pb.add_argument("--t-max", dest="t_max", type=float)
-    pb.add_argument("--count", type=int)
-    pb.add_argument("--norm1", type=float)
-    pb.add_argument("--fit", action="store_true")
-
-    ps = sub.add_parser("solve", parents=[common])
-    ps.add_argument("--profile", type=str)
-    ps.add_argument("--m", type=float)
-    ps.add_argument("--init", type=str)
-    ps.add_argument("--rmax", type=float)
-    ps.add_argument("--cells", type=int)
-    ps.add_argument("--scheme", type=str, choices=["explicit", "implicit"])
-    ps.add_argument("--boundary", type=str,
-                    choices=["absorbing", "zero_flux"])
-    ps.add_argument("--tend", type=float)
-    ps.add_argument("--snapshots", type=int)
-    ps.add_argument("--verify", action="store_true")
-
-    po = sub.add_parser("optimality", parents=[common])
-    po.add_argument("--m", type=float)
-    po.add_argument("--dimension", type=int)
-    po.add_argument("--mass", type=float)
-    po.add_argument("--eps", type=float)
-    po.add_argument("--cells", type=int)
-    po.add_argument("--rmax", type=float)
-    po.add_argument("--t-end", dest="t_end", type=float)
-    po.add_argument("--n-snapshots", dest="n_snapshots", type=int)
-
-    pw = sub.add_parser("sweep", parents=[common])
+    for command, flags in _COMMANDS.items():
+        cmd = sub.add_parser(command, parents=[common])
+        for flag in flags.split():
+            dest = _DESTS.get(flag, flag[2:].replace("-", "_"))
+            if _FLAGS[flag] is None:
+                cmd.add_argument(flag, dest=dest, action="store_true")
+            else:
+                cmd.add_argument(flag, dest=dest, type=_FLAGS[flag])
     return parser
 
 
@@ -824,25 +826,22 @@ _CMD_TO_KIND = {"check-assumptions": "check"}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.command = _CMD_TO_KIND.get(args.command, args.command)
+    args = build_parser().parse_args(argv)
+    kind = _CMD_TO_KIND.get(args.command, args.command)
     try:
         if args.config:
-            return run_scenario(args.config, out_dir=args.out_dir,
-                                tolerance_profile=args.tolerance_profile)
-        if args.command == "sweep":
+            return run_scenario(args.config, args.out_dir,
+                                args.tolerance_profile)
+        if kind == "sweep":
             raise ConfigError("sweep needs --config")
-        scn = _scenario_from_flags(args)
-        tol = TOLERANCE_PROFILES[args.tolerance_profile]
-        out = Path(args.out_dir) if args.out_dir else Path.cwd()
-        out.mkdir(parents=True, exist_ok=True)
-        result = _dispatch(scn, tol, out)
-        _emit(scn, result, out)
-        return 0 if result["passed"] else 1
+        return _execute(_scenario_from_flags(args, kind), args.out_dir,
+                        args.tolerance_profile)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # an internal fault, never reported as a failed check
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

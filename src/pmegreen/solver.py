@@ -292,10 +292,12 @@ def run_pme(grid: RadialGrid, m: float, initial, t_end: float,
                 dt = min(stepper.stable_dt(state.u), target - state.t)
             else:
                 dt = min(implicit_dt or (target - state.t), target - state.t)
-            hit = dt >= target - state.t - 1e-15
-            state = stepper.step(state, dt=dt, scheme=scheme)
-            if hit:
-                state.t = target
+            new = stepper.step(state, dt=dt, scheme=scheme)
+            # stamp the target only when the step took the full dt; a halved
+            # step is still short of it
+            if dt >= target - state.t - 1e-15 and new.t == state.t + dt:
+                new.t = target
+            state = new
             steps += 1
         times.append(target)
         states.append(state.u.copy())

@@ -1,13 +1,23 @@
 from __future__ import annotations
 
+import copy
+import importlib.util
 import json
+import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pmegreen import __version__
-from pmegreen.cli import SCHEMA_VERSION, main
+from pmegreen import __version__, cli
+from pmegreen.cli import (SCHEMA_VERSION, ConfigError, load_scenario, main,
+                          validate_scenario)
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+BUNDLED = sorted((SCRIPTS / "scenarios").glob("*.json"))
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "scenario.json"):
@@ -243,3 +253,127 @@ def test_solve_requires_init(capsys, tmp_path):
     assert main(["solve", "--profile", "euclidean:3", "--m", "2.0",
                  "--out-dir", str(tmp_path)]) == 2
     assert "--init" in capsys.readouterr().err
+
+
+def solve_scenario() -> dict:
+    return {"schema_version": SCHEMA_VERSION, "kind": "solve", "name": "s",
+            "profile": {"form": "euclidean", "dimension": 3}, "m": 2.0,
+            "params": {"init": {"kind": "barenblatt", "mass": 1.0},
+                       "r_max": 10.0, "cells": 100, "t_end": 0.5}}
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("solver work started on a rejected scenario")
+
+
+# (dotted key, bad value[, key the error must name]); each is rejected
+# before any solver work
+BAD_SOLVE_INPUTS = [
+    ("params.cells", "abc"), ("params.cells", True), ("params.cells", 100.7),
+    ("m", math.nan), ("m", 1.0), ("params.t_end", -1),
+    ("params.snapshots", 0), ("params.init.mass", -1),
+    ("params.scheme", "rk4"), ("params.cfl", 5.0), ("seed", 7),
+    # cross-field cases
+    ("params.init", {"kind": "powerlaw"}, "params.init.a"),
+    ("params.init", {"kind": "table", "path": "no-such-table.csv"},
+     "params.init.path"),
+    ("params.init", {"kind": "table", "path": "not-a-table.csv"},
+     "params.init.path"),
+    ("params.snapshots", [0.25, 2.0]),
+    ("params.init", {"kind": "barenblatt", "mass": 1.0, "bracket": 0.5}),
+]
+
+
+@pytest.mark.parametrize("case", BAD_SOLVE_INPUTS,
+                         ids=[f"{c[0]}={c[1]!r}" for c in BAD_SOLVE_INPUTS])
+def test_bad_solve_input_is_exit_two(tmp_path, monkeypatch, capsys, case):
+    key, value, named = case if len(case) == 3 else (*case, case[0])
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "not-a-table.csv").write_text("r,u\nx,y\n", encoding="utf-8")
+    for name in ("run_pme", "GreenData"):
+        monkeypatch.setattr(cli, name, _forbidden)
+    monkeypatch.setattr(cli, "RadialGrid", SimpleNamespace(make=_forbidden))
+    scn = solve_scenario()
+    *parents, leaf = key.split(".")
+    node = scn
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    cfg = write_config(tmp_path, scn)
+    assert main(["solve", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_internal_error_is_exit_three(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "GreenData", broken)
+    cfg = write_config(tmp_path, green_scenario())
+    assert main(["green", "--config", str(cfg),
+                 "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+@pytest.mark.parametrize("path", BUNDLED, ids=[p.stem for p in BUNDLED])
+def test_bundled_scenarios_validate(path):
+    res = validate_scenario(load_scenario(path))
+    if res["kind"] == "sweep":
+        assert res["grid"]
+        for overrides in res["grid"]:
+            point = validate_scenario(cli._sweep_point(res["base"], overrides))
+            assert point["kind"] == res["base"]["kind"]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() |
+    st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3) |
+                   st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    """A bundled scenario with up to three keys set to arbitrary JSON."""
+    scn = copy.deepcopy(draw(st.sampled_from(
+        [json.loads(p.read_text(encoding="utf-8")) for p in BUNDLED])))
+    for _ in range(draw(st.integers(1, 3))):
+        node = scn
+        while True:
+            nested = sorted(k for k, v in node.items() if isinstance(v, dict))
+            if not nested or draw(st.booleans()):
+                break
+            node = node[draw(st.sampled_from(nested))]
+        key = draw(st.sampled_from(sorted(node)) | st.text(max_size=6)
+                   if node else st.text(max_size=6))
+        node[key] = draw(_JSON)
+    return scn
+
+
+@given(_mutated_scenarios() | st.dictionaries(st.text(max_size=6), _JSON))
+@settings(max_examples=300, deadline=None)
+def test_validate_scenario_raises_only_config_errors(scn):
+    try:
+        validate_scenario(scn)
+    except ConfigError:
+        pass
+
+
+def test_run_scenarios_reports_config_errors(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "run_scenarios", SCRIPTS / "run_scenarios.py")
+    runner = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(runner)
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    write_config(scenarios, {**green_scenario("bad"), "seed": 7}, "bad.json")
+    write_config(scenarios, green_scenario("good"), "good.json")
+    monkeypatch.setattr(runner, "SCENARIO_DIR", scenarios)
+    assert runner.main(["--out-dir", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL (exit 2)" in out and "unknown key 'seed'" in out
+    assert (tmp_path / "out" / "good.csv").exists()

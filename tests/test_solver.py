@@ -96,6 +96,33 @@ def test_run_pme_input_validation(euclid3, mass1_params):
         pg.run_pme(grid, 2.0, -np.ones(32), t_end=0.1)
 
 
+@pytest.mark.parametrize("m, mass, snaps", [(2.0, 1.0, [25.0, 50.0]),
+                                             (1.5, 100.0, [2.5, 5.0])])
+def test_snapshot_times_are_times_integrated(euclid3, monkeypatch, m, mass,
+                                             snaps):
+    # implicit steps across a whole snapshot gap get halved; a recorded time
+    # must still be the time the state was actually integrated to
+    spans = []
+    step = pg.solver.Stepper.step
+
+    def logged(self, state, dt=None, scheme="explicit"):
+        new = step(self, state, dt=dt, scheme=scheme)
+        spans.append((state.t, new.t))
+        return new
+
+    monkeypatch.setattr(pg.solver.Stepper, "step", logged)
+    grid = pg.RadialGrid.make(euclid3, 12.0, 400)
+    params = pg.BarenblattParams.from_mass(3, m, mass)
+    record = pg.run_pme(grid, m, pg.barenblatt_datum(params),
+                        t_end=snaps[-1], snapshots=snaps, scheme="implicit")
+    assert spans[0][0] == 0.0
+    for (_, end), (start, _) in zip(spans, spans[1:]):
+        assert start == pytest.approx(end, rel=1e-12, abs=0.0)
+    ends = np.array([end for _, end in spans])
+    for t in record.times[1:]:
+        assert np.min(np.abs(ends - t)) <= 1e-12 * t
+
+
 def test_constant_datum_is_fixed_point(euclid3):
     grid = pg.RadialGrid.make(euclid3, 5.0, 64)
     u0 = np.full(64, 0.7)
