@@ -30,7 +30,7 @@ from .numerics import loglog_slope
 from .smoothing import SmoothingBound, smoothing_bound_l1g
 from .solver import (BarenblattParams, RadialGrid, barenblatt_datum,
                      optimality_harness, run_pme, verify_solution_estimates)
-from .weighted import powerlaw_classify
+from .weighted import powerlaw_classify, volume_growth_exponent
 
 SCHEMA_VERSION = 1
 
@@ -196,6 +196,30 @@ def _snapshots_rule(raw, p, where):
                           f"(0, t_end] = (0, {p['t_end']:g}]")
 
 
+def _range_rule(lo, hi, listed):
+    """lo <= hi, unless the explicit list `listed` replaces the range."""
+    def rule(raw, p, where):
+        if listed not in p and p[lo] > p[hi]:
+            raise ConfigError(f"{_join(where, lo)}: {p[lo]:g} exceeds "
+                              f"{_join(where, hi)} = {p[hi]:g}")
+    return rule
+
+
+def _fit_window_rule(raw, p, where):
+    # the harness fits on n_snapshots times log-spaced on [eps, eps + t_end]
+    if p["fit_window"] is None:
+        return
+    lo, hi = p["fit_window"]
+    with np.errstate(all="ignore"):  # eps + t_end = inf holds no time
+        t_abs = np.geomspace(p["eps"], p["eps"] + p["t_end"],
+                             p["n_snapshots"])
+    if np.count_nonzero((t_abs >= lo - 1e-12) & (t_abs <= hi + 1e-12)) < 2:
+        raise ConfigError(
+            f"{_join(where, 'fit_window')}: [{lo:g}, {hi:g}] holds fewer than "
+            f"2 of the snapshot times on [eps, eps + t_end] = "
+            f"[{p['eps']:g}, {p['eps'] + p['t_end']:g}]")
+
+
 def _grid(v, where):
     """Sweep points: a list of override objects, or an object of lists
     expanded to their cartesian product."""
@@ -256,7 +280,8 @@ _SCENARIOS = {kind: _Obj({**_COMMON, **spec}, rule) for kind, spec, rule in (
                          "use_surrogate": (_BOOL, True),
                          "c1": (_or_none(_POS), None),
                          "c2": (_or_none(_POS), None),
-                         "bounds": (_BOOL, _OPTIONAL)}), {})}, None),
+                         "bounds": (_BOOL, _OPTIONAL)},
+                        _range_rule("r_min", "r_max", "radii")), {})}, None),
     ("l1g", {
         "profile": (_PROFILE, _REQUIRED),
         "params": (_Obj({"exponents": (_list(_NUM), _REQUIRED),
@@ -270,11 +295,9 @@ _SCENARIOS = {kind: _Obj({**_COMMON, **spec}, rule) for kind, spec, rule in (
                          "t_values": (_list(_POS), _OPTIONAL),
                          "norm1": (_POS, 1.0),
                          "norm_green": (_or_none(_POS), None),
-                         "family": (_Obj({"type": (_STR, _OPTIONAL), **{
-                             k: (_NUM, _OPTIONAL)
-                             for k in ("k", "delta", "lam", "sigma")}}),
-                                    _OPTIONAL),
-                         "fit": (_BOOL, False)}), {})}, None),
+                         "fit": (_BOOL, False)},
+                        _range_rule("t_min", "t_max", "t_values")), {})},
+     None),
     ("solve", {
         "profile": (_PROFILE, _REQUIRED), "m": _M,
         "params": (_Obj({
@@ -302,7 +325,8 @@ _SCENARIOS = {kind: _Obj({**_COMMON, **spec}, rule) for kind, spec, rule in (
                          "fit_window": (_or_none(_list(_POS, 2, 2)), None),
                          "slope_tol": (_POS, _OPTIONAL),
                          "band_limit": (_POS, _OPTIONAL),
-                         "l1_limit": (_POS, _OPTIONAL)}), {})}, None),
+                         "l1_limit": (_POS, _OPTIONAL)},
+                        _fit_window_rule), {})}, None),
     ("sweep", {"base": (_is(dict, "an object"), _REQUIRED),
                "grid": (_grid, [])},
      _sweep_rule))}
@@ -478,6 +502,10 @@ def _run_green(scn, tol, out_dir):
 
 def _run_l1g(scn, tol, out_dir):
     profile = _resolve_profile(scn["profile"])
+    try:
+        volume_growth_exponent(profile)
+    except ValueError as exc:
+        raise ConfigError(f"profile: {exc}") from exc
     p = scn["params"]
     kwargs = {"rel_threshold": p["rel_threshold"], "green": GreenData(profile)}
     if "horizons" in p:
@@ -527,7 +555,7 @@ def _run_bound(scn, tol, out_dir):
               "nonincreasing": bool(np.all(np.diff(vals) <=
                                            1e-12 * vals[:-1]))}
     if p["fit"]:
-        large = ts >= metrics["threshold_time"]
+        large = np.array([r["regime"] == "large-time" for r in rows])
         if np.count_nonzero(large) < 3:
             raise ConfigError("fit requested but fewer than 3 sample times "
                               "sit in the large-time regime")

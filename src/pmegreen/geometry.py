@@ -14,8 +14,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .numerics import (IntegralDivergenceError, gauss_panels, integrate,
-                       tail_integral)
+from .numerics import IntegralDivergenceError, TailTable, gauss_panels
 
 # relative slack for monotonicity checks on exact closed forms
 MONOTONE_SLACK = 1e-12
@@ -238,26 +237,30 @@ def _require_params(params: dict, required: set, optional: set = frozenset()) ->
 
 @dataclass(eq=False)
 class GrowthFunction:
-    """Increasing rate f(t) on [r0, inf) whose reciprocal has a finite tail."""
+    """Increasing rate f(t) on [r0, inf) whose reciprocal has a finite tail;
+    without a closed form the tail is a TailTable over [r0, 1e12 r0]."""
 
     form: str
     r0: float
     rate: Callable[[np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
-    _tail_closed: Optional[Callable[[float], float]] = None
+    _tail_closed: Optional[Callable] = None
+    _table: Optional[TailTable] = field(default=None, init=False, repr=False)
 
-    def tail(self, radius) -> float:
-        """Integral of 1/f over [radius, inf)."""
-        if np.ndim(radius) > 0:
-            return np.array([self.tail(float(r)) for r in np.asarray(radius).ravel()])
-        r = float(radius)
-        if r < self.r0 * (1.0 - 1e-12):
-            raise GrowthError(f"tail requested at {r} below r0 = {self.r0}")
+    def tail(self, radius):
+        """Integral of 1/f over [radius, inf); takes and returns arrays."""
+        r = np.asarray(radius, dtype=float)
+        if np.any(r < self.r0 * (1.0 - 1e-12)):
+            raise GrowthError(f"tail requested at {radius} below r0 = {self.r0}")
         if self._tail_closed is not None:
-            return float(self._tail_closed(r))
+            return (self._tail_closed(r) if r.ndim else
+                    float(self._tail_closed(float(r))))
         try:
-            return tail_integral(lambda t: 1.0 / float(self.rate(t)), r,
-                                 name="growth tail integral")
+            if self._table is None:
+                edges = np.geomspace(self.r0, 1e12 * self.r0, 3600)
+                self._table = TailTable(lambda t: 1.0 / np.asarray(
+                    self.rate(t), dtype=float), edges, "growth tail integral")
+            return self._table(r)
         except IntegralDivergenceError as exc:
             raise GrowthError(str(exc)) from exc
 
@@ -298,7 +301,7 @@ def make_growth(descriptor: Optional[Mapping] = None, /, **kwargs) -> GrowthFunc
                               "or (k = 2 and b > 1)")
         closed = None
         if k == 2.0:
-            closed = lambda R: math.log(R) ** (1.0 - b) / (b - 1.0)
+            closed = lambda R: np.log(R) ** (1.0 - b) / (b - 1.0)
         return GrowthFunction(
             form="power_log", r0=r0,
             rate=lambda t: np.power(t, k - 1.0) * np.power(np.log(t), b),

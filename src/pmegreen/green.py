@@ -8,16 +8,15 @@ fixed Gauss panels, anchored by one checked far tail integral.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .geometry import (AssumptionReport, GrowthFunction, VolumeProfile,
                        check_assumptions, unit_ball_volume, unit_sphere_area)
-from .numerics import (IntegralDivergenceError, gauss_intervals, gauss_panels,
-                       integrate, tail_integral)
+from .numerics import (IntegralDivergenceError, TailTable, gauss_intervals,
+                       gauss_panels)
 
 BOUND_SLACK = 1e-9
 
@@ -57,66 +56,44 @@ def _closed_surrogate(profile: VolumeProfile) -> Optional[Callable]:
 class GreenData:
     """Cached Green evaluators for a profile.
 
-    Closed-form profiles evaluate directly. The rest get a log-log cubic
-    Hermite interpolant with exact slopes -r f(r)/G(r), built from one far
-    tail integral at r_max plus cumulative Gauss panels over `edges` (a log
-    grid joined with the table radii of a tabulated profile). A radius beyond
-    r_max gets its own tail integral, one below r_min the panel value at r_min
-    plus a finite integral.
+    Closed-form profiles evaluate directly. The rest get one TailTable of
+    1/S or t/V per kind over `edges`: a log grid on [r_min, r_max] joined
+    with the table radii of a tabulated profile.
     """
 
-    def __init__(self, profile: VolumeProfile, r_min: float = 1e-4,
-                 r_max: float = 1e7):
+    r_min, r_max = 1e-4, 1e7
+
+    def __init__(self, profile: VolumeProfile):
         self.profile = profile
-        self.r_min, self.r_max = float(r_min), float(r_max)
         breaks = np.asarray(profile.params.get("table_radii", ()), dtype=float)
         self.edges = np.union1d(
             np.geomspace(self.r_min, self.r_max, 900),
             breaks[(breaks > self.r_min) & (breaks < self.r_max)])
         self._closed = {"exact": _closed_exact(profile),
                         "surrogate": _closed_surrogate(profile)}
-        self._interp = {}
+        self._tables = {}
 
     def exact(self, r):
         """G(r) = int_r^inf ds/S(s)."""
-        return self._eval("exact", r, lambda s: 1.0 / np.asarray(
-            self.profile.area(s), dtype=float))
+        return self._eval("exact", r, lambda s: 1.0 / self.profile.area(s))
 
     def surrogate(self, r):
         """Ghat(r) = int_r^inf t/V(t) dt."""
-        return self._eval("surrogate", r, lambda t: t / np.asarray(
-            self.profile.volume(t), dtype=float))
-
-    @staticmethod
-    def _tail(f: Callable, a: float) -> float:
-        scalar = lambda s: float(f(s))
-        try:
-            # absolute tolerance on the scale of the integral, a f(a)
-            return tail_integral(scalar, a, abs_tol=1e-13 * a * scalar(a),
-                                 name="Green tail integral")
-        except IntegralDivergenceError as exc:
-            raise ParabolicProfileError(str(exc)) from exc
+        return self._eval("surrogate", r, lambda t: t / self.profile.volume(t))
 
     def _eval(self, kind: str, r, f: Callable):
         closed = self._closed[kind]
         if closed is not None:
             return closed(r) if np.ndim(r) else float(closed(r))
-        if kind not in self._interp:
-            rs = self.edges
-            vals = self._tail(f, self.r_max) + np.concatenate(
-                [np.cumsum(gauss_panels(f, rs)[::-1])[::-1], [0.0]])
-            self._interp[kind] = CubicHermiteSpline(
-                np.log(rs), np.log(vals), -rs * f(rs) / vals)
-        interp = self._interp[kind]
-        rr = np.atleast_1d(np.asarray(r, dtype=float))
-        if np.any(rr <= 0.0):
+        if np.any(np.asarray(r, dtype=float) <= 0.0):
             raise ValueError("Green functions need positive radii")
-        out = np.exp(interp(np.log(np.clip(rr, self.r_min, self.r_max))))
-        for i in np.flatnonzero(rr > self.r_max):
-            out[i] = self._tail(f, float(rr[i]))
-        for i in np.flatnonzero(rr < self.r_min):
-            out[i] += integrate(lambda s: float(f(s)), float(rr[i]), self.r_min)
-        return float(out[0]) if np.ndim(r) == 0 else out
+        try:
+            if kind not in self._tables:
+                self._tables[kind] = TailTable(f, self.edges,
+                                               "Green tail integral")
+            return self._tables[kind](r)
+        except IntegralDivergenceError as exc:
+            raise ParabolicProfileError(str(exc)) from exc
 
 
 def green_exact(profile: VolumeProfile, r):
@@ -258,12 +235,10 @@ def green_bounds(profile: VolumeProfile, growth: GrowthFunction,
     lower = c1 * np.power(radii, 2.0 - n) / ((n - 2.0) * om)
     tail = np.full_like(radii, np.nan)
     far = radii >= r0 * (1.0 - 1e-12)
-    if far.any():
-        rf = radii[far]
-        rates = np.asarray(growth.rate(rf), dtype=float)
-        tails = np.asarray([growth.tail(float(x)) for x in rf])
-        tail[far] = c2 * gamma * (rf * rates / np.asarray(
-            profile.volume(rf), dtype=float)) * tails
+    rf = radii[far]
+    tail[far] = c2 * gamma * (rf * np.asarray(growth.rate(rf), dtype=float) /
+                              np.asarray(profile.volume(rf), dtype=float)
+                              ) * growth.tail(rf)
     r_anchor = np.maximum(radii, r0)
     f_anchor = np.asarray(growth.rate(r_anchor), dtype=float)
     near = (c2 / alpha) * (np.power(r_anchor, n) / (n - 2.0) +

@@ -1,11 +1,12 @@
-"""Shared numerical kernels: improper integrals, bracketed roots, slope fits."""
+"""Numerical kernels: tail tables, improper integrals, roots, slope fits."""
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.interpolate import CubicHermiteSpline
 
 ABS_TOL = 1e-10
 REL_TOL = 1e-12
@@ -24,45 +25,34 @@ class BracketError(ValueError):
 
 
 def integrate(f: Callable[[float], float], a: float, b: float,
-              abs_tol: float = ABS_TOL,
-              breakpoints: Optional[Sequence[float]] = None) -> float:
-    pts = None
-    if breakpoints:
-        pts = [p for p in breakpoints if a < p < b]
-        pts = pts or None
+              abs_tol: float = ABS_TOL) -> float:
     with warnings.catch_warnings():
         # roundoff chatter on wide finite ranges; results are cross-checked
         # against closed forms wherever one exists
         warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(f, a, b, epsabs=abs_tol, epsrel=REL_TOL, limit=200,
-                      points=pts)
+        val, _ = quad(f, a, b, epsabs=abs_tol, epsrel=REL_TOL, limit=200)
     return val
 
 
-def tail_exponent(f: Callable[[float], float], probe: float) -> float:
-    """Two-point log-log slope of f near `probe`; crude but monotone-friendly."""
-    lo, hi = f(probe), f(2.0 * probe)
-    if lo <= 0.0 or hi <= 0.0:
-        raise ValueError("tail_exponent needs a positive integrand at the probe")
-    return float(np.log(hi / lo) / np.log(2.0))
-
-
 def tail_integral(f: Callable[[float], float], a: float,
-                  abs_tol: float = ABS_TOL, name: str = "tail integral",
-                  probe: float = 1e8, check_slope: bool = True) -> float:
+                  name: str = "tail integral") -> float:
     """Integral of f over [a, inf) via the substitution t = a/s, s in (0, 1].
 
-    The integrand is screened with a power-law slope test before quadrature;
-    borderline cases that slip through still trip the quadrature warning.
+    A two-point log-log slope test at max(1e8, 4a) screens out power-law
+    divergence first; borderline cases still trip the quadrature warning.
+    The absolute tolerance is on the integral's scale a f(a).
     """
     if a <= 0.0:
         raise ValueError("tail_integral requires a positive lower limit")
-    if check_slope:
-        p = tail_exponent(f, max(probe, 4.0 * a))
-        if p >= -1.0 - TAIL_SLOPE_MARGIN:
-            raise IntegralDivergenceError(
-                f"{name} diverges: integrand slope {p:.4f} at the far probe "
-                "is not below -1")
+    probe = max(1e8, 4.0 * a)
+    lo, hi = f(probe), f(2.0 * probe)
+    if lo <= 0.0 or hi <= 0.0:
+        raise ValueError("tail_integral needs a positive integrand at the probe")
+    p = float(np.log(hi / lo) / np.log(2.0))
+    if p >= -1.0 - TAIL_SLOPE_MARGIN:
+        raise IntegralDivergenceError(
+            f"{name} diverges: integrand slope {p:.4f} at the far probe "
+            "is not below -1")
 
     def transformed(s: float) -> float:
         t = a / s
@@ -71,7 +61,7 @@ def tail_integral(f: Callable[[float], float], a: float,
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         try:
-            val, _ = quad(transformed, 0.0, 1.0, epsabs=abs_tol,
+            val, _ = quad(transformed, 0.0, 1.0, epsabs=1e-13 * a * f(a),
                           epsrel=REL_TOL, limit=200)
         except IntegrationWarning as exc:
             raise IntegralDivergenceError(
@@ -99,8 +89,40 @@ def gauss_panels(f: Callable[[np.ndarray], np.ndarray],
     return gauss_intervals(f, edges[:-1], edges[1:])
 
 
+class TailTable:
+    """T(r) = int_r^inf f of a vectorized positive f, callable on arrays.
+
+    Reverse cumulative Gauss panels over `edges` on one checked far tail
+    integral, read through a log-log cubic Hermite spline with the exact
+    slope -r f(r)/T(r). Past the last edge T is its own tail integral, below
+    the first edge the first-edge value plus a finite integral.
+    """
+
+    def __init__(self, f: Callable[[np.ndarray], np.ndarray],
+                 edges: np.ndarray, name: str = "tail integral"):
+        self.edges = rs = np.asarray(edges, dtype=float)
+        scalar = lambda s: float(f(s))
+        self._far = lambda a: tail_integral(scalar, float(a), name)
+        self._near = lambda a: integrate(scalar, float(a), rs[0])
+        vals = self._far(rs[-1]) + np.concatenate(
+            [np.cumsum(gauss_panels(f, rs)[::-1])[::-1], [0.0]])
+        self._spline = CubicHermiteSpline(np.log(rs), np.log(vals),
+                                          -rs * f(rs) / vals)
+
+    def __call__(self, r):
+        rr = np.asarray(r, dtype=float)
+        flat = rr.ravel()
+        lo, hi = self.edges[0], self.edges[-1]
+        out = np.exp(self._spline(np.log(np.clip(flat, lo, hi))))
+        for i in np.flatnonzero(flat > hi):
+            out[i] = self._far(flat[i])
+        for i in np.flatnonzero(flat < lo):
+            out[i] += self._near(flat[i])
+        return float(out[0]) if rr.ndim == 0 else out.reshape(rr.shape)
+
+
 def invert_increasing(fn: Callable[[float], float], target: float, lo: float,
-                      rel_tol: float = 1e-10, hi: Optional[float] = None) -> float:
+                      rel_tol: float = 1e-10) -> float:
     """Solve fn(x) = target for increasing fn on [lo, inf).
 
     Geometric bracket expansion followed by plain bisection; the bisection
@@ -112,8 +134,7 @@ def invert_increasing(fn: Callable[[float], float], target: float, lo: float,
             f"target {target!r} lies below fn({lo!r}) = {flo!r} for an increasing function")
     if target <= flo:
         return lo
-    if hi is None:
-        hi = 2.0 * lo if lo > 0 else 1.0
+    hi = 2.0 * lo if lo > 0 else 1.0
     for _ in range(2100):
         if fn(hi) >= target:
             break

@@ -38,7 +38,7 @@ def green_ball_envelope(growth: GrowthFunction, radius) -> float:
 class BoundEvaluation:
     t: float
     norm_value: float
-    regime: str                      # "large-time" or "small-time"
+    regime: str                      # "large-time", "capped" or "small-time"
     value: float
     r_star: Optional[float]          # radius behind the large-time branch
     threshold_time: float
@@ -104,14 +104,23 @@ class SmoothingBound:
                                  rel_tol=rel_tol)
 
     def evaluate_l1(self, t: float, norm1: float) -> BoundEvaluation:
-        """Sup-norm bound at time t for initial L1 size norm1."""
+        """Sup-norm bound at time t for initial L1 size norm1.
+
+        Past the threshold the bound is min(large-time branch, small-time
+        branch at the threshold), regime "capped" where the cap applies: each
+        branch decreases, so this is min over s <= t of the two-regime bound,
+        still valid since the sup-norm of a solution is nonincreasing.
+        """
         if t <= 0.0:
             raise ValueError("t must be positive")
         threshold = self.time_threshold(norm1)
         mm = self.m - 1.0
         n = self.dimension
-        small = self.c_small * t ** (-n / (mm * n + 2.0)) * norm1 ** (
-            2.0 / (n * mm + 2.0))
+
+        def small_at(s):
+            return self.c_small * s ** (-n / (mm * n + 2.0)) * norm1 ** (
+                2.0 / (n * mm + 2.0))
+
         if t >= threshold * (1.0 - THRESHOLD_TIE_REL):
             r_star = self.radius_for_scale(max(t ** (1.0 / mm) * norm1,
                                                self.scale_threshold))
@@ -119,12 +128,15 @@ class SmoothingBound:
                 r_star) ** (1.0 / mm)
             tie = None
             if abs(t - threshold) <= THRESHOLD_TIE_REL * threshold:
-                tie = (large, small)
-            return BoundEvaluation(t=t, norm_value=norm1, regime="large-time",
-                                   value=large, r_star=r_star,
-                                   threshold_time=threshold, tie_values=tie)
+                tie = (large, small_at(t))
+            cap = small_at(min(t, threshold))
+            return BoundEvaluation(
+                t=t, norm_value=norm1,
+                regime="large-time" if large <= cap else "capped",
+                value=min(large, cap), r_star=r_star,
+                threshold_time=threshold, tie_values=tie)
         return BoundEvaluation(t=t, norm_value=norm1, regime="small-time",
-                               value=small, r_star=None,
+                               value=small_at(t), r_star=None,
                                threshold_time=threshold)
 
 

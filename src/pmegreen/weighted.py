@@ -130,6 +130,15 @@ class PowerLawClass:
                 self.in_l1g == self.l1g_diag.converged)
 
 
+def volume_growth_exponent(profile: VolumeProfile) -> float:
+    """alpha_infinity, checked to lie in (2, n] as the dichotomy needs."""
+    alpha = profile.alpha_infinity
+    if alpha is None or not 2.0 < alpha <= profile.dimension + 1e-9:
+        raise ValueError("power-law classification needs a volume growth "
+                         f"exponent in (2, {profile.dimension}], got {alpha}")
+    return float(alpha)
+
+
 def powerlaw_classify(profile: VolumeProfile, a: float,
                       horizons: Sequence[float] = DEFAULT_HORIZONS,
                       rel_threshold: float = 1e-3,
@@ -140,12 +149,7 @@ def powerlaw_classify(profile: VolumeProfile, a: float,
     growth exponent, weighted integrability needs a > 2; both boundaries are
     excluded. Truncated quadratures corroborate the verdicts.
     """
-    if profile.alpha_infinity is None:
-        raise ValueError("profile lacks a volume growth exponent at infinity")
-    alpha = float(profile.alpha_infinity)
-    if not 2.0 < alpha <= profile.dimension + 1e-9:
-        raise ValueError("power-law classification needs a volume growth "
-                         "exponent in (2, n]")
+    alpha = volume_growth_exponent(profile)
     u_a = lambda r: np.power(1.0 + np.asarray(r, dtype=float), -a)
     l1 = l1_norm_radial(profile, u_a, horizons, rel_threshold)
     l1g = l1g_norm(profile, u_a, horizons, rel_threshold, green=green)

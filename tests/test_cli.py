@@ -306,6 +306,59 @@ def test_bad_solve_input_is_exit_two(tmp_path, monkeypatch, capsys, case):
     assert "Traceback" not in err
 
 
+_EUCLID3 = {"form": "euclidean", "dimension": 3}
+_POWER3 = {"form": "power", "params": {"k": 3.0}}
+# kind -> a scenario that runs; BAD_INPUTS set one key of it
+_BASE_SCENARIOS = {
+    "green": {"profile": _EUCLID3},
+    "bound": {"profile": _EUCLID3, "growth": _POWER3, "m": 2.0},
+    "l1g": {"profile": _EUCLID3, "params": {"exponents": [4.0]}},
+    "optimality": {"m": 2.0, "params": {"t_end": 1.0}},
+}
+# (kind, dotted key, bad value, key the error must name); each is rejected
+# before any Green, bound, quadrature or solver work
+BAD_INPUTS = [
+    ("green", "params.r_min", 200.0, "params.r_min"),
+    ("bound", "params.t_min", 1e5, "params.t_min"),
+    ("bound", "params.family", {"type": "power", "k": 3.0}, "params.family"),
+    ("l1g", "profile", {"form": "tabulated", "dimension": 3,
+                        "radii": [0.1, 1.0, 2.0, 3.0, 4.0, 5.0],
+                        "volumes": [0.1, 1.0, 2.0, 3.0, 4.0, 5.0]},
+     "profile"),
+    ("optimality", "params.fit_window", [50.0, 60.0], "params.fit_window"),
+]
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS,
+                         ids=[f"{c[0]}:{c[1]}" for c in BAD_INPUTS])
+def test_bad_input_is_exit_two(tmp_path, monkeypatch, capsys, case):
+    kind, key, value, named = case
+    for name in ("GreenData", "green_bounds", "SmoothingBound",
+                 "powerlaw_classify", "optimality_harness", "run_pme"):
+        monkeypatch.setattr(cli, name, _forbidden)
+    scn = {"schema_version": SCHEMA_VERSION, "kind": kind, "name": "bad",
+           **copy.deepcopy(_BASE_SCENARIOS[kind])}
+    *parents, leaf = key.split(".")
+    node = scn
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[leaf] = value
+    cfg = write_config(tmp_path, scn)
+    assert main([kind, "--config", str(cfg),
+                 "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_reversed_range_flags_are_exit_two(tmp_path, capsys):
+    assert main(["bound", "--profile", "euclidean:3", "--growth", "power:3",
+                 "--m", "2", "--t-min", "100", "--t-max", "1",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert "params.t_min: 100 exceeds params.t_max = 1" in (
+        capsys.readouterr().err)
+
+
 def test_internal_error_is_exit_three(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")

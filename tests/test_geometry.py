@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,3 +142,37 @@ def test_ricci_check_signs():
     hyper = pg.ricci_nonneg_check(np.sinh, 3, grid)
     assert not hyper.ok
     assert hyper.first_failing_radius is not None
+
+
+def test_growth_tail_power_log_matches_mpmath():
+    # T(R) = int_R^inf dt / (t^2 sqrt(log t)); the radii sit midway between
+    # the table's log-spaced edges on [r0, 1e12 r0], where it is least exact
+    growth = pg.make_growth(form="power_log", params={"k": 3.0, "b": 0.5},
+                            r0=2.0)
+    edges = np.geomspace(2.0, 2e12, 3600)
+    mids = np.sqrt(edges[:-1] * edges[1:])
+    radii = np.append(mids[(mids <= 1e12)][::90], 1e9)
+    with mp.workdps(20):
+        ref = np.array([float(mp.quad(
+            lambda t: 1 / (t * t * mp.sqrt(mp.log(t))),
+            [r, 10 * r, 1e3 * r, mp.inf])) for r in radii])
+    assert np.allclose(growth.tail(radii), ref, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"form": "power_log", "params": {"k": 3.0, "b": 0.5}, "r0": 2.0},
+    {"form": "power_log", "params": {"k": 2.0, "b": 2.0}, "r0": 3.0},
+    {"form": "power", "params": {"k": 3.0}, "r0": 1.0},
+    {"form": "numeric", "params": {"rate": lambda t: t * t}, "r0": 1.0},
+], ids=["power_log", "power_log_closed", "power", "numeric"])
+def test_growth_tail_takes_arrays(descriptor):
+    # past the table's last edge too: 1e13 > 1e12 r0
+    growth = pg.make_growth(descriptor)
+    rs = np.array([[3.0, 4.5, 17.0], [250.0, 1e9, 1e13]])
+    out = growth.tail(rs)
+    assert isinstance(out, np.ndarray) and out.shape == rs.shape
+    assert np.array_equal(out, [[growth.tail(float(r)) for r in row]
+                                for row in rs])
+    assert isinstance(growth.tail(3.0), float)
+    with pytest.raises(GrowthError):
+        growth.tail(np.array([5.0, 0.5]))

@@ -113,27 +113,56 @@ def test_bound_regimes_and_threshold_tie(euclid3, growth3):
     assert above.r_star > bound.growth.r0
 
 
-@pytest.mark.parametrize("case", ["euclid", "log"])
+@pytest.mark.parametrize("case", ["euclid", "log", "log_growth_k3"])
 def test_bound_nonincreasing_within_each_regime(euclid3, growth3, case):
-    # each branch decays monotonically; at the regime switch the two
-    # constants need not match, so only a bounded jump is guaranteed
+    # each branch decays monotonically, and past the threshold the bound is
+    # capped by the small-time branch at the threshold, so it never rises
     if case == "euclid":
         bound = pg.SmoothingBound.from_profile(euclid3, 2.0, growth3)
-    else:
+    elif case == "log":
         prof = pg.make_profile(form="power_log", dimension=4,
                                params={"lam": 3.0, "sigma": 1.0})
         growth = pg.make_growth(form="power_log",
                                 params={"k": 2.0, "b": 2.0}, r0=3.0)
         bound = pg.SmoothingBound.from_profile(prof, 2.0, growth)
+    else:
+        prof = pg.make_profile(form="power_log", dimension=4,
+                               params={"lam": 3.0, "sigma": 0.5})
+        growth = pg.make_growth(form="power_log",
+                                params={"k": 3.0, "b": 0.5}, r0=2.0)
+        bound = pg.SmoothingBound.from_profile(prof, 2.0, growth)
     ts = np.geomspace(1e-2, 1e6, 120)
     evals = [bound.evaluate_l1(float(t), 1.0) for t in ts]
     vals = np.array([e.value for e in evals])
     assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
-    for lo, hi, e0, e1 in zip(vals[:-1], vals[1:], evals[:-1], evals[1:]):
-        if e0.regime == e1.regime:
-            assert hi <= lo * (1.0 + 1e-12)
-        else:
-            assert hi <= 3.0 * lo
+    assert np.all(vals[1:] <= vals[:-1] * (1.0 + 1e-12))
+    regimes = [e.regime for e in evals]
+    first_late = regimes.index("small-time") + regimes.count("small-time")
+    assert set(regimes[:first_late]) == {"small-time"}
+    assert "small-time" not in regimes[first_late:]
+
+
+def test_bound_cap_is_running_minimum():
+    # power_log:4:3:0.5 with growth k 3, b 0.5, r0 2: at the regime switch the
+    # large-time branch starts above the small-time one, so a few rows are
+    # capped at the small-time value at the threshold
+    prof = pg.make_profile(form="power_log", dimension=4,
+                           params={"lam": 3.0, "sigma": 0.5})
+    growth = pg.make_growth(form="power_log", params={"k": 3.0, "b": 0.5},
+                            r0=2.0)
+    bound = pg.SmoothingBound.from_profile(prof, 2.0, growth)
+    t_star = bound.time_threshold(1.0)
+    small_at_threshold = t_star ** (-4.0 / 6.0)
+    ts = np.geomspace(1.0, 1e6, 40)
+    evals = [bound.evaluate_l1(float(t), 1.0) for t in ts]
+    capped = [e for e in evals if e.regime == "capped"]
+    assert [round(e.t, 1) for e in capped] == [70.2, 100.0, 142.5]
+    for e in capped:
+        assert e.value == pytest.approx(small_at_threshold, rel=1e-12)
+        assert e.r_star is not None
+    for e in evals:
+        if e.regime == "large-time":
+            assert e.value <= small_at_threshold
 
 
 def test_small_time_scalings(euclid3, growth3):
