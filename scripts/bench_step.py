@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Time one solver step: microseconds per explicit step, milliseconds per
+implicit step.
+
+    PYTHONPATH=src python3 scripts/bench_step.py --label after
+
+Every run starts from the mass-1 self-similar datum on euclidean:3 with
+r_max 20 and goes through `run_pme`, so a step's figure includes the loop
+that drives it. Explicit steps are timed at 1000, 2000 and 4000 cells for
+m = 2 and m = 3, implicit steps at 2000 cells. A figure is the median over
+--repeats runs of RunRecord.wall_time / RunRecord.steps, after one untimed
+run. The figures go into --out (default BENCH_step.json) under --label,
+beside the runs of other labels already there, with the machine and the
+Python, numpy and scipy versions. Point PYTHONPATH at another checkout's
+src to time that one under its own label.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+import pmegreen as pg
+
+EXPLICIT_CELLS = (1000, 2000, 4000)
+EXPLICIT_M = (2.0, 3.0)
+# t_end at 1000 cells, about 2000 explicit steps; it scales with h^2
+EXPLICIT_T_END = {2.0: 0.4, 3.0: 0.6}
+IMPLICIT_CELLS = 2000
+IMPLICIT_M = (2.0, 3.0)
+IMPLICIT_DT, IMPLICIT_T_END = 0.01, 1.0
+
+
+def per_step(cells: int, m: float, repeats: int, **run_args) -> dict:
+    profile = pg.make_profile(form="euclidean", dimension=3)
+    grid = pg.RadialGrid.make(profile, 20.0, cells)
+    datum = pg.barenblatt_datum(pg.BarenblattParams.from_mass(3, m, 1.0))
+    u0 = grid.cell_average(datum)
+    pg.run_pme(grid, m, u0, **run_args)  # warm-up
+    samples = []
+    for _ in range(repeats):
+        record = pg.run_pme(grid, m, u0, **run_args)
+        samples.append(record.wall_time / record.steps)
+    return {"median": statistics.median(samples), "min": min(samples),
+            "steps": record.steps, "t_end": run_args["t_end"]}
+
+
+def machine() -> dict:
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {"cpu": cpu, "cpus": os.cpu_count(),
+            "system": platform.system(), "arch": platform.machine(),
+            "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--label", required=True,
+                        help="name of this run in the output file")
+    parser.add_argument("--out", default="BENCH_step.json")
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+
+    explicit, implicit = {}, {}
+    for m in EXPLICIT_M:
+        for cells in EXPLICIT_CELLS:
+            t_end = EXPLICIT_T_END[m] * (1000.0 / cells) ** 2
+            res = per_step(cells, m, args.repeats, t_end=t_end)
+            explicit[f"m={m:g}, cells={cells}"] = {
+                "us_per_step": round(res["median"] * 1e6, 2),
+                "us_per_step_min": round(res["min"] * 1e6, 2),
+                "steps": res["steps"], "t_end": t_end}
+            print(f"explicit m={m:g} cells={cells}: "
+                  f"{res['median'] * 1e6:.1f} us/step ({res['steps']} steps)")
+    for m in IMPLICIT_M:
+        res = per_step(IMPLICIT_CELLS, m, args.repeats, t_end=IMPLICIT_T_END,
+                       scheme="implicit", implicit_dt=IMPLICIT_DT)
+        implicit[f"m={m:g}, cells={IMPLICIT_CELLS}"] = {
+            "ms_per_step": round(res["median"] * 1e3, 3),
+            "ms_per_step_min": round(res["min"] * 1e3, 3),
+            "steps": res["steps"], "t_end": IMPLICIT_T_END,
+            "implicit_dt": IMPLICIT_DT}
+        print(f"implicit m={m:g} cells={IMPLICIT_CELLS}: "
+              f"{res['median'] * 1e3:.3f} ms/step ({res['steps']} steps)")
+
+    out = Path(args.out)
+    doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+    doc.setdefault("runs", {})[args.label] = {
+        "machine": machine(), "repeats": args.repeats,
+        "explicit": explicit, "implicit": implicit}
+    out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .geometry import (GrowthError, ProfileError, check_assumptions,
                        make_growth, make_profile)
-from .green import GreenData, green_bounds
+from .green import GreenData, ParabolicProfileError, green_bounds
 from .numerics import loglog_slope
 from .smoothing import SmoothingBound, smoothing_bound_l1g
 from .solver import (BarenblattParams, RadialGrid, barenblatt_datum,
@@ -318,7 +318,7 @@ _SCENARIOS = {kind: _Obj({**_COMMON, **spec}, rule) for kind, spec, rule in (
             "emit_profiles": (_BOOL, False)}, _snapshots_rule), {})}, None),
     ("optimality", {
         "m": _M,
-        "params": (_Obj({"dimension": (_int(ge=1), 3), "mass": (_POS, 1.0),
+        "params": (_Obj({"dimension": (_int(ge=3), 3), "mass": (_POS, 1.0),
                          "eps": (_POS, 1.0), "cells": (_int(ge=4), 2000),
                          "r_max": (_POS, 20.0), "t_end": (_POS, 10.0),
                          "n_snapshots": (_int(ge=2), 25),
@@ -728,7 +728,13 @@ def _execute(scn, out_dir, tolerance_profile: str) -> int:
     res = validate_scenario(scn)
     out = Path(out_dir) if out_dir else Path.cwd()
     out.mkdir(parents=True, exist_ok=True)
-    result = _run(scn, res, TOLERANCE_PROFILES[tolerance_profile], out)
+    try:
+        result = _run(scn, res, TOLERANCE_PROFILES[tolerance_profile], out)
+    except (ParabolicProfileError, GrowthError) as exc:
+        # a tail integral of the given geometry diverges or defeats the
+        # quadrature: the input is at fault, found only once work started
+        where = "growth" if isinstance(exc, GrowthError) else "profile"
+        raise ConfigError(f"{where}: {exc}") from exc
     return 0 if result["passed"] else 1
 
 

@@ -99,7 +99,14 @@ class RadialState:
 
 
 class Stepper:
-    """Single-step evolution operator bound to a grid, exponent and boundary."""
+    """Single-step evolution operator bound to a grid, exponent and boundary.
+
+    The explicit step evaluates the nonlinearity and its stable dt once and
+    works in scratch buffers owned by the stepper; only the returned state's
+    array is allocated, so returned states never share memory with the
+    stepper or with each other. The scratch buffers make one stepper unsafe
+    to share between threads.
+    """
 
     def __init__(self, grid: RadialGrid, m: float, boundary: str = "absorbing",
                  cfl: float = DEFAULT_CFL):
@@ -126,29 +133,53 @@ class Stepper:
         drain[-1] += self._outer_coef
         self._drain = drain / dV
         self._dV = dV
+        # the divergence operator's bands, for the implicit Newton matrix
+        self._lo = np.zeros(n)
+        self._up = np.zeros(n)
+        self._lo[1:] = self._flux_coef / dV[1:]
+        self._up[:-1] = self._flux_coef / dV[:-1]
+        self._diag_lin = -(self._lo + self._up)
+        self._diag_lin[-1] -= self._outer_coef / dV[-1]
+        self._ab = np.zeros((3, n))
+        # scratch: u^(m-1), u^m, face fluxes, divergence, dt rates
+        self._um1 = np.empty(n)
+        self._w = np.empty(n)
+        self._flux = np.empty(n - 1)
+        self._div = np.empty(n)
+        self._rates = np.empty(n)
+        self._dt_limit = math.nan  # dt of the last step before any halving
 
     def _nonlinearity(self, u: np.ndarray):
-        m = self.m
-        if m == 2.0:
-            return u * u, u
-        um1 = np.power(u, m - 1.0)
-        return u * um1, um1
+        """(u^m, u^(m-1)) in scratch buffers; at m = 2, u^(m-1) is u itself."""
+        if self.m == 2.0:
+            return np.multiply(u, u, out=self._w), u
+        um1 = np.power(u, self.m - 1.0, out=self._um1)
+        return np.multiply(u, um1, out=self._w), um1
+
+    def _stable_dt(self, um1: np.ndarray) -> float:
+        rates = np.multiply(um1, self.m, out=self._rates)
+        rates *= self._drain
+        rate = float(rates.max())
+        return self.cfl / rate if rate > 0.0 else math.inf
 
     def _divergence(self, w: np.ndarray) -> np.ndarray:
-        flux = self._flux_coef * (w[1:] - w[:-1])
-        div = np.zeros_like(w)
-        div[:-1] += flux
-        div[1:] -= flux
-        div[-1] -= self._outer_coef * w[-1]
-        return div / self._dV
+        """Cell divergence of the flux of w, in the scratch buffer."""
+        flux = np.subtract(w[1:], w[:-1], out=self._flux)
+        flux *= self._flux_coef
+        div = self._div
+        div[0] = flux[0]
+        np.subtract(flux[1:], flux[:-1], out=div[1:-1])
+        div[-1] = -flux[-1] - self._outer_coef * w[-1]
+        div /= self._dV
+        return div
 
     def stable_dt(self, u: np.ndarray) -> float:
-        _, um1 = self._nonlinearity(u)
-        rate = float(np.max(self.m * um1 * self._drain))
-        return self.cfl / rate if rate > 0.0 else math.inf
+        """The largest positivity-safe explicit dt at u; inf for zero data."""
+        return self._stable_dt(self._nonlinearity(u)[1])
 
     def step(self, state: RadialState, dt: Optional[float] = None,
              scheme: str = "explicit") -> RadialState:
+        """Advance one step; an explicit step clamps dt to its stable dt."""
         if scheme == "explicit":
             return self._step_explicit(state, dt)
         if scheme == "implicit":
@@ -159,13 +190,18 @@ class Stepper:
 
     def _step_explicit(self, state: RadialState, dt: Optional[float]) -> RadialState:
         u = state.u
-        dt = self.stable_dt(u) if dt is None else min(dt, self.stable_dt(u))
+        w, um1 = self._nonlinearity(u)
+        stable = self._stable_dt(um1)
+        dt = stable if dt is None else min(dt, stable)
         if not math.isfinite(dt):
             raise SolverError("stable time step is not finite for zero data; "
                               "pass dt explicitly")
+        self._dt_limit = dt
+        div = self._divergence(w)
+        u_new = np.empty_like(u)
         for _ in range(POSITIVITY_RETRY_LIMIT):
-            w, _ = self._nonlinearity(u)
-            u_new = u + dt * self._divergence(w)
+            np.multiply(div, dt, out=u_new)
+            u_new += u
             if u_new.min() >= 0.0:
                 out = state.outflow + dt * self._outer_coef * w[-1]
                 return RadialState(u=u_new, t=state.t + dt, outflow=out)
@@ -174,6 +210,7 @@ class Stepper:
 
     def _step_implicit(self, state: RadialState, dt: float) -> RadialState:
         u_prev = state.u
+        self._dt_limit = dt
         scale = max(1.0, float(u_prev.max()))
         for _ in range(POSITIVITY_RETRY_LIMIT):
             u = self._newton(u_prev, dt, scale)
@@ -185,15 +222,10 @@ class Stepper:
         raise SolverError("implicit step kept failing after dt halvings")
 
     def _newton(self, u_prev: np.ndarray, dt: float, scale: float):
-        n = u_prev.size
-        dV = self._dV
-        lo = np.zeros(n)
-        up = np.zeros(n)
-        lo[1:] = self._flux_coef / dV[1:]
-        up[:-1] = self._flux_coef / dV[:-1]
-        diag_lin = -(lo + up)
-        diag_lin[-1] -= self._outer_coef / dV[-1]
-
+        ab = self._ab
+        up = -dt * self._up[:-1]
+        diag = dt * self._diag_lin
+        lo = -dt * self._lo[1:]
         u = u_prev.copy()
         for _ in range(60):
             w, um1 = self._nonlinearity(u)
@@ -202,11 +234,12 @@ class Stepper:
             if rnorm <= NEWTON_TOL * scale:
                 return u
             dw = self.m * um1
-            ab = np.zeros((3, n))
-            ab[0, 1:] = -dt * up[:-1] * dw[1:]
-            ab[1, :] = 1.0 - dt * diag_lin * dw
-            ab[2, :-1] = -dt * lo[1:] * dw[:-1]
-            delta = solve_banded((1, 1), ab, -resid)
+            np.multiply(up, dw[1:], out=ab[0, 1:])
+            np.multiply(diag, dw, out=ab[1])
+            np.subtract(1.0, ab[1], out=ab[1])
+            np.multiply(lo, dw[:-1], out=ab[2, :-1])
+            delta = solve_banded((1, 1), ab, -resid, overwrite_ab=True,
+                                 overwrite_b=True)
             lam = 1.0
             while lam > 1e-4:
                 trial = u + lam * delta
@@ -288,14 +321,14 @@ def run_pme(grid: RadialGrid, m: float, initial, t_end: float,
     tic = time.perf_counter()
     for target in snaps:
         while state.t < target - 1e-13:
-            if scheme == "explicit":
-                dt = min(stepper.stable_dt(state.u), target - state.t)
-            else:
-                dt = min(implicit_dt or (target - state.t), target - state.t)
+            gap = target - state.t
+            dt = gap if scheme == "explicit" else min(implicit_dt or gap, gap)
             new = stepper.step(state, dt=dt, scheme=scheme)
-            # stamp the target only when the step took the full dt; a halved
+            # stamp the target only when the step took the full dt it was
+            # allowed (an explicit step clamps to its stable dt); a halved
             # step is still short of it
-            if dt >= target - state.t - 1e-15 and new.t == state.t + dt:
+            dt = stepper._dt_limit
+            if dt >= gap - 1e-15 and new.t == state.t + dt:
                 new.t = target
             state = new
             steps += 1
@@ -469,14 +502,14 @@ def verify_solution_estimates(record: RunRecord,
         detail[f"p{p:g}"] = norms
     checks.append(EstimateCheck("lp_nonexpansive", float(max(viols)), detail))
 
-    pos = times > 0.0
-    scaled = np.array([t ** (1.0 / (m - 1.0)) * float(s[0])
-                       for t, s in zip(times[pos], [record.states[i]
-                                                    for i in np.flatnonzero(pos)])])
-    drops = -np.diff(scaled)
-    viol = float(max(0.0, np.max(drops / np.maximum(scaled[1:], 1e-300))))
-    checks.append(EstimateCheck("center_scaled_monotone", viol,
-                                {"scaled_center": scaled}))
+    pos = np.flatnonzero(times > 0.0)
+    if pos.size >= 2:  # a monotonicity check needs two times
+        scaled = np.array([times[i] ** (1.0 / (m - 1.0)) *
+                           float(record.states[i][0]) for i in pos])
+        drops = -np.diff(scaled)
+        viol = float(max(0.0, np.max(drops / np.maximum(scaled[1:], 1e-300))))
+        checks.append(EstimateCheck("center_scaled_monotone", viol,
+                                    {"scaled_center": scaled}))
 
     if pair is not None:
         if pair.grid is not grid and pair.grid.cells != grid.cells:

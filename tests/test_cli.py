@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import contextlib
 import copy
 import importlib.util
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -326,6 +329,7 @@ BAD_INPUTS = [
                         "volumes": [0.1, 1.0, 2.0, 3.0, 4.0, 5.0]},
      "profile"),
     ("optimality", "params.fit_window", [50.0, 60.0], "params.fit_window"),
+    ("optimality", "params.dimension", 2, "params.dimension"),
 ]
 
 
@@ -357,6 +361,28 @@ def test_reversed_range_flags_are_exit_two(tmp_path, capsys):
                  "--out-dir", str(tmp_path)]) == 2
     assert "params.t_min: 100 exceeds params.t_max = 1" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["green", "--profile", "power_log:3:2.1:-0.9677048587908412"],
+     "profile: Green tail integral failed to converge"),
+    (["bound", "--profile", "euclidean:3", "--growth",
+      "power_log:2.1:-0.46521079706205704:2.053239587408261", "--m", "1.9",
+      "--count", "3"], "growth: growth tail integral failed to converge"),
+])
+def test_unintegrable_tail_is_exit_two(tmp_path, capsys, argv, named):
+    # nonparabolic on paper, but too close to the edge for the quadrature
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {named}" in err
+    assert "Traceback" not in err
+
+
+def test_solve_verify_with_one_snapshot(tmp_path):
+    assert main(["solve", "--profile", "euclidean:3", "--m", "2",
+                 "--init", "barenblatt", "--cells", "16", "--tend", "0.001",
+                 "--snapshots", "1", "--verify",
+                 "--out-dir", str(tmp_path)]) == 0
 
 
 def test_internal_error_is_exit_three(tmp_path, monkeypatch, capsys):
@@ -414,6 +440,105 @@ def test_validate_scenario_raises_only_config_errors(scn):
         validate_scenario(scn)
     except ConfigError:
         pass
+
+
+_BAD_TEXT = st.sampled_from(["0", "-1", "nan", "inf", "1e400", "x", ""])
+
+
+def _rarely(usual, odd):
+    """Draws from `odd` about one time in twenty, else from `usual` (an
+    inner value picks `odd`: Hypothesis favours the ends of a range)."""
+    return st.integers(0, 19).flatmap(lambda i: odd if i == 7 else usual)
+
+
+def _number_text(lo, hi):
+    """Text of a number in [lo, hi], now and then of a bad one."""
+    return _rarely(st.floats(lo, hi).map(repr), _BAD_TEXT)
+
+
+def _count_text(lo, hi):
+    return _rarely(st.integers(lo, hi).map(str), _BAD_TEXT)
+
+
+# value text of each flag (without its dashes) and preset key; sizes stay
+# small so that a drawn run is short
+_TEXT = {
+    "radii": st.lists(_number_text(-1.0, 100.0), min_size=1,
+                      max_size=4).map(",".join),
+    "exponents": st.lists(_number_text(-1.0, 8.0), min_size=1,
+                          max_size=4).map(",".join),
+    "scheme": _rarely(st.sampled_from(["explicit", "implicit"]),
+                      st.just("rk4")),
+    "boundary": _rarely(st.sampled_from(["absorbing", "zero_flux"]),
+                        st.just("open")),
+    "m": _number_text(1.2, 4.0),
+    "t-min": _number_text(0.5, 100.0), "t-max": _number_text(0.5, 1e4),
+    "norm1": _number_text(0.1, 10.0), "mass": _number_text(0.1, 10.0),
+    "eps": _number_text(0.2, 2.0), "rmax": _number_text(2.0, 20.0),
+    "tend": _number_text(1e-3, 0.5), "t-end": _number_text(1e-3, 0.5),
+    "count": _count_text(1, 8), "snapshots": _count_text(1, 8),
+    "n-snapshots": _count_text(2, 8), "cells": _count_text(4, 64),
+    "dimension": _rarely(st.integers(3, 6).map(str),
+                         st.sampled_from(["1", "2", "0", "x"])),
+    "lam": _number_text(2.1, 6.0), "coeff": _number_text(0.1, 5.0),
+    "sigma": _number_text(-1.0, 2.0), "k": _number_text(2.1, 6.0),
+    "b": _number_text(-1.0, 1.0), "r0": _number_text(1.0, 3.0),
+    "a": _number_text(-1.0, 4.0),
+    "path": st.sampled_from(["no-such-table.csv", "", "a:b"]),
+}
+# flags every drawn run of these commands sets, to keep it small
+_SIZE_FLAGS = {"solve": ("--cells", "--tend"),
+               "optimality": ("--cells", "--t-end")}
+
+
+@st.composite
+def _preset_text(draw, flag):
+    """`form:v1:v2...` for a preset flag: a form of the preset table with
+    values for its keys, now and then an unknown form or a value too many."""
+    _, forms = cli._PRESETS[flag]
+    form = draw(_rarely(st.sampled_from(sorted(forms)), st.just("unknown")))
+    need, _, extra = (part.split() for part in
+                      forms.get(form, "dimension").partition("|"))
+    keys = need + extra[:draw(st.integers(0, len(extra)))]
+    keys += draw(_rarely(st.just([]), st.just(["lam"])))  # one too many
+    return ":".join([form, *(draw(_TEXT[key]) for key in keys)])
+
+
+@st.composite
+def _flag_argv(draw):
+    """argv for one command of the flag path, from the _COMMANDS table; a
+    flag is left out now and then."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    argv = [command]
+    for flag in cli._COMMANDS[command].split():
+        if (flag not in _SIZE_FLAGS.get(command, ())
+                and draw(_rarely(st.just(False), st.just(True)))):
+            continue
+        if cli._FLAGS[flag] is None:
+            argv.append(flag)
+        elif flag[2:] in cli._PRESETS:
+            argv += [flag, draw(_preset_text(flag[2:]))]
+        else:
+            argv += [flag, draw(_TEXT[flag[2:]])]
+    if draw(st.booleans()):
+        argv += ["--tolerance-profile", draw(_rarely(
+            st.sampled_from(["default", "strict"]), st.just("loose")))]
+    return argv
+
+
+@given(_flag_argv())
+@settings(max_examples=150, deadline=None)
+def test_flag_path_exits_cleanly(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv + ["--out-dir", out])
+        except SystemExit as exc:  # argparse rejects the flag itself
+            code = exc.code
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_run_scenarios_reports_config_errors(tmp_path, monkeypatch, capsys):

@@ -200,6 +200,102 @@ def test_finite_propagation_speed(euclid3, mass1_params):
         assert occupied[-1] <= front_exact + 4.0 * dr
 
 
+# -- single steps --------------------------------------------------------------
+
+def reference_explicit_step(grid, m, boundary, cfl, state, dt=None):
+    """A plain explicit step: w = u^m, the interior face fluxes, the ghost-face
+    outflow, then u + dt div, with dt clamped to the stable dt and halved until
+    the new state is nonnegative. Returns the new u, t, outflow and the
+    stable dt."""
+    u = state.u
+    um1 = np.power(u, m - 1.0)
+    w = u * um1
+    coef = grid.face_areas[1:-1] / np.diff(grid.centers)
+    outer = 0.0
+    if boundary == "absorbing":
+        outer = grid.face_areas[-1] / (grid.edges[-1] - grid.centers[-1])
+    drain = np.zeros(grid.cells)
+    drain[:-1] += coef
+    drain[1:] += coef
+    drain[-1] += outer
+    stable = cfl / float(np.max(m * um1 * (drain / grid.cell_volumes)))
+    dt = stable if dt is None else min(dt, stable)
+    flux = coef * (w[1:] - w[:-1])
+    div = np.zeros_like(u)
+    div[:-1] += flux
+    div[1:] -= flux
+    div[-1] -= outer * w[-1]
+    div /= grid.cell_volumes
+    u_new = u + dt * div
+    while u_new.min() < 0.0:
+        dt *= 0.5
+        u_new = u + dt * div
+    return u_new, state.t + dt, state.outflow + dt * outer * w[-1], stable
+
+
+def smooth_state(grid):
+    # positive up to the outer edge, so an absorbing boundary drains it
+    u = grid.cell_average(lambda r: 0.2 + np.exp(-r * r))
+    return pg.RadialState(u=u, t=0.25, outflow=0.125)
+
+
+@pytest.mark.parametrize("m", [2.0, 3.0, 1.5])
+@pytest.mark.parametrize("boundary", ["absorbing", "zero_flux"])
+@pytest.mark.parametrize("cfl", [0.4, 20.0])  # 20 forces positivity halvings
+@pytest.mark.parametrize("given_dt", [False, True])
+def test_explicit_step_matches_reference(euclid3, m, boundary, cfl, given_dt):
+    grid = pg.RadialGrid.make(euclid3, 4.0, 120)
+    stepper = pg.Stepper(grid, m, boundary=boundary, cfl=cfl)
+    state = smooth_state(grid)
+    u_in = state.u.copy()
+    # a given dt larger than the stable one is clamped to it
+    dt = 10.0 * stepper.stable_dt(state.u) if given_dt else None
+    u_ref, t_ref, out_ref, stable_ref = reference_explicit_step(
+        grid, m, boundary, cfl, state, dt)
+    new = stepper.step(state, dt=dt, scheme="explicit")
+    assert np.array_equal(new.u, u_ref)
+    assert new.t == t_ref
+    assert new.outflow == out_ref
+    assert (new.outflow > state.outflow) == (boundary == "absorbing")
+    assert stepper.stable_dt(state.u) == stable_ref
+    if cfl == 0.4:
+        assert new.t == state.t + stepper.stable_dt(state.u)
+    assert np.array_equal(state.u, u_in)
+
+
+@pytest.mark.parametrize("m", [2.0, 3.0])
+@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+def test_steps_share_no_buffers(euclid3, m, scheme):
+    grid = pg.RadialGrid.make(euclid3, 4.0, 120)
+    stepper = pg.Stepper(grid, m)
+    states = [smooth_state(grid)]
+    values = [states[0].u.copy()]
+    for _ in range(6):
+        states.append(stepper.step(states[-1], dt=1e-3, scheme=scheme))
+        values.append(states[-1].u.copy())
+        stepper.stable_dt(states[-1].u)
+    for state, u in zip(states, values):
+        assert np.array_equal(state.u, u)
+    assert len({id(s.u) for s in states}) == len(states)
+
+
+def test_identical_runs_record_identical_states(euclid3, mass1_params):
+    grid = pg.RadialGrid.make(euclid3, 12.0, 200)
+
+    def run():
+        return pg.run_pme(grid, 2.0, pg.barenblatt_datum(mass1_params),
+                          t_end=1.0, snapshots=[0.25, 0.5, 0.75])
+
+    first, second = run(), run()
+    assert first.steps == second.steps
+    assert np.array_equal(first.times, second.times)
+    assert np.array_equal(first.outflows, second.outflows)
+    assert len(first.states) == len(second.states) == 5
+    for a, b in zip(first.states, second.states):
+        assert np.array_equal(a, b)
+    assert not np.array_equal(first.states[0], first.states[-1])
+
+
 # -- a-priori estimate checks -------------------------------------------------
 
 def test_estimates_on_solver_run(short_run, green3):
