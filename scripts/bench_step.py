@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
-"""Time one solver step: microseconds per explicit step, milliseconds per
-implicit step.
+"""Time solver runs and their steps: microseconds per explicit step,
+milliseconds per implicit step, and each run's wall time and step count.
 
     PYTHONPATH=src python3 scripts/bench_step.py --label after
 
 Every run starts from the mass-1 self-similar datum on euclidean:3 with
 r_max 20 and goes through `run_pme`, so a step's figure includes the loop
-that drives it. Explicit steps are timed at 1000, 2000 and 4000 cells for
-m = 2 and m = 3, implicit steps at 2000 cells. A figure is the median over
---repeats runs of RunRecord.wall_time / RunRecord.steps, after one untimed
-run. The figures go into --out (default BENCH_step.json) under --label,
-beside the runs of other labels already there, with the machine and the
-Python, numpy and scipy versions. Point PYTHONPATH at another checkout's
+that drives it. Explicit runs are timed at 1000, 2000 and 4000 cells for
+m = 2 and m = 3, implicit runs at 2000 cells. An explicit step is what
+RunRecord.steps counts: an RKL2 super-step of up to 20 stages, or one
+forward-Euler step in a checkout from before super-steps, so explicit runs
+compare by wall time. A step figure is the median over --repeats runs of
+RunRecord.wall_time / RunRecord.steps, after one untimed run; `wall_s`
+lists each timed run's RunRecord.wall_time and `steps` its RunRecord.steps.
+The figures go into --out (default BENCH_step.json) under --label, beside
+the runs of other labels already there, with the machine and the Python,
+numpy and scipy versions. Point PYTHONPATH at another checkout's
 src to time that one under its own label.
 """
 from __future__ import annotations
@@ -44,12 +48,13 @@ def per_step(cells: int, m: float, repeats: int, **run_args) -> dict:
     datum = pg.barenblatt_datum(pg.BarenblattParams.from_mass(3, m, 1.0))
     u0 = grid.cell_average(datum)
     pg.run_pme(grid, m, u0, **run_args)  # warm-up
-    samples = []
+    walls = []
     for _ in range(repeats):
         record = pg.run_pme(grid, m, u0, **run_args)
-        samples.append(record.wall_time / record.steps)
+        walls.append(record.wall_time)
+    samples = [wall / record.steps for wall in walls]
     return {"median": statistics.median(samples), "min": min(samples),
-            "steps": record.steps, "t_end": run_args["t_end"]}
+            "walls": walls, "steps": record.steps}
 
 
 def machine() -> dict:
@@ -84,15 +89,18 @@ def main(argv=None) -> int:
             explicit[f"m={m:g}, cells={cells}"] = {
                 "us_per_step": round(res["median"] * 1e6, 2),
                 "us_per_step_min": round(res["min"] * 1e6, 2),
+                "wall_s": [round(w, 5) for w in res["walls"]],
                 "steps": res["steps"], "t_end": t_end}
             print(f"explicit m={m:g} cells={cells}: "
-                  f"{res['median'] * 1e6:.1f} us/step ({res['steps']} steps)")
+                  f"{res['median'] * 1e6:.1f} us/step ({res['steps']} steps, "
+                  f"{statistics.median(res['walls']) * 1e3:.1f} ms/run)")
     for m in IMPLICIT_M:
         res = per_step(IMPLICIT_CELLS, m, args.repeats, t_end=IMPLICIT_T_END,
                        scheme="implicit", implicit_dt=IMPLICIT_DT)
         implicit[f"m={m:g}, cells={IMPLICIT_CELLS}"] = {
             "ms_per_step": round(res["median"] * 1e3, 3),
             "ms_per_step_min": round(res["min"] * 1e3, 3),
+            "wall_s": [round(w, 5) for w in res["walls"]],
             "steps": res["steps"], "t_end": IMPLICIT_T_END,
             "implicit_dt": IMPLICIT_DT}
         print(f"implicit m={m:g} cells={IMPLICIT_CELLS}: "

@@ -16,6 +16,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 import traceback
 from pathlib import Path
@@ -161,7 +162,7 @@ def _table_rule(raw, prof, where):
 _PROFILE = _Obj({
     "form": (_one_of("euclidean", "power", "power_log", "tabulated"),
              _REQUIRED),
-    "dimension": (_int(ge=1), _REQUIRED),
+    "dimension": (_int(ge=3), _REQUIRED),
     "lam": (_NUM, _OPTIONAL), "coeff": (_POS, _OPTIONAL),
     "sigma": (_NUM, _OPTIONAL),
     "radii": (_list(_NUM), _OPTIONAL), "volumes": (_list(_NUM), _OPTIONAL)},
@@ -859,8 +860,22 @@ def build_parser() -> argparse.ArgumentParser:
 _CMD_TO_KIND = {"check-assumptions": "check"}
 
 
+def _glue_values(argv):
+    """`--exponents -0.5,3` -> `--exponents=-0.5,3`: argparse takes a value
+    that starts with '-' and is not a plain number for an option."""
+    out = []
+    for arg in argv:
+        value_flag = out and _FLAGS.get(out[-1]) is not None
+        if value_flag and re.match(r"-\.?\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _glue_values(sys.argv[1:] if argv is None else argv))
     kind = _CMD_TO_KIND.get(args.command, args.command)
     try:
         if args.config:

@@ -151,6 +151,18 @@ def test_l1g_flags(tmp_path):
     assert verdicts["6"] == ("true", "true")
 
 
+@pytest.mark.parametrize("spelling", [["--exponents", "-0.5,3"],
+                                      ["--exponents=-0.5,3"],
+                                      ["--exponents", "-.5,3"]])
+def test_list_flag_takes_a_negative_first_value(tmp_path, spelling):
+    out = tmp_path / "out"
+    code = main(["l1g", "--profile", "euclidean:5", *spelling,
+                 "--out-dir", str(out)])
+    assert code == 0
+    _, rows = read_rows(out / "cli-l1g.csv")
+    assert [row["a"] for row in rows] == ["-0.5", "3"]
+
+
 def test_check_assumptions_flags(tmp_path):
     out = tmp_path / "out"
     code = main(["check-assumptions", "--profile", "euclidean:5",
@@ -222,7 +234,9 @@ def test_sweep_empty_grid_header_only(tmp_path):
 def test_sweep_captures_row_errors(tmp_path):
     scn = {"schema_version": SCHEMA_VERSION, "kind": "sweep", "name": "swe",
            "base": green_scenario(name="unused"),
-           "grid": [{"profile.dimension": 2}, {"profile.dimension": 4}]}
+           # the spec admits lam 1.5; only make_profile rejects it
+           "grid": [{"profile.form": "power", "profile.lam": 1.5},
+                    {"profile.dimension": 4}]}
     cfg = write_config(tmp_path, scn)
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == 1
@@ -330,6 +344,7 @@ BAD_INPUTS = [
      "profile"),
     ("optimality", "params.fit_window", [50.0, 60.0], "params.fit_window"),
     ("optimality", "params.dimension", 2, "params.dimension"),
+    ("green", "profile.dimension", 2, "profile.dimension"),
 ]
 
 

@@ -296,6 +296,86 @@ def test_identical_runs_record_identical_states(euclid3, mass1_params):
     assert not np.array_equal(first.states[0], first.states[-1])
 
 
+# -- super-steps ---------------------------------------------------------------
+
+def forward_euler_run(grid, m, u0, t_end):
+    """The same run in single forward-Euler steps; the state and step count."""
+    stepper = pg.Stepper(grid, m)
+    state = pg.RadialState(u=u0.copy(), t=0.0)
+    steps = 0
+    while state.t < t_end - 1e-13:
+        state = stepper.step(state, dt=t_end - state.t)
+        steps += 1
+    return state, steps
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+def test_super_steps_match_forward_euler(euclid3, m):
+    grid = pg.RadialGrid.make(euclid3, 2.0, 200)
+    params = pg.BarenblattParams.from_mass(3, m, 1.0)
+    u0 = grid.cell_average(pg.barenblatt_datum(params))
+    rec = pg.run_pme(grid, m, u0, t_end=1.0)
+    ref, fe_steps = forward_euler_run(grid, m, u0, 1.0)
+    assert rec.steps * 50 < fe_steps
+    assert np.max(np.abs(rec.states[-1] - ref.u)) <= 1e-4 * np.max(ref.u)
+    assert rec.outflows[-1] == pytest.approx(ref.outflow, rel=1e-4, abs=1e-12)
+    assert rec.mass_defect() <= 1e-12
+
+
+def test_super_step_ledger_through_absorbing_boundary(euclid3, mass1_params):
+    grid = pg.RadialGrid.make(euclid3, 2.0, 500)
+    rec = pg.run_pme(grid, 2.0, pg.barenblatt_datum(mass1_params), t_end=3.0,
+                     snapshots=[1.0, 2.0])
+    assert rec.outflows[-1] > 0.05  # the front has left through r_max
+    assert np.all(np.diff(rec.outflows) >= 0.0)
+    assert rec.mass_defect() <= 1e-12
+
+
+def test_super_step_positivity_guard(euclid3, monkeypatch):
+    rejected = []
+    stages = pg.solver.Stepper._rkl2
+
+    def logged(self, state, tau, s, out0):
+        new = stages(self, state, tau, s, out0)
+        if new is None:
+            rejected.append(s)
+        return new
+
+    monkeypatch.setattr(pg.solver.Stepper, "_rkl2", logged)
+    grid = pg.RadialGrid.make(euclid3, 2.0, 100)
+    u0 = np.zeros(100)
+    u0[0] = 100.0  # a spike: its first stages overshoot below zero at m = 1.5
+    rec = pg.run_pme(grid, 1.5, u0, t_end=0.5, snapshots=[0.01, 0.1])
+    assert rejected
+    for u in rec.states:
+        assert np.all(np.isfinite(u)) and np.all(u >= 0.0)
+    assert np.array_equal(rec.times, [0.0, 0.01, 0.1, 0.5])
+    assert rec.mass_defect() <= 1e-12
+
+
+# tau / dt_FE; 104.5 is the reach of 20 stages, the most a super-step takes
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 1.01, 2.5, 2.51, 7.0, 50.0,
+                                   100.0, 104.5, 1e6])
+def test_super_step_stage_count(euclid3, monkeypatch, ratio):
+    stepper = pg.Stepper(pg.RadialGrid.make(euclid3, 4.0, 120), 2.0)
+    state = smooth_state(stepper.grid)
+    dt_fe = stepper.stable_dt(state.u)
+    calls = []
+    divergence = pg.solver.Stepper._divergence
+    monkeypatch.setattr(pg.solver.Stepper, "_divergence",
+                        lambda self, w: calls.append(1) or divergence(self, w))
+    new = stepper.super_step(state, ratio * dt_fe)
+    cap = pg.solver.RKL2_MAX_STAGES
+    reach = [(s * s + s - 2) / 4.0 for s in range(cap + 1)]
+    tau = min(ratio, reach[cap]) * dt_fe
+    # one evaluation per stage; within one forward-Euler step, one step
+    stages = 1 if ratio <= 1.0 else min(
+        s for s in range(2, cap + 1) if reach[s] * dt_fe >= tau)
+    assert len(calls) == stages <= cap
+    assert new.t == pytest.approx(state.t + tau, rel=1e-14)
+    assert stepper._dt_limit == pytest.approx(tau, rel=1e-14)
+
+
 # -- a-priori estimate checks -------------------------------------------------
 
 def test_estimates_on_solver_run(short_run, green3):
