@@ -13,6 +13,8 @@ forward-Euler step in a checkout from before super-steps, so explicit runs
 compare by wall time. A step figure is the median over --repeats runs of
 RunRecord.wall_time / RunRecord.steps, after one untimed run; `wall_s`
 lists each timed run's RunRecord.wall_time and `steps` its RunRecord.steps.
+The untimed implicit run counts, per step, the Newton residual evaluations
+(calls of Stepper._divergence) and the tridiagonal solves.
 The figures go into --out (default BENCH_step.json) under --label, beside
 the runs of other labels already there, with the machine and the Python,
 numpy and scipy versions. Point PYTHONPATH at another checkout's
@@ -40,6 +42,35 @@ EXPLICIT_T_END = {2.0: 0.4, 3.0: 0.6}
 IMPLICIT_CELLS = 2000
 IMPLICIT_M = (2.0, 3.0)
 IMPLICIT_DT, IMPLICIT_T_END = 0.01, 1.0
+# the name of the tridiagonal solve in pmegreen.solver: the direct LAPACK
+# call, or solve_banded in a checkout from before it
+SOLVES = ("_GTSV", "solve_banded")
+
+
+def counted_run(grid, m: float, u0, **run_args) -> dict:
+    """One run with Stepper._divergence and the tridiagonal solve counted;
+    the counts per RunRecord step."""
+    solver = pg.solver
+    name = next(n for n in SOLVES if hasattr(solver, n))
+    divergence, solve = solver.Stepper._divergence, getattr(solver, name)
+    counts = {"residuals": 0, "solves": 0}
+
+    def counted_divergence(self, w):
+        counts["residuals"] += 1
+        return divergence(self, w)
+
+    def counted_solve(*args, **kwargs):
+        counts["solves"] += 1
+        return solve(*args, **kwargs)
+
+    solver.Stepper._divergence = counted_divergence
+    setattr(solver, name, counted_solve)
+    try:
+        record = pg.run_pme(grid, m, u0, **run_args)
+    finally:
+        solver.Stepper._divergence = divergence
+        setattr(solver, name, solve)
+    return {key: n / record.steps for key, n in counts.items()}
 
 
 def per_step(cells: int, m: float, repeats: int, **run_args) -> dict:
@@ -47,14 +78,14 @@ def per_step(cells: int, m: float, repeats: int, **run_args) -> dict:
     grid = pg.RadialGrid.make(profile, 20.0, cells)
     datum = pg.barenblatt_datum(pg.BarenblattParams.from_mass(3, m, 1.0))
     u0 = grid.cell_average(datum)
-    pg.run_pme(grid, m, u0, **run_args)  # warm-up
+    counts = counted_run(grid, m, u0, **run_args)  # warm-up
     walls = []
     for _ in range(repeats):
         record = pg.run_pme(grid, m, u0, **run_args)
         walls.append(record.wall_time)
     samples = [wall / record.steps for wall in walls]
     return {"median": statistics.median(samples), "min": min(samples),
-            "walls": walls, "steps": record.steps}
+            "walls": walls, "steps": record.steps, "counts": counts}
 
 
 def machine() -> dict:
@@ -102,9 +133,13 @@ def main(argv=None) -> int:
             "ms_per_step_min": round(res["min"] * 1e3, 3),
             "wall_s": [round(w, 5) for w in res["walls"]],
             "steps": res["steps"], "t_end": IMPLICIT_T_END,
-            "implicit_dt": IMPLICIT_DT}
+            "implicit_dt": IMPLICIT_DT,
+            "residuals_per_step": res["counts"]["residuals"],
+            "solves_per_step": res["counts"]["solves"]}
         print(f"implicit m={m:g} cells={IMPLICIT_CELLS}: "
-              f"{res['median'] * 1e3:.3f} ms/step ({res['steps']} steps)")
+              f"{res['median'] * 1e3:.3f} ms/step ({res['steps']} steps, "
+              f"{res['counts']['residuals']:g} residuals and "
+              f"{res['counts']['solves']:g} solves per step)")
 
     out = Path(args.out)
     doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}

@@ -402,8 +402,15 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, columns, rows) -> None:
+    """Rows are dicts keyed by column, or a 2-D float array with one column
+    per name, written as the same floats in dicts would be."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(columns) + "\n")
+        if isinstance(rows, np.ndarray):
+            row_fmt = ",".join(["{:.17g}"] * len(columns)) + "\n"
+            for row in rows.astype(float, copy=False).tolist():
+                fh.write(row_fmt.format(*row))
+            return
         for row in rows:
             fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
 
@@ -634,11 +641,9 @@ def _run_solve(scn, tol, out_dir):
               "passed": all(checks.values())}
     if p["emit_profiles"]:
         prof_cols = ["r"] + [f"u_t{i}" for i in range(len(record.times))]
-        prof_rows = [{"r": float(r), **{f"u_t{i}": float(state[j]) for i, state
-                                        in enumerate(record.states)}}
-                     for j, r in enumerate(grid.centers)]
         name = scn["output"].get("profiles_csv", f"{scn['name']}_profiles.csv")
-        write_csv(out_dir / name, prof_cols, prof_rows)
+        write_csv(out_dir / name, prof_cols,
+                  np.column_stack([grid.centers, *record.states]))
         result["profiles_csv"] = name
     return result
 

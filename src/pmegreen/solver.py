@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 from scipy.special import beta as beta_function
 
 from .geometry import VolumeProfile, unit_sphere_area
@@ -28,6 +28,8 @@ DEFAULT_CFL = 0.4
 NEWTON_TOL = 1e-10
 POSITIVITY_RETRY_LIMIT = 40
 RKL2_MAX_STAGES = 20
+# the LAPACK tridiagonal solver, the one scipy's solve_banded calls for l = u = 1
+_GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
 
 
 def _rkl2_reach(s: int) -> float:
@@ -178,7 +180,10 @@ class Stepper:
         self._up[:-1] = self._flux_coef / dV[:-1]
         self._diag_lin = -(self._lo + self._up)
         self._diag_lin[-1] -= self._outer_coef / dV[-1]
-        self._ab = np.zeros((3, n))
+        # the Newton matrix's sub-, main and super-diagonal; LAPACK overwrites
+        self._dl = np.empty(n - 1)
+        self._d = np.empty(n)
+        self._du = np.empty(n - 1)
         # scratch: u^(m-1), u^m, face fluxes, divergence, dt rates
         self._um1 = np.empty(n)
         self._w = np.empty(n)
@@ -327,34 +332,51 @@ class Stepper:
         raise SolverError("implicit step kept failing after dt halvings")
 
     def _newton(self, u_prev: np.ndarray, dt: float, scale: float):
-        ab = self._ab
+        """Damped Newton iteration on u - u_prev - dt div(u^m) = 0; None when
+        60 iterates do not converge.
+
+        Each iterate costs one tridiagonal solve and one residual per
+        line-search trial; the accepted trial's residual is the next
+        iterate's. A line search that halves lam to 1e-4 or below takes that
+        lam without the decrease test.
+        """
         up = -dt * self._up[:-1]
         diag = dt * self._diag_lin
         lo = -dt * self._lo[1:]
         u = u_prev.copy()
+        resid, rnorm, um1 = self._residual(u, u_prev, dt)
         for _ in range(60):
-            w, um1 = self._nonlinearity(u)
-            resid = u - u_prev - dt * self._divergence(w)
-            rnorm = float(np.max(np.abs(resid)))
             if rnorm <= NEWTON_TOL * scale:
                 return u
+            if not math.isfinite(rnorm):
+                raise SolverError("Newton residual is not finite")
             dw = self.m * um1
-            np.multiply(up, dw[1:], out=ab[0, 1:])
-            np.multiply(diag, dw, out=ab[1])
-            np.subtract(1.0, ab[1], out=ab[1])
-            np.multiply(lo, dw[:-1], out=ab[2, :-1])
-            delta = solve_banded((1, 1), ab, -resid, overwrite_ab=True,
-                                 overwrite_b=True)
+            np.multiply(up, dw[1:], out=self._du)
+            np.multiply(diag, dw, out=self._d)
+            np.subtract(1.0, self._d, out=self._d)
+            np.multiply(lo, dw[:-1], out=self._dl)
+            *_, delta, info = _GTSV(self._dl, self._d, self._du, -resid,
+                                    overwrite_dl=True, overwrite_d=True,
+                                    overwrite_du=True, overwrite_b=True)
+            if info != 0:
+                raise np.linalg.LinAlgError(
+                    f"tridiagonal Newton solve failed (info {info})")
             lam = 1.0
-            while lam > 1e-4:
-                trial = u + lam * delta
-                w_t, _ = self._nonlinearity(np.maximum(trial, 0.0))
-                r_t = np.maximum(trial, 0.0) - u_prev - dt * self._divergence(w_t)
-                if float(np.max(np.abs(r_t))) <= (1.0 - 0.25 * lam) * rnorm:
+            while True:
+                trial = np.maximum(u + lam * delta, 0.0)
+                r_t, rn_t, um1 = self._residual(trial, u_prev, dt)
+                if lam <= 1e-4 or rn_t <= (1.0 - 0.25 * lam) * rnorm:
                     break
                 lam *= 0.5
-            u = np.maximum(u + lam * delta, 0.0)
+            u, resid, rnorm = trial, r_t, rn_t
         return None
+
+    def _residual(self, u: np.ndarray, u_prev: np.ndarray, dt: float):
+        """(u - u_prev - dt div(u^m), its max norm, u^(m-1)); u^(m-1) may be
+        the scratch buffer or u itself."""
+        w, um1 = self._nonlinearity(u)
+        resid = u - u_prev - dt * self._divergence(w)
+        return resid, float(np.max(np.abs(resid))), um1
 
 
 @dataclass
@@ -411,8 +433,9 @@ def run_pme(grid: RadialGrid, m: float, initial, t_end: float,
         u0 = np.asarray(initial, dtype=float).copy()
         if u0.shape != (grid.cells,):
             raise ValueError("initial array does not match the grid")
-    if np.any(u0 < 0.0):
-        raise ValueError("initial data must be nonnegative")
+    # NaN fails both comparisons, +inf the second
+    if not np.all((u0 >= 0.0) & (u0 < math.inf)):
+        raise ValueError("initial data must be finite and nonnegative")
 
     stepper = Stepper(grid, m, boundary=boundary, cfl=cfl)
     snaps = sorted({float(s) for s in snapshots if 0.0 < s <= t_end})

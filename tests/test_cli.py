@@ -90,6 +90,23 @@ def test_outputs_are_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_array_rows_write_as_dict_rows(tmp_path):
+    # the profiles CSV is written from one array; its bytes must be those of
+    # float rows given as dicts
+    rng = np.random.default_rng(7)
+    table = rng.random((50, 4)) * np.logspace(-300, 300, 50)[:, None]
+    table[0] = [0.0, -0.0, 5e-324, 2.2250738585072014e-308]
+    table[1] = [1e-300, 3.0e-301, 1.0000000000000001e-300, -1e-300]
+    table[2] = [1.0, 0.1, 1.0 / 3.0, 2.0**52 + 1.0]
+    columns = ["r", "u_t0", "u_t1", "u_t2"]
+    cli.write_csv(tmp_path / "array.csv", columns, table)
+    rows = [{c: float(v) for c, v in zip(columns, row)} for row in table]
+    cli.write_csv(tmp_path / "dicts.csv", columns, rows)
+    written = (tmp_path / "array.csv").read_bytes()
+    assert written == (tmp_path / "dicts.csv").read_bytes()
+    assert written.count(b"\n") == 51
+
+
 def test_unknown_key_reports_dotted_path(tmp_path, capsys):
     scn = green_scenario()
     scn["profile"] = {"form": "euclidean", "dimention": 3}

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 
 import pmegreen as pg
 from conftest import exact_record
@@ -94,6 +95,28 @@ def test_run_pme_input_validation(euclid3, mass1_params):
         pg.run_pme(grid, 2.0, np.ones(7), t_end=0.1)
     with pytest.raises(ValueError):
         pg.run_pme(grid, 2.0, -np.ones(32), t_end=0.1)
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("as_callable", [False, True])
+def test_run_pme_rejects_nonfinite_data(euclid3, monkeypatch, scheme, bad,
+                                        as_callable):
+    grid = pg.RadialGrid.make(euclid3, 5.0, 32)
+    if as_callable:
+        initial = lambda r: np.where(np.asarray(r) < 1.0, bad, 0.5)
+    else:
+        initial = np.full(32, 0.5)
+        initial[3] = bad
+
+    def no_stepper(*args, **kwargs):
+        raise AssertionError("a stepper was built for bad data")
+
+    monkeypatch.setattr(pg.solver, "Stepper", no_stepper)
+    with pytest.raises(ValueError, match="initial data must be finite and "
+                                         "nonnegative"):
+        pg.run_pme(grid, 2.0, initial, t_end=0.1, scheme=scheme,
+                   implicit_dt=0.01)
 
 
 @pytest.mark.parametrize("m, mass, snaps", [(2.0, 1.0, [25.0, 50.0]),
@@ -294,6 +317,125 @@ def test_identical_runs_record_identical_states(euclid3, mass1_params):
     for a, b in zip(first.states, second.states):
         assert np.array_equal(a, b)
     assert not np.array_equal(first.states[0], first.states[-1])
+
+
+def reference_implicit_step(grid, m, boundary, state, dt):
+    """A plain backward-Euler step: Newton on u - u_prev - dt div(u^m) = 0
+    with the residual recomputed at every iterate, scipy's solve_banded, a
+    backtracking line search on max(trial, 0), and dt halved when 60
+    iterates do not converge. Returns the new u, t, outflow and the number
+    of damped iterates and of dt halvings."""
+    u_prev = state.u
+    coef = grid.face_areas[1:-1] / np.diff(grid.centers)
+    outer = 0.0
+    if boundary == "absorbing":
+        outer = grid.face_areas[-1] / (grid.edges[-1] - grid.centers[-1])
+    dV = grid.cell_volumes
+    lo, up = np.zeros(grid.cells), np.zeros(grid.cells)
+    lo[1:] = coef / dV[1:]
+    up[:-1] = coef / dV[:-1]
+    diag_lin = -(lo + up)
+    diag_lin[-1] -= outer / dV[-1]
+
+    def residual(u, dt):
+        w = u * np.power(u, m - 1.0)
+        flux = coef * (w[1:] - w[:-1])
+        div = np.zeros_like(u)
+        div[:-1] += flux
+        div[1:] -= flux
+        div[-1] -= outer * w[-1]
+        div /= dV
+        return u - u_prev - dt * div
+
+    scale = max(1.0, float(u_prev.max()))
+    damped = halved = 0
+    for _ in range(40):
+        u = u_prev.copy()
+        for _ in range(60):
+            resid = residual(u, dt)
+            rnorm = float(np.max(np.abs(resid)))
+            if rnorm <= 1e-10 * scale:
+                w = u * np.power(u, m - 1.0)
+                return (u, state.t + dt, state.outflow + dt * outer * w[-1],
+                        damped, halved)
+            dw = m * np.power(u, m - 1.0)
+            ab = np.zeros((3, grid.cells))
+            ab[0, 1:] = -dt * up[:-1] * dw[1:]
+            ab[1] = 1.0 - dt * diag_lin * dw
+            ab[2, :-1] = -dt * lo[1:] * dw[:-1]
+            delta = scipy.linalg.solve_banded((1, 1), ab, -resid)
+            lam = 1.0
+            while lam > 1e-4:
+                r_t = residual(np.maximum(u + lam * delta, 0.0), dt)
+                if float(np.max(np.abs(r_t))) <= (1.0 - 0.25 * lam) * rnorm:
+                    break
+                lam *= 0.5
+            damped += lam < 1.0
+            u = np.maximum(u + lam * delta, 0.0)
+        dt *= 0.5
+        halved += 1
+    raise AssertionError("the reference step did not converge")
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("boundary", ["absorbing", "zero_flux"])
+@pytest.mark.parametrize("gap", [False, True])
+def test_implicit_step_matches_reference(euclid3, m, boundary, gap):
+    grid = pg.RadialGrid.make(euclid3, 2.0, 100)
+    u = np.zeros(100)
+    u[0] = 1e4      # a spike on zero data: a whole gap needs damping and halving
+    u[-1] = 1e-6    # so that an absorbing boundary drains
+    state = pg.RadialState(u=u, t=0.25)  # outflow 0: a tiny one still shows
+    dt = 25.0 if gap else 1e-3
+    u_ref, t_ref, out_ref, damped, halved = reference_implicit_step(
+        grid, m, boundary, state, dt)
+    assert (damped > 0 and halved > 0) == gap
+    new = pg.Stepper(grid, m, boundary=boundary).step(state, dt=dt,
+                                                      scheme="implicit")
+    assert np.array_equal(new.u, u_ref)
+    assert new.t == t_ref
+    assert new.outflow == out_ref
+    assert (new.outflow > state.outflow) == (boundary == "absorbing")
+    assert np.array_equal(state.u, u)
+
+
+def test_implicit_step_work(euclid3, mass1_params, monkeypatch):
+    # one residual per line-search trial and none again for the accepted
+    # iterate: at dt 1e-3 a step takes two undamped iterates, so 1 + 2
+    # residuals and 2 tridiagonal solves
+    grid = pg.RadialGrid.make(euclid3, 12.0, 4000)
+    stepper = pg.Stepper(grid, 2.0)
+    residuals, solves = [], []
+    divergence, gtsv = pg.solver.Stepper._divergence, pg.solver._GTSV
+    monkeypatch.setattr(pg.solver.Stepper, "_divergence",
+                        lambda self, w: residuals.append(1) or divergence(self, w))
+    monkeypatch.setattr(pg.solver, "_GTSV", lambda *args, **kwargs:
+                        solves.append(1) or gtsv(*args, **kwargs))
+    state = pg.RadialState(u=grid.cell_average(
+        pg.barenblatt_datum(mass1_params)), t=0.0)
+    for _ in range(5):
+        residuals.clear()
+        solves.clear()
+        state = stepper.step(state, dt=1e-3, scheme="implicit")
+        assert (len(residuals), len(solves)) == (3, 2)
+
+
+def test_implicit_step_reports_a_failed_solve(euclid3, monkeypatch):
+    stepper = pg.Stepper(pg.RadialGrid.make(euclid3, 4.0, 120), 2.0)
+    gtsv = pg.solver._GTSV
+    monkeypatch.setattr(pg.solver, "_GTSV",
+                        lambda *args, **kwargs: (*gtsv(*args, **kwargs)[:4], 7))
+    with pytest.raises(np.linalg.LinAlgError, match="info 7"):
+        stepper.step(smooth_state(stepper.grid), dt=1e-3, scheme="implicit")
+
+
+def test_implicit_step_stops_on_a_nonfinite_residual(euclid3):
+    # u^m overflows to inf, and inf - inf in the fluxes is NaN
+    grid = pg.RadialGrid.make(euclid3, 5.0, 32)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(pg.solver.SolverError, match="not finite"):
+        pg.run_pme(grid, 2.0, np.full(32, 1e200), t_end=0.1,
+                   scheme="implicit", implicit_dt=0.01)
 
 
 # -- super-steps ---------------------------------------------------------------
