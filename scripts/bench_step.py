@@ -4,17 +4,25 @@ milliseconds per implicit step, and each run's wall time and step count.
 
     PYTHONPATH=src python3 scripts/bench_step.py --label after
 
-Every run starts from the mass-1 self-similar datum on euclidean:3 with
-r_max 20 and goes through `run_pme`, so a step's figure includes the loop
-that drives it. Explicit runs are timed at 1000, 2000 and 4000 cells for
-m = 2 and m = 3, implicit runs at 2000 cells. An explicit step is what
+Every run goes through `run_pme` on euclidean:3 with r_max 20, so a
+step's figure includes the loop that drives it. Most runs start from the
+mass-1 self-similar datum, whose support is a small part of the grid:
+explicit runs at 1000, 2000 and 4000 cells for m = 2 and m = 3, implicit
+runs at 2000 cells. The "full support" runs (m = 2, explicit and implicit,
+1000 and 4000 cells) start from 1 + exp(-r^2), which fills the grid, so the
+stepper's support window covers every cell and only its own cost shows.
+An explicit step is what
 RunRecord.steps counts: an RKL2 super-step of up to 20 stages, or one
 forward-Euler step in a checkout from before super-steps, so explicit runs
 compare by wall time. A step figure is the median over --repeats runs of
 RunRecord.wall_time / RunRecord.steps, after one untimed run; `wall_s`
 lists each timed run's RunRecord.wall_time and `steps` its RunRecord.steps.
-The untimed implicit run counts, per step, the Newton residual evaluations
-(calls of Stepper._divergence) and the tridiagonal solves.
+The untimed run counts, per step, the Newton residual evaluations (calls
+of Stepper._divergence) and the tridiagonal solves of an implicit run, and
+records two means: `support_fraction`, over steps, of the cells up to the
+last nonzero one of the step's start state, and `window_fraction`, over
+divergence evaluations, of the cells evaluated (1 in a checkout that
+evaluates the whole grid); both as fractions of the grid.
 The figures go into --out (default BENCH_step.json) under --label, beside
 the runs of other labels already there, with the machine and the Python,
 numpy and scipy versions. Point PYTHONPATH at another checkout's
@@ -42,41 +50,69 @@ EXPLICIT_T_END = {2.0: 0.4, 3.0: 0.6}
 IMPLICIT_CELLS = 2000
 IMPLICIT_M = (2.0, 3.0)
 IMPLICIT_DT, IMPLICIT_T_END = 0.01, 1.0
+FULL_CELLS = (1000, 4000)
+FULL_M = 2.0
+# t_end of the explicit full-support run at 1000 cells, scaled with h^2
+FULL_T_END = 0.1
 # the name of the tridiagonal solve in pmegreen.solver: the direct LAPACK
 # call, or solve_banded in a checkout from before it
 SOLVES = ("_GTSV", "solve_banded")
 
 
 def counted_run(grid, m: float, u0, **run_args) -> dict:
-    """One run with Stepper._divergence and the tridiagonal solve counted;
-    the counts per RunRecord step."""
-    solver = pg.solver
+    """One run with Stepper._divergence and the tridiagonal solve counted,
+    per RunRecord step, and the mean support and window fractions."""
+    solver, stepper = pg.solver, pg.solver.Stepper
     name = next(n for n in SOLVES if hasattr(solver, n))
-    divergence, solve = solver.Stepper._divergence, getattr(solver, name)
+    divergence, solve = stepper._divergence, getattr(solver, name)
+    # run_pme calls super_step (explicit) or step (implicit) once per step
+    steps = {meth: getattr(stepper, meth) for meth in ("step", "super_step")
+             if hasattr(stepper, meth)}
     counts = {"residuals": 0, "solves": 0}
+    supports, windows = [], []
 
     def counted_divergence(self, w):
         counts["residuals"] += 1
+        windows.append(w.size / grid.cells)
         return divergence(self, w)
 
     def counted_solve(*args, **kwargs):
         counts["solves"] += 1
         return solve(*args, **kwargs)
 
-    solver.Stepper._divergence = counted_divergence
+    def recorded(step):
+        def wrapper(self, state, *args, **kwargs):
+            nonzero = np.flatnonzero(state.u)
+            supports.append((nonzero[-1] + 1 if nonzero.size else 0)
+                            / grid.cells)
+            return step(self, state, *args, **kwargs)
+        return wrapper
+
+    stepper._divergence = counted_divergence
     setattr(solver, name, counted_solve)
+    for meth, step in steps.items():
+        setattr(stepper, meth, recorded(step))
     try:
         record = pg.run_pme(grid, m, u0, **run_args)
     finally:
-        solver.Stepper._divergence = divergence
+        stepper._divergence = divergence
         setattr(solver, name, solve)
-    return {key: n / record.steps for key, n in counts.items()}
+        for meth, step in steps.items():
+            setattr(stepper, meth, step)
+    out = {key: n / record.steps for key, n in counts.items()}
+    out["support_fraction"] = round(statistics.fmean(supports), 4)
+    out["window_fraction"] = round(statistics.fmean(windows), 4)
+    return out
 
 
-def per_step(cells: int, m: float, repeats: int, **run_args) -> dict:
+def per_step(cells: int, m: float, repeats: int, full: bool = False,
+             **run_args) -> dict:
     profile = pg.make_profile(form="euclidean", dimension=3)
     grid = pg.RadialGrid.make(profile, 20.0, cells)
-    datum = pg.barenblatt_datum(pg.BarenblattParams.from_mass(3, m, 1.0))
+    if full:
+        datum = lambda r: 1.0 + np.exp(-r * r)
+    else:
+        datum = pg.barenblatt_datum(pg.BarenblattParams.from_mass(3, m, 1.0))
     u0 = grid.cell_average(datum)
     counts = counted_run(grid, m, u0, **run_args)  # warm-up
     walls = []
@@ -113,33 +149,51 @@ def main(argv=None) -> int:
         parser.error("--repeats must be at least 1")
 
     explicit, implicit = {}, {}
-    for m in EXPLICIT_M:
-        for cells in EXPLICIT_CELLS:
-            t_end = EXPLICIT_T_END[m] * (1000.0 / cells) ** 2
-            res = per_step(cells, m, args.repeats, t_end=t_end)
-            explicit[f"m={m:g}, cells={cells}"] = {
-                "us_per_step": round(res["median"] * 1e6, 2),
-                "us_per_step_min": round(res["min"] * 1e6, 2),
-                "wall_s": [round(w, 5) for w in res["walls"]],
-                "steps": res["steps"], "t_end": t_end}
-            print(f"explicit m={m:g} cells={cells}: "
-                  f"{res['median'] * 1e6:.1f} us/step ({res['steps']} steps, "
-                  f"{statistics.median(res['walls']) * 1e3:.1f} ms/run)")
-    for m in IMPLICIT_M:
-        res = per_step(IMPLICIT_CELLS, m, args.repeats, t_end=IMPLICIT_T_END,
+
+    def explicit_case(cells, m, t_end, full=False):
+        res = per_step(cells, m, args.repeats, full, t_end=t_end)
+        key = f"m={m:g}, cells={cells}" + (", full support" if full else "")
+        explicit[key] = {
+            "us_per_step": round(res["median"] * 1e6, 2),
+            "us_per_step_min": round(res["min"] * 1e6, 2),
+            "wall_s": [round(w, 5) for w in res["walls"]],
+            "steps": res["steps"], "t_end": t_end,
+            "support_fraction": res["counts"]["support_fraction"],
+            "window_fraction": res["counts"]["window_fraction"]}
+        print(f"explicit {key}: {res['median'] * 1e6:.1f} us/step "
+              f"({res['steps']} steps, "
+              f"{statistics.median(res['walls']) * 1e3:.1f} ms/run, support "
+              f"{res['counts']['support_fraction']:.3f} of the grid)")
+
+    def implicit_case(cells, m, full=False):
+        res = per_step(cells, m, args.repeats, full, t_end=IMPLICIT_T_END,
                        scheme="implicit", implicit_dt=IMPLICIT_DT)
-        implicit[f"m={m:g}, cells={IMPLICIT_CELLS}"] = {
+        key = f"m={m:g}, cells={cells}" + (", full support" if full else "")
+        implicit[key] = {
             "ms_per_step": round(res["median"] * 1e3, 3),
             "ms_per_step_min": round(res["min"] * 1e3, 3),
             "wall_s": [round(w, 5) for w in res["walls"]],
             "steps": res["steps"], "t_end": IMPLICIT_T_END,
             "implicit_dt": IMPLICIT_DT,
             "residuals_per_step": res["counts"]["residuals"],
-            "solves_per_step": res["counts"]["solves"]}
-        print(f"implicit m={m:g} cells={IMPLICIT_CELLS}: "
-              f"{res['median'] * 1e3:.3f} ms/step ({res['steps']} steps, "
+            "solves_per_step": res["counts"]["solves"],
+            "support_fraction": res["counts"]["support_fraction"],
+            "window_fraction": res["counts"]["window_fraction"]}
+        print(f"implicit {key}: {res['median'] * 1e3:.3f} ms/step "
+              f"({res['steps']} steps, "
               f"{res['counts']['residuals']:g} residuals and "
-              f"{res['counts']['solves']:g} solves per step)")
+              f"{res['counts']['solves']:g} solves per step, support "
+              f"{res['counts']['support_fraction']:.3f} of the grid)")
+
+    for m in EXPLICIT_M:
+        for cells in EXPLICIT_CELLS:
+            explicit_case(cells, m, EXPLICIT_T_END[m] * (1000.0 / cells) ** 2)
+    for m in IMPLICIT_M:
+        implicit_case(IMPLICIT_CELLS, m)
+    for cells in FULL_CELLS:
+        explicit_case(cells, FULL_M, FULL_T_END * (1000.0 / cells) ** 2,
+                      full=True)
+        implicit_case(cells, FULL_M, full=True)
 
     out = Path(args.out)
     doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}

@@ -7,6 +7,17 @@ advance by Runge-Kutta-Legendre (RKL2) super-steps built from forward-Euler
 stages at the positivity-safe time step (Meyer, Balsara & Aslam, J. Comput.
 Phys. 257, 2014); the implicit path is backward Euler with a damped Newton
 iteration on the tridiagonal system.
+
+Data with compact support keep it, and the discrete front moves at most one
+cell per divergence evaluation, so a step computes only on the window of
+cells [0, k) that can turn nonzero during it: the last nonzero cell j plus
+s + 2 for an s-stage super-step, plus NEWTON_MAX_ITER + 3 for an implicit
+step, capped at the grid. The divergence is tridiagonal, so one evaluation
+widens the support by at most one cell; past the support a Newton matrix row
+is an identity row with zero right-hand side, so LAPACK returns an exactly
+zero correction there and each iterate also widens it by at most one cell. The
+window's last cell stays zero, so its one-sided flux and the outflow
+through it equal the full grid's bit for bit.
 """
 from __future__ import annotations
 
@@ -25,6 +36,7 @@ from .green import GreenData, potential_of_cells
 from .numerics import gauss_panels, loglog_slope, simpson_weights
 
 DEFAULT_CFL = 0.4
+NEWTON_MAX_ITER = 60
 NEWTON_TOL = 1e-10
 POSITIVITY_RETRY_LIMIT = 40
 RKL2_MAX_STAGES = 20
@@ -64,6 +76,15 @@ def _rkl2_coefficients(s: int) -> tuple:
         nu = -(j - 1) / j * b[j] / b[j - 2]
         stages.append((mu, nu, mu * w1, 1.0 - b[j - 1]))
     return b[1] * w1, tuple(stages)
+
+
+def _last_nonzero(u: np.ndarray) -> int:
+    """Index of the last nonzero cell of u; -1 for zero data."""
+    if u[-1] != 0.0:  # data that reach the last cell skip the scan
+        return u.size - 1
+    nonzero = u != 0.0
+    last = u.size - 1 - int(nonzero[::-1].argmax())
+    return last if nonzero[last] else -1
 
 
 class SolverError(RuntimeError):
@@ -143,9 +164,11 @@ class Stepper:
 
     The explicit step evaluates the nonlinearity and its stable dt once, and
     a super-step evaluates them once per stage; both work in scratch buffers
-    owned by the stepper. Only the returned state's array is allocated, so
-    returned states never share memory with the stepper or with each other.
-    The scratch buffers make one stepper unsafe to share between threads.
+    owned by the stepper. Stages and Newton iterates compute on the support
+    window [0, k) only (see the module docstring); the returned state is a
+    fresh full-length array, zero past k, so returned states never share
+    memory with the stepper or with each other. The scratch buffers make one
+    stepper unsafe to share between threads.
     """
 
     def __init__(self, grid: RadialGrid, m: float, boundary: str = "absorbing",
@@ -196,30 +219,47 @@ class Stepper:
         self._d2 = np.empty(n)
         self._y = np.empty(n)
         self._sum = np.empty(n)
+        self._cut_k = -1
+        self._cut_views = ()
         self._dt_limit = math.nan  # dt of the last step before any halving
 
+    def _cut(self, k: int) -> tuple:
+        """(flux, flux coefficient, divergence, cell volume) cut to the window
+        [0, k). One window serves every stage of a super-step and every
+        iterate of an implicit step, so it is cut again only when k changes;
+        slicing on every call cost a few percent on data that fill the grid."""
+        if k != self._cut_k:
+            self._cut_k = k
+            self._cut_views = (self._flux[:k - 1], self._flux_coef[:k - 1],
+                               self._div[:k], self._dV[:k])
+        return self._cut_views
+
     def _nonlinearity(self, u: np.ndarray):
-        """(u^m, u^(m-1)) in scratch buffers; at m = 2, u^(m-1) is u itself."""
+        """(u^m, u^(m-1)) of the window u in scratch buffers; at m = 2,
+        u^(m-1) is u itself."""
+        k = u.size
         if self.m == 2.0:
-            return np.multiply(u, u, out=self._w), u
-        um1 = np.power(u, self.m - 1.0, out=self._um1)
-        return np.multiply(u, um1, out=self._w), um1
+            return np.multiply(u, u, out=self._w[:k]), u
+        um1 = np.power(u, self.m - 1.0, out=self._um1[:k])
+        return np.multiply(u, um1, out=self._w[:k]), um1
 
     def _stable_dt(self, um1: np.ndarray) -> float:
-        rates = np.multiply(um1, self.m, out=self._rates)
-        rates *= self._drain
+        k = um1.size
+        rates = np.multiply(um1, self.m, out=self._rates[:k])
+        rates *= self._drain[:k]
         rate = float(rates.max())
         return self.cfl / rate if rate > 0.0 else math.inf
 
     def _divergence(self, w: np.ndarray) -> np.ndarray:
-        """Cell divergence of the flux of w, in the scratch buffer."""
-        flux = np.subtract(w[1:], w[:-1], out=self._flux)
-        flux *= self._flux_coef
-        div = self._div
+        """Cell divergence of the flux of the window w = u^m, in the scratch
+        buffer; the window's last cell takes the outer face's flux."""
+        flux, coef, div, dV = self._cut(w.size)
+        np.subtract(w[1:], w[:-1], out=flux)
+        flux *= coef
         div[0] = flux[0]
         np.subtract(flux[1:], flux[:-1], out=div[1:-1])
         div[-1] = -flux[-1] - self._outer_coef * w[-1]
-        div /= self._dV
+        div /= dV
         return div
 
     def stable_dt(self, u: np.ndarray) -> float:
@@ -239,19 +279,28 @@ class Stepper:
 
     def _step_explicit(self, state: RadialState, dt: Optional[float]) -> RadialState:
         u = state.u
-        w, um1 = self._nonlinearity(u)
+        w, um1 = self._nonlinearity(u[:min(u.size, _last_nonzero(u) + 3)])
         stable = self._stable_dt(um1)
-        dt = stable if dt is None else min(dt, stable)
+        return self._forward_euler(state, stable if dt is None else
+                                   min(dt, stable), w)
+
+    def _forward_euler(self, state: RadialState, dt: float,
+                       w: np.ndarray) -> RadialState:
+        """One forward-Euler step of at most dt from w = u^m on the window
+        [0, w.size), halving dt until the new state is nonnegative."""
         if not math.isfinite(dt):
             raise SolverError("stable time step is not finite for zero data; "
                               "pass dt explicitly")
         self._dt_limit = dt
+        u = state.u
+        k = w.size
         div = self._divergence(w)
-        u_new = np.empty_like(u)
+        u_new = np.zeros(u.size)
+        window = u_new[:k]
         for _ in range(POSITIVITY_RETRY_LIMIT):
-            np.multiply(div, dt, out=u_new)
-            u_new += u
-            if u_new.min() >= 0.0:
+            np.multiply(div, dt, out=window)
+            window += u[:k]
+            if window.min() >= 0.0:
                 out = state.outflow + dt * self._outer_coef * w[-1]
                 return RadialState(u=u_new, t=state.t + dt, outflow=out)
             dt *= 0.5  # positivity rejection
@@ -267,33 +316,46 @@ class Stepper:
         with zero divergence stay exactly fixed, and the outflow ledger runs
         through the same recurrence, so mass plus outflow is conserved to
         rounding. A stage with a negative value halves tau and chooses s
-        again; u^m is never taken of a negative stage.
+        again; u^m is never taken of a negative stage. An s-stage super-step
+        computes on the cells up to the last nonzero one plus s + 2.
         """
-        w, um1 = self._nonlinearity(state.u)
+        u = state.u
+        n, last = u.size, _last_nonzero(u)
+        # u^m on the widest window any stage count needs; its stable dt is
+        # the full grid's, since u^(m-1) is zero past it
+        w, um1 = self._nonlinearity(u[:min(n, last + RKL2_MAX_STAGES + 2)])
         dt_fe = self._stable_dt(um1)
         tau = min(dt, dt_fe * _rkl2_reach(RKL2_MAX_STAGES))
         if tau <= dt_fe:
-            return self._step_explicit(state, tau)
+            return self._forward_euler(state, tau, w[:min(n, last + 3)])
         self._dt_limit = tau
+        # a halving never takes more stages, so the first count's window
+        # serves every retry
+        k = min(n, last + _rkl2_stages(tau / dt_fe) + 2)
+        w = w[:k]
         out0 = self._outer_coef * w[-1]
-        self._l0[:] = self._divergence(w)
+        self._l0[:k] = self._divergence(w)
+        window = RadialState(u=u[:k], t=state.t, outflow=state.outflow)
         for _ in range(POSITIVITY_RETRY_LIMIT):
-            new = self._rkl2(state, tau, _rkl2_stages(tau / dt_fe), out0)
+            new = self._rkl2(window, tau, _rkl2_stages(tau / dt_fe), out0)
             if new is not None:
                 return new
             tau *= 0.5  # positivity rejection
         raise SolverError("positivity could not be restored by halving tau")
 
     def _rkl2(self, state: RadialState, tau: float, s: int, out0: float):
-        """The s stages of one super-step from L(u) in self._l0; None when a
-        stage turns negative."""
-        u, l0 = state.u, self._l0
+        """The s stages of one super-step from the window state.u = u[:k]
+        and L(u) in self._l0[:k]; the full-grid state, or None when a stage
+        turns negative."""
+        u = state.u
+        k = u.size
+        l0 = self._l0[:k]
         mu1, stages = _rkl2_coefficients(s)
-        d1 = np.multiply(l0, mu1 * tau, out=self._d1)   # Y_1 - u
-        d2 = self._d2                                   # Y_0 - u
+        d1 = np.multiply(l0, mu1 * tau, out=self._d1[:k])   # Y_1 - u
+        d2 = self._d2[:k]                                   # Y_0 - u
         d2.fill(0.0)
         e1, e2 = mu1 * tau * out0, 0.0                  # their outflows
-        y, acc = self._y, self._sum
+        y, acc = self._y[:k], self._sum[:k]
         for mu, nu, mu_t, a_prev in stages:
             np.add(u, d1, out=y)
             if y.min() < 0.0:
@@ -312,14 +374,17 @@ class Stepper:
             d1, d2 = d2, d1
             e1, e2 = (mu * e1 + nu * e2 + mu_t * tau * (out - a_prev * out0),
                       e1)
-        u_new = u + d1
-        if u_new.min() < 0.0:
+        u_new = np.zeros(self.grid.cells)
+        window = np.add(u, d1, out=u_new[:k])
+        if window.min() < 0.0:
             return None
         return RadialState(u=u_new, t=state.t + tau,
                            outflow=state.outflow + e1)
 
     def _step_implicit(self, state: RadialState, dt: float) -> RadialState:
-        u_prev = state.u
+        n = state.u.size
+        k = min(n, _last_nonzero(state.u) + NEWTON_MAX_ITER + 3)
+        u_prev = state.u[:k]
         self._dt_limit = dt
         scale = max(1.0, float(u_prev.max()))
         for _ in range(POSITIVITY_RETRY_LIMIT):
@@ -327,35 +392,40 @@ class Stepper:
             if u is not None and u.min() >= 0.0:
                 w, _ = self._nonlinearity(u)
                 out = state.outflow + dt * self._outer_coef * w[-1]
-                return RadialState(u=u, t=state.t + dt, outflow=out)
+                u_new = np.zeros(n)
+                u_new[:k] = u
+                return RadialState(u=u_new, t=state.t + dt, outflow=out)
             dt *= 0.5
         raise SolverError("implicit step kept failing after dt halvings")
 
     def _newton(self, u_prev: np.ndarray, dt: float, scale: float):
-        """Damped Newton iteration on u - u_prev - dt div(u^m) = 0; None when
-        60 iterates do not converge.
+        """Damped Newton iteration on u - u_prev - dt div(u^m) = 0 over the
+        window u_prev = u[:k]; None when NEWTON_MAX_ITER iterates do not
+        converge.
 
         Each iterate costs one tridiagonal solve and one residual per
         line-search trial; the accepted trial's residual is the next
         iterate's. A line search that halves lam to 1e-4 or below takes that
         lam without the decrease test.
         """
-        up = -dt * self._up[:-1]
-        diag = dt * self._diag_lin
-        lo = -dt * self._lo[1:]
+        k = u_prev.size
+        up = -dt * self._up[:k - 1]
+        diag = dt * self._diag_lin[:k]
+        lo = -dt * self._lo[1:k]
+        dl, d, du = self._dl[:k - 1], self._d[:k], self._du[:k - 1]
         u = u_prev.copy()
         resid, rnorm, um1 = self._residual(u, u_prev, dt)
-        for _ in range(60):
+        for _ in range(NEWTON_MAX_ITER):
             if rnorm <= NEWTON_TOL * scale:
                 return u
             if not math.isfinite(rnorm):
                 raise SolverError("Newton residual is not finite")
             dw = self.m * um1
-            np.multiply(up, dw[1:], out=self._du)
-            np.multiply(diag, dw, out=self._d)
-            np.subtract(1.0, self._d, out=self._d)
-            np.multiply(lo, dw[:-1], out=self._dl)
-            *_, delta, info = _GTSV(self._dl, self._d, self._du, -resid,
+            np.multiply(up, dw[1:], out=du)
+            np.multiply(diag, dw, out=d)
+            np.subtract(1.0, d, out=d)
+            np.multiply(lo, dw[:-1], out=dl)
+            *_, delta, info = _GTSV(dl, d, du, -resid,
                                     overwrite_dl=True, overwrite_d=True,
                                     overwrite_du=True, overwrite_b=True)
             if info != 0:
@@ -644,7 +714,8 @@ def verify_solution_estimates(record: RunRecord,
                                     {"scaled_center": scaled}))
 
     if pair is not None:
-        if pair.grid is not grid and pair.grid.cells != grid.cells:
+        if pair.grid is not grid and not np.array_equal(pair.grid.edges,
+                                                        grid.edges):
             raise ValueError("paired run must share the grid")
         diffs = np.array([float(np.sum(np.abs(a - b) * dV))
                           for a, b in zip(record.states, pair.states)])

@@ -241,7 +241,8 @@ def reference_explicit_step(grid, m, boundary, cfl, state, dt=None):
     drain[:-1] += coef
     drain[1:] += coef
     drain[-1] += outer
-    stable = cfl / float(np.max(m * um1 * (drain / grid.cell_volumes)))
+    rate = float(np.max(m * um1 * (drain / grid.cell_volumes)))
+    stable = cfl / rate if rate > 0.0 else math.inf
     dt = stable if dt is None else min(dt, stable)
     flux = coef * (w[1:] - w[:-1])
     div = np.zeros_like(u)
@@ -399,6 +400,60 @@ def test_implicit_step_matches_reference(euclid3, m, boundary, gap):
     assert np.array_equal(state.u, u)
 
 
+def supported_state(grid, support):
+    """Data on cells [0, j], positive there and falling towards j: j a
+    quarter of the grid in ("mid"), three cells short of the last ("edge"),
+    the last cell ("last"), the first ("spike", a tall one), or no cells
+    ("zero")."""
+    n = grid.cells
+    u = np.zeros(n)
+    if support == "spike":
+        u[0] = 100.0
+    elif support != "zero":
+        j = {"mid": n // 4, "edge": n - 3, "last": n - 1}[support]
+        u[:j + 1] = 0.5 + 0.5 * np.cos(np.linspace(0.0, 0.95 * np.pi, j + 1))
+    return pg.RadialState(u=u, t=0.25, outflow=0.125)
+
+
+SUPPORTS = ["mid", "edge", "last", "spike", "zero"]
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("boundary", ["absorbing", "zero_flux"])
+@pytest.mark.parametrize("support", SUPPORTS)
+def test_windowed_explicit_step_matches_reference(euclid3, m, boundary,
+                                                  support):
+    grid = pg.RadialGrid.make(euclid3, 4.0, 120)
+    stepper = pg.Stepper(grid, m, boundary=boundary)
+    state = supported_state(grid, support)
+    dt = 1e-3 if support == "zero" else None
+    u_ref, t_ref, out_ref, _ = reference_explicit_step(
+        grid, m, boundary, pg.solver.DEFAULT_CFL, state, dt)
+    new = stepper.step(state, dt=dt, scheme="explicit")
+    assert np.array_equal(new.u, u_ref)
+    assert new.t == t_ref
+    assert new.outflow == out_ref
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("boundary", ["absorbing", "zero_flux"])
+@pytest.mark.parametrize("support", SUPPORTS)
+# at dt 25 Newton damps on the mid and spike data, and halves dt on both
+# at m = 1.5
+@pytest.mark.parametrize("dt", [1e-3, 25.0])
+def test_windowed_implicit_step_matches_reference(euclid3, m, boundary,
+                                                  support, dt):
+    grid = pg.RadialGrid.make(euclid3, 2.0, 100)
+    state = supported_state(grid, support)
+    u_ref, t_ref, out_ref, _, _ = reference_implicit_step(
+        grid, m, boundary, state, dt)
+    new = pg.Stepper(grid, m, boundary=boundary).step(state, dt=dt,
+                                                      scheme="implicit")
+    assert np.array_equal(new.u, u_ref)
+    assert new.t == t_ref
+    assert new.outflow == out_ref
+
+
 def test_implicit_step_work(euclid3, mass1_params, monkeypatch):
     # one residual per line-search trial and none again for the accepted
     # iterate: at dt 1e-3 a step takes two undamped iterates, so 1 + 2
@@ -495,6 +550,135 @@ def test_super_step_positivity_guard(euclid3, monkeypatch):
     assert rec.mass_defect() <= 1e-12
 
 
+def reference_super_step(grid, m, boundary, cfl, state, dt):
+    """A plain RKL2 super-step on the whole grid: tau = min(dt, 104.5 dt_FE)
+    with dt_FE the explicit stable dt, one forward-Euler step when tau is
+    within dt_FE, else the fewest s >= 2 stages whose reach (s^2 + s - 2)/4
+    covers tau / dt_FE (at most 20), stages kept as increments Y_j - u with
+    the outflow carried through the same recurrence, and tau halved while a
+    stage or the result is negative. Returns the new u, t, outflow, the
+    stage count and the number of halvings."""
+    u = state.u
+    coef = grid.face_areas[1:-1] / np.diff(grid.centers)
+    outer = 0.0
+    if boundary == "absorbing":
+        outer = grid.face_areas[-1] / (grid.edges[-1] - grid.centers[-1])
+    drain = np.zeros(grid.cells)
+    drain[:-1] += coef
+    drain[1:] += coef
+    drain[-1] += outer
+    rate = float(np.max(m * np.power(u, m - 1.0) *
+                        (drain / grid.cell_volumes)))
+    dt_fe = cfl / rate if rate > 0.0 else math.inf
+
+    def divergence(w):
+        flux = coef * (w[1:] - w[:-1])
+        div = np.zeros_like(w)
+        div[:-1] += flux
+        div[1:] -= flux
+        div[-1] -= outer * w[-1]
+        return div / grid.cell_volumes
+
+    def reach(s):
+        return (s * s + s - 2) / 4.0
+
+    tau = min(dt, dt_fe * reach(20))
+    if tau <= dt_fe:
+        u_new, t_new, out_new, _ = reference_explicit_step(
+            grid, m, boundary, cfl, state, tau)
+        return u_new, t_new, out_new, 1, 0
+    w0 = u * np.power(u, m - 1.0)
+    l0, out0 = divergence(w0), outer * w0[-1]
+    for halved in range(40):
+        s = 2
+        while reach(s) < tau / dt_fe and s < 20:
+            s += 1
+        b = [1.0 / 3.0] * 3 + [(j * j + j - 2) / (2.0 * j * (j + 1))
+                               for j in range(3, s + 1)]
+        w1 = 1.0 / reach(s)
+        d_prev, d = np.zeros_like(u), b[1] * w1 * tau * l0
+        e_prev, e = 0.0, b[1] * w1 * tau * out0
+        for j in range(2, s + 1):
+            y = u + d
+            if y.min() < 0.0:
+                break
+            w = y * np.power(y, m - 1.0)
+            mu = (2 * j - 1) / j * b[j] / b[j - 1]
+            nu = -(j - 1) / j * b[j] / b[j - 2]
+            a_prev = 1.0 - b[j - 1]
+            d_prev, d = d, mu * d + (mu * w1 * tau * (divergence(w) -
+                                                      a_prev * l0) +
+                                     nu * d_prev)
+            e_prev, e = e, (mu * e + nu * e_prev + mu * w1 * tau *
+                            (outer * w[-1] - a_prev * out0))
+        else:
+            u_new = u + d
+            if u_new.min() >= 0.0:
+                return u_new, state.t + tau, state.outflow + e, s, halved
+        tau *= 0.5
+    raise AssertionError("the reference super-step kept turning negative")
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("boundary", ["absorbing", "zero_flux"])
+@pytest.mark.parametrize("support", SUPPORTS)
+@pytest.mark.parametrize("ratio", [0.5, 7.0, 1e6])  # tau / dt_FE asked for
+def test_super_step_matches_reference(euclid3, m, boundary, support, ratio):
+    grid = pg.RadialGrid.make(euclid3, 4.0, 120)
+    stepper = pg.Stepper(grid, m, boundary=boundary)
+    state = supported_state(grid, support)
+    u_in = state.u.copy()
+    dt_fe = 1e-3 if support == "zero" else stepper.stable_dt(state.u)
+    u_ref, t_ref, out_ref, _, _ = reference_super_step(
+        grid, m, boundary, pg.solver.DEFAULT_CFL, state, ratio * dt_fe)
+    new = stepper.super_step(state, ratio * dt_fe)
+    assert np.array_equal(new.u, u_ref)
+    assert new.t == t_ref
+    assert new.outflow == out_ref
+    assert np.array_equal(state.u, u_in)
+
+
+def test_super_step_reference_halves_a_spike(euclid3):
+    # the spike's stages turn negative at m = 1.5, so the matching above
+    # covers halved super-steps
+    grid = pg.RadialGrid.make(euclid3, 4.0, 120)
+    state = supported_state(grid, "spike")
+    dt_fe = pg.Stepper(grid, 1.5).stable_dt(state.u)
+    *_, halved = reference_super_step(grid, 1.5, "absorbing",
+                                      pg.solver.DEFAULT_CFL, state,
+                                      1e6 * dt_fe)
+    assert halved > 0
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+def test_support_grows_one_cell_per_evaluation(euclid3, m):
+    # the premise of the stepper's window, checked on the full-grid
+    # references: an s-stage super-step from data on cells [0, j] reaches
+    # cell j + s and no further, an implicit step no further than
+    # j + NEWTON_MAX_ITER + 1
+    grid = pg.RadialGrid.make(euclid3, 4.0, 200)
+    state = supported_state(grid, "mid")
+    j = int(np.flatnonzero(state.u)[-1])
+    dt_fe = pg.Stepper(grid, m).stable_dt(state.u)
+    reach = [(s * s + s - 2) / 4.0 for s in range(21)]
+    # tau / dt_FE = 0.5 takes one forward-Euler step, else between the
+    # reaches of s - 1 and s stages
+    for s, ratio in [(1, 0.5)] + [(s, 0.5 * (reach[s - 1] + reach[s]))
+                                  for s in (3, 8, 20)]:
+        u, *_, stages, halved = reference_super_step(
+            grid, m, "absorbing", pg.solver.DEFAULT_CFL, state,
+            ratio * dt_fe)
+        assert (stages, halved) == (s, 0)
+        assert np.all(u[j + s + 1:] == 0.0)
+        # the front values shrink by orders of magnitude per cell and
+        # underflow to zero a few cells out at more stages
+        assert s > 3 or u[j + s] > 0.0
+    for dt in (1e-3, 1.0):
+        u, *_ = reference_implicit_step(grid, m, "absorbing", state, dt)
+        assert u[j + 1] > 0.0
+        assert np.all(u[j + pg.solver.NEWTON_MAX_ITER + 2:] == 0.0)
+
+
 # tau / dt_FE; 104.5 is the reach of 20 stages, the most a super-step takes
 @pytest.mark.parametrize("ratio", [0.5, 1.0, 1.01, 2.5, 2.51, 7.0, 50.0,
                                    100.0, 104.5, 1e6])
@@ -557,6 +741,23 @@ def test_estimates_pair_checks(euclid3, green3):
     # misordered data is rejected rather than silently failed
     with pytest.raises(ValueError):
         pg.verify_solution_estimates(rec_large, green=green3, pair=rec_small)
+
+
+def test_estimates_pair_on_another_grid_rejected(euclid3, green3):
+    # the same cell count on another r_max covers other cells
+    params = pg.BarenblattParams.from_mass(3, 2.0, 1.0)
+    times = [0.5, 1.0]
+    rec = exact_record(euclid3, params, pg.RadialGrid.make(euclid3, 12.0, 300),
+                       times)
+    pair = exact_record(euclid3, params, pg.RadialGrid.make(euclid3, 6.0, 300),
+                        times)
+    with pytest.raises(ValueError, match="share the grid"):
+        pg.verify_solution_estimates(rec, green=green3, pair=pair)
+    # an equal grid built separately is accepted
+    same = exact_record(euclid3, params, pg.RadialGrid.make(euclid3, 12.0, 300),
+                        times)
+    rep = pg.verify_solution_estimates(rec, green=green3, pair=same)
+    assert rep.by_name("l1_contraction").violation == 0.0
 
 
 def test_estimates_skip_triple_when_underresolved(euclid3, green3,
