@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""Time the quadrature layer: weighted norms, tail tables and the smoothing
+bound's radius inversion, and count the scalar `quad` calls they make.
+
+    PYTHONPATH=src python3 scripts/bench_quadrature.py --label after
+
+Figures, each the median over --repeats timed rounds after one untimed
+round:
+
+- `classify_ms`: ms per `powerlaw_classify` on euclidean:5 (a = 2, 2.5, 3,
+  5, 6) and on power_log:4:3:0.5 (a = 2, 2.5, 3.5, 4.5), with one GreenData
+  per profile built before the clock starts;
+- `tail_table`: ms to build the TailTable of 1/S on power_log:4:3:0.5 over
+  GreenData's edges, and us per point read inside the edges (1000 radii in
+  [0.25, 30]), just beyond the last edge (20 radii in [2e7, 1e12]) and far
+  beyond it (20 radii in [1e25, 1e30]), each read as one array call;
+- `evaluate_l1_us`: us per `SmoothingBound.evaluate_l1` on power_log:4:3:0.5
+  with power_log growth k = 3, b = 0.5, r0 = 2, m = 2, at 40 times in
+  [1, 1e6];
+- `quad_calls`: calls of scipy's `quad` inside pmegreen.numerics during the
+  untimed round, per item above.
+
+The figures go into --out (default BENCH_quadrature.json) under --label,
+beside the runs of other labels already there, with the machine and the
+Python, numpy and scipy versions. Point PYTHONPATH at another checkout's
+src to time that one under its own label.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+import pmegreen as pg
+from bench_step import machine
+
+EUCLID5_EXPONENTS = (2.0, 2.5, 3.0, 5.0, 6.0)
+POWER_LOG_EXPONENTS = (2.0, 2.5, 3.5, 4.5)
+INSIDE = np.geomspace(0.25, 30.0, 1000)
+BEYOND = np.geomspace(2e7, 1e12, 20)
+FAR = np.geomspace(1e25, 1e30, 20)
+BOUND_TIMES = np.geomspace(1.0, 1e6, 40)
+
+
+def power_log_profile():
+    return pg.make_profile(form="power_log", dimension=4,
+                           params={"lam": 3.0, "sigma": 0.5})
+
+
+def counted(fn):
+    """fn() -> (seconds, quad calls) with scipy's quad counted."""
+    quad = pg.numerics.quad
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return quad(*args, **kwargs)
+
+    pg.numerics.quad = counting
+    try:
+        tic = time.perf_counter()
+        fn()
+        return time.perf_counter() - tic, calls[0]
+    finally:
+        pg.numerics.quad = quad
+
+
+def timed(fn, repeats: int) -> tuple:
+    """(median seconds over repeats, quad calls of one untimed round)."""
+    _, calls = counted(fn)
+    walls = []
+    for _ in range(repeats):
+        tic = time.perf_counter()
+        fn()
+        walls.append(time.perf_counter() - tic)
+    return statistics.median(walls), calls
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--label", required=True,
+                        help="name of this run in the output file")
+    parser.add_argument("--out", default="BENCH_quadrature.json")
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+
+    classify, quad_calls = {}, {}
+    cases = (("euclidean:5", pg.make_profile(form="euclidean", dimension=5),
+              EUCLID5_EXPONENTS),
+             ("power_log:4:3:0.5", power_log_profile(), POWER_LOG_EXPONENTS))
+    for name, profile, exponents in cases:
+        green = pg.GreenData(profile)
+        green.exact(1.0)  # builds the table of a non-closed profile
+        wall, calls = timed(lambda: [pg.powerlaw_classify(profile, a,
+                                                          green=green)
+                                     for a in exponents], args.repeats)
+        classify[name] = round(wall / len(exponents) * 1e3, 3)
+        quad_calls[f"classify {name}"] = calls
+        print(f"powerlaw_classify on {name}: {classify[name]:.3f} ms "
+              f"({calls} quad calls)")
+
+    profile = power_log_profile()
+    inv_area = lambda s: 1.0 / np.asarray(profile.area(s), dtype=float)
+    edges = pg.GreenData(profile).edges
+    build = lambda: pg.numerics.TailTable(inv_area, edges, "Green tail integral")
+    wall, calls = timed(build, args.repeats)
+    table = build()
+    tail_table = {"build_ms": round(wall * 1e3, 3)}
+    quad_calls["tail_table build"] = calls
+    for key, radii in (("inside", INSIDE), ("beyond_last_edge", BEYOND),
+                       ("far_beyond", FAR)):
+        wall, calls = timed(lambda: table(radii), args.repeats)
+        tail_table[f"{key}_us_per_point"] = round(wall / radii.size * 1e6, 3)
+        quad_calls[f"tail_table {key}"] = calls
+    print(f"TailTable: build {tail_table['build_ms']:.2f} ms, "
+          + ", ".join(f"{key[:-13]} {val:.3f} us/point"
+                      for key, val in tail_table.items() if key != "build_ms"))
+
+    growth = pg.make_growth(form="power_log", params={"k": 3.0, "b": 0.5},
+                            r0=2.0)
+    bound = pg.SmoothingBound.from_profile(profile, 2.0, growth)
+    wall, calls = timed(lambda: [bound.evaluate_l1(float(t), 1.0)
+                                 for t in BOUND_TIMES], args.repeats)
+    evaluate_l1_us = round(wall / BOUND_TIMES.size * 1e6, 2)
+    quad_calls["evaluate_l1"] = calls
+    print(f"evaluate_l1: {evaluate_l1_us:.1f} us ({calls} quad calls)")
+
+    out = Path(args.out)
+    doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+    doc.setdefault("runs", {})[args.label] = {
+        "machine": machine(), "repeats": args.repeats,
+        "classify_ms": classify, "tail_table": tail_table,
+        "evaluate_l1_us": evaluate_l1_us, "quad_calls": quad_calls}
+    out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -285,6 +285,9 @@ _SCENARIOS = {kind: _Obj({**_COMMON, **spec}, rule) for kind, spec, rule in (
                         _range_rule("r_min", "r_max", "radii")), {})}, None),
     ("l1g", {
         "profile": (_PROFILE, _REQUIRED),
+        # horizons: the first truncation schedule (default 10, 1e2, 1e3,
+        # 1e4); the tail model extends it x10 until the corrected values
+        # agree to rel_threshold, the fit shows divergence, or 1e15
         "params": (_Obj({"exponents": (_list(_NUM), _REQUIRED),
                          "horizons": (_list(_POS), _OPTIONAL),
                          "rel_threshold": (_POS, 1e-3)}), {})}, None),
@@ -737,8 +740,8 @@ def _execute(scn, out_dir, tolerance_profile: str) -> int:
     try:
         result = _run(scn, res, TOLERANCE_PROFILES[tolerance_profile], out)
     except (ParabolicProfileError, GrowthError) as exc:
-        # a tail integral of the given geometry diverges or defeats the
-        # quadrature: the input is at fault, found only once work started
+        # a tail integral of the given geometry fails the tail model's
+        # divergence test: the input is at fault, found only once work started
         where = "growth" if isinstance(exc, GrowthError) else "profile"
         raise ConfigError(f"{where}: {exc}") from exc
     return 0 if result["passed"] else 1

@@ -238,7 +238,8 @@ def _require_params(params: dict, required: set, optional: set = frozenset()) ->
 @dataclass(eq=False)
 class GrowthFunction:
     """Increasing rate f(t) on [r0, inf) whose reciprocal has a finite tail;
-    without a closed form the tail is a TailTable over [r0, 1e12 r0]."""
+    without a closed form the tail is a TailTable on `knots`, 3600 log-spaced
+    radii over [r0, 1e12 r0]."""
 
     form: str
     r0: float
@@ -257,12 +258,15 @@ class GrowthFunction:
                     float(self._tail_closed(float(r))))
         try:
             if self._table is None:
-                edges = np.geomspace(self.r0, 1e12 * self.r0, 3600)
                 self._table = TailTable(lambda t: 1.0 / np.asarray(
-                    self.rate(t), dtype=float), edges, "growth tail integral")
+                    self.rate(t), dtype=float), self.knots, "growth tail integral")
             return self._table(r)
         except IntegralDivergenceError as exc:
             raise GrowthError(str(exc)) from exc
+
+    @property
+    def knots(self) -> np.ndarray:
+        return np.geomspace(self.r0, 1e12 * self.r0, 3600)
 
     @property
     def beta(self) -> float:

@@ -3,7 +3,9 @@
 The exact Green function of a radial geometry is G(r) = int_r^inf ds/S(s); the
 surrogate replaces 1/S by t/V. Closed forms cover the euclidean and power
 presets; everything else, potentials included, runs through cumulative sums of
-fixed Gauss panels, anchored by one checked far tail integral.
+fixed Gauss panels. Nonparabolicity makes G a tail integral; its far end comes
+from numerics' tail model, an r^p (log r)^q fit of 1/S integrated in closed
+form, whose divergence test marks a parabolic profile.
 """
 from __future__ import annotations
 
@@ -58,7 +60,9 @@ class GreenData:
 
     Closed-form profiles evaluate directly. The rest get one TailTable of
     1/S or t/V per kind over `edges`: a log grid on [r_min, r_max] joined
-    with the table radii of a tabulated profile.
+    with the table radii of a tabulated profile. The table carries on past
+    r_max on its own, so G at any radius above r_min is a table lookup or
+    the tail model's remainder.
     """
 
     r_min, r_max = 1e-4, 1e7

@@ -1,8 +1,19 @@
-"""Numerical kernels: tail tables, improper integrals, roots, slope fits."""
+"""Numerical kernels: Gauss panels, one tail model for every integral to
+infinity, tail tables, roots, slope fits.
+
+The tail model: past a horizon h, f is fitted as r^p (log r)^q through
+r = h, 4h and 16h, and that fit is integrated to infinity in closed form.
+A tail counts as integrable only when p < -1 - TAIL_SLOPE_MARGIN. Truncated
+integrals sum 5-point Gauss panels in s = log r up to each horizon and add
+the remainder; the horizons grow x10 until the corrected values are Cauchy,
+the fit shows divergence, or HORIZON_CAP is reached.
+"""
 from __future__ import annotations
 
+import math
 import warnings
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -10,10 +21,21 @@ from scipy.interpolate import CubicHermiteSpline
 
 ABS_TOL = 1e-10
 REL_TOL = 1e-12
-# local log-log slope must clear -1 by this margin before a tail integral is attempted
+# the fitted tail exponent p must clear -1 by this margin for a tail to count
+# as integrable
 TAIL_SLOPE_MARGIN = 0.02
+PANELS_PER_DECADE = 24
+HORIZON_CAP = 1e15
+# a TailTable integrates past its last edge until the tail model's remainder
+# is about 10^-TAIL_PANEL_DECADES of the tail there, on at most
+# MAX_TAIL_DECADES decades of panels
+TAIL_PANEL_DECADES = 12.0
+MAX_TAIL_DECADES = 100.0
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
+# the tail model's fit points h, 4h, 16h, as multiples of the horizon h
+_FIT_RATIO = 4.0
+_FIT_POINTS = _FIT_RATIO ** np.arange(3.0)
 
 
 class IntegralDivergenceError(ArithmeticError):
@@ -31,42 +53,6 @@ def integrate(f: Callable[[float], float], a: float, b: float,
         # against closed forms wherever one exists
         warnings.simplefilter("ignore", IntegrationWarning)
         val, _ = quad(f, a, b, epsabs=abs_tol, epsrel=REL_TOL, limit=200)
-    return val
-
-
-def tail_integral(f: Callable[[float], float], a: float,
-                  name: str = "tail integral") -> float:
-    """Integral of f over [a, inf) via the substitution t = a/s, s in (0, 1].
-
-    A two-point log-log slope test at max(1e8, 4a) screens out power-law
-    divergence first; borderline cases still trip the quadrature warning.
-    The absolute tolerance is on the integral's scale a f(a).
-    """
-    if a <= 0.0:
-        raise ValueError("tail_integral requires a positive lower limit")
-    probe = max(1e8, 4.0 * a)
-    lo, hi = f(probe), f(2.0 * probe)
-    if lo <= 0.0 or hi <= 0.0:
-        raise ValueError("tail_integral needs a positive integrand at the probe")
-    p = float(np.log(hi / lo) / np.log(2.0))
-    if p >= -1.0 - TAIL_SLOPE_MARGIN:
-        raise IntegralDivergenceError(
-            f"{name} diverges: integrand slope {p:.4f} at the far probe "
-            "is not below -1")
-
-    def transformed(s: float) -> float:
-        t = a / s
-        return f(t) * a / (s * s)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            val, _ = quad(transformed, 0.0, 1.0, epsabs=1e-13 * a * f(a),
-                          epsrel=REL_TOL, limit=200)
-        except IntegrationWarning as exc:
-            raise IntegralDivergenceError(
-                f"{name} failed to converge under the 1/s substitution: {exc}"
-            ) from exc
     return val
 
 
@@ -89,33 +75,194 @@ def gauss_panels(f: Callable[[np.ndarray], np.ndarray],
     return gauss_intervals(f, edges[:-1], edges[1:])
 
 
+def _log_factor_integral(q: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """int_0^inf e^-x (1 + x/beta)^q dx, elementwise.
+
+    In y = log(1 + x/beta) the integrand exp(-beta (e^y - 1) + (q + 1) y) is
+    smooth; 64 Gauss panels over y <= log(1 + X/beta), X = 40 + 2 max(q, 0),
+    give 1e-13 relative for beta in [0.02, 1e4] and |q| <= 5. It is inf where
+    (1 + x/beta)^q outgrows e^x in double precision.
+    """
+    n = 64
+    X = 40.0 + 2.0 * np.maximum(q, 0.0)
+    Y = np.log1p(X / beta)
+    t = (np.arange(n)[:, None] + 0.5 * (_GAUSS_NODES + 1.0)).ravel() / n
+    y = Y[..., None] * t
+    with np.errstate(over="ignore"):
+        vals = np.exp((q[..., None] + 1.0) * y - beta[..., None] * np.expm1(y))
+    return beta * Y * (vals @ np.tile(0.5 * _GAUSS_WEIGHTS, n)) / n
+
+
+def _fit_remainder(h: np.ndarray, vals: np.ndarray) -> tuple:
+    """Remainder past each horizon h of the fit through vals = f(h * _FIT_POINTS),
+    and the fitted exponent p.
+
+    With s = log r, log f = c + p s + q log s; q is 0 where h <= 1 and log s
+    is undefined there. With k = -1 - p and beta = k log h the remainder is
+    h f(h)/k * int_0^inf e^-x (1 + x/beta)^q dx.
+    It is inf where p >= -1 - TAIL_SLOPE_MARGIN, and 0 with p = -inf where f
+    vanishes at a fit point.
+    """
+    s = np.log(h[..., None] * _FIT_POINTS)
+    positive = np.all(vals > 0.0, axis=-1)
+    with np.errstate(divide="ignore"):
+        logf = np.log(np.where(positive[..., None], vals, 1.0))
+    has_log = s[..., 0] > 0.0
+    df = np.diff(logf, axis=-1)
+    dl = np.diff(np.log(np.where(has_log[..., None], s, 1.0)), axis=-1)
+    # the fit points are log(_FIT_RATIO) apart in s
+    curv = np.where(has_log, dl[..., 1] - dl[..., 0], 1.0)
+    q = np.where(has_log, (df[..., 1] - df[..., 0]) / curv, 0.0)
+    p = (df[..., 1] - q * dl[..., 1]) / math.log(_FIT_RATIO)
+    finite = p < -1.0 - TAIL_SLOPE_MARGIN
+    k = np.where(finite, -1.0 - p, 1.0)
+    shape = _log_factor_integral(q, k * np.where(has_log, s[..., 0], 1.0))
+    rem = np.where(finite, h * vals[..., 0] / k * shape, np.inf)
+    return np.where(positive, rem, 0.0), np.where(positive, p, -np.inf)
+
+
+def tail_remainder(f: Callable[[np.ndarray], np.ndarray], r) -> tuple:
+    """(int_r^inf f, fitted exponent p) of the tail model at each r.
+
+    One call of the vectorized f at r, 4r and 16r. The integral is inf where
+    the fitted exponent does not clear -1 - TAIL_SLOPE_MARGIN.
+    """
+    r = np.asarray(r, dtype=float)
+    pts = r[..., None] * _FIT_POINTS
+    vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+    return _fit_remainder(r, vals)
+
+
+@dataclass
+class TailTruncations:
+    """int_start^inf f truncated at growing horizons: the panel integral to
+    each horizon, the same plus the tail model's remainder, and the fitted
+    exponent p there."""
+
+    horizons: tuple
+    truncated: tuple
+    corrected: tuple
+    exponents: tuple
+    converged: bool
+
+    @property
+    def value(self) -> float:
+        return self.corrected[-1] if self.converged else math.inf
+
+
+def _truncation_block(f: Callable[[np.ndarray], np.ndarray], lo: float,
+                      horizons: np.ndarray) -> tuple:
+    """Panel integrals of f over [lo, h_1], [h_1, h_2], ... and the
+    remainders past each h_i, from one call of f."""
+    bounds = np.concatenate([[lo], horizons])
+    counts = np.maximum(1, np.ceil(PANELS_PER_DECADE * np.log10(
+        bounds[1:] / bounds[:-1]) - 1e-9).astype(int))
+    s_edges = np.concatenate([np.linspace(math.log(a), math.log(b), n + 1)[:-1]
+                              for a, b, n in zip(bounds, bounds[1:], counts)]
+                             + [[math.log(bounds[-1])]])
+    mid = 0.5 * (s_edges[1:] + s_edges[:-1])
+    half = 0.5 * (s_edges[1:] - s_edges[:-1])
+    nodes = np.exp(mid[:, None] + half[:, None] * _GAUSS_NODES)
+    pts = horizons[:, None] * _FIT_POINTS
+    vals = np.asarray(f(np.concatenate([nodes.ravel(), pts.ravel()])),
+                      dtype=float)
+    panels = ((vals[:nodes.size].reshape(nodes.shape) * nodes * _GAUSS_WEIGHTS)
+              .sum(axis=1) * half)
+    segment = np.add.reduceat(panels, np.concatenate([[0], np.cumsum(counts)[:-1]]))
+    rem, p = _fit_remainder(horizons, vals[nodes.size:].reshape(pts.shape))
+    return segment, rem, p
+
+
+def truncated_tail(f: Callable[[np.ndarray], np.ndarray], start: float,
+                   horizons: Sequence[float], rel_threshold: float) -> TailTruncations:
+    """Truncations of int_start^inf f, corrected by the tail model.
+
+    The given horizons are the first schedule, integrated in one call of the
+    vectorized f. Past them the horizons grow x10, one call each, until the
+    last two corrected values agree to rel_threshold, the last one is inf
+    (the fit shows divergence), or a horizon reaches HORIZON_CAP.
+    """
+    hs = np.array([float(h) for h in horizons])
+    if hs.size < 2 or np.any(np.diff(hs) <= 0.0):
+        raise ValueError("need at least two increasing truncation horizons")
+    if hs[0] <= start:
+        raise ValueError("first horizon must exceed the integration start")
+    segment, rem, p = _truncation_block(f, start, hs)
+    truncated = list(np.cumsum(segment))
+    corrected = list(np.asarray(truncated) + rem)
+    exponents = list(p)
+    horizons_out = list(hs)
+
+    def cauchy() -> bool:
+        a, b = corrected[-2], corrected[-1]
+        return (math.isfinite(a) and math.isfinite(b) and
+                abs(b - a) <= rel_threshold * abs(b))
+
+    while (not cauchy() and math.isfinite(corrected[-1]) and
+           horizons_out[-1] < HORIZON_CAP):
+        h = min(10.0 * horizons_out[-1], HORIZON_CAP)
+        segment, rem, p = _truncation_block(f, horizons_out[-1], np.array([h]))
+        truncated.append(truncated[-1] + float(segment[0]))
+        corrected.append(truncated[-1] + float(rem[0]))
+        exponents.append(float(p[0]))
+        horizons_out.append(h)
+    return TailTruncations(
+        horizons=tuple(horizons_out), truncated=tuple(map(float, truncated)),
+        corrected=tuple(map(float, corrected)),
+        exponents=tuple(map(float, exponents)), converged=cauchy())
+
+
 class TailTable:
     """T(r) = int_r^inf f of a vectorized positive f, callable on arrays.
 
-    Reverse cumulative Gauss panels over `edges` on one checked far tail
-    integral, read through a log-log cubic Hermite spline with the exact
-    slope -r f(r)/T(r). Past the last edge T is its own tail integral, below
-    the first edge the first-edge value plus a finite integral.
+    Reverse cumulative Gauss panels over `edges`, extended past the last
+    given edge by TAIL_PANEL_DECADES / k decades of log panels (k = -1 - p,
+    the tail model's decay there, at most MAX_TAIL_DECADES), so the model's
+    own error enters only through a remainder about 10^-TAIL_PANEL_DECADES
+    of the tail. The remainder anchors the far end; T is read through a
+    log-log cubic Hermite spline with the exact slope -r f(r)/T(r). Past the
+    extended edges T is the tail model's remainder itself, one vectorized
+    call for all such points; below the first edge it is the first-edge
+    value plus a finite integral.
     """
 
     def __init__(self, f: Callable[[np.ndarray], np.ndarray],
                  edges: np.ndarray, name: str = "tail integral"):
-        self.edges = rs = np.asarray(edges, dtype=float)
-        scalar = lambda s: float(f(s))
-        self._far = lambda a: tail_integral(scalar, float(a), name)
-        self._near = lambda a: integrate(scalar, float(a), rs[0])
-        vals = self._far(rs[-1]) + np.concatenate(
+        rs = np.asarray(edges, dtype=float)
+        self._f, self._name = f, name
+        # p = -inf where f already underflows: nothing left to extend over
+        decades = min(MAX_TAIL_DECADES,
+                      TAIL_PANEL_DECADES / (-1.0 - float(self._far(rs[-1:])[1][0])))
+        if decades > 0.0:
+            count = math.ceil(PANELS_PER_DECADE * decades)
+            rs = np.concatenate([rs, rs[-1] * np.logspace(0.0, decades,
+                                                          count + 1)[1:]])
+        vals = float(self._far(rs[-1:])[0][0]) + np.concatenate(
             [np.cumsum(gauss_panels(f, rs)[::-1])[::-1], [0.0]])
+        # drop far edges where the tail underflows, so its logarithm is finite
+        self.edges = rs = rs[vals > 0.0]
+        vals = vals[vals > 0.0]
+        self._near = lambda a: integrate(lambda s: float(f(s)), float(a), rs[0])
         self._spline = CubicHermiteSpline(np.log(rs), np.log(vals),
                                           -rs * f(rs) / vals)
+
+    def _far(self, r: np.ndarray) -> tuple:
+        rem, p = tail_remainder(self._f, r)
+        if not np.all(np.isfinite(rem)):
+            raise IntegralDivergenceError(
+                f"{self._name} diverges: fitted tail exponent "
+                f"{float(np.max(p)):.4f} past r = {float(np.min(r)):.4g} "
+                f"is not below -1 - {TAIL_SLOPE_MARGIN}")
+        return rem, p
 
     def __call__(self, r):
         rr = np.asarray(r, dtype=float)
         flat = rr.ravel()
         lo, hi = self.edges[0], self.edges[-1]
         out = np.exp(self._spline(np.log(np.clip(flat, lo, hi))))
-        for i in np.flatnonzero(flat > hi):
-            out[i] = self._far(flat[i])
+        far = flat > hi
+        if np.any(far):
+            out[far] = self._far(flat[far])[0]
         for i in np.flatnonzero(flat < lo):
             out[i] += self._near(flat[i])
         return float(out[0]) if rr.ndim == 0 else out.reshape(rr.shape)

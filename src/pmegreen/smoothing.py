@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
 from scipy.special import lambertw
 
 from .geometry import GrowthFunction, VolumeProfile
@@ -23,15 +24,16 @@ class DomainError(ValueError):
     """Evaluation requested outside the validity range of a bound."""
 
 
-def green_ball_envelope(growth: GrowthFunction, radius) -> float:
+def green_ball_envelope(growth: GrowthFunction, radius):
     """R f(R) T(R) + R^2: the growth-driven envelope of the Green ball mass.
 
-    Strictly increasing in R; defined for R >= r0.
+    Strictly increasing in R; defined for R >= r0. Takes and returns arrays.
     """
-    R = radius
-    if R < growth.r0 * (1.0 - 1e-12):
-        raise DomainError(f"envelope needs R >= r0 = {growth.r0}, got {R}")
-    return float(R * float(growth.rate(R)) * growth.tail(R) + R * R)
+    R = np.asarray(radius, dtype=float)
+    if np.any(R < growth.r0 * (1.0 - 1e-12)):
+        raise DomainError(f"envelope needs R >= r0 = {growth.r0}, got {radius}")
+    env = R * np.asarray(growth.rate(R), dtype=float) * growth.tail(R) + R * R
+    return float(env) if env.ndim == 0 else env
 
 
 @dataclass
@@ -50,19 +52,23 @@ class SmoothingBound:
     """Scaffolding of the sup-norm decay bound for one (m, geometry) pair.
 
     volume_floor is the pole-centered volume lower envelope; the radius-to-
-    scale map is volume_floor(R) * envelope(R)^{1/(m-1)}, inverted by
-    bracketed bisection when a bound is evaluated in the large-time regime.
-    An increasing minorant of the envelope may be supplied instead of the
-    growth-driven one; the bound stays valid, just less sharp.
+    scale map is volume_floor(R) * envelope(R)^{1/(m-1)}. It is tabulated
+    once on the growth function's knots and inverted there by a bracket
+    lookup and a few secant steps when a bound is evaluated in the
+    large-time regime. An increasing minorant of the envelope may be
+    supplied instead of the growth-driven one; the bound stays valid, just
+    less sharp. volume_floor and envelope take and return arrays.
     """
 
     m: float
     dimension: int
     growth: GrowthFunction
-    volume_floor: Callable[[float], float]
-    envelope: Optional[Callable[[float], float]] = None
+    volume_floor: Callable[[np.ndarray], np.ndarray]
+    envelope: Optional[Callable[[np.ndarray], np.ndarray]] = None
     c_large: float = 1.0
     c_small: float = 1.0
+    # (log R, log data_scale(R)) on the growth knots, built on first use
+    _log_scales: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.m <= 1.0:
@@ -72,17 +78,19 @@ class SmoothingBound:
     def from_profile(cls, profile: VolumeProfile, m: float,
                      growth: GrowthFunction, **kwargs) -> "SmoothingBound":
         return cls(m=m, dimension=profile.dimension, growth=growth,
-                   volume_floor=lambda R: float(profile.volume(R)), **kwargs)
+                   volume_floor=profile.volume, **kwargs)
 
-    def envelope_value(self, radius: float) -> float:
+    def envelope_value(self, radius):
         if self.envelope is not None:
-            return float(self.envelope(radius))
+            env = np.asarray(self.envelope(radius), dtype=float)
+            return float(env) if env.ndim == 0 else env
         return green_ball_envelope(self.growth, radius)
 
-    def data_scale(self, radius: float) -> float:
+    def data_scale(self, radius):
         """theta(R): the t^{1/(m-1)} ||u0||_1 scale resolved at radius R."""
-        return float(self.volume_floor(radius)) * self.envelope_value(radius) ** (
-            1.0 / (self.m - 1.0))
+        theta = np.asarray(self.volume_floor(radius), dtype=float) * np.asarray(
+            self.envelope_value(radius)) ** (1.0 / (self.m - 1.0))
+        return float(theta) if theta.ndim == 0 else theta
 
     @property
     def scale_threshold(self) -> float:
@@ -95,13 +103,44 @@ class SmoothingBound:
         return self.scale_threshold ** (self.m - 1.0) * norm1 ** (-(self.m - 1.0))
 
     def radius_for_scale(self, s: float, rel_tol: float = 1e-10) -> float:
-        """Invert the radius-to-scale map; needs s at or above its r0 value."""
+        """Invert the radius-to-scale map; needs s at or above its r0 value.
+
+        The knot table brackets the root; secant steps in log-log, kept in
+        that bracket, stop once a step moves the root by under rel_tol / 100
+        relative. Past the last knot the map is inverted by bisection.
+        """
         if s < self.scale_threshold * (1.0 - 1e-12):
             raise DomainError(
                 f"scale {s} below the r0 value {self.scale_threshold}; "
                 "the large-time branch does not apply")
-        return invert_increasing(self.data_scale, s, self.growth.r0,
-                                 rel_tol=rel_tol)
+        if self._log_scales is None:
+            knots = self.growth.knots
+            with np.errstate(over="ignore"):  # an inf knot still brackets
+                self._log_scales = (np.log(knots),
+                                    np.log(self.data_scale(knots)))
+        xs, ys = self._log_scales
+        target = math.log(s)
+        i = int(np.searchsorted(ys, target))
+        if i == 0:
+            return self.growth.r0
+        if i == xs.size:
+            return invert_increasing(self.data_scale, s, math.exp(xs[-1]),
+                                     rel_tol=rel_tol)
+        lo, hi = xs[i - 1], xs[i]
+        xa, fa, xb, fb = lo, ys[i - 1] - target, hi, ys[i] - target
+        for _ in range(60):
+            x = xb - fb * (xb - xa) / (fb - fa) if fb != fa else lo
+            if not lo < x < hi:
+                x = 0.5 * (lo + hi)
+            fx = math.log(self.data_scale(math.exp(x))) - target
+            if fx == 0.0 or abs(x - xb) <= 0.01 * rel_tol:
+                break
+            if fx < 0.0:
+                lo = x
+            else:
+                hi = x
+            xa, fa, xb, fb = xb, fb, x, fx
+        return math.exp(x)
 
     def evaluate_l1(self, t: float, norm1: float) -> BoundEvaluation:
         """Sup-norm bound at time t for initial L1 size norm1.

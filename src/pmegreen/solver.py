@@ -653,8 +653,9 @@ def verify_solution_estimates(record: RunRecord,
     """Six a-priori estimates checked on run snapshots.
 
     Violations are relative slacks; tau is the acceptance budget. The paired
-    checks (contraction, comparison) need a second run on the same grid with
-    ordered initial data for the comparison direction pair >= record.
+    checks (contraction, comparison) need a second run on the same grid and
+    snapshot times, with ordered initial data for the comparison direction
+    pair >= record.
     """
     grid, m = record.grid, record.m
     if len(record.states) < 2:
@@ -717,6 +718,9 @@ def verify_solution_estimates(record: RunRecord,
         if pair.grid is not grid and not np.array_equal(pair.grid.edges,
                                                         grid.edges):
             raise ValueError("paired run must share the grid")
+        if not np.array_equal(np.asarray(pair.times, dtype=float),
+                              np.asarray(times, dtype=float)):
+            raise ValueError("paired run must share the snapshot times")
         diffs = np.array([float(np.sum(np.abs(a - b) * dV))
                           for a, b in zip(record.states, pair.states)])
         viol = float(max(0.0, np.max(diffs - diffs[0]) / max(diffs[0], 1e-300)))

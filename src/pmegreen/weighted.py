@@ -1,9 +1,11 @@
 """Green-weighted integrability: the L1_G norm, power-law dichotomy, separation.
 
 The weighted norm is plain mass inside the unit ball plus Green-weighted mass
-outside. Improper outer integrals are diagnosed through tail-corrected
-truncations: the local log-slope of the integrand at each horizon feeds a
-power-law tail estimate, and convergence means the corrected values go Cauchy.
+outside. The ball is integrated on fixed Gauss panels in log r down to 1e-8,
+and below that by the same tail model as the outside, in 1/r. The outer part runs through numerics' tail model: cumulative Gauss panels in
+s = log r to each truncation horizon, corrected by the remainder of an
+r^p (log r)^q fit, with horizons growing until the corrected values go Cauchy
+or the fitted exponent shows divergence.
 """
 from __future__ import annotations
 
@@ -15,11 +17,14 @@ import numpy as np
 
 from .geometry import GrowthFunction, VolumeProfile
 from .green import GreenData
-from .numerics import gauss_intervals, integrate, invert_decreasing
+from .numerics import (PANELS_PER_DECADE, gauss_intervals, gauss_panels,
+                       invert_decreasing, tail_remainder, truncated_tail)
 
+# the first truncation schedule; past it the horizons grow x10
 DEFAULT_HORIZONS = (10.0, 1e2, 1e3, 1e4)
-# a tail is declared integrable only when its local slope clears -1 by this much
-SLOPE_MARGIN = 0.05
+# the unit ball on log panels down to _POLE; below it the tail model in 1/r
+_POLE = 1e-8
+_BALL_EDGES = np.geomspace(_POLE, 1.0, 8 * PANELS_PER_DECADE + 1)
 
 
 @dataclass
@@ -33,66 +38,31 @@ class WeightedNorm:
     tail_estimate: float
     converged: bool
     outer_truncated: float
-    horizons: tuple
+    horizons: tuple              # the given schedule and the ones grown past it
     corrected: tuple
-    slope_at_horizon: float
-
-
-def _tail_corrected(integrand: Callable[[np.ndarray], np.ndarray],
-                    start: float, horizons: Sequence[float],
-                    rel_threshold: float) -> dict:
-    """Truncations of int_start^inf integrand with power-law tail correction."""
-    horizons = tuple(float(h) for h in horizons)
-    if len(horizons) < 2 or any(b <= a for a, b in zip(horizons, horizons[1:])):
-        raise ValueError("need at least two increasing truncation horizons")
-    if horizons[0] <= start:
-        raise ValueError("first horizon must exceed the integration start")
-    truncated = []
-    corrected = []
-    slopes = []
-    lo = start
-    running = 0.0
-    for h in horizons:
-        running += integrate(lambda s: float(integrand(s)), lo, h, abs_tol=1e-12)
-        lo = h
-        truncated.append(running)
-        g_lo, g_hi = float(integrand(h / 2.0)), float(integrand(h))
-        if g_hi <= 0.0 or g_lo <= 0.0:
-            slopes.append(-math.inf)
-            corrected.append(running)
-            continue
-        p = math.log(g_hi / g_lo) / math.log(2.0)
-        slopes.append(p)
-        if p < -1.0 - SLOPE_MARGIN:
-            corrected.append(running + g_hi * h / (-p - 1.0))
-        else:
-            corrected.append(math.inf)
-    tail_est = (corrected[-1] - truncated[-1]
-                if math.isfinite(corrected[-1]) else math.inf)
-    converged = (math.isfinite(corrected[-1]) and math.isfinite(corrected[-2]) and
-                 abs(corrected[-1] - corrected[-2]) <=
-                 rel_threshold * abs(corrected[-1]))
-    return {"truncated": truncated, "corrected": corrected, "slopes": slopes,
-            "tail_estimate": tail_est, "converged": converged,
-            "value": corrected[-1] if converged else math.inf}
+    slope_at_horizon: float      # the fitted tail exponent p at the last horizon
 
 
 def _weighted_l1(profile: VolumeProfile, fn: Callable, weight: Callable,
                  horizons: Sequence[float], rel_threshold: float) -> WeightedNorm:
     """int_{B_1} |f| + int_{M \\ B_1} |f| w with truncation diagnostics."""
-    inner = integrate(
-        lambda r: abs(float(fn(r))) * float(profile.area(r)), 0.0, 1.0,
-        abs_tol=1e-12)
-    diag = _tail_corrected(
-        lambda r: abs(float(fn(r))) * float(weight(r)) * float(profile.area(r)),
+    density = lambda r: np.abs(np.asarray(fn(r), dtype=float)) * np.asarray(
+        profile.area(r), dtype=float)
+    # int_0^POLE g dr = int_{1/POLE}^inf g(1/t) t^-2 dt, a tail like any other
+    inner = float(np.sum(gauss_panels(density, _BALL_EDGES)) + tail_remainder(
+        lambda t: density(1.0 / t) / (t * t), 1.0 / _POLE)[0])
+    diag = truncated_tail(
+        lambda r: density(r) * np.asarray(weight(r), dtype=float),
         1.0, horizons, rel_threshold)
-    outer = diag["value"]
+    outer = diag.value
     return WeightedNorm(
         inner=inner, outer=outer, total=inner + outer,
-        truncation_radius=float(horizons[-1]),
-        tail_estimate=diag["tail_estimate"], converged=diag["converged"],
-        outer_truncated=diag["truncated"][-1], horizons=tuple(horizons),
-        corrected=tuple(diag["corrected"]), slope_at_horizon=diag["slopes"][-1])
+        truncation_radius=diag.horizons[-1],
+        tail_estimate=diag.corrected[-1] - diag.truncated[-1],
+        converged=diag.converged and math.isfinite(inner),
+        outer_truncated=diag.truncated[-1],
+        horizons=diag.horizons, corrected=diag.corrected,
+        slope_at_horizon=diag.exponents[-1])
 
 
 def l1g_norm(profile: VolumeProfile, fn: Callable[[np.ndarray], np.ndarray],
@@ -101,8 +71,11 @@ def l1g_norm(profile: VolumeProfile, fn: Callable[[np.ndarray], np.ndarray],
              green: Optional[GreenData] = None) -> WeightedNorm:
     """Pole-centered weighted norm: int_{B_1} |f| + int_{M \\ B_1} |f| G.
 
-    Divergence is reported through converged=False with an infinite total; the
-    per-horizon corrected truncations stay available for diagnosis.
+    `horizons` is the first truncation schedule; the horizons grow x10 past
+    it until the corrected values agree to rel_threshold (numerics'
+    truncated_tail). Divergence is reported through converged=False with an
+    infinite total; the per-horizon corrected truncations stay available for
+    diagnosis.
     """
     gd = green or GreenData(profile)
     return _weighted_l1(profile, fn, gd.exact, horizons, rel_threshold)
@@ -112,7 +85,7 @@ def l1_norm_radial(profile: VolumeProfile, fn: Callable,
                    horizons: Sequence[float] = DEFAULT_HORIZONS,
                    rel_threshold: float = 1e-3) -> WeightedNorm:
     """Unweighted radial L1 norm with the same truncation diagnostics."""
-    return _weighted_l1(profile, fn, lambda r: 1.0, horizons, rel_threshold)
+    return _weighted_l1(profile, fn, np.ones_like, horizons, rel_threshold)
 
 
 @dataclass
@@ -147,7 +120,7 @@ def powerlaw_classify(profile: VolumeProfile, a: float,
 
     The decision rule is strict: plain integrability needs a above the volume
     growth exponent, weighted integrability needs a > 2; both boundaries are
-    excluded. Truncated quadratures corroborate the verdicts.
+    excluded. The truncated tail integrals corroborate the verdicts.
     """
     alpha = volume_growth_exponent(profile)
     u_a = lambda r: np.power(1.0 + np.asarray(r, dtype=float), -a)

@@ -8,9 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmegreen.numerics import (BracketError, IntegralDivergenceError,
-                               gauss_panels, integrate, invert_decreasing,
-                               invert_increasing, loglog_slope,
-                               simpson_weights, tail_integral)
+                               TailTable, gauss_panels, integrate,
+                               invert_decreasing, invert_increasing,
+                               loglog_slope, simpson_weights, tail_remainder)
+
+
+def tail(f, a):
+    """int_a^inf f by the tail model alone."""
+    return float(tail_remainder(f, a)[0])
 
 
 def test_integrate_matches_closed_forms():
@@ -20,17 +25,32 @@ def test_integrate_matches_closed_forms():
 
 
 def test_tail_integral_power_law():
-    assert tail_integral(lambda t: t ** -2, 1.0) == pytest.approx(1.0,
-                                                                  rel=1e-10)
-    assert tail_integral(lambda t: t ** -3, 2.0) == pytest.approx(0.125,
-                                                                  rel=1e-10)
+    assert tail(lambda t: t ** -2, 1.0) == pytest.approx(1.0, rel=1e-10)
+    assert tail(lambda t: t ** -3, 2.0) == pytest.approx(0.125, rel=1e-10)
 
 
 def test_tail_integral_rejects_divergence():
-    with pytest.raises(IntegralDivergenceError):
-        tail_integral(lambda t: 1.0 / t, 1.0)
-    with pytest.raises(IntegralDivergenceError):
-        tail_integral(lambda t: 1.0, 1.0)
+    edges = np.geomspace(1.0, 1e3, 50)
+    for f in (lambda t: 1.0 / t, np.ones_like):
+        assert tail(f, 1.0) == math.inf
+        with pytest.raises(IntegralDivergenceError):
+            TailTable(f, edges)
+
+
+def test_tail_remainder_power_log_closed_form():
+    # t^-1.1 (log t)^0.47 is the model itself: int_R^inf is
+    # Gamma(1.47, 0.1 log R) / 0.1^1.47, here from mpmath
+    f = lambda t: t ** -1.1 * np.log(t) ** 0.47
+    assert tail(f, 10.0) == pytest.approx(24.1118633669289, rel=1e-10)
+    assert tail(f, 1e6) == pytest.approx(10.9487011972729, rel=1e-10)
+
+
+def test_tail_table_far_points_match_the_model():
+    f = lambda t: t ** -1.1 * np.log(t) ** 0.47
+    table = TailTable(f, np.geomspace(2.05, 1e4, 200))
+    rs = np.array([3.0, 500.0, 1e6, table.edges[-1] * 10.0])
+    assert np.allclose(table(rs), [tail(f, r) for r in rs], rtol=1e-10,
+                       atol=0.0)
 
 
 def test_invert_increasing_round_trip():
@@ -71,5 +91,5 @@ def test_loglog_slope_recovers_exponent():
 @settings(max_examples=25, deadline=None)
 def test_tail_integral_power_family(a, p):
     # closed form a^{1-p}/(p-1) for integrand t^{-p}
-    val = tail_integral(lambda t: t ** -p, a)
+    val = tail(lambda t: t ** -p, a)
     assert val == pytest.approx(a ** (1.0 - p) / (p - 1.0), rel=1e-8)

@@ -760,6 +760,16 @@ def test_estimates_pair_on_another_grid_rejected(euclid3, green3):
     assert rep.by_name("l1_contraction").violation == 0.0
 
 
+def test_estimates_pair_at_other_times_rejected(euclid3, green3):
+    # states paired by position must be states at the same times
+    params = pg.BarenblattParams.from_mass(3, 2.0, 1.0)
+    grid = pg.RadialGrid.make(euclid3, 12.0, 300)
+    rec = exact_record(euclid3, params, grid, [0.0, 0.5, 1.0, 2.0])
+    pair = exact_record(euclid3, params, grid, [0.0, 4.0, 8.0])
+    with pytest.raises(ValueError, match="snapshot times"):
+        pg.verify_solution_estimates(rec, green=green3, pair=pair)
+
+
 def test_estimates_skip_triple_when_underresolved(euclid3, green3,
                                                   mass1_params):
     grid = pg.RadialGrid.make(euclid3, 12.0, 200)

@@ -147,3 +147,57 @@ def test_divergence_diagnostics_visible(euclid5, green5):
     assert len(diag.corrected) == len(diag.horizons)
     assert math.isfinite(diag.outer_truncated)
     assert diag.slope_at_horizon == pytest.approx(-1.5, abs=0.1)
+
+
+# -- exact references for slow tails ------------------------------------------
+
+def euclid3_powerlaw_l1g(a):
+    # 4 pi int_0^1 (1 + r)^-a r^2 dr + int_1^inf (1 + r)^-a r dr, with u = 1 + r
+    F = lambda u: (u ** (3.0 - a) / (3.0 - a) - 2.0 * u ** (2.0 - a) / (2.0 - a)
+                   + u ** (1.0 - a) / (1.0 - a))
+    return (4.0 * math.pi * (F(2.0) - F(1.0)) + 2.0 ** (2.0 - a) / (a - 2.0)
+            - 2.0 ** (1.0 - a) / (a - 1.0))
+
+
+@pytest.mark.parametrize("a, value", [(2.2, 5.27790013663),
+                                      (2.1, 10.2626427205),
+                                      (2.05, 20.2508973367)])
+def test_l1g_norm_slow_tails_match_closed_form(euclid3, green3, a, value):
+    assert euclid3_powerlaw_l1g(a) == pytest.approx(value, rel=1e-10)
+    res = pg.l1g_norm(euclid3, lambda r: (1.0 + np.asarray(r)) ** -a,
+                      green=green3)
+    assert res.converged
+    assert res.total == pytest.approx(value, rel=1e-4)
+    # the default schedule is the first one; growth only extends it
+    assert res.horizons[:4] == pg.weighted.DEFAULT_HORIZONS
+    assert all(b == 10.0 * h for h, b in zip(res.horizons[3:], res.horizons[4:]))
+    assert res.truncation_radius <= pg.numerics.HORIZON_CAP
+
+
+@pytest.mark.parametrize("a", [1.95, 2.0])
+def test_l1g_norm_at_or_below_two_diverges(euclid3, green3, a):
+    res = pg.l1g_norm(euclid3, lambda r: (1.0 + np.asarray(r)) ** -a,
+                      green=green3)
+    assert not res.converged
+    assert res.total == math.inf
+
+
+# power_log:4:3:0.5 references from mpmath in s = log r, breakpoints
+# [0, 5, 20, 60, 200, inf], with G itself the same integral of 1/S
+@pytest.mark.parametrize("a, l1g", [(3.05, 0.52611372414362042763),
+                                    (3.5, 0.32423950410623856803)])
+def test_l1g_norm_power_log_matches_mpmath(a, l1g):
+    prof = pg.make_profile(form="power_log", dimension=4,
+                           params={"lam": 3.0, "sigma": 0.5})
+    cls = pg.powerlaw_classify(prof, a)
+    assert cls.consistent and cls.l1g_diag.converged
+    assert cls.l1g_diag.total == pytest.approx(l1g, rel=1e-6)
+
+
+def test_l1_norm_power_log_at_three_and_a_half():
+    # a = 3.5 reads consistent: the r^-1.5 (log r)^0.5 tail is integrable
+    prof = pg.make_profile(form="power_log", dimension=4,
+                           params={"lam": 3.0, "sigma": 0.5})
+    res = pg.l1_norm_radial(prof, lambda r: (1.0 + np.asarray(r)) ** -3.5)
+    assert res.converged
+    assert res.total == pytest.approx(5.789343622933990821, rel=1e-5)
