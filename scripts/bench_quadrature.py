@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Time the quadrature layer: weighted norms, tail tables and the smoothing
-bound's radius inversion, and count the scalar `quad` calls they make.
+"""Time the quadrature layer: weighted norms, tail tables, radial potentials
+and the smoothing bound's radius inversion, and count the scalar `quad`
+calls they make.
 
     PYTHONPATH=src python3 scripts/bench_quadrature.py --label after
 
@@ -14,6 +15,12 @@ round:
   GreenData's edges, and us per point read inside the edges (1000 radii in
   [0.25, 30]), just beyond the last edge (20 radii in [2e7, 1e12]) and far
   beyond it (20 radii in [1e25, 1e30]), each read as one array call;
+- `potential`: ms per `potential_of_cells` call on uniform grids of 250,
+  1000 and 4000 cells on [0, 12] (cell averages of e^-r), and ms to build a
+  `RadialPotential` of the indicator of the unit ball and evaluate it at 41
+  radii log-spaced on [0.1, 1e3] in one array call, on euclidean:3 and on
+  power_log:4:3:0.5, with one GreenData per profile built before the clock
+  starts;
 - `evaluate_l1_us`: us per `SmoothingBound.evaluate_l1` on power_log:4:3:0.5
   with power_log growth k = 3, b = 0.5, r0 = 2, m = 2, at 40 times in
   [1, 1e6];
@@ -45,6 +52,8 @@ INSIDE = np.geomspace(0.25, 30.0, 1000)
 BEYOND = np.geomspace(2e7, 1e12, 20)
 FAR = np.geomspace(1e25, 1e30, 20)
 BOUND_TIMES = np.geomspace(1.0, 1e6, 40)
+POTENTIAL_CELLS = (250, 1000, 4000)
+POTENTIAL_RADII = np.geomspace(0.1, 1e3, 41)
 
 
 def power_log_profile():
@@ -123,6 +132,31 @@ def main(argv=None) -> int:
           + ", ".join(f"{key[:-13]} {val:.3f} us/point"
                       for key, val in tail_table.items() if key != "build_ms"))
 
+    potential = {"of_cells_ms": {}, "radial_potential_ms": {}}
+    unit_ball = lambda r: np.where(np.asarray(r) <= 1.0, 1.0, 0.0)
+    for name, profile in (("euclidean:3", pg.make_profile(form="euclidean",
+                                                          dimension=3)),
+                          ("power_log:4:3:0.5", power_log_profile())):
+        green = pg.GreenData(profile)
+        green.exact(1.0)
+        of_cells = {}
+        for cells in POTENTIAL_CELLS:
+            grid = pg.RadialGrid.make(profile, 12.0, cells)
+            u = grid.cell_average(lambda r: np.exp(-np.asarray(r, dtype=float)))
+            wall, calls = timed(lambda: pg.potential_of_cells(
+                profile, grid.edges, u, green=green), args.repeats)
+            of_cells[str(cells)] = round(wall * 1e3, 3)
+            quad_calls[f"potential_of_cells {name} {cells}"] = calls
+        wall, calls = timed(lambda: pg.RadialPotential(
+            profile, unit_ball, 1.0, green=green)(POTENTIAL_RADII), args.repeats)
+        potential["of_cells_ms"][name] = of_cells
+        potential["radial_potential_ms"][name] = round(wall * 1e3, 3)
+        quad_calls[f"radial_potential {name}"] = calls
+        print(f"potentials on {name}: potential_of_cells "
+              + ", ".join(f"{c} cells {ms:.3f} ms" for c, ms in of_cells.items())
+              + f"; RadialPotential {potential['radial_potential_ms'][name]:.3f} ms")
+
+    profile = power_log_profile()
     growth = pg.make_growth(form="power_log", params={"k": 3.0, "b": 0.5},
                             r0=2.0)
     bound = pg.SmoothingBound.from_profile(profile, 2.0, growth)
@@ -137,7 +171,7 @@ def main(argv=None) -> int:
     doc.setdefault("runs", {})[args.label] = {
         "machine": machine(), "repeats": args.repeats,
         "classify_ms": classify, "tail_table": tail_table,
-        "evaluate_l1_us": evaluate_l1_us, "quad_calls": quad_calls}
+        "potential": potential, "evaluate_l1_us": evaluate_l1_us, "quad_calls": quad_calls}
     out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return 0
 

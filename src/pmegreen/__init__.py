@@ -16,8 +16,7 @@ from .geometry import (AssumptionReport, GrowthFunction, RicciReport,
                        unit_sphere_area)
 from .green import (BallIntegralResult, GreenBoundReport, GreenData,
                     PotentialSandwich, RadialPotential, ball_integral,
-                    green_bounds, green_exact, green_surrogate,
-                    potential_of_cells, sandwich_check)
+                    green_bounds, potential_of_cells, sandwich_check)
 from .smoothing import (BoundEvaluation, LogVolumeFamily, PowerVolumeFamily,
                         SmoothingBound, family_rate, green_ball_envelope,
                         lambert_w0, smoothing_bound_l1g)
@@ -38,8 +37,7 @@ __all__ = [
     "unit_ball_volume", "unit_sphere_area",
     "BallIntegralResult", "GreenBoundReport", "GreenData",
     "PotentialSandwich", "RadialPotential", "ball_integral", "green_bounds",
-    "green_exact", "green_surrogate", "potential_of_cells",
-    "sandwich_check",
+    "potential_of_cells", "sandwich_check",
     "WeightedNorm", "PowerLawClass", "SeparatingSequence", "l1g_norm",
     "l1_norm_radial", "powerlaw_classify", "build_separating_sequence",
     "BoundEvaluation", "SmoothingBound", "PowerVolumeFamily",

@@ -26,7 +26,8 @@ import numpy as np
 from . import __version__
 from .geometry import (GrowthError, ProfileError, check_assumptions,
                        make_growth, make_profile)
-from .green import GreenData, ParabolicProfileError, green_bounds
+from .green import (GreenData, ParabolicProfileError, green_bounds,
+                    volume_power_law)
 from .numerics import loglog_slope
 from .smoothing import SmoothingBound, smoothing_bound_l1g
 from .solver import (BarenblattParams, RadialGrid, barenblatt_datum,
@@ -385,15 +386,6 @@ def _resolve_growth(desc):
         raise ConfigError(f"growth: {exc}") from exc
 
 
-def _volume_exponent(profile):
-    """lam of a closed-form V = c r^lam profile; None for the other forms."""
-    if profile.form == "euclidean":
-        return float(profile.dimension)
-    if profile.form == "power":
-        return float(profile.params["lam"])
-    return None
-
-
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
@@ -464,6 +456,25 @@ def _run_check(scn, tol, out_dir):
             "metrics": metrics, "checks": checks, "passed": report.passed}
 
 
+def _check_green_values(p, radii, g_exact, g_surr):
+    """Reject the first radius where G or Ghat is not finite and positive:
+    its `params.radii` entry, or for a generated range `params.r_max` where
+    they underflow to 0 and `params.r_min` otherwise."""
+    bad = ~(np.isfinite(g_exact) & (g_exact > 0.0) &
+            np.isfinite(g_surr) & (g_surr > 0.0))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        if "radii" in p:
+            where = f"params.radii[{i}]"
+        else:
+            where = ("params.r_max" if min(g_exact[i], g_surr[i]) == 0.0
+                     else "params.r_min")
+        raise ConfigError(
+            f"{where}: G = {g_exact[i]:g} and Ghat = {g_surr[i]:g} at "
+            f"r = {radii[i]:g}; both must be finite and positive in double "
+            "precision")
+
+
 def _run_green(scn, tol, out_dir):
     profile = _resolve_profile(scn["profile"])
     growth = _resolve_growth(scn["growth"])
@@ -473,20 +484,24 @@ def _run_green(scn, tol, out_dir):
     want_bounds = p.get("bounds", growth is not None)
     columns = ["r", "green_exact", "green_surrogate", "ratio"]
     checks, metrics = {}, {}
+    if want_bounds and growth is None:
+        raise ConfigError("green bounds need a growth descriptor")
+    # radii where G or Ghat leave double precision are rejected below
+    with np.errstate(all="ignore"):
+        if want_bounds:
+            report = green_bounds(profile, growth, radii,
+                                  use_surrogate=p["use_surrogate"],
+                                  c1=p["c1"], c2=p["c2"])
+            g_exact, g_surr = report.green_values, report.surrogate_values
+        else:
+            gd = GreenData(profile)
+            g_exact, g_surr = gd.exact(radii), gd.surrogate(radii)
+    _check_green_values(p, radii, g_exact, g_surr)
     if want_bounds:
-        if growth is None:
-            raise ConfigError("green bounds need a growth descriptor")
-        report = green_bounds(profile, growth, radii,
-                              use_surrogate=p["use_surrogate"],
-                              c1=p["c1"], c2=p["c2"])
         columns += ["lower_far", "upper_tail", "upper_near",
                     "lower_ok", "tail_ok", "near_ok"]
-        g_exact, g_surr = report.green_values, report.surrogate_values
         checks["bounds_hold"] = bool(report.all_ok)
         metrics.update(c1=report.c1, c2=report.c2)
-    else:
-        gd = GreenData(profile)
-        g_exact, g_surr = gd.exact(radii), gd.surrogate(radii)
     rows = []
     for i, r in enumerate(radii):
         ge, gs = float(g_exact[i]), float(g_surr[i])
@@ -501,9 +516,9 @@ def _run_green(scn, tol, out_dir):
     ratios = np.array([row["ratio"] for row in rows])
     metrics["ratio_min"] = float(ratios.min())
     metrics["ratio_max"] = float(ratios.max())
-    lam = _volume_exponent(profile)
-    if lam is not None:
-        expected = 1.0 / lam
+    law = volume_power_law(profile)
+    if law is not None:
+        expected = 1.0 / law[1]
         metrics["ratio_expected"] = expected
         checks["ratio_constant"] = bool(
             np.max(np.abs(ratios - expected)) <= tol["rel"] * expected)
@@ -572,8 +587,9 @@ def _run_bound(scn, tol, out_dir):
                               "sit in the large-time regime")
         slope = loglog_slope(ts[large], vals[large])
         metrics["fitted_slope"] = slope
-        lam = _volume_exponent(profile)
-        if lam is not None:
+        law = volume_power_law(profile)
+        if law is not None:
+            lam = law[1]
             predicted = -lam / ((m - 1.0) * lam + 2.0)
             metrics["predicted_slope"] = predicted
             checks["slope_matches"] = bool(

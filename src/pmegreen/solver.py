@@ -132,21 +132,14 @@ class RadialGrid:
     def cells(self) -> int:
         return self.centers.size
 
-    def cell_average(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        weighted = gauss_panels(
-            lambda r: np.asarray(fn(r), dtype=float) *
-            np.asarray(self.profile.area(r), dtype=float), self.edges)
-        return weighted / self.cell_volumes
-
     def cell_weights(self, weight: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Per-cell integrals of weight(r) S(r) dr."""
         return gauss_panels(
             lambda r: np.asarray(weight(r), dtype=float) *
             np.asarray(self.profile.area(r), dtype=float), self.edges)
 
-    def green_weights(self, green: Optional[GreenData] = None) -> np.ndarray:
-        gd = green or GreenData(self.profile)
-        return self.cell_weights(lambda r: np.asarray(gd.exact(r), dtype=float))
+    def cell_average(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        return self.cell_weights(fn) / self.cell_volumes
 
 
 @dataclass
@@ -660,7 +653,7 @@ def verify_solution_estimates(record: RunRecord,
     grid, m = record.grid, record.m
     if len(record.states) < 2:
         raise ValueError("estimate checks need at least two snapshots")
-    gw = grid.green_weights(green)
+    gw = grid.cell_weights((green or GreenData(grid.profile)).exact)
     times = record.times
     checks = []
 

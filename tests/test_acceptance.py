@@ -29,9 +29,10 @@ def test_criterion_01_euclidean_green_identity():
         prof = pg.make_profile(form="euclidean", dimension=n)
         sigma = pg.unit_sphere_area(n)
         omega = pg.unit_ball_volume(n)
+        green = pg.GreenData(prof)
         for r in (0.5, 1.0, 2.0, 10.0):
-            ge = pg.green_exact(prof, r)
-            gs = pg.green_surrogate(prof, r)
+            ge = green.exact(r)
+            gs = green.surrogate(r)
             ref_e = r ** (2 - n) / ((n - 2) * sigma)
             ref_s = r ** (2 - n) / ((n - 2) * omega)
             worst_exact = max(worst_exact, abs(ge / ref_e - 1.0))

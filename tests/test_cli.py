@@ -406,6 +406,32 @@ def test_reversed_range_flags_are_exit_two(tmp_path, capsys):
         capsys.readouterr().err)
 
 
+# G = r^-3 / (3 sigma_5) overflows at 5e-324 and underflows to 0 at 1e200
+@pytest.mark.parametrize("radii, key", [("5e-324,1", "params.radii[0]"),
+                                        ("1,1e200", "params.radii[1]")])
+def test_green_radii_outside_double_range_are_exit_two(tmp_path, capsys,
+                                                       radii, key):
+    assert main(["green", "--profile", "euclidean:5", "--growth", "power:5",
+                 "--radii", radii, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {key}:" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("params, key", [
+    ({"r_min": 1e-320, "r_max": 1.0, "count": 5}, "params.r_min"),
+    ({"r_min": 1.0, "r_max": 1e200, "count": 5}, "params.r_max")])
+def test_green_range_outside_double_range_is_exit_two(tmp_path, capsys,
+                                                      params, key):
+    cfg = write_config(tmp_path, {
+        "schema_version": SCHEMA_VERSION, "kind": "green", "name": "g",
+        "profile": {"form": "euclidean", "dimension": 5}, "params": params})
+    assert main(["green", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"error: {key}:" in capsys.readouterr().err
+    assert not any((tmp_path / "out").iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ["green", "--profile", "power_log:3:2.1:-0.97"],
     ["green", "--profile", "power_log:3:2.1:-0.9677048587908412"],

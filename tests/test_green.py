@@ -11,32 +11,33 @@ from scipy.interpolate import PchipInterpolator
 
 import pmegreen as pg
 from pmegreen.green import ParabolicProfileError
+from pmegreen.numerics import gauss_panels
 
 
 def test_euclidean_closed_forms(euclid3, euclid5):
-    assert pg.green_exact(euclid3, 1.0) == pytest.approx(
+    assert pg.GreenData(euclid3).exact(1.0) == pytest.approx(
         1.0 / (4.0 * math.pi), rel=1e-12)
-    assert pg.green_surrogate(euclid3, 1.0) == pytest.approx(
+    assert pg.GreenData(euclid3).surrogate(1.0) == pytest.approx(
         3.0 / (4.0 * math.pi), rel=1e-12)
-    assert pg.green_exact(euclid5, 2.0) == pytest.approx(
+    assert pg.GreenData(euclid5).exact(2.0) == pytest.approx(
         1.0 / (64.0 * math.pi ** 2), rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_exact_to_surrogate_ratio_euclidean(n):
-    prof = pg.make_profile(form="euclidean", dimension=n)
+    green = pg.GreenData(pg.make_profile(form="euclidean", dimension=n))
     for r in (0.5, 1.0, 2.0, 10.0):
-        ratio = pg.green_exact(prof, r) / pg.green_surrogate(prof, r)
+        ratio = green.exact(r) / green.surrogate(r)
         assert ratio == pytest.approx(1.0 / n, rel=1e-12)
 
 
 def test_exact_to_surrogate_ratio_power_profile():
     # V = c r^lam gives ratio 1/lam, independent of c
     for coeff in (0.2, 0.5):
-        prof = pg.make_profile(form="power", dimension=4,
-                               params={"lam": 3.0, "coeff": coeff})
+        green = pg.GreenData(pg.make_profile(form="power", dimension=4,
+                                             params={"lam": 3.0, "coeff": coeff}))
         for r in (0.5, 2.0, 50.0):
-            ratio = pg.green_exact(prof, r) / pg.green_surrogate(prof, r)
+            ratio = green.exact(r) / green.surrogate(r)
             assert ratio == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
@@ -45,20 +46,36 @@ def test_warped_identity_green_matches_euclidean(euclid3):
                            params={"phi": lambda r: np.asarray(r,
                                                                dtype=float)})
     for r in (0.5, 1.0, 2.0, 10.0):
-        assert pg.green_exact(prof, r) == pytest.approx(
-            pg.green_exact(euclid3, r), rel=1e-10)
+        assert pg.GreenData(prof).exact(r) == pytest.approx(
+            pg.GreenData(euclid3).exact(r), rel=1e-10)
 
 
 def test_parabolic_profile_rejected():
     prof = pg.make_profile(form="warped", dimension=3,
                            params={"phi": np.tanh})
     with pytest.raises(ParabolicProfileError):
-        pg.green_exact(prof, 1.0)
+        pg.GreenData(prof).exact(1.0)
+
+
+@pytest.mark.parametrize("spec", [
+    {"form": "euclidean", "dimension": 3},
+    {"form": "power", "dimension": 4, "params": {"lam": 3.0, "coeff": 0.5}},
+    {"form": "power_log", "dimension": 4,
+     "params": {"lam": 3.0, "sigma": 0.5}},
+], ids=["euclidean", "power", "power_log"])
+@pytest.mark.parametrize("r", [0.0, -1.0, np.array([0.5, 2.0, -1.0])],
+                         ids=["zero", "negative", "array"])
+def test_green_rejects_nonpositive_radii(spec, r):
+    green = pg.GreenData(pg.make_profile(**spec))
+    for evaluate in (green.exact, green.surrogate):
+        with pytest.raises(ValueError, match="positive radii"):
+            evaluate(r)
 
 
 def test_green_data_interpolant_accuracy(euclid5, green5):
     rs = np.geomspace(2e-4, 5e6, 40)
-    exact = np.array([pg.green_exact(euclid5, float(r)) for r in rs])
+    closed = pg.GreenData(euclid5)
+    exact = np.array([closed.exact(float(r)) for r in rs])
     interp = np.asarray(green5.exact(rs), dtype=float)
     assert np.allclose(interp, exact, rtol=1e-7)
 
@@ -96,11 +113,11 @@ def test_green_power_log_matches_mpmath():
     with mp.workdps(20):
         g_ref = _mp_tails(lambda s: 1 / area(s), REFERENCE_RADII)
         s_ref = _mp_tails(lambda t: t / volume(t), REFERENCE_RADII)
-    assert np.allclose(pg.green_exact(prof, REFERENCE_RADII), g_ref,
+    green = pg.GreenData(prof)
+    assert np.allclose(green.exact(REFERENCE_RADII), g_ref, rtol=1e-9, atol=0.0)
+    assert np.allclose(green.surrogate(REFERENCE_RADII), s_ref,
                        rtol=1e-9, atol=0.0)
-    assert np.allclose(pg.green_surrogate(prof, REFERENCE_RADII), s_ref,
-                       rtol=1e-9, atol=0.0)
-    assert pg.green_exact(prof, 1.0) == pytest.approx(g_ref[2], rel=1e-9)
+    assert green.exact(1.0) == pytest.approx(g_ref[2], rel=1e-9)
     # Green mass of the ball of radius 3: G(3) V(3) + int_0^3 V/S
     with mp.workdps(20):
         inner = float(mp.quad(lambda s: volume(s) / area(s), [0, 3]))
@@ -137,9 +154,9 @@ def test_green_tabulated_matches_mpmath():
     with mp.workdps(20):
         g_ref = _mp_tails(lambda s: 1 / area(s), REFERENCE_RADII, knots[1:])
         s_ref = _mp_tails(lambda t: t / volume(t), REFERENCE_RADII, knots[1:])
-    assert np.allclose(pg.green_exact(prof, REFERENCE_RADII), g_ref,
-                       rtol=1e-6, atol=0.0)
-    assert np.allclose(pg.green_surrogate(prof, REFERENCE_RADII), s_ref,
+    green = pg.GreenData(prof)
+    assert np.allclose(green.exact(REFERENCE_RADII), g_ref, rtol=1e-6, atol=0.0)
+    assert np.allclose(green.surrogate(REFERENCE_RADII), s_ref,
                        rtol=1e-6, atol=0.0)
 
 
@@ -157,7 +174,7 @@ def test_ball_integral_surrogate_identity(euclid5, growth5):
     # I_hat(R) = G_hat(R) V(R) + R^2 / 2
     for R in (1.0, 3.0, 8.0):
         res = pg.ball_integral(euclid5, R, growth5, use_surrogate=True)
-        ghat = pg.green_surrogate(euclid5, R)
+        ghat = pg.GreenData(euclid5).surrogate(R)
         expected = ghat * float(euclid5.volume(R)) + R * R / 2.0
         assert res.value == pytest.approx(expected, rel=1e-10)
         assert res.value <= res.bound * (1.0 + 1e-9)
@@ -170,9 +187,22 @@ def test_green_bounds_surrogate_mode(euclid5, growth5):
     assert rep.all_ok
     # gamma = 1 here, so the distant upper bound is attained exactly
     far = radii >= growth5.r0
-    ghat = np.array([pg.green_surrogate(euclid5, float(r))
-                     for r in radii[far]])
+    ghat = pg.GreenData(euclid5).surrogate(radii[far])
     assert np.allclose(rep.upper_tail[far], ghat, rtol=1e-9)
+
+
+def test_green_bounds_fail_where_the_tail_bound_is_not_finite(euclid5,
+                                                              growth5):
+    # r f(r) and V(r) overflow at r = 1e100, so the tail bound is nan there;
+    # below r0 = 1 it does not apply and is nan as well
+    radii = np.array([0.5, 2.0, 1e100])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = pg.green_bounds(euclid5, growth5, radii, use_surrogate=True)
+    assert np.isnan(rep.upper_tail[[0, 2]]).all()
+    assert rep.tail_ok.tolist() == [True, True, False]
+    assert not rep.all_ok
+    assert pg.green_bounds(euclid5, growth5, radii[:2],
+                           use_surrogate=True).all_ok
 
 
 def test_green_bounds_power_profile():
@@ -228,16 +258,73 @@ def test_potential_linearity(euclid3, a, b):
         assert pc(r) == pytest.approx(a * pa(r) + b * pb(r), rel=1e-6)
 
 
-def test_potential_of_cells_matches_continuum(euclid3):
-    grid = pg.RadialGrid.make(euclid3, 10.0, 400)
+POWER_LOG = {"form": "power_log", "dimension": 4,
+             "params": {"lam": 3.0, "sigma": 0.5}}
+
+
+@pytest.mark.parametrize("spec, spacing", [
+    ({"form": "euclidean", "dimension": 3}, "uniform"),
+    (POWER_LOG, "uniform"),
+    ({"form": "euclidean", "dimension": 3}, "geometric"),
+], ids=["euclidean3", "power_log", "euclidean3-geometric"])
+def test_potential_of_cells_matches_continuum(spec, spacing):
+    profile = pg.make_profile(**spec)
+    grid = pg.RadialGrid.make(profile, 10.0, 400, spacing=spacing)
     psi = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2)
     u = grid.cell_average(psi)
-    centers_u, faces_u = pg.potential_of_cells(euclid3, grid.edges, u)
-    pot = pg.RadialPotential(euclid3, psi, 10.0)
+    centers_u, faces_u = pg.potential_of_cells(profile, grid.edges, u)
+    pot = pg.RadialPotential(profile, psi, 10.0)
     cont = np.asarray(pot(grid.centers), dtype=float)
     assert np.max(np.abs(centers_u - cont)) <= 1e-3 * np.max(cont)
     # faces are a nonincreasing potential profile
     assert np.all(np.diff(faces_u) <= 1e-15)
+
+
+def reference_potential_of_cells(profile, edges, u, green):
+    """The cell potential built on 2N half panels: faces from the reverse
+    cumulative sum of one Gauss panel of enclosed/S per cell, centres from
+    the even half panels [centre_j, e_{j+1}], the odd seam panels unused."""
+    vol_edges = np.asarray(profile.volume(edges), dtype=float)
+    vol_edges[0] = 0.0 if edges[0] == 0.0 else vol_edges[0]
+    mass_faces = np.concatenate([[0.0], np.cumsum(u * np.diff(vol_edges))])
+
+    def mass_over_area(s):
+        idx = np.clip(np.searchsorted(edges, s, side="right") - 1, 0,
+                      u.size - 1)
+        enclosed = mass_faces[idx] + u[idx] * (
+            np.asarray(profile.volume(s), dtype=float) - vol_edges[idx])
+        return enclosed / np.asarray(profile.area(s), dtype=float)
+
+    faces = np.empty(u.size + 1)
+    faces[-1] = mass_faces[-1] * float(green.exact(float(edges[-1])))
+    faces[:-1] = faces[-1] + np.cumsum(
+        gauss_panels(mass_over_area, edges)[::-1])[::-1]
+    centers = 0.5 * (edges[1:] + edges[:-1])
+    half_edges = np.empty(2 * u.size)
+    half_edges[0::2] = centers
+    half_edges[1::2] = edges[1:]
+    half_parts = gauss_panels(mass_over_area, half_edges)
+    return faces[1:] + half_parts[0::2], faces
+
+
+@pytest.mark.parametrize("spec", [{"form": "euclidean", "dimension": 3},
+                                  POWER_LOG], ids=["euclidean3", "power_log"])
+@pytest.mark.parametrize("cells, spacing", [(250, "uniform"),
+                                            (1000, "uniform"),
+                                            (4000, "uniform"),
+                                            (300, "geometric")])
+def test_potential_of_cells_matches_half_panel_reference(spec, cells,
+                                                         spacing):
+    profile = pg.make_profile(**spec)
+    green = pg.GreenData(profile)
+    grid = pg.RadialGrid.make(profile, 12.0, cells, spacing=spacing)
+    u = grid.cell_average(lambda r: np.exp(-np.asarray(r, dtype=float)))
+    centers_u, faces_u = pg.potential_of_cells(profile, grid.edges, u,
+                                               green=green)
+    ref_centers, ref_faces = reference_potential_of_cells(
+        profile, grid.edges, u, green)
+    assert np.array_equal(centers_u, ref_centers)
+    assert np.array_equal(faces_u, ref_faces)
 
 
 def test_sandwich_check_euclidean(euclid3):

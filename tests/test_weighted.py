@@ -81,7 +81,7 @@ def test_weighted_norm_inclusion_bound(euclid5, green5):
     # plain norm with constant max(1, sup_{r>=1} G) = max(1, G(1))
     plain = pg.l1_norm_radial(euclid5, expdecay)
     weighted = pg.l1g_norm(euclid5, expdecay, green=green5)
-    cap = max(1.0, pg.green_exact(euclid5, 1.0))
+    cap = max(1.0, pg.GreenData(euclid5).exact(1.0))
     assert weighted.total <= cap * plain.total * (1.0 + 1e-9)
 
 
