@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
 """Time the quadrature layer: weighted norms, tail tables, radial potentials
-and the smoothing bound's radius inversion, and count the scalar `quad`
-calls they make.
+and the smoothing bound's radius inversion.
 
     PYTHONPATH=src python3 scripts/bench_quadrature.py --label after
 
@@ -13,8 +12,9 @@ round:
   per profile built before the clock starts;
 - `tail_table`: ms to build the TailTable of 1/S on power_log:4:3:0.5 over
   GreenData's edges, and us per point read inside the edges (1000 radii in
-  [0.25, 30]), just beyond the last edge (20 radii in [2e7, 1e12]) and far
-  beyond it (20 radii in [1e25, 1e30]), each read as one array call;
+  [0.25, 30]), just beyond the last edge (20 radii in [2e7, 1e12]), far
+  beyond it (20 radii in [1e25, 1e30]) and below the first edge 1e-4 (200
+  radii in [1e-12, 9e-5]), each read as one array call;
 - `potential`: ms per `potential_of_cells` call on uniform grids of 250,
   1000 and 4000 cells on [0, 12] (cell averages of e^-r), and ms to build a
   `RadialPotential` of the indicator of the unit ball and evaluate it at 41
@@ -23,9 +23,7 @@ round:
   starts;
 - `evaluate_l1_us`: us per `SmoothingBound.evaluate_l1` on power_log:4:3:0.5
   with power_log growth k = 3, b = 0.5, r0 = 2, m = 2, at 40 times in
-  [1, 1e6];
-- `quad_calls`: calls of scipy's `quad` inside pmegreen.numerics during the
-  untimed round, per item above.
+  [1, 1e6].
 
 The figures go into --out (default BENCH_quadrature.json) under --label,
 beside the runs of other labels already there, with the machine and the
@@ -51,6 +49,7 @@ POWER_LOG_EXPONENTS = (2.0, 2.5, 3.5, 4.5)
 INSIDE = np.geomspace(0.25, 30.0, 1000)
 BEYOND = np.geomspace(2e7, 1e12, 20)
 FAR = np.geomspace(1e25, 1e30, 20)
+BELOW = np.geomspace(1e-12, 9e-5, 200)
 BOUND_TIMES = np.geomspace(1.0, 1e6, 40)
 POTENTIAL_CELLS = (250, 1000, 4000)
 POTENTIAL_RADII = np.geomspace(0.1, 1e3, 41)
@@ -61,33 +60,15 @@ def power_log_profile():
                            params={"lam": 3.0, "sigma": 0.5})
 
 
-def counted(fn):
-    """fn() -> (seconds, quad calls) with scipy's quad counted."""
-    quad = pg.numerics.quad
-    calls = [0]
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return quad(*args, **kwargs)
-
-    pg.numerics.quad = counting
-    try:
-        tic = time.perf_counter()
-        fn()
-        return time.perf_counter() - tic, calls[0]
-    finally:
-        pg.numerics.quad = quad
-
-
-def timed(fn, repeats: int) -> tuple:
-    """(median seconds over repeats, quad calls of one untimed round)."""
-    _, calls = counted(fn)
+def timed(fn, repeats: int) -> float:
+    """Median seconds of fn() over repeats, after one untimed round."""
+    fn()
     walls = []
     for _ in range(repeats):
         tic = time.perf_counter()
         fn()
         walls.append(time.perf_counter() - tic)
-    return statistics.median(walls), calls
+    return statistics.median(walls)
 
 
 def main(argv=None) -> int:
@@ -100,34 +81,29 @@ def main(argv=None) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
 
-    classify, quad_calls = {}, {}
+    classify = {}
     cases = (("euclidean:5", pg.make_profile(form="euclidean", dimension=5),
               EUCLID5_EXPONENTS),
              ("power_log:4:3:0.5", power_log_profile(), POWER_LOG_EXPONENTS))
     for name, profile, exponents in cases:
         green = pg.GreenData(profile)
         green.exact(1.0)  # builds the table of a non-closed profile
-        wall, calls = timed(lambda: [pg.powerlaw_classify(profile, a,
-                                                          green=green)
-                                     for a in exponents], args.repeats)
+        wall = timed(lambda: [pg.powerlaw_classify(profile, a, green=green)
+                              for a in exponents], args.repeats)
         classify[name] = round(wall / len(exponents) * 1e3, 3)
-        quad_calls[f"classify {name}"] = calls
-        print(f"powerlaw_classify on {name}: {classify[name]:.3f} ms "
-              f"({calls} quad calls)")
+        print(f"powerlaw_classify on {name}: {classify[name]:.3f} ms")
 
     profile = power_log_profile()
     inv_area = lambda s: 1.0 / np.asarray(profile.area(s), dtype=float)
     edges = pg.GreenData(profile).edges
     build = lambda: pg.numerics.TailTable(inv_area, edges, "Green tail integral")
-    wall, calls = timed(build, args.repeats)
+    wall = timed(build, args.repeats)
     table = build()
     tail_table = {"build_ms": round(wall * 1e3, 3)}
-    quad_calls["tail_table build"] = calls
     for key, radii in (("inside", INSIDE), ("beyond_last_edge", BEYOND),
-                       ("far_beyond", FAR)):
-        wall, calls = timed(lambda: table(radii), args.repeats)
+                       ("far_beyond", FAR), ("below_first_edge", BELOW)):
+        wall = timed(lambda: table(radii), args.repeats)
         tail_table[f"{key}_us_per_point"] = round(wall / radii.size * 1e6, 3)
-        quad_calls[f"tail_table {key}"] = calls
     print(f"TailTable: build {tail_table['build_ms']:.2f} ms, "
           + ", ".join(f"{key[:-13]} {val:.3f} us/point"
                       for key, val in tail_table.items() if key != "build_ms"))
@@ -143,15 +119,13 @@ def main(argv=None) -> int:
         for cells in POTENTIAL_CELLS:
             grid = pg.RadialGrid.make(profile, 12.0, cells)
             u = grid.cell_average(lambda r: np.exp(-np.asarray(r, dtype=float)))
-            wall, calls = timed(lambda: pg.potential_of_cells(
+            wall = timed(lambda: pg.potential_of_cells(
                 profile, grid.edges, u, green=green), args.repeats)
             of_cells[str(cells)] = round(wall * 1e3, 3)
-            quad_calls[f"potential_of_cells {name} {cells}"] = calls
-        wall, calls = timed(lambda: pg.RadialPotential(
+        wall = timed(lambda: pg.RadialPotential(
             profile, unit_ball, 1.0, green=green)(POTENTIAL_RADII), args.repeats)
         potential["of_cells_ms"][name] = of_cells
         potential["radial_potential_ms"][name] = round(wall * 1e3, 3)
-        quad_calls[f"radial_potential {name}"] = calls
         print(f"potentials on {name}: potential_of_cells "
               + ", ".join(f"{c} cells {ms:.3f} ms" for c, ms in of_cells.items())
               + f"; RadialPotential {potential['radial_potential_ms'][name]:.3f} ms")
@@ -160,18 +134,17 @@ def main(argv=None) -> int:
     growth = pg.make_growth(form="power_log", params={"k": 3.0, "b": 0.5},
                             r0=2.0)
     bound = pg.SmoothingBound.from_profile(profile, 2.0, growth)
-    wall, calls = timed(lambda: [bound.evaluate_l1(float(t), 1.0)
-                                 for t in BOUND_TIMES], args.repeats)
+    wall = timed(lambda: [bound.evaluate_l1(float(t), 1.0)
+                          for t in BOUND_TIMES], args.repeats)
     evaluate_l1_us = round(wall / BOUND_TIMES.size * 1e6, 2)
-    quad_calls["evaluate_l1"] = calls
-    print(f"evaluate_l1: {evaluate_l1_us:.1f} us ({calls} quad calls)")
+    print(f"evaluate_l1: {evaluate_l1_us:.1f} us")
 
     out = Path(args.out)
     doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     doc.setdefault("runs", {})[args.label] = {
         "machine": machine(), "repeats": args.repeats,
         "classify_ms": classify, "tail_table": tail_table,
-        "potential": potential, "evaluate_l1_us": evaluate_l1_us, "quad_calls": quad_calls}
+        "potential": potential, "evaluate_l1_us": evaluate_l1_us}
     out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return 0
 

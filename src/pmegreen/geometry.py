@@ -415,39 +415,16 @@ class RicciReport:
 
 
 def ricci_nonneg_check(phi: Callable[[float], float], n: int,
-                       grid: Sequence[float],
-                       dphi: Optional[Callable[[float], float]] = None,
-                       d2phi: Optional[Callable[[float], float]] = None,
-                       tol: float = RICCI_SIGN_TOL) -> RicciReport:
+                       grid: Sequence[float]) -> RicciReport:
     """Sign check of the two curvature expressions of a warped metric.
 
     Radial direction: -phi''/phi. Tangential: -phi''/phi + (n-2)(1 - phi'^2)/phi^2.
-    Derivatives default to Richardson-extrapolated central differences; the
-    tolerance absorbs that differencing noise.
+    Derivatives are Richardson-extrapolated central differences; the
+    tolerance RICCI_SIGN_TOL absorbs that differencing noise.
     """
     grid = np.asarray(grid, dtype=float)
     if np.any(grid <= 0.0):
         raise ValueError("curvature grid must stay away from the pole")
-
-    def second(r: float) -> float:
-        if d2phi is not None:
-            return float(d2phi(r))
-        h = 0.01 * max(r, 1.0)
-        if r - 2.0 * h <= 0.0:
-            h = 0.4 * r
-        d_h = (phi(r + h) - 2.0 * phi(r) + phi(r - h)) / (h * h)
-        d_h2 = (phi(r + h / 2) - 2.0 * phi(r) + phi(r - h / 2)) / (h * h / 4.0)
-        return (4.0 * d_h2 - d_h) / 3.0
-
-    def first(r: float) -> float:
-        if dphi is not None:
-            return float(dphi(r))
-        h = 0.01 * max(r, 1.0)
-        if r - 2.0 * h <= 0.0:
-            h = 0.4 * r
-        d_h = (phi(r + h) - phi(r - h)) / (2.0 * h)
-        d_h2 = (phi(r + h / 2) - phi(r - h / 2)) / h
-        return (4.0 * d_h2 - d_h) / 3.0
 
     radial = np.empty_like(grid)
     tangential = np.empty_like(grid)
@@ -455,11 +432,17 @@ def ricci_nonneg_check(phi: Callable[[float], float], n: int,
         p = float(phi(r))
         if p <= 0.0:
             raise ValueError(f"warping function must be positive, got {p} at r={r}")
-        pp, p2 = first(r), second(r)
+        h = 0.01 * max(r, 1.0)
+        if r - 2.0 * h <= 0.0:
+            h = 0.4 * r
+        a, b, c, d = (phi(r + h), phi(r - h), phi(r + h / 2), phi(r - h / 2))
+        pp = (4.0 * ((c - d) / h) - (a - b) / (2.0 * h)) / 3.0
+        p2 = (4.0 * ((c - 2.0 * p + d) / (h * h / 4.0)) -
+              (a - 2.0 * p + b) / (h * h)) / 3.0
         radial[i] = -p2 / p
         tangential[i] = -p2 / p + (n - 2) * (1.0 - pp * pp) / (p * p)
 
-    bad = (radial < -tol) | (tangential < -tol)
+    bad = (radial < -RICCI_SIGN_TOL) | (tangential < -RICCI_SIGN_TOL)
     first_bad = float(grid[np.argmax(bad)]) if bad.any() else None
     return RicciReport(ok=not bad.any(), first_failing_radius=first_bad,
                        radial=radial, tangential=tangential, grid=grid)

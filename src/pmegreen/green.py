@@ -6,9 +6,10 @@ has one closed form for both: G = r^(2-lam) / (c lam (lam-2)) and Ghat = lam G.
 Every other profile reads G from a tail table of cumulative fixed Gauss
 panels. Nonparabolicity makes G a tail integral; its far end comes from
 numerics' tail model, an r^p (log r)^q fit of 1/S integrated in closed form,
-whose divergence test marks a parabolic profile. Potentials of a source and
-of cell data share one kernel: a reverse cumulative sum of Gauss panels of
-enclosed mass / S, anchored at mass * G at the last panel edge.
+whose divergence test marks a parabolic profile; below its first edge,
+where G blows up like r^(2-n), numerics' pole model takes over. Potentials
+of a source and of cell data share one kernel: a reverse cumulative sum of
+Gauss panels of enclosed mass / S, anchored at mass * G at the last edge.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .geometry import (AssumptionReport, GrowthFunction, VolumeProfile,
                        check_assumptions, unit_ball_volume)
 from .numerics import (IntegralDivergenceError, TailTable, gauss_intervals,
                        gauss_panels)
+from .smoothing import green_ball_envelope
 
 BOUND_SLACK = 1e-9
 
@@ -48,9 +50,9 @@ class GreenData:
     A V = c r^lam profile has G = r^(2-lam) / (c lam (lam-2)) and
     Ghat = r^(2-lam) / (c (lam-2)). The rest get one TailTable of 1/S or t/V
     per kind over `edges`: a log grid on [r_min, r_max] joined with the table
-    radii of a tabulated profile. The table carries on past r_max on its own,
-    so G at any radius above r_min is a table lookup or the tail model's
-    remainder.
+    radii of a tabulated profile. The table carries on past r_max on its own
+    and below r_min through its pole model, so G is read at any positive
+    radius; it is inf where 1/S or t/V overflows.
     """
 
     r_min, r_max = 1e-4, 1e7
@@ -104,7 +106,7 @@ class BallIntegralResult:
 
 def ball_integral(profile: VolumeProfile, radius: float,
                   growth: Optional[GrowthFunction] = None,
-                  c2: float = 1.0, use_surrogate: bool = False,
+                  use_surrogate: bool = False,
                   green: Optional[GreenData] = None) -> BallIntegralResult:
     """Integral of the (surrogate) Green function over the ball of `radius`.
 
@@ -138,13 +140,11 @@ def ball_integral(profile: VolumeProfile, radius: float,
     om = unit_ball_volume(n)
     if R < r0:
         f0 = float(growth.rate(r0))
-        bound = (om * c2 * n / (2.0 * alpha)) * (
+        bound = (om * n / (2.0 * alpha)) * (
             r0 ** n / (n - 2.0) + gamma * beta * f0 * r0 ** (n - 1.0)) * R * R
         regime = "small-radius"
     else:
-        fR = float(growth.rate(R))
-        envelope = R * fR * growth.tail(R) + R * R
-        bound = c2 * max(gamma, 0.5) * envelope
+        bound = max(gamma, 0.5) * green_ball_envelope(growth, R)
         regime = "large-radius"
     return BallIntegralResult(R, value, bound, regime,
                               value <= bound * (1.0 + BOUND_SLACK))
@@ -184,7 +184,8 @@ def green_bounds(profile: VolumeProfile, growth: GrowthFunction,
     exact consequence of the measured assumption constants; in exact mode the
     defaults c1, c2 are the extremes of G/Ghat on a log grid spanning the
     radii and [r0, 100 r0]. A bound holds only where it is finite; the tail
-    bound applies from r0 on and is nan below.
+    bound applies from r0 on and is nan below. The upper bounds never form
+    r^n or V, which overflow long before the bounds do.
     """
     radii = np.asarray(radii, dtype=float)
     rep = check_assumptions(profile, growth)
@@ -213,14 +214,16 @@ def green_bounds(profile: VolumeProfile, growth: GrowthFunction,
     tail = np.full_like(radii, np.nan)
     far = radii >= r0 * (1.0 - 1e-12)
     rf = radii[far]
-    tail[far] = c2 * gamma * (rf * np.asarray(growth.rate(rf), dtype=float) /
-                              np.asarray(profile.volume(rf), dtype=float)
-                              ) * growth.tail(rf)
+    law = volume_power_law(profile)  # r/V = r^(1-lam)/c there
+    r_over_v = (np.power(rf, 1.0 - law[1]) / law[0] if law is not None else
+                rf / np.asarray(profile.volume(rf), dtype=float))
+    tail[far] = c2 * gamma * (np.asarray(growth.rate(rf), dtype=float) *
+                              r_over_v) * growth.tail(rf)
     r_anchor = np.maximum(radii, r0)
     f_anchor = np.asarray(growth.rate(r_anchor), dtype=float)
-    near = (c2 / alpha) * (np.power(r_anchor, n) / (n - 2.0) +
-                           gamma * beta * f_anchor * np.power(r_anchor, n - 1.0)
-                           ) * np.power(radii, 2.0 - n)
+    near = (c2 / alpha) * (r_anchor * r_anchor / (n - 2.0) +
+                           gamma * beta * f_anchor * r_anchor
+                           ) * np.power(r_anchor / radii, n - 2.0)
 
     lower_ok = np.isfinite(lower) & (gvals >= lower * (1.0 - BOUND_SLACK))
     tail_ok = ~far | (np.isfinite(tail) & (gvals <= tail * (1.0 + BOUND_SLACK)))

@@ -1,5 +1,5 @@
 """Numerical kernels: Gauss panels, one tail model for every integral to
-infinity, tail tables, roots, slope fits.
+infinity, one pole model below every tail table, roots, slope fits.
 
 The tail model: past a horizon h, f is fitted as r^p (log r)^q through
 r = h, 4h and 16h, and that fit is integrated to infinity in closed form.
@@ -7,20 +7,20 @@ A tail counts as integrable only when p < -1 - TAIL_SLOPE_MARGIN. Truncated
 integrals sum 5-point Gauss panels in s = log r up to each horizon and add
 the remainder; the horizons grow x10 until the corrected values are Cauchy,
 the fit shows divergence, or HORIZON_CAP is reached.
+
+The pole model: below a table's first edge e0, Gauss panels over the top
+POLE_PANEL_DECADES decades and, below them, a power law c s^p fitted at r
+and 4r, integrated in closed form. Nothing here is adaptive quadrature.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicHermiteSpline
 
-ABS_TOL = 1e-10
-REL_TOL = 1e-12
 # the fitted tail exponent p must clear -1 by this margin for a tail to count
 # as integrable
 TAIL_SLOPE_MARGIN = 0.02
@@ -31,6 +31,8 @@ HORIZON_CAP = 1e15
 # MAX_TAIL_DECADES decades of panels
 TAIL_PANEL_DECADES = 12.0
 MAX_TAIL_DECADES = 100.0
+# decades of Gauss panels below a TailTable's first edge, above its power law
+POLE_PANEL_DECADES = 4
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
 # the tail model's fit points h, 4h, 16h, as multiples of the horizon h
@@ -44,16 +46,6 @@ class IntegralDivergenceError(ArithmeticError):
 
 class BracketError(ValueError):
     """A root bracket could not be established."""
-
-
-def integrate(f: Callable[[float], float], a: float, b: float,
-              abs_tol: float = ABS_TOL) -> float:
-    with warnings.catch_warnings():
-        # roundoff chatter on wide finite ranges; results are cross-checked
-        # against closed forms wherever one exists
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(f, a, b, epsabs=abs_tol, epsrel=REL_TOL, limit=200)
-    return val
 
 
 def gauss_intervals(f: Callable[[np.ndarray], np.ndarray],
@@ -212,6 +204,24 @@ def truncated_tail(f: Callable[[np.ndarray], np.ndarray], start: float,
         exponents=tuple(map(float, exponents)), converged=cauchy())
 
 
+def _power_law_integral(f: Callable[[np.ndarray], np.ndarray], r: np.ndarray,
+                        b: float) -> np.ndarray:
+    """int_r^b c s^p ds for r < b, the power law through f(r) and f(min(4r, b)).
+
+    With L = log(b/r) and x = (p + 1) L this is r f(r) L expm1(x)/x, formed
+    as L e^(log r + log f(r) + max(x, 0)) (1 - e^-|x|)/|x| so that nothing
+    overflows before the result does; +inf where f(r) overflows.
+    """
+    s = np.minimum(_FIT_RATIO * r, b)
+    fr, fs = np.asarray(f(np.concatenate([r, s])), dtype=float).reshape(2, -1)
+    span = math.log(b) - np.log(r)  # b/r itself overflows for subnormal r
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = (np.log(fs / fr) / np.log(s / r) + 1.0) * span
+        shape = np.where(x == 0.0, 1.0, -np.expm1(-np.abs(x)) / np.abs(x))
+        val = span * np.exp(np.log(r) + np.log(fr) + np.maximum(x, 0.0)) * shape
+    return np.where(np.isinf(fr), np.inf, val)
+
+
 class TailTable:
     """T(r) = int_r^inf f of a vectorized positive f, callable on arrays.
 
@@ -222,8 +232,9 @@ class TailTable:
     of the tail. The remainder anchors the far end; T is read through a
     log-log cubic Hermite spline with the exact slope -r f(r)/T(r). Past the
     extended edges T is the tail model's remainder itself, one vectorized
-    call for all such points; below the first edge it is the first-edge
-    value plus a finite integral.
+    call for all such points. Below the first edge e0 it is T(e0) plus the
+    pole model's int_r^e0 f, reading f only inside [r, e0]; +inf where f(r)
+    overflows.
     """
 
     def __init__(self, f: Callable[[np.ndarray], np.ndarray],
@@ -242,7 +253,6 @@ class TailTable:
         # drop far edges where the tail underflows, so its logarithm is finite
         self.edges = rs = rs[vals > 0.0]
         vals = vals[vals > 0.0]
-        self._near = lambda a: integrate(lambda s: float(f(s)), float(a), rs[0])
         self._spline = CubicHermiteSpline(np.log(rs), np.log(vals),
                                           -rs * f(rs) / vals)
 
@@ -255,6 +265,21 @@ class TailTable:
                 f"is not below -1 - {TAIL_SLOPE_MARGIN}")
         return rem, p
 
+    def _near(self, r: np.ndarray) -> np.ndarray:
+        """int_r^e0 f: Gauss panels from max(r, c) to e0, c = e0 10^-D with
+        D = POLE_PANEL_DECADES, and the power law from r to c."""
+        e0 = self.edges[0]
+        c = e0 * 10.0 ** -POLE_PANEL_DECADES
+        top = np.maximum(r, c)
+        edges = np.geomspace(top, e0, PANELS_PER_DECADE * POLE_PANEL_DECADES + 1,
+                             axis=-1)
+        with np.errstate(divide="ignore", over="ignore"):
+            out = gauss_intervals(self._f, edges[:, :-1], edges[:, 1:]).sum(axis=-1)
+            low = r < c
+            if np.any(low):
+                out[low] += _power_law_integral(self._f, r[low], c)
+        return out
+
     def __call__(self, r):
         rr = np.asarray(r, dtype=float)
         flat = rr.ravel()
@@ -263,13 +288,14 @@ class TailTable:
         far = flat > hi
         if np.any(far):
             out[far] = self._far(flat[far])[0]
-        for i in np.flatnonzero(flat < lo):
-            out[i] += self._near(flat[i])
+        near = flat < lo
+        if np.any(near):
+            out[near] += self._near(flat[near])
         return float(out[0]) if rr.ndim == 0 else out.reshape(rr.shape)
 
 
-def invert_increasing(fn: Callable[[float], float], target: float, lo: float,
-                      rel_tol: float = 1e-10) -> float:
+def invert_increasing(fn: Callable[[float], float], target: float,
+                      lo: float) -> float:
     """Solve fn(x) = target for increasing fn on [lo, inf).
 
     Geometric bracket expansion followed by plain bisection; the bisection
@@ -292,7 +318,7 @@ def invert_increasing(fn: Callable[[float], float], target: float, lo: float,
             raise BracketError("bracket expansion overflow before reaching target")
     else:
         raise BracketError("bracket expansion exhausted before reaching target")
-    while (hi - lo) > rel_tol * max(abs(hi), 1e-300):
+    while (hi - lo) > 1e-10 * max(abs(hi), 1e-300):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -301,11 +327,6 @@ def invert_increasing(fn: Callable[[float], float], target: float, lo: float,
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def invert_decreasing(fn: Callable[[float], float], target: float, lo: float,
-                      rel_tol: float = 1e-10) -> float:
-    return invert_increasing(lambda x: -fn(x), -target, lo, rel_tol=rel_tol)
 
 
 def loglog_slope(x: np.ndarray, y: np.ndarray) -> float:

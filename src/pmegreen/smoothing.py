@@ -51,22 +51,19 @@ class BoundEvaluation:
 class SmoothingBound:
     """Scaffolding of the sup-norm decay bound for one (m, geometry) pair.
 
-    volume_floor is the pole-centered volume lower envelope; the radius-to-
-    scale map is volume_floor(R) * envelope(R)^{1/(m-1)}. It is tabulated
-    once on the growth function's knots and inverted there by a bracket
-    lookup and a few secant steps when a bound is evaluated in the
-    large-time regime. An increasing minorant of the envelope may be
-    supplied instead of the growth-driven one; the bound stays valid, just
-    less sharp. volume_floor and envelope take and return arrays.
+    volume_floor is the pole-centered volume lower envelope, a profile's V
+    through from_profile; the radius-to-scale map is
+    volume_floor(R) * green_ball_envelope(R)^{1/(m-1)}. It is tabulated once
+    on the growth function's knots and inverted there by a bracket lookup
+    and a few secant steps when a bound is evaluated in the large-time
+    regime. volume_floor takes and returns arrays. Both branches carry the
+    constant 1.
     """
 
     m: float
     dimension: int
     growth: GrowthFunction
     volume_floor: Callable[[np.ndarray], np.ndarray]
-    envelope: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    c_large: float = 1.0
-    c_small: float = 1.0
     # (log R, log data_scale(R)) on the growth knots, built on first use
     _log_scales: Optional[tuple] = field(default=None, init=False, repr=False)
 
@@ -76,20 +73,14 @@ class SmoothingBound:
 
     @classmethod
     def from_profile(cls, profile: VolumeProfile, m: float,
-                     growth: GrowthFunction, **kwargs) -> "SmoothingBound":
+                     growth: GrowthFunction) -> "SmoothingBound":
         return cls(m=m, dimension=profile.dimension, growth=growth,
-                   volume_floor=profile.volume, **kwargs)
-
-    def envelope_value(self, radius):
-        if self.envelope is not None:
-            env = np.asarray(self.envelope(radius), dtype=float)
-            return float(env) if env.ndim == 0 else env
-        return green_ball_envelope(self.growth, radius)
+                   volume_floor=profile.volume)
 
     def data_scale(self, radius):
         """theta(R): the t^{1/(m-1)} ||u0||_1 scale resolved at radius R."""
         theta = np.asarray(self.volume_floor(radius), dtype=float) * np.asarray(
-            self.envelope_value(radius)) ** (1.0 / (self.m - 1.0))
+            green_ball_envelope(self.growth, radius)) ** (1.0 / (self.m - 1.0))
         return float(theta) if theta.ndim == 0 else theta
 
     @property
@@ -102,11 +93,11 @@ class SmoothingBound:
             raise ValueError("norm1 must be positive")
         return self.scale_threshold ** (self.m - 1.0) * norm1 ** (-(self.m - 1.0))
 
-    def radius_for_scale(self, s: float, rel_tol: float = 1e-10) -> float:
+    def radius_for_scale(self, s: float) -> float:
         """Invert the radius-to-scale map; needs s at or above its r0 value.
 
         The knot table brackets the root; secant steps in log-log, kept in
-        that bracket, stop once a step moves the root by under rel_tol / 100
+        that bracket, stop once a step moves the root by under 1e-12
         relative. Past the last knot the map is inverted by bisection.
         """
         if s < self.scale_threshold * (1.0 - 1e-12):
@@ -124,8 +115,7 @@ class SmoothingBound:
         if i == 0:
             return self.growth.r0
         if i == xs.size:
-            return invert_increasing(self.data_scale, s, math.exp(xs[-1]),
-                                     rel_tol=rel_tol)
+            return invert_increasing(self.data_scale, s, math.exp(xs[-1]))
         lo, hi = xs[i - 1], xs[i]
         xa, fa, xb, fb = lo, ys[i - 1] - target, hi, ys[i] - target
         for _ in range(60):
@@ -133,7 +123,7 @@ class SmoothingBound:
             if not lo < x < hi:
                 x = 0.5 * (lo + hi)
             fx = math.log(self.data_scale(math.exp(x))) - target
-            if fx == 0.0 or abs(x - xb) <= 0.01 * rel_tol:
+            if fx == 0.0 or abs(x - xb) <= 1e-12:
                 break
             if fx < 0.0:
                 lo = x
@@ -157,14 +147,14 @@ class SmoothingBound:
         n = self.dimension
 
         def small_at(s):
-            return self.c_small * s ** (-n / (mm * n + 2.0)) * norm1 ** (
+            return s ** (-n / (mm * n + 2.0)) * norm1 ** (
                 2.0 / (n * mm + 2.0))
 
         if t >= threshold * (1.0 - THRESHOLD_TIE_REL):
             r_star = self.radius_for_scale(max(t ** (1.0 / mm) * norm1,
                                                self.scale_threshold))
-            large = self.c_large * t ** (-1.0 / mm) * self.envelope_value(
-                r_star) ** (1.0 / mm)
+            large = t ** (-1.0 / mm) * green_ball_envelope(
+                self.growth, r_star) ** (1.0 / mm)
             tie = None
             if abs(t - threshold) <= THRESHOLD_TIE_REL * threshold:
                 tie = (large, small_at(t))
@@ -179,8 +169,8 @@ class SmoothingBound:
                                threshold_time=threshold)
 
 
-def smoothing_bound_l1g(m: float, dimension: int, t: float, norm_green: float,
-                        c: float = 1.0) -> BoundEvaluation:
+def smoothing_bound_l1g(m: float, dimension: int, t: float,
+                        norm_green: float) -> BoundEvaluation:
     """Two-regime sup-norm bound from the Green-weighted norm of the data."""
     if m <= 1.0:
         raise ValueError("m must exceed 1")
@@ -189,10 +179,10 @@ def smoothing_bound_l1g(m: float, dimension: int, t: float, norm_green: float,
     threshold = norm_green ** (-(m - 1.0))
     n = dimension
     if t >= threshold * (1.0 - THRESHOLD_TIE_REL):
-        value = c * t ** (-1.0 / m) * norm_green ** (1.0 / m)
+        value = t ** (-1.0 / m) * norm_green ** (1.0 / m)
         regime = "large-time"
     else:
-        value = c * t ** (-n / ((m - 1.0) * n + 2.0)) * norm_green ** (
+        value = t ** (-n / ((m - 1.0) * n + 2.0)) * norm_green ** (
             2.0 / ((m - 1.0) * n + 2.0))
         regime = "small-time"
     return BoundEvaluation(t=t, norm_value=norm_green, regime=regime,
@@ -244,10 +234,10 @@ class LogVolumeFamily:
             raise ValueError("log family needs 2 <= lam <= dimension")
 
 
-def family_rate(family, m: float, t: float, norm1: float, c: float = 1.0) -> float:
+def family_rate(family, m: float, t: float, norm1: float) -> float:
     """Closed-form large-time sup-norm rate for the two preset families.
 
-    Power family: c t^{-lam/((m-1)lam+2)} norm1^{2/((m-1)lam+2)}.
+    Power family: t^{-lam/((m-1)lam+2)} norm1^{2/((m-1)lam+2)}.
     Log family: the implicit rate resolved through the principal Lambert
     branch; only defined once the resolved scale exceeds 1.
     """
@@ -258,7 +248,7 @@ def family_rate(family, m: float, t: float, norm1: float, c: float = 1.0) -> flo
     mm = m - 1.0
     if isinstance(family, PowerVolumeFamily):
         lam = family.lam
-        return c * t ** (-lam / (mm * lam + 2.0)) * norm1 ** (2.0 / (mm * lam + 2.0))
+        return t ** (-lam / (mm * lam + 2.0)) * norm1 ** (2.0 / (mm * lam + 2.0))
     if isinstance(family, LogVolumeFamily):
         a = family.lam + 2.0 / mm
         b = family.sigma + 1.0 / mm
@@ -274,6 +264,6 @@ def family_rate(family, m: float, t: float, norm1: float, c: float = 1.0) -> flo
         if resolved <= 1.0:
             raise DomainError("log-family rate needs a resolved scale above 1; "
                               "increase t")
-        return (c * t ** (-1.0 / mm) * resolved ** (2.0 / mm) *
+        return (t ** (-1.0 / mm) * resolved ** (2.0 / mm) *
                 math.log(resolved) ** (1.0 / mm))
     raise TypeError(f"unknown family {type(family).__name__}")

@@ -31,9 +31,11 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 from scipy.special import beta as beta_function
 
-from .geometry import VolumeProfile, unit_sphere_area
+from .geometry import (VolumeProfile, make_growth, make_profile,
+                       unit_sphere_area)
 from .green import GreenData, potential_of_cells
 from .numerics import gauss_panels, loglog_slope, simpson_weights
+from .smoothing import SmoothingBound
 
 DEFAULT_CFL = 0.4
 NEWTON_MAX_ITER = 60
@@ -777,20 +779,16 @@ class WeakDualReport:
 
 
 def weak_dual_residual(record: RunRecord, window: tuple,
-                       phi: Optional[Callable] = None,
-                       dphi: Optional[Callable] = None,
-                       eta: Optional[Callable] = None,
                        green: Optional[GreenData] = None) -> WeakDualReport:
-    """Residual of the separable-test-function dual identity on a run.
+    """Residual of the dual identity on a run, for the test function
+    time_bump(window) x radial_cutoff(2, 4).
 
     Needs uniformly spaced snapshots across the window (odd count, Simpson).
     The potential of each snapshot is evaluated exactly for piecewise-constant
     data, so the residual isolates the discretization error of the evolution.
     """
-    if phi is None or dphi is None:
-        phi, dphi = time_bump(window)
-    if eta is None:
-        eta = radial_cutoff(2.0, 4.0)
+    phi, dphi = time_bump(window)
+    eta = radial_cutoff(2.0, 4.0)
     mask = (record.times >= window[0] - 1e-12) & (record.times <= window[1] + 1e-12)
     ts = record.times[mask]
     if ts.size < 3 or ts.size % 2 == 0:
@@ -824,10 +822,9 @@ class RefinementStudy:
 
 
 def weak_dual_refinement(profile: VolumeProfile, m: float, initial: Callable,
-                         levels: Sequence[tuple], r_max: float, window: tuple,
-                         boundary: str = "absorbing",
-                         eta: Optional[Callable] = None) -> RefinementStudy:
-    """Run the dual-identity residual across (cells, time_nodes) levels."""
+                         levels: Sequence[tuple], r_max: float,
+                         window: tuple) -> RefinementStudy:
+    """Dual-identity residuals of absorbing runs at (cells, time_nodes) levels."""
     reports = []
     gd = GreenData(profile)
     for cells, nodes in levels:
@@ -836,8 +833,8 @@ def weak_dual_refinement(profile: VolumeProfile, m: float, initial: Callable,
         snap_times = np.linspace(window[0], window[1], nodes + 1)
         grid = RadialGrid.make(profile, r_max, cells)
         record = run_pme(grid, m, initial, t_end=window[1],
-                         snapshots=snap_times, boundary=boundary)
-        reports.append(weak_dual_residual(record, window, eta=eta, green=gd))
+                         snapshots=snap_times)
+        reports.append(weak_dual_residual(record, window, green=gd))
     residuals = [abs(r.residual) for r in reports]
     orders = [math.log2(residuals[i] / residuals[i + 1])
               for i in range(len(residuals) - 1)]
@@ -869,30 +866,25 @@ def optimality_harness(dimension: int, m: float, mass: float = 1.0,
                        eps: float = 1.0, cells: int = 2000,
                        r_max: float = 20.0, t_end: float = 10.0,
                        n_snapshots: int = 25,
-                       fit_window: Optional[tuple] = None,
-                       boundary: str = "absorbing",
-                       bound: Optional[object] = None) -> OptimalityReport:
+                       fit_window: Optional[tuple] = None) -> OptimalityReport:
     """Decay-rate study against the explicit self-similar solution.
 
+    The run is absorbing; the bound has growth power:dimension, r0 = 1.
     Fits are taken against absolute time t_abs = solver time + eps, the clock
     of the self-similar profile; with that convention the exact solution has
     slope exactly -alpha and constant sup * t_abs^alpha.
     """
-    from .geometry import make_growth, make_profile
-    from .smoothing import SmoothingBound
-
     profile = make_profile(form="euclidean", dimension=dimension)
     params = BarenblattParams.from_mass(dimension, m, mass, eps)
     grid = RadialGrid.make(profile, r_max, cells)
     times_abs = np.geomspace(eps, eps + t_end, n_snapshots)
     record = run_pme(grid, m, barenblatt_datum(params), t_end=t_end,
-                     snapshots=times_abs - eps, boundary=boundary)
+                     snapshots=times_abs - eps)
     sup = record.sup_norms
     t_abs = record.times + eps
 
-    if bound is None:
-        growth = make_growth(form="power", params={"k": float(dimension)}, r0=1.0)
-        bound = SmoothingBound.from_profile(profile, m, growth)
+    growth = make_growth(form="power", params={"k": float(dimension)}, r0=1.0)
+    bound = SmoothingBound.from_profile(profile, m, growth)
     evals = [bound.evaluate_l1(float(t), mass) for t in t_abs]
 
     window = fit_window or (eps, eps + t_end)

@@ -18,7 +18,7 @@ import numpy as np
 from .geometry import GrowthFunction, VolumeProfile
 from .green import GreenData
 from .numerics import (PANELS_PER_DECADE, gauss_intervals, gauss_panels,
-                       invert_decreasing, tail_remainder, truncated_tail)
+                       invert_increasing, tail_remainder, truncated_tail)
 
 # the first truncation schedule; past it the horizons grow x10
 DEFAULT_HORIZONS = (10.0, 1e2, 1e3, 1e4)
@@ -168,8 +168,8 @@ def build_separating_sequence(profile: VolumeProfile, growth: GrowthFunction,
         if growth.tail(r0) <= target:
             d_star = r0 + 1.0
         else:
-            d_star = 1.0 + invert_decreasing(
-                lambda R: growth.tail(R), target, r0)
+            d_star = 1.0 + invert_increasing(
+                lambda R: -growth.tail(R), -target, r0)
         floor = 4.0 * r0 + 4.0 if prev is None else 4.0 * prev
         d = max(floor, d_star)
         if growth.tail(d - 1.0) > target * (1.0 + 1e-9):

@@ -418,6 +418,29 @@ def test_green_radii_outside_double_range_are_exit_two(tmp_path, capsys,
     assert not any(tmp_path.iterdir())
 
 
+def test_green_bounds_where_the_volume_overflows_exit_zero(tmp_path):
+    # V = omega_5 r^5 overflows at r = 1e62, yet G = 1.27e-188 there and both
+    # upper bounds are representable and hold
+    assert main(["green", "--profile", "euclidean:5", "--growth", "power:3",
+                 "--radii", "1,1e62", "--out-dir", str(tmp_path)]) == 0
+    _, rows = read_rows(tmp_path / "cli-green.csv")
+    for row in rows:
+        assert [row[k] for k in ("lower_ok", "tail_ok", "near_ok")] == [
+            "true"] * 3
+        assert math.isfinite(float(row["upper_tail"]))
+        assert math.isfinite(float(row["upper_near"]))
+
+
+def test_green_near_the_pole_exit_zero(tmp_path):
+    # G = 1/(3r) to leading order on power_log:4:3:0.5; the value at 1e-12
+    # is int_r^inf ds/S from mpmath in s = log r
+    assert main(["green", "--profile", "power_log:4:3:0.5", "--radii",
+                 "1e-12,1", "--out-dir", str(tmp_path)]) == 0
+    _, rows = read_rows(tmp_path / "cli-green.csv")
+    assert float(rows[0]["green_exact"]) == pytest.approx(
+        333333333331.02479, rel=1e-9)
+
+
 @pytest.mark.parametrize("params, key", [
     ({"r_min": 1e-320, "r_max": 1.0, "count": 5}, "params.r_min"),
     ({"r_min": 1.0, "r_max": 1e200, "count": 5}, "params.r_max")])

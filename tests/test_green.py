@@ -97,37 +97,25 @@ def _mp_tails(fn, radii, knots=()):
 REFERENCE_RADII = np.array([5e-5, 0.25, 1.0, 3.0, 7.0, 30.0, 1e4, 2e7])
 
 
-def test_green_power_log_matches_mpmath():
-    prof = pg.make_profile(form="power_log", dimension=4,
-                           params={"lam": 3.0, "sigma": 0.5})
-    lam, sigma = mp.mpf(3), mp.mpf("0.5")
-
-    def volume(r):
-        return r ** lam * mp.log(mp.e + r) ** sigma
-
-    def area(r):
-        ell = mp.log(mp.e + r)
-        return r ** (lam - 1) * ell ** (sigma - 1) * (
-            lam * ell + sigma * r / (mp.e + r))
-
-    with mp.workdps(20):
-        g_ref = _mp_tails(lambda s: 1 / area(s), REFERENCE_RADII)
-        s_ref = _mp_tails(lambda t: t / volume(t), REFERENCE_RADII)
-    green = pg.GreenData(prof)
-    assert np.allclose(green.exact(REFERENCE_RADII), g_ref, rtol=1e-9, atol=0.0)
-    assert np.allclose(green.surrogate(REFERENCE_RADII), s_ref,
-                       rtol=1e-9, atol=0.0)
-    assert green.exact(1.0) == pytest.approx(g_ref[2], rel=1e-9)
-    # Green mass of the ball of radius 3: G(3) V(3) + int_0^3 V/S
-    with mp.workdps(20):
-        inner = float(mp.quad(lambda s: volume(s) / area(s), [0, 3]))
-    assert pg.ball_integral(prof, 3.0).value == pytest.approx(
-        g_ref[3] * float(volume(mp.mpf(3))) + inner, rel=1e-9)
+LAM, SIGMA = mp.mpf(3), mp.mpf("0.5")
 
 
-def test_green_tabulated_matches_mpmath():
-    # the table is read as the PCHIP interpolant of (r, V), pole row prepended,
-    # extended past its last row by the power law of the end slope
+def _power_log_volume(r):
+    # V of power_log:4:3:0.5 in mpmath
+    return r ** LAM * mp.log(mp.e + r) ** SIGMA
+
+
+def _power_log_area(r):
+    ell = mp.log(mp.e + r)
+    return r ** (LAM - 1) * ell ** (SIGMA - 1) * (
+        LAM * ell + SIGMA * r / (mp.e + r))
+
+
+def _tabulated_r3():
+    """Exact r^3 volumes on 60 log rows of [0.01, 10], and the profile's V
+    and S in mpmath, read as the PCHIP interpolant of (r, V) with the pole
+    row prepended and extended past the last row by the power law of the
+    end slope; also the kinks of the table."""
     r_tab = np.geomspace(0.01, 10.0, 60)
     prof = pg.make_profile(form="tabulated", dimension=3,
                            table=np.column_stack([r_tab, r_tab ** 3]))
@@ -151,13 +139,115 @@ def test_green_tabulated_matches_mpmath():
             return table(slope, 2, s)
         return (v_end * p / r_end) * (s / r_end) ** (p - 1)
 
+    return prof, volume, area, knots[1:]
+
+
+def test_green_power_log_matches_mpmath():
+    prof = pg.make_profile(form="power_log", dimension=4,
+                           params={"lam": 3.0, "sigma": 0.5})
     with mp.workdps(20):
-        g_ref = _mp_tails(lambda s: 1 / area(s), REFERENCE_RADII, knots[1:])
-        s_ref = _mp_tails(lambda t: t / volume(t), REFERENCE_RADII, knots[1:])
+        g_ref = _mp_tails(lambda s: 1 / _power_log_area(s), REFERENCE_RADII)
+        s_ref = _mp_tails(lambda t: t / _power_log_volume(t), REFERENCE_RADII)
+    green = pg.GreenData(prof)
+    assert np.allclose(green.exact(REFERENCE_RADII), g_ref, rtol=1e-9, atol=0.0)
+    assert np.allclose(green.surrogate(REFERENCE_RADII), s_ref,
+                       rtol=1e-9, atol=0.0)
+    assert green.exact(1.0) == pytest.approx(g_ref[2], rel=1e-9)
+    # Green mass of the ball of radius 3: G(3) V(3) + int_0^3 V/S
+    with mp.workdps(20):
+        inner = float(mp.quad(lambda s: _power_log_volume(s) /
+                              _power_log_area(s), [0, 3]))
+    assert pg.ball_integral(prof, 3.0).value == pytest.approx(
+        g_ref[3] * float(_power_log_volume(mp.mpf(3))) + inner, rel=1e-9)
+
+
+def test_green_tabulated_matches_mpmath():
+    prof, volume, area, knots = _tabulated_r3()
+    with mp.workdps(20):
+        g_ref = _mp_tails(lambda s: 1 / area(s), REFERENCE_RADII, knots)
+        s_ref = _mp_tails(lambda t: t / volume(t), REFERENCE_RADII, knots)
     green = pg.GreenData(prof)
     assert np.allclose(green.exact(REFERENCE_RADII), g_ref, rtol=1e-6, atol=0.0)
     assert np.allclose(green.surrogate(REFERENCE_RADII), s_ref,
                        rtol=1e-6, atol=0.0)
+
+
+def _warp(r):
+    # phi = r (1 + r^2)^-0.1, for floats and mpf values alike
+    return r * (1 + r * r) ** -0.1
+
+
+def _pole_case(case):
+    """(profile, 1/S in mpmath, kinks of S) of each pole test case."""
+    if case == "power_log":
+        prof = pg.make_profile(form="power_log", dimension=4,
+                               params={"lam": 3.0, "sigma": 0.5})
+        return prof, lambda s: 1 / _power_log_area(s), ()
+    if case == "warped":
+        sg = mp.mpf(pg.unit_sphere_area(4))
+        prof = pg.make_profile(form="warped", dimension=4,
+                               params={"phi": _warp})
+        return prof, lambda s: 1 / (sg * _warp(s) ** 3), ()
+    prof, _, area, knots = _tabulated_r3()
+    return prof, lambda s: 1 / area(s), knots
+
+
+# radii below GreenData's first edge 1e-4, where the pole model reads G
+POLE_RADII = {"power_log": [5e-5, 1e-8, 1e-12, 1e-20, 1e-100],
+              "warped": [5e-5, 1e-8, 1e-12, 1e-20, 1e-100],
+              "tabulated": [5e-5, 1e-8, 1e-20, 1e-100, 1e-200]}
+
+
+@pytest.mark.parametrize("case, rtol", [("power_log", 1e-9),
+                                        ("warped", 1e-9),
+                                        ("tabulated", 1e-6)])
+def test_green_pole_matches_mpmath(case, rtol):
+    # G(r) = G(1e-4) + int_r^1e-4 ds/S, the second part in s = log r on
+    # pieces at most 40 long; the table's S is the PCHIP's down to the pole
+    prof, inv_area, knots = _pole_case(case)
+    radii = np.array(POLE_RADII[case])
+    edge = pg.GreenData.r_min
+    with mp.workdps(20):
+        g_edge = _mp_tails(inv_area, [edge], knots)[0]
+        g_ref = []
+        for r in radii:
+            lo, hi = mp.log(r), mp.log(edge)
+            pieces = mp.linspace(lo, hi, int(mp.ceil((hi - lo) / 40)) + 1)
+            g_ref.append(g_edge + float(mp.quad(
+                lambda s: mp.exp(s) * inv_area(mp.exp(s)), pieces)))
+    assert np.allclose(pg.GreenData(prof).exact(radii), g_ref, rtol=rtol,
+                       atol=0.0)
+
+
+def test_green_pole_reads_are_positive_or_inf():
+    # 1/S overflows near 1e-150 on the warped profile and near 1e-300 on
+    # power_log; the table's PCHIP area vanishes only at the pole itself
+    radii = np.concatenate([[5e-324, 1e-320, 1e-300, 1e-200, 1e-150],
+                            np.geomspace(1e-140, 9e-5, 300)])
+    for case in ("power_log", "warped", "tabulated"):
+        green = pg.GreenData(_pole_case(case)[0])
+        for values in (green.exact(radii), green.surrogate(radii)):
+            assert not np.isnan(values).any()
+            assert np.all(values > 0.0)
+    warped = pg.GreenData(_pole_case("warped")[0])
+    assert warped.exact(1e-150) == math.inf
+    assert np.isinf(warped.exact(np.array([1e-150, 1e-200]))).all()
+
+
+def test_growth_tail_just_below_r0():
+    # tail accepts r down to r0 (1 - 1e-12), just below its first knot; the
+    # pole model may read the rate only inside [r, r0] there
+    r0 = 2.0
+    r = r0 * (1.0 - 1e-12)
+
+    def rate(t):
+        t = np.asarray(t, dtype=float)
+        assert np.all(t >= r), f"rate read at {t.min()!r} below r = {r!r}"
+        return t ** 3
+
+    growth = pg.make_growth(form="numeric", params={"rate": rate}, r0=r0)
+    assert growth.tail(r) == pytest.approx(0.5 / r ** 2, rel=1e-12)
+    assert growth.tail(r) > growth.tail(r0)
 
 
 def test_ball_integral_euclidean_identity(euclid3, growth3):
@@ -193,8 +283,8 @@ def test_green_bounds_surrogate_mode(euclid5, growth5):
 
 def test_green_bounds_fail_where_the_tail_bound_is_not_finite(euclid5,
                                                               growth5):
-    # r f(r) and V(r) overflow at r = 1e100, so the tail bound is nan there;
-    # below r0 = 1 it does not apply and is nan as well
+    # f(r) = r^4 overflows and r/V underflows at r = 1e100, so the tail
+    # bound is nan there; below r0 = 1 it does not apply and is nan as well
     radii = np.array([0.5, 2.0, 1e100])
     with np.errstate(over="ignore", invalid="ignore"):
         rep = pg.green_bounds(euclid5, growth5, radii, use_surrogate=True)
@@ -203,6 +293,21 @@ def test_green_bounds_fail_where_the_tail_bound_is_not_finite(euclid5,
     assert not rep.all_ok
     assert pg.green_bounds(euclid5, growth5, radii[:2],
                            use_surrogate=True).all_ok
+
+
+def test_green_bounds_hold_where_the_volume_overflows(euclid5):
+    # V = omega_5 r^5 overflows at r = 1e62, yet G = r^-3 / (15 omega_5) and
+    # both upper bounds are representable: with cubic growth gamma = beta = 1,
+    # the tail bound is f (r/V) T = r^-3 / omega_5 and the near bound
+    # (r^2 / 3 + f r) / omega_5
+    growth = pg.make_growth(form="power", params={"k": 3.0}, r0=1.0)
+    radii = np.array([1.0, 1e62])
+    rep = pg.green_bounds(euclid5, growth, radii, use_surrogate=True)
+    assert rep.all_ok
+    om = pg.unit_ball_volume(5)
+    assert np.allclose(rep.upper_tail, radii ** -3.0 / om, rtol=1e-12)
+    assert np.allclose(rep.upper_near, (radii ** 2 / 3.0 + radii ** 3) / om,
+                       rtol=1e-12)
 
 
 def test_green_bounds_power_profile():

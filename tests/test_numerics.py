@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,20 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmegreen.numerics import (BracketError, IntegralDivergenceError,
-                               TailTable, gauss_panels, integrate,
-                               invert_decreasing, invert_increasing,
+                               TailTable, gauss_panels, invert_increasing,
                                loglog_slope, simpson_weights, tail_remainder)
 
 
 def tail(f, a):
     """int_a^inf f by the tail model alone."""
     return float(tail_remainder(f, a)[0])
-
-
-def test_integrate_matches_closed_forms():
-    assert integrate(math.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-12)
-    assert integrate(lambda r: r * r, 0.0, 3.0) == pytest.approx(9.0,
-                                                                 rel=1e-12)
 
 
 def test_tail_integral_power_law():
@@ -53,10 +50,44 @@ def test_tail_table_far_points_match_the_model():
                        atol=0.0)
 
 
+def test_tail_table_pole_model_closed_forms():
+    # below the first edge 0.01: f = t^-3 gives r^-2 / 2 (k = -2), f = 1/t
+    # below 1 gives 1 - log r (k = 0 exactly), f = (1 + t)^-2 gives
+    # 1 / (1 + r) (k = 1), down to radii where e0/r or (e0/r)^k overflow
+    edges = np.union1d(np.geomspace(0.01, 1.0, 25), np.geomspace(1.0, 100.0, 25))
+    cube = TailTable(lambda t: t ** -3.0, edges)
+    kink = TailTable(lambda t: np.where(t < 1.0, 1.0 / t, t ** -2.0), edges)
+    flat = TailTable(lambda t: (1.0 + t) ** -2.0, edges)
+    rs = np.array([5e-3, 1e-6, 1e-10, 1e-100, 1e-300])
+    assert np.allclose(cube(rs[:4]), 0.5 * rs[:4] ** -2.0, rtol=1e-10)
+    assert np.allclose(kink(rs), 1.0 - np.log(rs), rtol=1e-10)
+    assert np.allclose(flat(np.append(rs, 5e-324)),
+                       1.0 / (1.0 + np.append(rs, 0.0)), rtol=1e-10)
+
+
+def test_tail_table_pole_model_is_inf_where_f_overflows():
+    table = TailTable(lambda t: t ** -3.0, np.geomspace(0.01, 100.0, 50))
+    with np.errstate(over="ignore"):
+        values = table(np.array([1e-100, 1e-150, 5e-324]))
+    assert values[0] == pytest.approx(0.5e200, rel=1e-10)
+    assert values[1:].tolist() == [math.inf, math.inf]
+
+
+def test_package_import_leaves_scipy_integrate_out():
+    # run apart: pytest's warning filter imports scipy.integrate in this process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, pmegreen, pmegreen.cli; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_invert_increasing_round_trip():
     root = invert_increasing(math.exp, math.exp(3.5), 0.0)
     assert root == pytest.approx(3.5, rel=1e-9)
-    root = invert_decreasing(lambda r: 1.0 / r, 0.125, 1.0)
+    # a decreasing function is inverted through its negative
+    root = invert_increasing(lambda r: -1.0 / r, -0.125, 1.0)
     assert root == pytest.approx(8.0, rel=1e-9)
 
 

@@ -50,40 +50,40 @@ def test_envelope_domain_guard(growth3):
 
 # -- radius-to-scale map ----------------------------------------------------
 
-def quintic_bound(growth3):
-    return pg.SmoothingBound(m=2.0, dimension=3, growth=growth3,
-                             volume_floor=lambda R: R ** 3,
-                             envelope=lambda R: R * R)
+OMEGA3 = 4.0 * math.pi / 3.0
 
 
-def test_data_scale_quintic_example(growth3):
-    # volume floor R^3 with envelope R^2 and m = 2 gives theta(R) = R^5
-    bound = quintic_bound(growth3)
-    assert bound.data_scale(2.0) == pytest.approx(32.0, rel=1e-12)
-    assert bound.radius_for_scale(32.0) == pytest.approx(2.0, rel=1e-9)
+def quintic_bound(euclid3, growth3):
+    # euclidean n = 3, cubic growth, m = 2: theta(R) = 2 omega_3 R^5
+    return pg.SmoothingBound.from_profile(euclid3, 2.0, growth3)
+
+
+def test_data_scale_quintic_example(euclid3, growth3):
+    bound = quintic_bound(euclid3, growth3)
+    theta = 2.0 * OMEGA3 * 32.0
+    assert bound.data_scale(2.0) == pytest.approx(theta, rel=1e-12)
+    assert bound.radius_for_scale(theta) == pytest.approx(2.0, rel=1e-9)
 
 
 def test_data_scale_default_envelope_closed_form(euclid3, growth3):
-    # euclidean n = 3 with cubic growth: theta(R) = 2 omega_3 R^5
-    bound = pg.SmoothingBound.from_profile(euclid3, 2.0, growth3)
-    om3 = 4.0 * math.pi / 3.0
+    bound = quintic_bound(euclid3, growth3)
     for R in (1.0, 2.0, 7.0):
-        assert bound.data_scale(R) == pytest.approx(2.0 * om3 * R ** 5,
+        assert bound.data_scale(R) == pytest.approx(2.0 * OMEGA3 * R ** 5,
                                                     rel=1e-12)
 
 
 @given(st.floats(min_value=1.0, max_value=100.0))
 @settings(max_examples=20, deadline=None)
-def test_radius_scale_round_trip(growth3, R):
-    bound = quintic_bound(growth3)
+def test_radius_scale_round_trip(euclid3, growth3, R):
+    bound = quintic_bound(euclid3, growth3)
     assert bound.radius_for_scale(bound.data_scale(R)) == pytest.approx(
         R, rel=1e-8)
 
 
-def test_radius_for_scale_domain_guard(growth3):
-    bound = quintic_bound(growth3)
+def test_radius_for_scale_domain_guard(euclid3, growth3):
+    bound = quintic_bound(euclid3, growth3)
     with pytest.raises(DomainError):
-        bound.radius_for_scale(0.5)   # theta(r0) = 1 is the floor
+        bound.radius_for_scale(8.0)   # theta(r0) = 2 omega_3 = 8.38 is the floor
 
 
 def test_smoothing_bound_validation(euclid3, growth3):
