@@ -23,7 +23,14 @@ round:
   starts;
 - `evaluate_l1_us`: us per `SmoothingBound.evaluate_l1` on power_log:4:3:0.5
   with power_log growth k = 3, b = 0.5, r0 = 2, m = 2, at 40 times in
-  [1, 1e6].
+  [1, 1e6];
+- `calls_us`: us per call of that TailTable and of its log-log spline (a
+  CubicHermiteSpline in checkouts from before the package's own Hermite
+  kernel) at 1, 100 and 10^4 points inside the edges, each one array;
+- `cold_import`: the median seconds of `import pmegreen, pmegreen.cli` over
+  --imports fresh interpreters, and the scipy modules such an import
+  leaves loaded. Byte-code caches count as they are: with
+  PYTHONDONTWRITEBYTECODE set, each import compiles the package again.
 
 The figures go into --out (default BENCH_quadrature.json) under --label,
 beside the runs of other labels already there, with the machine and the
@@ -34,7 +41,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -53,6 +62,11 @@ BELOW = np.geomspace(1e-12, 9e-5, 200)
 BOUND_TIMES = np.geomspace(1.0, 1e6, 40)
 POTENTIAL_CELLS = (250, 1000, 4000)
 POTENTIAL_RADII = np.geomspace(0.1, 1e3, 41)
+CALL_POINTS = (1, 100, 10000)
+IMPORT_PROBE = ("import sys, time; t = time.perf_counter(); "
+                "import pmegreen, pmegreen.cli; "
+                "print(time.perf_counter() - t, "
+                "sum(m.split('.')[0] == 'scipy' for m in sys.modules))")
 
 
 def power_log_profile():
@@ -71,15 +85,36 @@ def timed(fn, repeats: int) -> float:
     return statistics.median(walls)
 
 
+def cold_import(rounds: int) -> dict:
+    """Median import seconds of this checkout's pmegreen in fresh
+    interpreters, and the scipy modules the import loads."""
+    src = str(Path(pg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    walls, scipy_modules = [], set()
+    for _ in range(rounds):
+        done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        wall, count = done.stdout.split()
+        walls.append(float(wall))
+        scipy_modules.add(int(count))
+    return {"median_s": round(statistics.median(walls), 4),
+            "min_s": round(min(walls), 4), "max_s": round(max(walls), 4),
+            "rounds": rounds, "scipy_modules": max(scipy_modules)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True,
                         help="name of this run in the output file")
     parser.add_argument("--out", default="BENCH_quadrature.json")
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--imports", type=int, default=9,
+                        help="fresh interpreters for the cold import time")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    if not 1 <= args.imports <= 50:
+        parser.error("--imports must be in [1, 50]")
 
     classify = {}
     cases = (("euclidean:5", pg.make_profile(form="euclidean", dimension=5),
@@ -107,6 +142,20 @@ def main(argv=None) -> int:
     print(f"TailTable: build {tail_table['build_ms']:.2f} ms, "
           + ", ".join(f"{key[:-13]} {val:.3f} us/point"
                       for key, val in tail_table.items() if key != "build_ms"))
+    log_edges = np.log(table.edges)
+    calls_us = {"tail_table": {}, "spline": {}}
+    for count in CALL_POINTS:
+        radii = np.geomspace(INSIDE[0], INSIDE[-1], count)
+        logs = np.log(radii)
+        assert logs[0] >= log_edges[0] and logs[-1] <= log_edges[-1]
+        for key, fn, arg in (("tail_table", table, radii),
+                             ("spline", table._spline, logs)):
+            calls_us[key][str(count)] = round(
+                timed(lambda: fn(arg), max(args.repeats, 200 // count))
+                * 1e6, 2)
+    print("calls: " + "; ".join(
+        f"{key} " + ", ".join(f"{n} pts {us:.1f} us" for n, us in vals.items())
+        for key, vals in calls_us.items()))
 
     potential = {"of_cells_ms": {}, "radial_potential_ms": {}}
     unit_ball = lambda r: np.where(np.asarray(r) <= 1.0, 1.0, 0.0)
@@ -139,12 +188,18 @@ def main(argv=None) -> int:
     evaluate_l1_us = round(wall / BOUND_TIMES.size * 1e6, 2)
     print(f"evaluate_l1: {evaluate_l1_us:.1f} us")
 
+    imports = cold_import(args.imports)
+    print(f"cold import: median {imports['median_s']:.3f} s over "
+          f"{imports['rounds']} interpreters, {imports['scipy_modules']} "
+          "scipy modules loaded")
+
     out = Path(args.out)
     doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     doc.setdefault("runs", {})[args.label] = {
         "machine": machine(), "repeats": args.repeats,
         "classify_ms": classify, "tail_table": tail_table,
-        "potential": potential, "evaluate_l1_us": evaluate_l1_us}
+        "potential": potential, "evaluate_l1_us": evaluate_l1_us,
+        "calls_us": calls_us, "cold_import": imports}
     out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return 0
 

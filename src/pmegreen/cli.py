@@ -28,7 +28,7 @@ from .geometry import (GrowthError, ProfileError, check_assumptions,
                        make_growth, make_profile)
 from .green import (GreenData, ParabolicProfileError, green_bounds,
                     volume_power_law)
-from .numerics import loglog_slope
+from .numerics import Hermite, loglog_slope, pchip_slopes
 from .smoothing import SmoothingBound, smoothing_bound_l1g
 from .solver import (BarenblattParams, RadialGrid, barenblatt_datum,
                      optimality_harness, run_pme, verify_solution_estimates)
@@ -611,10 +611,10 @@ def _solve_initial(init, m, dimension):
     if init["kind"] == "powerlaw":
         a = init["a"]
         return lambda r: (1.0 + np.asarray(r, dtype=float)) ** (-a)
-    from scipy.interpolate import PchipInterpolator
     try:
         data = np.loadtxt(init["path"], delimiter=",", skiprows=1, ndmin=2)
-        interp = PchipInterpolator(data[:, 0], data[:, 1], extrapolate=False)
+        interp = Hermite(data[:, 0], data[:, 1],
+                         pchip_slopes(data[:, 0], data[:, 1]))
     except (OSError, ValueError, IndexError) as exc:
         raise ConfigError(f"params.init.path: cannot use {init['path']!r} "
                           f"as an (r, u) table: {exc}") from exc

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .numerics import IntegralDivergenceError, TailTable, gauss_panels
+from .numerics import (Hermite, IntegralDivergenceError, TailTable,
+                       gauss_panels, pchip_slopes)
 
 # relative slack for monotonicity checks on exact closed forms
 MONOTONE_SLACK = 1e-12
@@ -129,20 +129,25 @@ def _warped(dimension: int, phi: Callable[[np.ndarray], np.ndarray],
     def area(r):
         return sg * np.power(phi(np.asarray(r, dtype=float)), dimension - 1)
 
-    # cumulative volume cached on a dense grid anchored at the pole
-    grid = np.concatenate([[0.0], np.geomspace(r_max * 1e-8, r_max, 1200)])
-    vols = np.concatenate([[0.0], np.cumsum(gauss_panels(area, grid))])
-    interp = PchipInterpolator(grid, vols, extrapolate=False)
+    # cumulative volume cached on a log grid, its first panel reaching down
+    # to the pole; the PCHIP runs through the grid but not through the pole,
+    # where a cubic cannot follow V ~ r^n, and power laws extend it below
+    # the grid and beyond it, where they keep tail integrals total
+    knots = np.geomspace(r_max * 1e-8, r_max, 1200)
+    vols = np.cumsum(gauss_panels(area, np.concatenate([[0.0], knots])))
+    interp = Hermite(knots, vols, pchip_slopes(knots, vols))
+    r_start, v_start = float(knots[0]), float(vols[0])
+    slope_start = float(r_start * area(r_start) / v_start)
     v_end = float(vols[-1])
-    # power-law extension beyond the working range keeps tail integrals total
-    slope_end = float(grid[-1] * area(grid[-1]) / v_end)
+    slope_end = float(r_max * area(r_max) / v_end)
 
     def volume(r):
         r = np.asarray(r, dtype=float)
-        out = np.where(r <= r_max,
-                       np.nan_to_num(interp(np.minimum(r, r_max)), nan=0.0),
-                       v_end * np.power(np.maximum(r, r_max) / r_max, slope_end))
-        return out
+        below = v_start * np.power(np.clip(r, 0.0, r_start) / r_start,
+                                   slope_start)
+        return np.where(r < r_start, below, np.where(
+            r <= r_max, interp(np.clip(r, r_start, r_max)),
+            v_end * np.power(np.maximum(r, r_max) / r_max, slope_end)))
 
     return VolumeProfile(
         dimension=dimension, form="warped", volume=volume, area=area,
@@ -164,10 +169,9 @@ def _tabulated(dimension: int, table: Sequence[Sequence[float]]) -> VolumeProfil
         v_tab = np.concatenate([[0.0], v_tab])
     if v_tab[0] != 0.0:
         raise ProfileError("tabulated volume must vanish at the pole")
-    interp = PchipInterpolator(r_tab, v_tab, extrapolate=False)
-    deriv = interp.derivative()
+    interp = Hermite(r_tab, v_tab, pchip_slopes(r_tab, v_tab))
     r_end, v_end = float(r_tab[-1]), float(v_tab[-1])
-    slope_end = float(r_end * deriv(r_end) / v_end)
+    slope_end = float(r_end * interp(r_end, nu=1) / v_end)
 
     def volume(r):
         r = np.asarray(r, dtype=float)
@@ -177,7 +181,7 @@ def _tabulated(dimension: int, table: Sequence[Sequence[float]]) -> VolumeProfil
 
     def area(r):
         r = np.asarray(r, dtype=float)
-        inside = np.nan_to_num(deriv(np.minimum(r, r_end)), nan=0.0)
+        inside = np.nan_to_num(interp(np.minimum(r, r_end), nu=1), nan=0.0)
         outside = (v_end * slope_end / r_end) * np.power(
             np.maximum(r, r_end) / r_end, slope_end - 1.0)
         return np.where(r <= r_end, inside, outside)

@@ -1,5 +1,6 @@
 """Numerical kernels: Gauss panels, one tail model for every integral to
-infinity, one pole model below every tail table, roots, slope fits.
+infinity, one pole model below every tail table, one cubic Hermite
+interpolant, roots, slope fits.
 
 The tail model: past a horizon h, f is fitted as r^p (log r)^q through
 r = h, 4h and 16h, and that fit is integrated to infinity in closed form.
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 # the fitted tail exponent p must clear -1 by this margin for a tail to count
 # as integrable
@@ -222,6 +222,102 @@ def _power_law_integral(f: Callable[[np.ndarray], np.ndarray], r: np.ndarray,
     return np.where(np.isinf(fr), np.inf, val)
 
 
+def _knots(x, y) -> tuple:
+    """(x, y) as float arrays, checked as interpolation knots and values."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape or x.size < 2:
+        raise ValueError("need at least 2 knots and one value per knot")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("knots and values must be finite")
+    if np.any(np.diff(x) <= 0.0):
+        raise ValueError("knots must be strictly increasing")
+    return x, y
+
+
+def _pchip_end(h0, h1, m0, m1) -> float:
+    """One-sided three-point end slope, set to 0 or 3 m0 to keep the shape."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def pchip_slopes(x, y) -> np.ndarray:
+    """Knot slopes of the monotone piecewise cubic (PCHIP) through (x, y).
+
+    Fritsch-Butland: 0 where the secants m_(k-1), m_k change sign or one is
+    0, else the weighted harmonic mean (w1 + w2) / (w1/m_(k-1) + w2/m_k),
+    w1 = 2h_k + h_(k-1), w2 = h_k + 2h_(k-1); one-sided three-point slopes at
+    the ends. The arithmetic is scipy's PchipInterpolator's, so the values
+    are the same bit for bit.
+    """
+    x, y = _knots(x, y)
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if m.size == 1:
+        return np.full(2, m[0])
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d = np.zeros_like(y)
+    d[1:-1][~flat] = 1.0 / whmean[~flat]
+    d[0] = _pchip_end(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+class Hermite:
+    """Cubic Hermite interpolant through (x_k, y_k) with slopes d_k; NaN
+    outside [x_0, x_n].
+
+    On [x_k, x_(k+1)], with h = x_(k+1) - x_k, m the secant and
+    t = (d_k + d_(k+1) - 2m)/h, the coefficients are c0 = t/h,
+    c1 = (m - d_k)/h - t, c2 = d_k, c3 = y_k; with s = x - x_k the value is
+    c3 + c2 s + c1 s^2 + c0 (s^2 s) and the derivative c2 + (2c1) s +
+    (3c0) s^2, summed in that order. This is the arithmetic of scipy's
+    CubicHermiteSpline and of its derivative() spline, so the results are
+    the same bit for bit. Every coefficient array carries a NaN entry at
+    either end and the last breakpoint sits one ulp past x_n, so one
+    searchsorted finds the interval and a point outside the knots reads NaN
+    without a test.
+    """
+
+    def __init__(self, x, y, slopes):
+        x, y = _knots(x, y)
+        d = np.asarray(slopes, dtype=float)
+        if d.shape != x.shape:
+            raise ValueError("need one slope per knot")
+        h = np.diff(x)
+        m = np.diff(y) / h
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        self._breaks = x.copy()
+        self._breaks[-1] = np.nextafter(x[-1], math.inf)
+        nan = [math.nan]
+        self._coeffs = tuple(np.concatenate([nan, c, nan]) for c in (
+            x[:-1], t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+    def __call__(self, x, nu: int = 0) -> np.ndarray:
+        """Values (nu = 0) or first derivatives (nu = 1), shaped like x."""
+        x = np.asarray(x, dtype=float)
+        flat = x.ravel()
+        i = self._breaks.searchsorted(flat, "right")
+        xk, c0, c1, c2, c3 = self._coeffs
+        s = flat - xk[i]
+        s2 = s * s
+        if nu == 0:
+            out = c3[i] + c2[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
+        elif nu == 1:
+            out = c2[i] + 2.0 * c1[i] * s + 3.0 * c0[i] * s2
+        else:
+            raise ValueError("nu must be 0 or 1")
+        return out.reshape(x.shape)
+
+
 class TailTable:
     """T(r) = int_r^inf f of a vectorized positive f, callable on arrays.
 
@@ -253,8 +349,7 @@ class TailTable:
         # drop far edges where the tail underflows, so its logarithm is finite
         self.edges = rs = rs[vals > 0.0]
         vals = vals[vals > 0.0]
-        self._spline = CubicHermiteSpline(np.log(rs), np.log(vals),
-                                          -rs * f(rs) / vals)
+        self._spline = Hermite(np.log(rs), np.log(vals), -rs * f(rs) / vals)
 
     def _far(self, r: np.ndarray) -> tuple:
         rem, p = tail_remainder(self._f, r)
@@ -284,12 +379,14 @@ class TailTable:
         rr = np.asarray(r, dtype=float)
         flat = rr.ravel()
         lo, hi = self.edges[0], self.edges[-1]
-        out = np.exp(self._spline(np.log(np.clip(flat, lo, hi))))
+        # ufuncs and array methods: np.clip and np.any cost more than the
+        # spline itself on the single radii most reads ask for
+        out = np.exp(self._spline(np.log(np.minimum(np.maximum(flat, lo), hi))))
         far = flat > hi
-        if np.any(far):
+        if far.any():
             out[far] = self._far(flat[far])[0]
         near = flat < lo
-        if np.any(near):
+        if near.any():
             out[near] += self._near(flat[near])
         return float(out[0]) if rr.ndim == 0 else out.reshape(rr.shape)
 

@@ -3,7 +3,8 @@
 The large-time bound reads the decay rate off an increasing radius-to-scale
 map built from a volume lower envelope and the Green-mass envelope of a growth
 function; the small-time branch is the dimensional power law. The log-volume
-family needs the principal Lambert branch, taken from scipy.
+family needs the principal Lambert branch, computed here by Halley's
+iteration.
 """
 from __future__ import annotations
 
@@ -12,12 +13,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import lambertw
 
 from .geometry import GrowthFunction, VolumeProfile
 from .numerics import invert_increasing
 
 THRESHOLD_TIE_REL = 1e-9
+LAMBERT_MAX_ITER = 32
 
 
 class DomainError(ValueError):
@@ -190,14 +191,37 @@ def smoothing_bound_l1g(m: float, dimension: int, t: float,
 
 
 def lambert_w0(x: float) -> float:
-    """Principal Lambert branch on [-1/e, inf); the branch point returns -1."""
+    """Principal Lambert branch on [-1/e, inf); the branch point returns -1.
+
+    Halley's iteration on w e^w = x, written as w - x e^-w = 0 so that
+    nothing overflows for large x, from the branch-point series in
+    p = sqrt(2(e x + 1)) below x = -1/4, log1p(x) up to e, and log x -
+    log log x beyond; it stops once a step moves w by under 1e-12 relative,
+    when the cubic convergence has already reached full precision.
+    """
     x = float(x)
     branch_point = -math.exp(-1.0)
     if x < branch_point - 1e-15:
         raise DomainError(f"lambert_w0 needs x >= -1/e, got {x}")
     if x <= branch_point:
         return -1.0
-    return float(lambertw(x).real)
+    if x == 0.0:
+        return 0.0
+    if x < -0.25:
+        p = math.sqrt(2.0 * (math.e * x + 1.0))
+        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * 11.0 / 72.0))
+    elif x < math.e:
+        w = math.log1p(x)
+    else:
+        log_x = math.log(x)
+        w = log_x - math.log(log_x)
+    for _ in range(LAMBERT_MAX_ITER):
+        f = w - x * math.exp(-w)
+        step = f / (w + 1.0 - (w + 2.0) * f / (2.0 * w + 2.0))
+        w -= step
+        if abs(step) <= 1e-12 * abs(w):
+            break
+    return w
 
 
 @dataclass(frozen=True)

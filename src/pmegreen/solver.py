@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
-from scipy.special import beta as beta_function
 
 from .geometry import (VolumeProfile, make_growth, make_profile,
                        unit_sphere_area)
@@ -42,8 +40,39 @@ NEWTON_MAX_ITER = 60
 NEWTON_TOL = 1e-10
 POSITIVITY_RETRY_LIMIT = 40
 RKL2_MAX_STAGES = 20
-# the LAPACK tridiagonal solver, the one scipy's solve_banded calls for l = u = 1
-_GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
+
+
+@functools.lru_cache(maxsize=1)
+def _lapack_gtsv():
+    # the one scipy import of the package: explicit runs never pay for it
+    from scipy.linalg import get_lapack_funcs
+    return get_lapack_funcs("gtsv", dtype=np.float64)
+
+
+def _GTSV(*args, **kwargs):
+    """LAPACK ?gtsv, the tridiagonal solver scipy's solve_banded calls for
+    l = u = 1, fetched from scipy.linalg on the first implicit solve."""
+    return _lapack_gtsv()(*args, **kwargs)
+
+
+def _half_integer_beta(a: float, b: float) -> float:
+    """B(a, b) for a in {1/2, 1, 3/2, ...} and b > 0.
+
+    B(a, b) = B(a - 1, b) (a - 1)/(a + b - 1) down to B(1, b) = 1/b or
+    B(1/2, b) = sqrt(pi) Gamma(b)/Gamma(b + 1/2); past b + 1/2 = 171, where
+    Gamma overflows, that ratio is exp(lgamma(b) - lgamma(b + 1/2)).
+    """
+    if a == math.floor(a):
+        x, value = 1.0, 1.0 / b
+    else:
+        x = 0.5
+        ratio = (math.gamma(b) / math.gamma(b + 0.5) if b + 0.5 < 171.0 else
+                 math.exp(math.lgamma(b) - math.lgamma(b + 0.5)))
+        value = math.sqrt(math.pi) * ratio
+    while x < a:
+        x += 1.0
+        value *= (x - 1.0) / (x + b - 1.0)
+    return value
 
 
 def _rkl2_reach(s: int) -> float:
@@ -576,7 +605,7 @@ class BarenblattParams:
         sg = unit_sphere_area(k)
         return (sg * self.bracket ** (k / 2.0 + 1.0 / (m - 1.0)) *
                 self.front_constant ** (-k / 2.0) * 0.5 *
-                beta_function(k / 2.0, 1.0 / (m - 1.0) + 1.0))
+                _half_integer_beta(k / 2.0, 1.0 / (m - 1.0) + 1.0))
 
     @classmethod
     def from_mass(cls, dimension: int, m: float, mass: float,
@@ -594,12 +623,15 @@ class BarenblattParams:
 
 
 def barenblatt(params: BarenblattParams, r, t: float):
-    """Profile value at radius r and self-similar time t > 0."""
+    """Profile value at radius r and self-similar time t > 0; exactly 0 from
+    the front support_radius(t) on, where rounding may leave the bracket a
+    few ulps above 0."""
     if t <= 0.0:
         raise ValueError("the self-similar solution needs t > 0")
     r = np.asarray(r, dtype=float)
     inside = params.bracket - params.front_constant * (
         r * r) * t ** (-2.0 * params.radius_exponent)
+    inside = np.where(r < params.support_radius(t), inside, 0.0)
     vals = t ** (-params.alpha) * np.power(np.maximum(inside, 0.0),
                                            1.0 / (params.m - 1.0))
     return float(vals) if vals.ndim == 0 else vals

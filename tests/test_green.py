@@ -50,6 +50,30 @@ def test_warped_identity_green_matches_euclidean(euclid3):
             pg.GreenData(euclid3).exact(r), rel=1e-10)
 
 
+def test_warped_volume_and_surrogate_below_the_first_knot():
+    # phi = r (1 + r^2)^-0.1, d = 4: with u = r^2,
+    # V = sigma_4/2 (((1 + u)^1.7 - 1)/1.7 - ((1 + u)^0.7 - 1)/0.7); the
+    # volume's first knot is 1e-2, the next one 1.0155e-2
+    prof = pg.make_profile(form="warped", dimension=4, params={
+        "phi": lambda r: r * (1.0 + r * r) ** -0.1})
+    half_sigma = pg.unit_sphere_area(4) / 2.0
+    with mp.workdps(30):
+        def volume(t):
+            u = mp.mpf(t) ** 2
+            return half_sigma * (mp.expm1(1.7 * mp.log1p(u)) / 1.7
+                                 - mp.expm1(0.7 * mp.log1p(u)) / 0.7)
+        def surrogate(r):
+            return mp.quad(lambda s: mp.exp(2 * s) / volume(mp.exp(s)),
+                           [math.log(r), 0, 5, 20, 100, mp.inf])
+        # below the first knot, on its first interval and at the knot
+        refs = [(r, float(volume(r)), float(surrogate(r)), rel)
+                for r, rel in ((1e-3, 1e-3), (0.0101, 1e-5), (1e-2, 1e-6))]
+    green = pg.GreenData(prof)
+    for r, v_ref, g_ref, rel in refs:
+        assert float(prof.volume(r)) == pytest.approx(v_ref, rel=rel)
+        assert green.surrogate(r) == pytest.approx(g_ref, rel=rel)
+
+
 def test_parabolic_profile_rejected():
     prof = pg.make_profile(form="warped", dimension=3,
                            params={"phi": np.tanh})

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
@@ -11,9 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmegreen.numerics import (BracketError, IntegralDivergenceError,
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
+
+from pmegreen.numerics import (BracketError, Hermite, IntegralDivergenceError,
                                TailTable, gauss_panels, invert_increasing,
-                               loglog_slope, simpson_weights, tail_remainder)
+                               loglog_slope, pchip_slopes, simpson_weights,
+                               tail_remainder)
 
 
 def tail(f, a):
@@ -73,14 +77,136 @@ def test_tail_table_pole_model_is_inf_where_f_overflows():
     assert values[1:].tolist() == [math.inf, math.inf]
 
 
-def test_package_import_leaves_scipy_integrate_out():
-    # run apart: pytest's warning filter imports scipy.integrate in this process
+# cold CLI runs after which no scipy module may be loaded; an implicit solve
+# may load what scipy.linalg itself loads, for LAPACK ?gtsv
+SCIPY_FREE_RUNS = [
+    ["green", "--profile", "power_log:4:3:0.5", "--radii", "0.5,2,40"],
+    ["l1g", "--profile", "power_log:4:3:0.5", "--exponents", "2.5,3.5"],
+    ["bound", "--profile", "power_log:4:3:0.5", "--growth",
+     "power_log:3:0.5:2", "--m", "2", "--t-min", "1", "--t-max", "1e4",
+     "--count", "8"],
+    ["solve", "--profile", "euclidean:3", "--m", "2", "--init", "barenblatt",
+     "--rmax", "6", "--cells", "60", "--tend", "0.05", "--snapshots", "2"],
+]
+IMPLICIT_RUN = [*SCIPY_FREE_RUNS[-1], "--scheme", "implicit"]
+
+
+def scipy_modules_after(code: str, *args: str) -> set:
+    """Names of the scipy modules loaded once `code` has run in a fresh
+    interpreter (pytest's warning filter imports scipy in this one)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys, pmegreen, pmegreen.cli; "
-            "sys.exit('scipy.integrate' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    probe = (code + "\nimport json; print(json.dumps([m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy']))")
+    done = subprocess.run([sys.executable, "-c", probe, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_package_import_leaves_scipy_out():
+    assert scipy_modules_after("import sys, pmegreen, pmegreen.cli") == set()
+
+
+def test_cli_runs_leave_scipy_out(tmp_path):
+    # the runs go one after another in one interpreter, each into its own
+    # directory, so a scipy import by any of them shows
+    code = ("import json, sys; from pmegreen.cli import main\n"
+            "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+            "    assert main([*argv, '--out-dir', f'{sys.argv[2]}/{i}']) == 0")
+    assert scipy_modules_after(code, json.dumps(SCIPY_FREE_RUNS),
+                               str(tmp_path)) == set()
+
+
+def test_implicit_solve_loads_scipy_linalg_only(tmp_path):
+    code = ("import sys; from pmegreen.cli import main; "
+            "assert main(sys.argv[1:]) == 0")
+    loaded = scipy_modules_after(code, *IMPLICIT_RUN, "--out-dir", str(tmp_path))
+    assert "scipy.linalg" in loaded
+    assert loaded <= scipy_modules_after("import sys, scipy.linalg")
+
+
+# -- Hermite kernel -----------------------------------------------------------
+
+def hermite_cases():
+    """(x, y, slopes) on uneven knots: oscillating, monotone, with a flat
+    run, and a two-knot case."""
+    rng = np.random.default_rng(7)
+    cases = []
+    for n, kind in ((40, "wave"), (25, "monotone"), (30, "flat"), (2, "wave")):
+        x = np.cumsum(rng.exponential(size=n)) * 10.0 ** rng.uniform(-3, 3)
+        if kind == "wave":
+            y = np.sin(3.0 * x / x[-1]) + 0.1 * rng.normal(size=n)
+        elif kind == "monotone":
+            y = np.cumsum(rng.exponential(size=n))
+        else:
+            y = np.log1p(x)
+            y[10:14] = y[10]
+        cases.append((x, y, rng.normal(size=n)))
+    return cases
+
+
+def probe_points(x):
+    """Every knot, interior points, the two ends, and points outside."""
+    rng = np.random.default_rng(3)
+    inside = rng.uniform(x[0], x[-1], 300)
+    mids = 0.5 * (x[1:] + x[:-1])
+    outside = [x[0] - 1.0, np.nextafter(x[0], -np.inf),
+               np.nextafter(x[-1], np.inf), x[-1] + 1.0]
+    return np.concatenate([x, mids, inside, outside])
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_hermite_matches_cubic_hermite_spline_bit_for_bit(case):
+    x, y, d = hermite_cases()[case]
+    ours, ref = Hermite(x, y, d), CubicHermiteSpline(x, y, d, extrapolate=False)
+    pts = probe_points(x)
+    # the derivative is summed as scipy's derivative() spline sums it
+    for got, want in ((ours(pts), ref(pts)),
+                      (ours(pts, nu=1), ref.derivative()(pts))):
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[-4:]).all() and not np.isnan(got[:-4]).any()
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_pchip_matches_pchip_interpolator_bit_for_bit(case):
+    x, y, _ = hermite_cases()[case]
+    ref = PchipInterpolator(x, y, extrapolate=False)
+    slopes = pchip_slopes(x, y)
+    # scipy keeps the slopes at the left knots as the linear coefficients;
+    # the last one enters the values below
+    assert np.array_equal(slopes[:-1], ref.c[2])
+    ours = Hermite(x, y, slopes)
+    pts = probe_points(x)
+    assert np.array_equal(ours(pts), ref(pts), equal_nan=True)
+    assert np.array_equal(ours(pts, nu=1), ref.derivative()(pts),
+                          equal_nan=True)
+
+
+def test_hermite_shapes_and_zero_d_input():
+    x, y, d = hermite_cases()[0]
+    ours, ref = Hermite(x, y, d), CubicHermiteSpline(x, y, d)
+    point = np.asarray(0.5 * (x[3] + x[4]))
+    assert ours(point).shape == () and ours(point) == ref(point)
+    assert ours(float(x[-1])) == ref(x[-1])
+    assert math.isnan(ours(float(x[-1]) + 1.0))
+    grid = np.linspace(x[0], x[-1], 12).reshape(3, 4)
+    assert ours(grid).shape == (3, 4)
+    assert np.array_equal(ours(grid, nu=1), ref.derivative()(grid))
+    assert ours(np.empty(0)).shape == (0,)
+
+
+def test_hermite_rejects_bad_knots():
+    with pytest.raises(ValueError, match="increasing"):
+        Hermite([0.0, 2.0, 1.0], [0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        pchip_slopes([0.0, 1.0, 2.0], [0.0, math.nan, 2.0])
+    with pytest.raises(ValueError, match="at least 2"):
+        pchip_slopes([0.0], [1.0])
+    with pytest.raises(ValueError, match="one slope per knot"):
+        Hermite([0.0, 1.0], [0.0, 1.0], [1.0])
+    with pytest.raises(ValueError, match="nu"):
+        Hermite([0.0, 1.0], [0.0, 1.0], [1.0, 1.0])(0.5, nu=2)
 
 
 def test_invert_increasing_round_trip():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -215,6 +216,24 @@ def test_lambert_matches_scipy():
         # small |x| is the residual divided by |x|
         assert pg.lambert_w0(float(x)) == pytest.approx(ref, rel=2e-11,
                                                         abs=1e-13)
+
+
+@pytest.mark.parametrize("xs", [
+    np.concatenate([np.geomspace(1e-3, 1e3, 40), np.linspace(-0.36, -0.01, 20)]),
+    np.geomspace(1e3, 1e300, 120)], ids=["grid", "large"])
+def test_lambert_matches_mpmath(xs):
+    for x in xs:
+        with mpmath.workdps(40):
+            ref = float(mpmath.lambertw(float(x)).real)
+        assert pg.lambert_w0(float(x)) == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+
+def test_lambert_near_the_branch_point_and_at_the_extremes():
+    # W is sqrt-singular at -1/e: a double's rounding there costs digits
+    for x in (-math.exp(-1.0) + 1e-12, -0.3678, 5e-324, 1e-300, 1.7e308):
+        with mpmath.workdps(40):
+            ref = float(mpmath.lambertw(x).real)
+        assert pg.lambert_w0(x) == pytest.approx(ref, rel=1e-10)
 
 
 @given(st.floats(min_value=-1.0, max_value=20.0))

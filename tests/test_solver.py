@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -65,17 +68,39 @@ def test_barenblatt_mass_against_quadrature(k, m):
         assert val == pytest.approx(1.0, rel=1e-10)
 
 
-def test_barenblatt_sup_and_front_laws(mass1_params):
-    p = mass1_params
-    for t in (1.0, 2.5, 10.0):
-        assert pg.barenblatt(p, 0.0, t) == pytest.approx(p.sup_value(t),
-                                                         rel=1e-13)
-        # the profile vanishes at the front radius and is positive just inside
-        front = p.support_radius(t)
-        assert pg.barenblatt(p, front, t) == 0.0
-        assert pg.barenblatt(p, 0.999 * front, t) > 0.0
-        assert p.sup_value(t) * t ** p.alpha == pytest.approx(
-            p.bracket ** (1.0 / (p.m - 1.0)), rel=1e-13)
+def test_barenblatt_sup_and_front_laws():
+    for k, m, mass in itertools.product((3, 4, 5), (1.5, 2.0, 3.0),
+                                        np.linspace(0.3, 3.0, 40)):
+        p = pg.BarenblattParams.from_mass(k, m, float(mass))
+        for t in (1.0, 2.5, 10.0):
+            assert pg.barenblatt(p, 0.0, t) == pytest.approx(p.sup_value(t),
+                                                             rel=1e-13)
+            # the profile vanishes from the front radius on and is positive
+            # just inside
+            front = p.support_radius(t)
+            assert pg.barenblatt(p, front, t) == 0.0
+            assert pg.barenblatt(p, np.array([front, 2.0 * front]), t).tolist() \
+                == [0.0, 0.0]
+            assert pg.barenblatt(p, 0.999 * front, t) > 0.0
+            assert p.sup_value(t) * t ** p.alpha == pytest.approx(
+                p.bracket ** (1.0 / (p.m - 1.0)), rel=1e-13)
+
+
+@pytest.mark.parametrize("k", range(3, 11))
+def test_barenblatt_beta_matches_mpmath(k):
+    # B(k/2, 1/(m - 1) + 1) of the Barenblatt mass, within 2 machine epsilons
+    for m in (1.1, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 7.0, 10.0):
+        a, b = k / 2.0, 1.0 / (m - 1.0) + 1.0
+        with mpmath.workdps(40):
+            ref = float(mpmath.beta(a, b))
+        assert pg.solver._half_integer_beta(a, b) == pytest.approx(
+            ref, rel=2.0 * sys.float_info.epsilon, abs=0.0)
+    # past b = 170.5 the Gamma ratio comes from lgamma
+    for a in (1.5, 2.0, 2.5):
+        with mpmath.workdps(40):
+            ref = float(mpmath.beta(a, 1001.0))
+        assert pg.solver._half_integer_beta(a, 1001.0) == pytest.approx(
+            ref, rel=1e-11)
 
 
 def test_barenblatt_validation(mass1_params):
