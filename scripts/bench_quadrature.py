@@ -28,7 +28,7 @@ round:
   CubicHermiteSpline in checkouts from before the package's own Hermite
   kernel) at 1, 100 and 10^4 points inside the edges, each one array;
 - `cold_import`: the median seconds of `import pmegreen, pmegreen.cli` over
-  --imports fresh interpreters, and the scipy modules such an import
+  IMPORT_ROUNDS fresh interpreters, and the scipy modules such an import
   leaves loaded. Byte-code caches count as they are: with
   PYTHONDONTWRITEBYTECODE set, each import compiles the package again.
 
@@ -63,6 +63,7 @@ BOUND_TIMES = np.geomspace(1.0, 1e6, 40)
 POTENTIAL_CELLS = (250, 1000, 4000)
 POTENTIAL_RADII = np.geomspace(0.1, 1e3, 41)
 CALL_POINTS = (1, 100, 10000)
+IMPORT_ROUNDS = 9
 IMPORT_PROBE = ("import sys, time; t = time.perf_counter(); "
                 "import pmegreen, pmegreen.cli; "
                 "print(time.perf_counter() - t, "
@@ -108,13 +109,9 @@ def main(argv=None) -> int:
                         help="name of this run in the output file")
     parser.add_argument("--out", default="BENCH_quadrature.json")
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--imports", type=int, default=9,
-                        help="fresh interpreters for the cold import time")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    if not 1 <= args.imports <= 50:
-        parser.error("--imports must be in [1, 50]")
 
     classify = {}
     cases = (("euclidean:5", pg.make_profile(form="euclidean", dimension=5),
@@ -188,7 +185,7 @@ def main(argv=None) -> int:
     evaluate_l1_us = round(wall / BOUND_TIMES.size * 1e6, 2)
     print(f"evaluate_l1: {evaluate_l1_us:.1f} us")
 
-    imports = cold_import(args.imports)
+    imports = cold_import(IMPORT_ROUNDS)
     print(f"cold import: median {imports['median_s']:.3f} s over "
           f"{imports['rounds']} interpreters, {imports['scipy_modules']} "
           "scipy modules loaded")

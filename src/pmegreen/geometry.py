@@ -14,7 +14,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .numerics import (Hermite, IntegralDivergenceError, TailTable,
-                       gauss_panels, pchip_slopes)
+                       gauss_intervals, gauss_panels, pchip_slopes)
 
 # relative slack for monotonicity checks on exact closed forms
 MONOTONE_SLACK = 1e-12
@@ -131,20 +131,20 @@ def _warped(dimension: int, phi: Callable[[np.ndarray], np.ndarray],
 
     # cumulative volume cached on a log grid, its first panel reaching down
     # to the pole; the PCHIP runs through the grid but not through the pole,
-    # where a cubic cannot follow V ~ r^n, and power laws extend it below
-    # the grid and beyond it, where they keep tail integrals total
+    # where a cubic cannot follow V ~ r^n. Below the grid V is that first
+    # panel's Gauss rule on [0, r], equal to the grid's value at its first
+    # knot; beyond it a power law keeps tail integrals total
     knots = np.geomspace(r_max * 1e-8, r_max, 1200)
     vols = np.cumsum(gauss_panels(area, np.concatenate([[0.0], knots])))
     interp = Hermite(knots, vols, pchip_slopes(knots, vols))
-    r_start, v_start = float(knots[0]), float(vols[0])
-    slope_start = float(r_start * area(r_start) / v_start)
+    r_start = float(knots[0])
     v_end = float(vols[-1])
     slope_end = float(r_max * area(r_max) / v_end)
 
     def volume(r):
         r = np.asarray(r, dtype=float)
-        below = v_start * np.power(np.clip(r, 0.0, r_start) / r_start,
-                                   slope_start)
+        rc = np.clip(r, 0.0, r_start)
+        below = gauss_intervals(area, np.zeros_like(rc), rc)
         return np.where(r < r_start, below, np.where(
             r <= r_max, interp(np.clip(r, r_start, r_max)),
             v_end * np.power(np.maximum(r, r_max) / r_max, slope_end)))

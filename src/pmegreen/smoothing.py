@@ -191,7 +191,8 @@ def smoothing_bound_l1g(m: float, dimension: int, t: float,
 
 
 def lambert_w0(x: float) -> float:
-    """Principal Lambert branch on [-1/e, inf); the branch point returns -1.
+    """Principal Lambert branch on [-1/e, inf]; the branch point returns -1
+    and inf returns inf.
 
     Halley's iteration on w e^w = x, written as w - x e^-w = 0 so that
     nothing overflows for large x, from the branch-point series in
@@ -205,8 +206,8 @@ def lambert_w0(x: float) -> float:
         raise DomainError(f"lambert_w0 needs x >= -1/e, got {x}")
     if x <= branch_point:
         return -1.0
-    if x == 0.0:
-        return 0.0
+    if x == 0.0 or x == math.inf:
+        return x
     if x < -0.25:
         p = math.sqrt(2.0 * (math.e * x + 1.0))
         w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * 11.0 / 72.0))

@@ -59,15 +59,24 @@ def _half_integer_beta(a: float, b: float) -> float:
     """B(a, b) for a in {1/2, 1, 3/2, ...} and b > 0.
 
     B(a, b) = B(a - 1, b) (a - 1)/(a + b - 1) down to B(1, b) = 1/b or
-    B(1/2, b) = sqrt(pi) Gamma(b)/Gamma(b + 1/2); past b + 1/2 = 171, where
-    Gamma overflows, that ratio is exp(lgamma(b) - lgamma(b + 1/2)).
+    B(1/2, b) = sqrt(pi) Gamma(b)/Gamma(b + 1/2). Past b + 1/2 = 171, where
+    Gamma overflows, that ratio is exp(D)/sqrt(b) with D = lgamma(b) -
+    lgamma(b + 1/2) + log(b)/2 = 1/2 - b log1p(1/(2b)) + the difference of
+    Stirling's 1/(12x) - 1/(360x^3) + 1/(1260x^5) at x = b and b + 1/2: D is
+    O(1/b), so no term of size log b is exponentiated and nothing cancels.
     """
     if a == math.floor(a):
         x, value = 1.0, 1.0 / b
     else:
         x = 0.5
-        ratio = (math.gamma(b) / math.gamma(b + 0.5) if b + 0.5 < 171.0 else
-                 math.exp(math.lgamma(b) - math.lgamma(b + 0.5)))
+        if b + 0.5 < 171.0:
+            ratio = math.gamma(b) / math.gamma(b + 0.5)
+        else:
+            def stirling(y):
+                inv2 = 1.0 / (y * y)
+                return (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 / 1260.0)) / y
+            d = 0.5 - b * math.log1p(0.5 / b) + (stirling(b) - stirling(b + 0.5))
+            ratio = math.exp(d) / math.sqrt(b)
         value = math.sqrt(math.pi) * ratio
     while x < a:
         x += 1.0

@@ -230,7 +230,8 @@ def test_lambert_matches_mpmath(xs):
 
 def test_lambert_near_the_branch_point_and_at_the_extremes():
     # W is sqrt-singular at -1/e: a double's rounding there costs digits
-    for x in (-math.exp(-1.0) + 1e-12, -0.3678, 5e-324, 1e-300, 1.7e308):
+    for x in (-math.exp(-1.0) + 1e-12, -0.3678, 5e-324, 1e-300, 1.7e308,
+              math.inf):
         with mpmath.workdps(40):
             ref = float(mpmath.lambertw(x).real)
         assert pg.lambert_w0(x) == pytest.approx(ref, rel=1e-10)

@@ -70,7 +70,7 @@ def test_barenblatt_mass_against_quadrature(k, m):
 
 def test_barenblatt_sup_and_front_laws():
     for k, m, mass in itertools.product((3, 4, 5), (1.5, 2.0, 3.0),
-                                        np.linspace(0.3, 3.0, 40)):
+                                        [*np.linspace(0.3, 3.0, 40), 1.0]):
         p = pg.BarenblattParams.from_mass(k, m, float(mass))
         for t in (1.0, 2.5, 10.0):
             assert pg.barenblatt(p, 0.0, t) == pytest.approx(p.sup_value(t),
@@ -95,12 +95,14 @@ def test_barenblatt_beta_matches_mpmath(k):
             ref = float(mpmath.beta(a, b))
         assert pg.solver._half_integer_beta(a, b) == pytest.approx(
             ref, rel=2.0 * sys.float_info.epsilon, abs=0.0)
-    # past b = 170.5 the Gamma ratio comes from lgamma
-    for a in (1.5, 2.0, 2.5):
+    # from b = 170.5 on, where Gamma overflows, the Gamma ratio comes from
+    # Stirling's series (m below about 1.006); exp and sqrt add an epsilon
+    for a, b in itertools.product((1.5, 2.0, 2.5, 5.0),
+                                  (170.5, 200.0, 1001.0, 1e4 + 1.0, 1e10 + 1.0)):
         with mpmath.workdps(40):
-            ref = float(mpmath.beta(a, 1001.0))
-        assert pg.solver._half_integer_beta(a, 1001.0) == pytest.approx(
-            ref, rel=1e-11)
+            ref = float(mpmath.beta(a, b))
+        assert pg.solver._half_integer_beta(a, b) == pytest.approx(
+            ref, rel=3.0 * sys.float_info.epsilon, abs=0.0)
 
 
 def test_barenblatt_validation(mass1_params):
