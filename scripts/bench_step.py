@@ -12,16 +12,20 @@ runs at 2000 cells. The "full support" runs (m = 2, explicit and implicit,
 1000 and 4000 cells) start from 1 + exp(-r^2), which fills the grid, so the
 stepper's support window covers every cell and only its own cost shows.
 An explicit step is what
-RunRecord.steps counts: an RKL2 super-step of up to 20 stages, or one
-forward-Euler step in a checkout from before super-steps, so explicit runs
-compare by wall time. A step figure is the median over --repeats runs of
+RunRecord.steps counts: an RKL2 super-step of up to RKL2_MAX_STAGES stages,
+or one forward-Euler step in a checkout from before super-steps, so
+explicit runs compare by wall time and by `stages`, the divergence
+evaluations of their stages, and `rejections`, the stage sequences thrown
+away (RunRecord.stages and RunRecord.rejections; in a checkout without
+them, the calls of Stepper._divergence and the Stepper._rkl2 calls that
+returned None). A step figure is the median over --repeats runs of
 RunRecord.wall_time / RunRecord.steps, after one untimed run; `wall_s`
 lists each timed run's RunRecord.wall_time and `steps` its RunRecord.steps.
 The untimed run counts, per step, the Newton residual evaluations (calls
 of Stepper._divergence) and the tridiagonal solves of an implicit run, and
 records two means: `support_fraction`, over steps, of the cells up to the
 last nonzero one of the step's start state, and `window_fraction`, over
-divergence evaluations, of the cells evaluated (1 in a checkout that
+calls of Stepper._divergence, of the cells evaluated (1 in a checkout that
 evaluates the whole grid); both as fractions of the grid.
 The figures go into --out (default BENCH_step.json) under --label, beside
 the runs of other labels already there, with the machine and the Python,
@@ -61,14 +65,17 @@ SOLVES = ("_GTSV", "solve_banded")
 
 def counted_run(grid, m: float, u0, **run_args) -> dict:
     """One run with Stepper._divergence and the tridiagonal solve counted,
-    per RunRecord step, and the mean support and window fractions."""
+    per RunRecord step, the run's stages and rejections, and the mean
+    support and window fractions."""
     solver, stepper = pg.solver, pg.solver.Stepper
     name = next(n for n in SOLVES if hasattr(solver, n))
     divergence, solve = stepper._divergence, getattr(solver, name)
     # run_pme calls super_step (explicit) or step (implicit) once per step
     steps = {meth: getattr(stepper, meth) for meth in ("step", "super_step")
              if hasattr(stepper, meth)}
+    rkl2 = getattr(stepper, "_rkl2", None)
     counts = {"residuals": 0, "solves": 0}
+    rejections = 0
     supports, windows = [], []
 
     def counted_divergence(self, w):
@@ -79,6 +86,12 @@ def counted_run(grid, m: float, u0, **run_args) -> dict:
     def counted_solve(*args, **kwargs):
         counts["solves"] += 1
         return solve(*args, **kwargs)
+
+    def counted_rkl2(self, *args):
+        nonlocal rejections
+        new = rkl2(self, *args)
+        rejections += new is None
+        return new
 
     def recorded(step):
         def wrapper(self, state, *args, **kwargs):
@@ -92,6 +105,8 @@ def counted_run(grid, m: float, u0, **run_args) -> dict:
     setattr(solver, name, counted_solve)
     for meth, step in steps.items():
         setattr(stepper, meth, recorded(step))
+    if rkl2 is not None:
+        stepper._rkl2 = counted_rkl2
     try:
         record = pg.run_pme(grid, m, u0, **run_args)
     finally:
@@ -99,7 +114,11 @@ def counted_run(grid, m: float, u0, **run_args) -> dict:
         setattr(solver, name, solve)
         for meth, step in steps.items():
             setattr(stepper, meth, step)
+        if rkl2 is not None:
+            stepper._rkl2 = rkl2
     out = {key: n / record.steps for key, n in counts.items()}
+    out["stages"] = getattr(record, "stages", counts["residuals"])
+    out["rejections"] = getattr(record, "rejections", rejections)
     out["support_fraction"] = round(statistics.fmean(supports), 4)
     out["window_fraction"] = round(statistics.fmean(windows), 4)
     return out
@@ -158,10 +177,13 @@ def main(argv=None) -> int:
             "us_per_step_min": round(res["min"] * 1e6, 2),
             "wall_s": [round(w, 5) for w in res["walls"]],
             "steps": res["steps"], "t_end": t_end,
+            "stages": res["counts"]["stages"],
+            "rejections": res["counts"]["rejections"],
             "support_fraction": res["counts"]["support_fraction"],
             "window_fraction": res["counts"]["window_fraction"]}
         print(f"explicit {key}: {res['median'] * 1e6:.1f} us/step "
-              f"({res['steps']} steps, "
+              f"({res['steps']} steps, {res['counts']['stages']} stages, "
+              f"{res['counts']['rejections']} rejections, "
               f"{statistics.median(res['walls']) * 1e3:.1f} ms/run, support "
               f"{res['counts']['support_fraction']:.3f} of the grid)")
 

@@ -3,10 +3,12 @@
 Flux form on a pole-anchored grid: cell volumes come from exact differences of
 the profile volume, faces carry the sphere area, and the flux is the plain
 difference quotient of u^m between neighbouring cell averages. Explicit runs
-advance by Runge-Kutta-Legendre (RKL2) super-steps built from forward-Euler
-stages at the positivity-safe time step (Meyer, Balsara & Aslam, J. Comput.
-Phys. 257, 2014); the implicit path is backward Euler with a damped Newton
-iteration on the tridiagonal system.
+advance by Runge-Kutta-Legendre (RKL2) super-steps (Meyer, Balsara & Aslam,
+J. Comput. Phys. 257, 2014). A super-step's span is set by the positivity-safe
+forward-Euler step and by a front-advance limit; its stage count by the
+forward-Euler stability step 2/rho, with rho the Gershgorin bound on the
+linearised divergence. The implicit path is backward Euler with a damped
+Newton iteration on the tridiagonal system.
 
 Data with compact support keep it, and the discrete front moves at most one
 cell per divergence evaluation, so a step computes only on the window of
@@ -21,6 +23,7 @@ through it equal the full grid's bit for bit.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import time
@@ -40,6 +43,9 @@ NEWTON_MAX_ITER = 60
 NEWTON_TOL = 1e-10
 POSITIVITY_RETRY_LIMIT = 40
 RKL2_MAX_STAGES = 20
+# a super-step moves the front by at most this fraction of the width of the
+# last nonzero cell, at the Darcy speed of the start state
+FRONT_CELLS = 0.5
 
 
 @functools.lru_cache(maxsize=1)
@@ -85,17 +91,18 @@ def _half_integer_beta(a: float, b: float) -> float:
 
 
 def _rkl2_reach(s: int) -> float:
-    """Forward-Euler steps one s-stage RKL2 super-step may span."""
+    """Forward-Euler stability steps 2/rho that one s-stage RKL2 super-step
+    may span."""
     return (s * s + s - 2) / 4.0
 
 
+_RKL2_REACHES = tuple(_rkl2_reach(s) for s in range(2, RKL2_MAX_STAGES))
+
+
 def _rkl2_stages(ratio: float) -> int:
-    """Smallest s >= 2 whose super-step spans `ratio` forward-Euler steps,
-    at most RKL2_MAX_STAGES."""
-    s = 2
-    while _rkl2_reach(s) < ratio and s < RKL2_MAX_STAGES:
-        s += 1
-    return s
+    """Smallest s >= 2 whose super-step spans `ratio` stability steps, at
+    most RKL2_MAX_STAGES."""
+    return 2 + bisect.bisect_left(_RKL2_REACHES, ratio)
 
 
 @functools.lru_cache(maxsize=RKL2_MAX_STAGES)
@@ -201,7 +208,9 @@ class Stepper:
     window [0, k) only (see the module docstring); the returned state is a
     fresh full-length array, zero past k, so returned states never share
     memory with the stepper or with each other. The scratch buffers make one
-    stepper unsafe to share between threads.
+    stepper unsafe to share between threads. `stages` counts the divergence
+    evaluations of explicit stages and `rejections` the stage sequences a
+    super-step threw away, both since construction.
     """
 
     def __init__(self, grid: RadialGrid, m: float, boundary: str = "absorbing",
@@ -236,6 +245,9 @@ class Stepper:
         self._up[:-1] = self._flux_coef / dV[:-1]
         self._diag_lin = -(self._lo + self._up)
         self._diag_lin[-1] -= self._outer_coef / dV[-1]
+        # the front-advance limit's Darcy speeds and cell widths
+        self._inv_gaps = 1.0 / gaps
+        self._widths = np.diff(grid.edges)
         # the Newton matrix's sub-, main and super-diagonal; LAPACK overwrites
         self._dl = np.empty(n - 1)
         self._d = np.empty(n)
@@ -246,7 +258,8 @@ class Stepper:
         self._flux = np.empty(n - 1)
         self._div = np.empty(n)
         self._rates = np.empty(n)
-        # super-step scratch: L(u), two stage increments Y - u, a stage, a sum
+        # super-step scratch: L(u), two stage increments Y - u, a stage, a
+        # sum; the last two also hold the span's Gershgorin rows and speeds
         self._l0 = np.empty(n)
         self._d1 = np.empty(n)
         self._d2 = np.empty(n)
@@ -255,26 +268,32 @@ class Stepper:
         self._cut_k = -1
         self._cut_views = ()
         self._dt_limit = math.nan  # dt of the last step before any halving
+        self.stages = 0
+        self.rejections = 0
 
     def _cut(self, k: int) -> tuple:
-        """(flux, flux coefficient, divergence, cell volume) cut to the window
-        [0, k). One window serves every stage of a super-step and every
+        """The views on the window [0, k) that the stages and iterates use:
+        u^m, u^(m-1), the fluxes with their upper and lower parts, the flux
+        coefficients, the divergence with its interior part, and the cell
+        volumes. One window serves every stage of a super-step and every
         iterate of an implicit step, so it is cut again only when k changes;
         slicing on every call cost a few percent on data that fill the grid."""
         if k != self._cut_k:
             self._cut_k = k
-            self._cut_views = (self._flux[:k - 1], self._flux_coef[:k - 1],
-                               self._div[:k], self._dV[:k])
+            flux, div = self._flux[:k - 1], self._div[:k]
+            self._cut_views = (self._w[:k], self._um1[:k], flux, flux[1:],
+                               flux[:-1], self._flux_coef[:k - 1], div,
+                               div[1:-1], self._dV[:k])
         return self._cut_views
 
     def _nonlinearity(self, u: np.ndarray):
         """(u^m, u^(m-1)) of the window u in scratch buffers; at m = 2,
         u^(m-1) is u itself."""
-        k = u.size
+        w, um1 = self._cut(u.size)[:2]
         if self.m == 2.0:
-            return np.multiply(u, u, out=self._w[:k]), u
-        um1 = np.power(u, self.m - 1.0, out=self._um1[:k])
-        return np.multiply(u, um1, out=self._w[:k]), um1
+            return np.multiply(u, u, w), u
+        np.power(u, self.m - 1.0, um1)
+        return np.multiply(u, um1, w), um1
 
     def _stable_dt(self, um1: np.ndarray) -> float:
         k = um1.size
@@ -283,17 +302,45 @@ class Stepper:
         rate = float(rates.max())
         return self.cfl / rate if rate > 0.0 else math.inf
 
+    def _gershgorin_dt(self, um1: np.ndarray) -> float:
+        """2/rho, the forward-Euler stability step, with rho the Gershgorin
+        bound on the linearised divergence: row i is rates[i] + lo[i] P[i-1]
+        + up[i] P[i+1], P = m u^(m-1), taken as m (lo[i] u^(m-1)[i-1] + up[i]
+        u^(m-1)[i+1]) + rates[i]. Reads the rates _stable_dt(um1) left in its
+        buffer; past the window u^(m-1) is zero, or the last cell has no
+        upper band."""
+        k = um1.size
+        rows, upper = self._y[:k], self._sum[:k - 1]
+        rows[0] = 0.0
+        np.multiply(self._lo[1:k], um1[:-1], rows[1:])
+        np.multiply(self._up[:k - 1], um1[1:], upper)
+        rows[:-1] += upper
+        rows *= self.m
+        rows += self._rates[:k]
+        rho = float(np.maximum.reduce(rows))
+        return 2.0 / rho if rho > 0.0 else math.inf
+
+    def _front_dt(self, um1: np.ndarray, last: int) -> float:
+        """The time in which the Darcy speed v = m/(m-1) max(-d_r u^(m-1))
+        over the faces of cells [0, last] moves the front FRONT_CELLS of the
+        last nonzero cell's width; inf when nothing flows outward."""
+        speeds = self._sum[:last + 1]
+        np.subtract(um1[:last + 1], um1[1:last + 2], speeds)
+        speeds *= self._inv_gaps[:last + 1]
+        v = self.m / (self.m - 1.0) * float(np.maximum.reduce(speeds))
+        return FRONT_CELLS * self._widths[last] / v if v > 0.0 else math.inf
+
     def _divergence(self, w: np.ndarray) -> np.ndarray:
         """Cell divergence of the flux of the window w = u^m, in the scratch
         buffer; the window's last cell takes the outer face's flux."""
-        flux, coef, div, dV = self._cut(w.size)
-        np.subtract(w[1:], w[:-1], out=flux)
-        flux *= coef
+        _, _, flux, flux_hi, flux_lo, coef, div, div_mid, dV = self._cut(
+            w.size)
+        np.subtract(w[1:], w[:-1], flux)
+        np.multiply(flux, coef, flux)
         div[0] = flux[0]
-        np.subtract(flux[1:], flux[:-1], out=div[1:-1])
+        np.subtract(flux_hi, flux_lo, div_mid)
         div[-1] = -flux[-1] - self._outer_coef * w[-1]
-        div /= dV
-        return div
+        return np.true_divide(div, dV, div)
 
     def stable_dt(self, u: np.ndarray) -> float:
         """The largest positivity-safe explicit dt at u; inf for zero data."""
@@ -328,6 +375,7 @@ class Stepper:
         u = state.u
         k = w.size
         div = self._divergence(w)
+        self.stages += 1
         u_new = np.zeros(u.size)
         window = u_new[:k]
         for _ in range(POSITIVITY_RETRY_LIMIT):
@@ -342,15 +390,21 @@ class Stepper:
     def super_step(self, state: RadialState, dt: float) -> RadialState:
         """Advance by one RKL2 super-step of at most dt.
 
-        The step spans tau = min(dt, reach(RKL2_MAX_STAGES) dt_FE), with dt_FE
-        the stable explicit dt and reach(s) = (s^2 + s - 2)/4, in the fewest
-        s >= 2 stages whose reach covers tau / dt_FE; a tau within dt_FE is one
-        forward-Euler step. Stages are kept as increments Y_j - u, so data
-        with zero divergence stay exactly fixed, and the outflow ledger runs
-        through the same recurrence, so mass plus outflow is conserved to
-        rounding. A stage with a negative value halves tau and chooses s
-        again; u^m is never taken of a negative stage. An s-stage super-step
-        computes on the cells up to the last nonzero one plus s + 2.
+        With dt_FE the positivity-safe explicit dt, dt_stab = 2/rho the
+        forward-Euler stability step (rho the Gershgorin bound on the
+        linearised divergence) and reach(s) = (s^2 + s - 2)/4, the step spans
+        tau = min(dt, reach(RKL2_MAX_STAGES) min(dt_FE, dt_stab)). While the
+        data leave cells empty, tau is also at most max(dt_FE, t_front), with
+        t_front the time in which the start state's largest Darcy speed moves
+        the front FRONT_CELLS of the last nonzero cell. A tau within dt_FE is
+        one forward-Euler step; otherwise the step takes the fewest s >= 2
+        stages with reach(s) dt_stab >= tau, within which RKL2 is stable.
+        Stages are kept as increments Y_j - u, so data with zero divergence
+        stay exactly fixed, and the outflow ledger runs through the same
+        recurrence, so mass plus outflow is conserved to rounding. A stage
+        with a negative value halves tau and chooses s again; u^m is never
+        taken of a negative stage. An s-stage super-step computes on the
+        cells up to the last nonzero one plus s + 2.
         """
         u = state.u
         n, last = u.size, _last_nonzero(u)
@@ -358,58 +412,72 @@ class Stepper:
         # the full grid's, since u^(m-1) is zero past it
         w, um1 = self._nonlinearity(u[:min(n, last + RKL2_MAX_STAGES + 2)])
         dt_fe = self._stable_dt(um1)
-        tau = min(dt, dt_fe * _rkl2_reach(RKL2_MAX_STAGES))
+        dt_stab = self._gershgorin_dt(um1)
+        tau = min(dt, _rkl2_reach(RKL2_MAX_STAGES) * min(dt_fe, dt_stab))
+        if tau > dt_fe and last < n - 1:
+            tau = min(tau, max(dt_fe, self._front_dt(um1, last)))
         if tau <= dt_fe:
             return self._forward_euler(state, tau, w[:min(n, last + 3)])
         self._dt_limit = tau
         # a halving never takes more stages, so the first count's window
         # serves every retry
-        k = min(n, last + _rkl2_stages(tau / dt_fe) + 2)
+        k = min(n, last + _rkl2_stages(tau / dt_stab) + 2)
         w = w[:k]
         out0 = self._outer_coef * w[-1]
-        self._l0[:k] = self._divergence(w)
+        l0 = self._l0[:k]
+        l0[:] = self._divergence(w)
+        self.stages += 1
         window = RadialState(u=u[:k], t=state.t, outflow=state.outflow)
         for _ in range(POSITIVITY_RETRY_LIMIT):
-            new = self._rkl2(window, tau, _rkl2_stages(tau / dt_fe), out0)
+            new = self._rkl2(window, tau, _rkl2_stages(tau / dt_stab), l0,
+                             out0)
             if new is not None:
                 return new
+            self.rejections += 1
             tau *= 0.5  # positivity rejection
         raise SolverError("positivity could not be restored by halving tau")
 
-    def _rkl2(self, state: RadialState, tau: float, s: int, out0: float):
-        """The s stages of one super-step from the window state.u = u[:k]
-        and L(u) in self._l0[:k]; the full-grid state, or None when a stage
-        turns negative."""
+    def _rkl2(self, state: RadialState, tau: float, s: int, l0: np.ndarray,
+              out0: float):
+        """The s stages of one super-step from the window state.u = u[:k],
+        with l0 = L(u) and out0 its outflow; the full-grid state, or None
+        when a stage turns negative. Scratch views are cut once here, and
+        the ufuncs write in place."""
         u = state.u
         k = u.size
-        l0 = self._l0[:k]
+        outer = self._outer_coef
+        nonlinearity, divergence = self._nonlinearity, self._divergence
+        add, multiply, lowest = np.add, np.multiply, np.minimum.reduce
         mu1, stages = _rkl2_coefficients(s)
-        d1 = np.multiply(l0, mu1 * tau, out=self._d1[:k])   # Y_1 - u
-        d2 = self._d2[:k]                                   # Y_0 - u
+        d1 = multiply(l0, mu1 * tau, self._d1[:k])     # Y_1 - u
+        d2 = self._d2[:k]                               # Y_0 - u
         d2.fill(0.0)
         e1, e2 = mu1 * tau * out0, 0.0                  # their outflows
         y, acc = self._y[:k], self._sum[:k]
-        for mu, nu, mu_t, a_prev in stages:
-            np.add(u, d1, out=y)
-            if y.min() < 0.0:
+        for j, (mu, nu, mu_t, a_prev) in enumerate(stages):
+            add(u, d1, y)
+            if lowest(y) < 0.0:
+                self.stages += j
                 return None
-            w, _ = self._nonlinearity(y)
-            out = self._outer_coef * w[-1]
+            w, _ = nonlinearity(y)
+            out = outer * w[-1]
+            div = divergence(w)
             # Y_j - u = mu (Y_(j-1) - u) + nu (Y_(j-2) - u)
             #           + mu~ tau (L(Y_(j-1)) - a_(j-1) L(u))
-            np.multiply(l0, -a_prev, out=acc)
-            acc += self._divergence(w)
-            acc *= mu_t * tau
-            d2 *= nu
-            acc += d2
-            np.multiply(d1, mu, out=d2)
-            d2 += acc
+            multiply(l0, -a_prev, acc)
+            add(acc, div, acc)
+            multiply(acc, mu_t * tau, acc)
+            multiply(d2, nu, d2)
+            add(acc, d2, acc)
+            multiply(d1, mu, d2)
+            add(d2, acc, d2)
             d1, d2 = d2, d1
             e1, e2 = (mu * e1 + nu * e2 + mu_t * tau * (out - a_prev * out0),
                       e1)
+        self.stages += len(stages)
         u_new = np.zeros(self.grid.cells)
-        window = np.add(u, d1, out=u_new[:k])
-        if window.min() < 0.0:
+        window = add(u, d1, u_new[:k])
+        if lowest(window) < 0.0:
             return None
         return RadialState(u=u_new, t=state.t + tau,
                            outflow=state.outflow + e1)
@@ -496,6 +564,8 @@ class RunRecord:
     mass_initial: float
     steps: int
     wall_time: float
+    stages: int = 0       # divergence evaluations of explicit stages
+    rejections: int = 0   # stage sequences a super-step threw away
 
     def state_at(self, t: float) -> np.ndarray:
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -574,7 +644,8 @@ def run_pme(grid: RadialGrid, m: float, initial, t_end: float,
     return RunRecord(grid=grid, m=m, boundary=boundary, scheme=scheme,
                      times=np.asarray(times), states=states,
                      outflows=np.asarray(outflows), mass_initial=mass0,
-                     steps=steps, wall_time=toc - tic)
+                     steps=steps, wall_time=toc - tic,
+                     stages=stepper.stages, rejections=stepper.rejections)
 
 
 @dataclass(frozen=True)

@@ -555,48 +555,48 @@ def test_super_step_ledger_through_absorbing_boundary(euclid3, mass1_params):
     assert rec.mass_defect() <= 1e-12
 
 
-def test_super_step_positivity_guard(euclid3, monkeypatch):
-    rejected = []
-    stages = pg.solver.Stepper._rkl2
-
-    def logged(self, state, tau, s, out0):
-        new = stages(self, state, tau, s, out0)
-        if new is None:
-            rejected.append(s)
-        return new
-
-    monkeypatch.setattr(pg.solver.Stepper, "_rkl2", logged)
+def test_super_step_positivity_guard(euclid3):
+    # the front limit keeps the spike's stages nonnegative: at most 2 stage
+    # sequences thrown away, where the full reach wasted 10
     grid = pg.RadialGrid.make(euclid3, 2.0, 100)
     u0 = np.zeros(100)
-    u0[0] = 100.0  # a spike: its first stages overshoot below zero at m = 1.5
+    u0[0] = 100.0
     rec = pg.run_pme(grid, 1.5, u0, t_end=0.5, snapshots=[0.01, 0.1])
-    assert rejected
+    assert rec.rejections <= 2
+    assert rec.stages > rec.steps
     for u in rec.states:
         assert np.all(np.isfinite(u)) and np.all(u >= 0.0)
     assert np.array_equal(rec.times, [0.0, 0.01, 0.1, 0.5])
     assert rec.mass_defect() <= 1e-12
 
 
-def reference_super_step(grid, m, boundary, cfl, state, dt):
-    """A plain RKL2 super-step on the whole grid: tau = min(dt, 104.5 dt_FE)
-    with dt_FE the explicit stable dt, one forward-Euler step when tau is
-    within dt_FE, else the fewest s >= 2 stages whose reach (s^2 + s - 2)/4
-    covers tau / dt_FE (at most 20), stages kept as increments Y_j - u with
-    the outflow carried through the same recurrence, and tau halved while a
-    stage or the result is negative. Returns the new u, t, outflow, the
-    stage count and the number of halvings."""
-    u = state.u
+def test_rkl2_rejects_a_negative_stage(euclid3):
+    # 20 stages over the full reach from the spike overshoot below zero at
+    # m = 1.5: the stage sequence is thrown away, as the reference's is
+    grid = pg.RadialGrid.make(euclid3, 2.0, 100)
+    stepper = pg.Stepper(grid, 1.5)
+    u = np.zeros(100)
+    u[0] = 100.0
+    state = pg.RadialState(u=u, t=0.0)
+    tau = 104.5 * stepper.stable_dt(u)
+    k = 22  # a 20-stage super-step's window from cell 0
+    w = u[:k] ** 1.5
+    l0 = stepper._divergence(w).copy()
+    window = pg.RadialState(u=u[:k], t=0.0)
+    assert stepper._rkl2(window, tau, 20, l0, stepper._outer_coef * w[-1]) \
+        is None
+    # the stages evaluated before the negative one, not all 19
+    assert 0 < stepper.stages < 19
+    assert reference_stages(grid, 1.5, "absorbing", state, tau, 20) is None
+
+
+def reference_operator(grid, boundary):
+    """The flux form on the whole grid: interior face coefficients, the
+    ghost face's, and the divergence of w = u^m."""
     coef = grid.face_areas[1:-1] / np.diff(grid.centers)
     outer = 0.0
     if boundary == "absorbing":
         outer = grid.face_areas[-1] / (grid.edges[-1] - grid.centers[-1])
-    drain = np.zeros(grid.cells)
-    drain[:-1] += coef
-    drain[1:] += coef
-    drain[-1] += outer
-    rate = float(np.max(m * np.power(u, m - 1.0) *
-                        (drain / grid.cell_volumes)))
-    dt_fe = cfl / rate if rate > 0.0 else math.inf
 
     def divergence(w):
         flux = coef * (w[1:] - w[:-1])
@@ -606,42 +606,98 @@ def reference_super_step(grid, m, boundary, cfl, state, dt):
         div[-1] -= outer * w[-1]
         return div / grid.cell_volumes
 
-    def reach(s):
-        return (s * s + s - 2) / 4.0
+    return coef, outer, divergence
 
-    tau = min(dt, dt_fe * reach(20))
+
+def reach(s):
+    return (s * s + s - 2) / 4.0
+
+
+def reference_span(grid, m, boundary, cfl, u, dt):
+    """A super-step's (tau, dt_FE, dt_stab) on the whole grid. dt_FE is the
+    explicit stable dt; dt_stab = 2/rho with rho the Gershgorin bound
+    max_i(rates_i + lo_i P_(i-1) + up_i P_(i+1)), P = m u^(m-1); tau =
+    min(dt, reach(20) min(dt_FE, dt_stab)), and, when the last nonzero cell
+    j is not the grid's last, at most max(dt_FE, 0.5 width_j / v) with v the
+    largest m/(m-1) (u^(m-1)_i - u^(m-1)_(i+1))/gap_i over faces i <= j."""
+    coef, outer, _ = reference_operator(grid, boundary)
+    dV = grid.cell_volumes
+    drain = np.zeros(grid.cells)
+    drain[:-1] += coef
+    drain[1:] += coef
+    drain[-1] += outer
+    um1 = np.power(u, m - 1.0)
+    rates = m * um1 * (drain / dV)
+    rate = float(np.max(rates))
+    dt_fe = cfl / rate if rate > 0.0 else math.inf
+    rows = np.zeros(grid.cells)
+    rows[1:] = coef / dV[1:] * um1[:-1]
+    rows[:-1] += coef / dV[:-1] * um1[1:]
+    rho = float(np.max(rows * m + rates))
+    dt_stab = 2.0 / rho if rho > 0.0 else math.inf
+    tau = min(dt, reach(20) * min(dt_fe, dt_stab))
+    nonzero = np.flatnonzero(u)
+    if tau > dt_fe and nonzero[-1] < grid.cells - 1:
+        j = nonzero[-1]
+        inv_gaps = 1.0 / np.diff(grid.centers)
+        speeds = (um1[:j + 1] - um1[1:j + 2]) * inv_gaps[:j + 1]
+        v = m / (m - 1.0) * float(np.max(speeds))
+        width = grid.edges[j + 1] - grid.edges[j]
+        tau = min(tau, max(dt_fe, 0.5 * width / v))
+    return tau, dt_fe, dt_stab
+
+
+def reference_stages(grid, m, boundary, state, tau, s):
+    """The s stages of a plain RKL2 super-step of span tau on the whole
+    grid, kept as increments Y_j - u with the outflow carried through the
+    same recurrence: the new u, t and outflow, or None when a stage or the
+    result is negative."""
+    _, outer, divergence = reference_operator(grid, boundary)
+    u = state.u
+    w0 = u * np.power(u, m - 1.0)
+    l0, out0 = divergence(w0), outer * w0[-1]
+    b = [1.0 / 3.0] * 3 + [(j * j + j - 2) / (2.0 * j * (j + 1))
+                           for j in range(3, s + 1)]
+    w1 = 1.0 / reach(s)
+    d_prev, d = np.zeros_like(u), b[1] * w1 * tau * l0
+    e_prev, e = 0.0, b[1] * w1 * tau * out0
+    for j in range(2, s + 1):
+        y = u + d
+        if y.min() < 0.0:
+            return None
+        w = y * np.power(y, m - 1.0)
+        mu = (2 * j - 1) / j * b[j] / b[j - 1]
+        nu = -(j - 1) / j * b[j] / b[j - 2]
+        a_prev = 1.0 - b[j - 1]
+        d_prev, d = d, mu * d + (mu * w1 * tau * (divergence(w) -
+                                                  a_prev * l0) +
+                                 nu * d_prev)
+        e_prev, e = e, (mu * e + nu * e_prev + mu * w1 * tau *
+                        (outer * w[-1] - a_prev * out0))
+    u_new = u + d
+    if u_new.min() < 0.0:
+        return None
+    return u_new, state.t + tau, state.outflow + e
+
+
+def reference_super_step(grid, m, boundary, cfl, state, dt):
+    """A plain RKL2 super-step on the whole grid: the span of
+    reference_span, one forward-Euler step when tau is within dt_FE, else
+    the fewest s >= 2 stages with reach(s) dt_stab >= tau (at most 20),
+    with tau halved while a stage or the result is negative. Returns the
+    new u, t, outflow, the stage count and the number of halvings."""
+    tau, dt_fe, dt_stab = reference_span(grid, m, boundary, cfl, state.u, dt)
     if tau <= dt_fe:
         u_new, t_new, out_new, _ = reference_explicit_step(
             grid, m, boundary, cfl, state, tau)
         return u_new, t_new, out_new, 1, 0
-    w0 = u * np.power(u, m - 1.0)
-    l0, out0 = divergence(w0), outer * w0[-1]
     for halved in range(40):
         s = 2
-        while reach(s) < tau / dt_fe and s < 20:
+        while reach(s) < tau / dt_stab and s < 20:
             s += 1
-        b = [1.0 / 3.0] * 3 + [(j * j + j - 2) / (2.0 * j * (j + 1))
-                               for j in range(3, s + 1)]
-        w1 = 1.0 / reach(s)
-        d_prev, d = np.zeros_like(u), b[1] * w1 * tau * l0
-        e_prev, e = 0.0, b[1] * w1 * tau * out0
-        for j in range(2, s + 1):
-            y = u + d
-            if y.min() < 0.0:
-                break
-            w = y * np.power(y, m - 1.0)
-            mu = (2 * j - 1) / j * b[j] / b[j - 1]
-            nu = -(j - 1) / j * b[j] / b[j - 2]
-            a_prev = 1.0 - b[j - 1]
-            d_prev, d = d, mu * d + (mu * w1 * tau * (divergence(w) -
-                                                      a_prev * l0) +
-                                     nu * d_prev)
-            e_prev, e = e, (mu * e + nu * e_prev + mu * w1 * tau *
-                            (outer * w[-1] - a_prev * out0))
-        else:
-            u_new = u + d
-            if u_new.min() >= 0.0:
-                return u_new, state.t + tau, state.outflow + e, s, halved
+        new = reference_stages(grid, m, boundary, state, tau, s)
+        if new is not None:
+            return (*new, s, halved)
         tau *= 0.5
     raise AssertionError("the reference super-step kept turning negative")
 
@@ -666,15 +722,22 @@ def test_super_step_matches_reference(euclid3, m, boundary, support, ratio):
 
 
 def test_super_step_reference_halves_a_spike(euclid3):
-    # the spike's stages turn negative at m = 1.5, so the matching above
-    # covers halved super-steps
+    # a spike on a floor that fills the grid escapes the front limit, and
+    # its stages turn negative at m = 1.5: the stepper halves tau as the
+    # reference does
     grid = pg.RadialGrid.make(euclid3, 4.0, 120)
-    state = supported_state(grid, "spike")
-    dt_fe = pg.Stepper(grid, 1.5).stable_dt(state.u)
-    *_, halved = reference_super_step(grid, 1.5, "absorbing",
-                                      pg.solver.DEFAULT_CFL, state,
-                                      1e6 * dt_fe)
+    u = np.full(120, 1e-6)
+    u[0] = 100.0
+    state = pg.RadialState(u=u, t=0.25, outflow=0.125)
+    stepper = pg.Stepper(grid, 1.5)
+    dt = 1e6 * stepper.stable_dt(u)
+    u_ref, t_ref, out_ref, _, halved = reference_super_step(
+        grid, 1.5, "absorbing", pg.solver.DEFAULT_CFL, state, dt)
     assert halved > 0
+    new = stepper.super_step(state, dt)
+    assert np.array_equal(new.u, u_ref)
+    assert (new.t, new.outflow) == (t_ref, out_ref)
+    assert stepper.rejections == halved
 
 
 @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
@@ -686,16 +749,15 @@ def test_support_grows_one_cell_per_evaluation(euclid3, m):
     grid = pg.RadialGrid.make(euclid3, 4.0, 200)
     state = supported_state(grid, "mid")
     j = int(np.flatnonzero(state.u)[-1])
-    dt_fe = pg.Stepper(grid, m).stable_dt(state.u)
-    reach = [(s * s + s - 2) / 4.0 for s in range(21)]
-    # tau / dt_FE = 0.5 takes one forward-Euler step, else between the
-    # reaches of s - 1 and s stages
-    for s, ratio in [(1, 0.5)] + [(s, 0.5 * (reach[s - 1] + reach[s]))
-                                  for s in (3, 8, 20)]:
-        u, *_, stages, halved = reference_super_step(
-            grid, m, "absorbing", pg.solver.DEFAULT_CFL, state,
-            ratio * dt_fe)
-        assert (stages, halved) == (s, 0)
+    _, dt_fe, dt_stab = reference_span(grid, m, "absorbing",
+                                       pg.solver.DEFAULT_CFL, state.u, 1.0)
+    u, *_ = reference_explicit_step(grid, m, "absorbing",
+                                    pg.solver.DEFAULT_CFL, state, dt_fe)
+    assert u[j + 1] > 0.0 and np.all(u[j + 2:] == 0.0)
+    # a span between the stable reaches of s - 1 and s stages
+    for s in (3, 8, 20):
+        tau = 0.5 * (reach(s - 1) + reach(s)) * dt_stab
+        u, *_ = reference_stages(grid, m, "absorbing", state, tau, s)
         assert np.all(u[j + s + 1:] == 0.0)
         # the front values shrink by orders of magnitude per cell and
         # underflow to zero a few cells out at more stages
@@ -706,27 +768,77 @@ def test_support_grows_one_cell_per_evaluation(euclid3, m):
         assert np.all(u[j + pg.solver.NEWTON_MAX_ITER + 2:] == 0.0)
 
 
-# tau / dt_FE; 104.5 is the reach of 20 stages, the most a super-step takes
-@pytest.mark.parametrize("ratio", [0.5, 1.0, 1.01, 2.5, 2.51, 7.0, 50.0,
-                                   100.0, 104.5, 1e6])
-def test_super_step_stage_count(euclid3, monkeypatch, ratio):
-    stepper = pg.Stepper(pg.RadialGrid.make(euclid3, 4.0, 120), 2.0)
-    state = smooth_state(stepper.grid)
-    dt_fe = stepper.stable_dt(state.u)
-    calls = []
-    divergence = pg.solver.Stepper._divergence
-    monkeypatch.setattr(pg.solver.Stepper, "_divergence",
-                        lambda self, w: calls.append(1) or divergence(self, w))
-    new = stepper.super_step(state, ratio * dt_fe)
+# tau / dt_stab asked for: within dt_FE at cfl 0.4 (0.2) and at cfl 4
+# (0.2, 0.5), at and just past the stable reaches of 1, 2, 5, 12 and 20
+# stages, and far past the cap; at cfl 0.4 the cap reach(20) dt_FE is about
+# 42 dt_stab, at cfl 4 it is reach(20) dt_stab
+@pytest.mark.parametrize("ratio", [0.2, 0.5, 1.0, 1.01, 2.5, 2.51, 7.0, 38.5,
+                                   38.51, 50.0, 100.0, 104.5, 1e6])
+def test_super_step_stage_count(euclid3, ratio):
+    grid = pg.RadialGrid.make(euclid3, 4.0, 120)
+    state = smooth_state(grid)
     cap = pg.solver.RKL2_MAX_STAGES
-    reach = [(s * s + s - 2) / 4.0 for s in range(cap + 1)]
-    tau = min(ratio, reach[cap]) * dt_fe
-    # one evaluation per stage; within one forward-Euler step, one step
-    stages = 1 if ratio <= 1.0 else min(
-        s for s in range(2, cap + 1) if reach[s] * dt_fe >= tau)
-    assert len(calls) == stages <= cap
-    assert new.t == pytest.approx(state.t + tau, rel=1e-14)
-    assert stepper._dt_limit == pytest.approx(tau, rel=1e-14)
+    for cfl in (0.4, 4.0):
+        stepper = pg.Stepper(grid, 2.0, cfl=cfl)
+        _, dt_fe, dt_stab = reference_span(grid, 2.0, "absorbing", cfl,
+                                           state.u, math.inf)
+        assert (dt_stab > dt_fe) == (cfl == 0.4)
+        new = stepper.super_step(state, ratio * dt_stab)
+        tau = min(ratio * dt_stab, reach(cap) * min(dt_fe, dt_stab))
+        # one evaluation per stage; within one forward-Euler step, one step
+        stages = 1 if tau <= dt_fe else next(
+            (s for s in range(2, cap) if reach(s) >= tau / dt_stab), cap)
+        assert (stepper.stages, stepper.rejections) == (stages, 0)
+        assert stages <= (13 if cfl == 0.4 else cap)
+        assert new.t == pytest.approx(state.t + tau, rel=1e-14)
+        assert stepper._dt_limit == pytest.approx(tau, rel=1e-14)
+
+
+# (cfl, stages asked for): at cfl 0.4 the full span reach(20) dt_FE takes 13
+# stages, or 12 when the span asked for is reach(12) dt_stab; at cfl 4 it is
+# reach(20) dt_stab. At the edge of the stability interval RKL2 damps the
+# highest mode by 2/(s (s + 1)) for odd s and not at all for even s.
+@pytest.mark.parametrize("cfl, stages", [(0.4, 13), (0.4, 12), (4.0, 20)])
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+def test_super_steps_at_the_stable_reach_stay_stable(euclid3, m, cfl, stages):
+    # data that fill the grid take spans at the stable reach of their stage
+    # count by the Gershgorin bound: 200 such super-steps stay nonnegative,
+    # never raise the sup and grow no odd-even oscillation, the data staying
+    # nonincreasing in r
+    grid = pg.RadialGrid.make(euclid3, 4.0, 120)
+    stepper = pg.Stepper(grid, m, cfl=cfl)
+    state = pg.RadialState(u=grid.cell_average(lambda r: 1.0 + np.exp(-r * r)),
+                           t=0.0)
+    sup0 = sup = float(state.u.max())
+    for _ in range(200):
+        dt = 1e6 * stepper.stable_dt(state.u)
+        if stages == 12:
+            _, _, dt_stab = reference_span(grid, m, "absorbing", cfl,
+                                           state.u, dt)
+            dt = (1.0 - 1e-15) * reach(12) * dt_stab
+        state = stepper.super_step(state, dt)
+        assert np.all(state.u >= 0.0)
+        assert float(state.u.max()) <= sup + 1e-14 * sup0
+        assert np.all(np.diff(state.u) <= 1e-14 * sup0)
+        sup = float(state.u.max())
+    assert (stepper.stages, stepper.rejections) == (stages * 200, 0)
+
+
+def test_super_step_front_advance(euclid3, mass1_params):
+    # from the discrete self-similar datum, no super-step spans more time
+    # than the exact front needs to cross one cell: the Darcy speed of the
+    # start state caps the span at half a cell's travel. The full reach of
+    # 20 stages spanned 1.04 cells' travel in the first super-step.
+    grid = pg.RadialGrid.make(euclid3, 10.0, 150)
+    stepper = pg.Stepper(grid, 2.0)
+    state = pg.RadialState(u=grid.cell_average(
+        pg.barenblatt_datum(mass1_params)), t=0.0)
+    while state.t < 1.0:
+        new = stepper.super_step(state, 1.0 - state.t)
+        travel = (mass1_params.support_radius(1.0 + new.t) -
+                  mass1_params.support_radius(1.0 + state.t))
+        assert travel <= 0.6 * grid.edges[1]
+        state = new
 
 
 # -- a-priori estimate checks -------------------------------------------------
