@@ -14,12 +14,15 @@ stepper's support window covers every cell and only its own cost shows.
 An explicit step is what
 RunRecord.steps counts: an RKL2 super-step of up to RKL2_MAX_STAGES stages,
 or one forward-Euler step in a checkout from before super-steps, so
-explicit runs compare by wall time and by `stages`, the divergence
-evaluations of their stages, and `rejections`, the stage sequences thrown
-away (RunRecord.stages and RunRecord.rejections; in a checkout without
-them, the calls of Stepper._divergence and the Stepper._rkl2 calls that
-returned None). A step figure is the median over --repeats runs of
-RunRecord.wall_time / RunRecord.steps, after one untimed run; `wall_s`
+explicit runs compare by wall time, by `steps`, and by `stages`, the
+divergence evaluations of their stages and error estimates, `rejections`,
+the stage sequences thrown away on a negative stage, and
+`error_rejections`, those thrown away on their error estimate
+(RunRecord.stages, RunRecord.rejections and RunRecord.error_rejections; in
+a checkout without them, the calls of Stepper._divergence, the
+Stepper._rkl2 calls that returned None, and 0). A step figure is the
+median over --repeats runs of RunRecord.wall_time / RunRecord.steps, after
+one untimed run; `wall_s`
 lists each timed run's RunRecord.wall_time and `steps` its RunRecord.steps.
 The untimed run counts, per step, the Newton residual evaluations (calls
 of Stepper._divergence) and the tridiagonal solves of an implicit run, and
@@ -65,8 +68,8 @@ SOLVES = ("_GTSV", "solve_banded")
 
 def counted_run(grid, m: float, u0, **run_args) -> dict:
     """One run with Stepper._divergence and the tridiagonal solve counted,
-    per RunRecord step, the run's stages and rejections, and the mean
-    support and window fractions."""
+    per RunRecord step, the run's stages and both kinds of rejections, and
+    the mean support and window fractions."""
     solver, stepper = pg.solver, pg.solver.Stepper
     name = next(n for n in SOLVES if hasattr(solver, n))
     divergence, solve = stepper._divergence, getattr(solver, name)
@@ -119,6 +122,7 @@ def counted_run(grid, m: float, u0, **run_args) -> dict:
     out = {key: n / record.steps for key, n in counts.items()}
     out["stages"] = getattr(record, "stages", counts["residuals"])
     out["rejections"] = getattr(record, "rejections", rejections)
+    out["error_rejections"] = getattr(record, "error_rejections", 0)
     out["support_fraction"] = round(statistics.fmean(supports), 4)
     out["window_fraction"] = round(statistics.fmean(windows), 4)
     return out
@@ -179,11 +183,13 @@ def main(argv=None) -> int:
             "steps": res["steps"], "t_end": t_end,
             "stages": res["counts"]["stages"],
             "rejections": res["counts"]["rejections"],
+            "error_rejections": res["counts"]["error_rejections"],
             "support_fraction": res["counts"]["support_fraction"],
             "window_fraction": res["counts"]["window_fraction"]}
         print(f"explicit {key}: {res['median'] * 1e6:.1f} us/step "
               f"({res['steps']} steps, {res['counts']['stages']} stages, "
-              f"{res['counts']['rejections']} rejections, "
+              f"{res['counts']['rejections']} + "
+              f"{res['counts']['error_rejections']} rejections, "
               f"{statistics.median(res['walls']) * 1e3:.1f} ms/run, support "
               f"{res['counts']['support_fraction']:.3f} of the grid)")
 

@@ -18,6 +18,7 @@ from .numerics import (Hermite, IntegralDivergenceError, TailTable,
 
 # relative slack for monotonicity checks on exact closed forms
 MONOTONE_SLACK = 1e-12
+# the Ricci sign check's slack, relative to the size of the curvature terms
 RICCI_SIGN_TOL = 1e-9
 
 
@@ -423,8 +424,10 @@ def ricci_nonneg_check(phi: Callable[[float], float], n: int,
     """Sign check of the two curvature expressions of a warped metric.
 
     Radial direction: -phi''/phi. Tangential: -phi''/phi + (n-2)(1 - phi'^2)/phi^2.
-    Derivatives are Richardson-extrapolated central differences; the
-    tolerance RICCI_SIGN_TOL absorbs that differencing noise.
+    Derivatives are Richardson-extrapolated central differences. Their
+    rounding noise grows like the terms themselves, like 1/r^2 at a pole,
+    so a value fails only below -RICCI_SIGN_TOL (|phi''/phi| + (1 +
+    phi'^2)/phi^2).
     """
     grid = np.asarray(grid, dtype=float)
     if np.any(grid <= 0.0):
@@ -432,6 +435,7 @@ def ricci_nonneg_check(phi: Callable[[float], float], n: int,
 
     radial = np.empty_like(grid)
     tangential = np.empty_like(grid)
+    scale = np.empty_like(grid)
     for i, r in enumerate(grid):
         p = float(phi(r))
         if p <= 0.0:
@@ -445,8 +449,10 @@ def ricci_nonneg_check(phi: Callable[[float], float], n: int,
               (a - 2.0 * p + b) / (h * h)) / 3.0
         radial[i] = -p2 / p
         tangential[i] = -p2 / p + (n - 2) * (1.0 - pp * pp) / (p * p)
+        scale[i] = abs(p2 / p) + (1.0 + pp * pp) / (p * p)
 
-    bad = (radial < -RICCI_SIGN_TOL) | (tangential < -RICCI_SIGN_TOL)
+    slack = -RICCI_SIGN_TOL * scale
+    bad = (radial < slack) | (tangential < slack)
     first_bad = float(grid[np.argmax(bad)]) if bad.any() else None
     return RicciReport(ok=not bad.any(), first_failing_radius=first_bad,
                        radial=radial, tangential=tangential, grid=grid)

@@ -4,11 +4,14 @@ Flux form on a pole-anchored grid: cell volumes come from exact differences of
 the profile volume, faces carry the sphere area, and the flux is the plain
 difference quotient of u^m between neighbouring cell averages. Explicit runs
 advance by Runge-Kutta-Legendre (RKL2) super-steps (Meyer, Balsara & Aslam,
-J. Comput. Phys. 257, 2014). A super-step's span is set by the positivity-safe
-forward-Euler step and by a front-advance limit; its stage count by the
-forward-Euler stability step 2/rho, with rho the Gershgorin bound on the
-linearised divergence. The implicit path is backward Euler with a damped
-Newton iteration on the tridiagonal system.
+J. Comput. Phys. 257, 2014). A super-step's span is set by an embedded
+local error estimate (that of RKC: Sommeijer, Shampine & Verwer, J. Comput.
+Appl. Math. 88, 1998) in the L1 norm, under a ceiling of RKL2_MAX_STAGES
+stability steps that ties it to the grid and a front-advance limit; its
+stage count by the forward-Euler stability step 2/rho, with rho the
+Gershgorin bound on the linearised divergence. The implicit path is backward
+Euler with a damped Newton iteration on the tridiagonal system, which halves
+dt once its iterates stall.
 
 Data with compact support keep it, and the discrete front moves at most one
 cell per divergence evaluation, so a step computes only on the window of
@@ -41,8 +44,15 @@ from .smoothing import SmoothingBound
 DEFAULT_CFL = 0.4
 NEWTON_MAX_ITER = 60
 NEWTON_TOL = 1e-10
+# an iterate that leaves more than NEWTON_SLOW of the residual is slow, and
+# NEWTON_STALL slow iterates in a row give up the attempt, so dt halves
+NEWTON_SLOW = 0.75
+NEWTON_STALL = 3
 POSITIVITY_RETRY_LIMIT = 40
-RKL2_MAX_STAGES = 20
+RKL2_MAX_STAGES = 40
+# the local error a super-step may make: the embedded estimate in the L1 norm
+# weighted by cell volume, relative to the mass of the start state
+ERR_TOL = 1e-5
 # a super-step moves the front by at most this fraction of the width of the
 # last nonzero cell, at the Darcy speed of the start state
 FRONT_CELLS = 0.5
@@ -207,10 +217,14 @@ class Stepper:
     owned by the stepper. Stages and Newton iterates compute on the support
     window [0, k) only (see the module docstring); the returned state is a
     fresh full-length array, zero past k, so returned states never share
-    memory with the stepper or with each other. The scratch buffers make one
-    stepper unsafe to share between threads. `stages` counts the divergence
-    evaluations of explicit stages and `rejections` the stage sequences a
-    super-step threw away, both since construction.
+    memory with the stepper or with each other. A super-step from the state
+    the last super-step returned continues that run: it takes the span the
+    controller carried and reuses L of that state, so that array must not be
+    changed in place in between. The scratch buffers make one stepper unsafe
+    to share between threads. `stages` counts the divergence evaluations of
+    explicit stages and error estimates, `rejections` the stage sequences a
+    super-step threw away on a negative stage and `error_rejections` those
+    it threw away on its error estimate, all since construction.
     """
 
     def __init__(self, grid: RadialGrid, m: float, boundary: str = "absorbing",
@@ -258,9 +272,11 @@ class Stepper:
         self._flux = np.empty(n - 1)
         self._div = np.empty(n)
         self._rates = np.empty(n)
-        # super-step scratch: L(u), two stage increments Y - u, a stage, a
-        # sum; the last two also hold the span's Gershgorin rows and speeds
+        # super-step scratch: L(u), L(u_new), two stage increments Y - u, a
+        # stage, a sum; the last two also hold the span's Gershgorin rows and
+        # speeds and the error estimate's terms
         self._l0 = np.empty(n)
+        self._l1 = np.empty(n)
         self._d1 = np.empty(n)
         self._d2 = np.empty(n)
         self._y = np.empty(n)
@@ -268,8 +284,15 @@ class Stepper:
         self._cut_k = -1
         self._cut_views = ()
         self._dt_limit = math.nan  # dt of the last step before any halving
+        # the span controller's memory: the u array the last super-step
+        # returned, the span it proposes for the next, and the window
+        # [0, _l1_k) on which _l1 holds L of that array (0: not held)
+        self._returned = None
+        self._carry = math.inf
+        self._l1_k = 0
         self.stages = 0
         self.rejections = 0
+        self.error_rejections = 0
 
     def _cut(self, k: int) -> tuple:
         """The views on the window [0, k) that the stages and iterates use:
@@ -393,18 +416,36 @@ class Stepper:
         With dt_FE the positivity-safe explicit dt, dt_stab = 2/rho the
         forward-Euler stability step (rho the Gershgorin bound on the
         linearised divergence) and reach(s) = (s^2 + s - 2)/4, the step spans
-        tau = min(dt, reach(RKL2_MAX_STAGES) min(dt_FE, dt_stab)). While the
-        data leave cells empty, tau is also at most max(dt_FE, t_front), with
-        t_front the time in which the start state's largest Darcy speed moves
-        the front FRONT_CELLS of the last nonzero cell. A tau within dt_FE is
-        one forward-Euler step; otherwise the step takes the fewest s >= 2
-        stages with reach(s) dt_stab >= tau, within which RKL2 is stable.
-        Stages are kept as increments Y_j - u, so data with zero divergence
-        stay exactly fixed, and the outflow ledger runs through the same
-        recurrence, so mass plus outflow is conserved to rounding. A stage
-        with a negative value halves tau and chooses s again; u^m is never
-        taken of a negative stage. An s-stage super-step computes on the
-        cells up to the last nonzero one plus s + 2.
+        tau = min(dt, carried, reach(RKL2_MAX_STAGES) min(dt_FE, dt_stab)),
+        with `carried` the span the last super-step proposed when the step
+        continues from the state it returned, inf otherwise. The ceiling
+        keeps the time error shrinking like h^2 under refinement; accuracy
+        is the error estimate's job. While the data leave cells empty, tau
+        is also at most max(dt_FE, t_front), with t_front the time in which
+        the start state's largest Darcy speed moves the front FRONT_CELLS of
+        the last nonzero cell. A tau within dt_FE is one forward-Euler step;
+        otherwise the step takes the fewest s >= 2 stages with reach(s)
+        dt_stab >= tau, within which RKL2 is stable. Stages are kept as
+        increments Y_j - u, so data with zero divergence stay exactly fixed,
+        and the outflow ledger runs through the same recurrence, so mass
+        plus outflow is conserved to rounding. A stage with a negative value
+        halves tau and chooses s again; u^m is never taken of a negative
+        stage. An s-stage super-step computes on the cells up to the last
+        nonzero one plus s + 2.
+
+        The embedded estimate of RKC (Sommeijer, Shampine & Verwer, J.
+        Comput. Appl. Math. 88, 1998), est = |12 (u - u_new) + 6 tau (L(u) +
+        L(u_new))| / 15, is the tau^3 term of any second-order step; it is
+        measured in the L1 norm weighted by cell volume, relative to the
+        mass of u, since the max norm binds at every front. A step with est
+        above ERR_TOL is thrown away and retried at tau times 0.8
+        (ERR_TOL/est)^(1/3), at least 0.2 tau. An accepted step carries that
+        factor times tau forward as the next span, at most twice tau, or
+        twice the carried span when dt alone cut tau, so that a snapshot
+        does not shrink the span after it (Hairer, Norsett & Wanner, Solving
+        ODEs I, II.4). L(u_new) is the next super-step's L(u), so the
+        estimate costs no extra divergence on a run. A forward-Euler step
+        takes no estimate and carries at least twice its span forward.
         """
         u = state.u
         n, last = u.size, _last_nonzero(u)
@@ -413,29 +454,74 @@ class Stepper:
         w, um1 = self._nonlinearity(u[:min(n, last + RKL2_MAX_STAGES + 2)])
         dt_fe = self._stable_dt(um1)
         dt_stab = self._gershgorin_dt(um1)
-        tau = min(dt, _rkl2_reach(RKL2_MAX_STAGES) * min(dt_fe, dt_stab))
+        resumed = u is self._returned
+        carried = self._carry if resumed else math.inf
+        tau = min(dt, carried,
+                  _rkl2_reach(RKL2_MAX_STAGES) * min(dt_fe, dt_stab))
         if tau > dt_fe and last < n - 1:
             tau = min(tau, max(dt_fe, self._front_dt(um1, last)))
         if tau <= dt_fe:
-            return self._forward_euler(state, tau, w[:min(n, last + 3)])
+            new = self._forward_euler(state, tau, w[:min(n, last + 3)])
+            self._returned, self._carry = new.u, max(carried, 2.0 * tau)
+            self._l1_k = 0
+            return new
         self._dt_limit = tau
         # a halving never takes more stages, so the first count's window
         # serves every retry
         k = min(n, last + _rkl2_stages(tau / dt_stab) + 2)
         w = w[:k]
         out0 = self._outer_coef * w[-1]
-        l0 = self._l0[:k]
-        l0[:] = self._divergence(w)
-        self.stages += 1
+        if resumed and self._l1_k:
+            # L(u) is the last estimate's L(u_new), zero past its window
+            self._l0, self._l1 = self._l1, self._l0
+            self._l0[self._l1_k:k] = 0.0
+            l0 = self._l0[:k]
+        else:
+            l0 = self._l0[:k]
+            l0[:] = self._divergence(w)
+            self.stages += 1
+        support = slice(0, last + 1)
+        mass = float(np.add.reduce(np.multiply(
+            u[support], self._dV[support], self._rates[support])))
         window = RadialState(u=u[:k], t=state.t, outflow=state.outflow)
         for _ in range(POSITIVITY_RETRY_LIMIT):
             new = self._rkl2(window, tau, _rkl2_stages(tau / dt_stab), l0,
                              out0)
-            if new is not None:
+            if new is None:
+                self.rejections += 1
+                tau *= 0.5  # positivity rejection
+                continue
+            est = self._error_estimate(u[:k], new.u[:k], l0, tau) / mass
+            grow = 0.8 * (ERR_TOL / est) ** (1.0 / 3.0) if est else math.inf
+            if est <= ERR_TOL:
+                limit = 2.0 * (tau if tau < dt else max(tau, carried))
+                self._returned, self._carry = new.u, min(grow * tau, limit)
+                self._l1_k = k
                 return new
-            self.rejections += 1
-            tau *= 0.5  # positivity rejection
-        raise SolverError("positivity could not be restored by halving tau")
+            self.error_rejections += 1
+            tau *= max(0.2, grow)  # error rejection
+        raise SolverError("super-step kept failing after shrinking tau")
+
+    def _error_estimate(self, u: np.ndarray, u_new: np.ndarray,
+                        l0: np.ndarray, tau: float) -> float:
+        """The sum of |12 (u - u_new) + 6 tau (L(u) + L(u_new))| dV / 15 over
+        the window u = u[:k], u_new = u_new[:k], with l0 = L(u); leaves
+        L(u_new) in _l1. The sum runs over the cells up to the last nonzero
+        term, so it does not depend on the window."""
+        k = u.size
+        w, _ = self._nonlinearity(u_new)
+        l1 = self._l1[:k]
+        l1[:] = self._divergence(w)
+        self.stages += 1
+        terms = np.add(l0, l1, self._y[:k])
+        terms *= 6.0 * tau
+        diff = np.subtract(u, u_new, self._sum[:k])
+        diff *= 12.0
+        terms += diff
+        terms = terms[:_last_nonzero(terms) + 1]
+        np.abs(terms, terms)
+        terms *= self._dV[:terms.size]
+        return float(np.add.reduce(terms)) / 15.0
 
     def _rkl2(self, state: RadialState, tau: float, s: int, l0: np.ndarray,
               out0: float):
@@ -502,7 +588,9 @@ class Stepper:
     def _newton(self, u_prev: np.ndarray, dt: float, scale: float):
         """Damped Newton iteration on u - u_prev - dt div(u^m) = 0 over the
         window u_prev = u[:k]; None when NEWTON_MAX_ITER iterates do not
-        converge.
+        converge, or once NEWTON_STALL iterates in a row each leave more than
+        NEWTON_SLOW of the residual: a stalled iteration is cheaper to
+        retry at half the dt than to run out.
 
         Each iterate costs one tridiagonal solve and one residual per
         line-search trial; the accepted trial's residual is the next
@@ -516,11 +604,14 @@ class Stepper:
         dl, d, du = self._dl[:k - 1], self._d[:k], self._du[:k - 1]
         u = u_prev.copy()
         resid, rnorm, um1 = self._residual(u, u_prev, dt)
+        slow = 0
         for _ in range(NEWTON_MAX_ITER):
             if rnorm <= NEWTON_TOL * scale:
                 return u
             if not math.isfinite(rnorm):
                 raise SolverError("Newton residual is not finite")
+            if slow == NEWTON_STALL:
+                return None
             dw = self.m * um1
             np.multiply(up, dw[1:], out=du)
             np.multiply(diag, dw, out=d)
@@ -539,6 +630,7 @@ class Stepper:
                 if lam <= 1e-4 or rn_t <= (1.0 - 0.25 * lam) * rnorm:
                     break
                 lam *= 0.5
+            slow = slow + 1 if rn_t > NEWTON_SLOW * rnorm else 0
             u, resid, rnorm = trial, r_t, rn_t
         return None
 
@@ -564,8 +656,9 @@ class RunRecord:
     mass_initial: float
     steps: int
     wall_time: float
-    stages: int = 0       # divergence evaluations of explicit stages
-    rejections: int = 0   # stage sequences a super-step threw away
+    stages: int = 0       # divergence evaluations of stages and estimates
+    rejections: int = 0   # stage sequences thrown away on a negative stage
+    error_rejections: int = 0  # stage sequences thrown away on their error
 
     def state_at(self, t: float) -> np.ndarray:
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -645,7 +738,8 @@ def run_pme(grid: RadialGrid, m: float, initial, t_end: float,
                      times=np.asarray(times), states=states,
                      outflows=np.asarray(outflows), mass_initial=mass0,
                      steps=steps, wall_time=toc - tic,
-                     stages=stepper.stages, rejections=stepper.rejections)
+                     stages=stepper.stages, rejections=stepper.rejections,
+                     error_rejections=stepper.error_rejections)
 
 
 @dataclass(frozen=True)

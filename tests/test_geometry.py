@@ -133,16 +133,39 @@ def test_bishop_gromov_monotone(lam, r, factor):
 
 
 def test_ricci_check_signs():
-    grid = np.geomspace(0.05, 50.0, 200)
-    flat = pg.ricci_nonneg_check(lambda r: np.asarray(r, dtype=float), 3,
-                                 grid)
-    assert flat.ok
-    cone = pg.ricci_nonneg_check(lambda r: 0.5 * np.asarray(r, dtype=float),
-                                 3, grid)
-    assert cone.ok
-    hyper = pg.ricci_nonneg_check(np.sinh, 3, grid)
+    # the differencing noise grows like 1/r^2 towards the pole, so the flat
+    # and cone metrics pass only because the slack scales with the terms
+    for grid in (np.geomspace(0.05, 50.0, 200), np.geomspace(1e-3, 1e3, 61),
+                 np.geomspace(1e-12, 1e3, 91)):
+        flat = pg.ricci_nonneg_check(lambda r: np.asarray(r, dtype=float),
+                                     3, grid)
+        assert flat.ok
+        for n in (3, 4):
+            cone = pg.ricci_nonneg_check(
+                lambda r: 0.5 * np.asarray(r, dtype=float), n, grid)
+            assert cone.ok
+    hyper = pg.ricci_nonneg_check(np.sinh, 3, np.geomspace(0.05, 50.0, 200))
     assert not hyper.ok
     assert hyper.first_failing_radius is not None
+
+
+@pytest.mark.parametrize("n, lam", [(3, 2.5), (3, 2.1), (4, 3.0), (4, 2.2),
+                                    (5, 3.0), (6, 5.5)])
+def test_ricci_check_on_the_smooth_family(n, lam):
+    # phi = r (1 + r^2)^-beta, beta = (n - lam)/(2 (n - 1)): a smooth pole,
+    # V ~ r^lam at infinity and Ric >= 0 everywhere; the cone tip c r^gamma
+    # with gamma = (lam - 1)/(n - 1) < 1, which power:n:lam has at its pole,
+    # has negative tangential curvature there
+    beta = (n - lam) / (2.0 * (n - 1))
+    grid = np.geomspace(1e-3, 1e4, 81)
+    smooth = pg.ricci_nonneg_check(
+        lambda r: np.asarray(r, dtype=float) * (1.0 + np.asarray(
+            r, dtype=float) ** 2) ** -beta, n, grid)
+    assert smooth.ok and smooth.first_failing_radius is None
+    gamma = (lam - 1.0) / (n - 1.0)
+    tip = pg.ricci_nonneg_check(
+        lambda r: 1.2 * np.asarray(r, dtype=float) ** gamma, n, grid)
+    assert not tip.ok and tip.first_failing_radius == grid[0]
 
 
 def test_growth_tail_power_log_matches_mpmath():
