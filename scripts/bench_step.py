@@ -11,25 +11,29 @@ explicit runs at 1000, 2000 and 4000 cells for m = 2 and m = 3, implicit
 runs at 2000 cells. The "full support" runs (m = 2, explicit and implicit,
 1000 and 4000 cells) start from 1 + exp(-r^2), which fills the grid, so the
 stepper's support window covers every cell and only its own cost shows.
-An explicit step is what
-RunRecord.steps counts: an RKL2 super-step of up to RKL2_MAX_STAGES stages,
-or one forward-Euler step in a checkout from before super-steps, so
-explicit runs compare by wall time, by `steps`, and by `stages`, the
-divergence evaluations of their stages and error estimates, `rejections`,
-the stage sequences thrown away on a negative stage, and
-`error_rejections`, those thrown away on their error estimate
+An explicit step is what RunRecord.steps counts: an RKL2 super-step of up
+to RKL2_MAX_STAGES stages, or one forward-Euler step in a checkout from
+before super-steps, so explicit runs compare by wall time, by `steps`, and
+by `stages`, the divergence evaluations of their stages and error
+estimates, `rejections`, the stage sequences thrown away on a negative
+stage, and `error_rejections`, those thrown away on their error estimate
 (RunRecord.stages, RunRecord.rejections and RunRecord.error_rejections; in
 a checkout without them, the calls of Stepper._divergence, the
 Stepper._rkl2 calls that returned None, and 0). A step figure is the
-median over --repeats runs of RunRecord.wall_time / RunRecord.steps, after
-one untimed run; `wall_s`
-lists each timed run's RunRecord.wall_time and `steps` its RunRecord.steps.
-The untimed run counts, per step, the Newton residual evaluations (calls
-of Stepper._divergence) and the tridiagonal solves of an implicit run, and
-records two means: `support_fraction`, over steps, of the cells up to the
-last nonzero one of the step's start state, and `window_fraction`, over
-calls of Stepper._divergence, of the cells evaluated (1 in a checkout that
-evaluates the whole grid); both as fractions of the grid.
+median over --repeats runs of RunRecord.wall_time / RunRecord.steps, and
+`us_per_stage` the median of RunRecord.wall_time / stages, after one
+untimed run; `wall_s` lists each timed run's RunRecord.wall_time and
+`steps` its RunRecord.steps. The untimed run reads, per step, the Newton
+residual evaluations and tridiagonal solves of an implicit run
+(RunRecord.residuals and RunRecord.newton_iterates; in a checkout without
+them, the calls of Stepper._divergence and of the tridiagonal solve) and
+the run's `dt_halvings` (null without RunRecord.dt_halvings), and records
+two means: `support_fraction`, over steps, of the cells up to the last
+nonzero one of the step's start state, and `window_fraction`, over
+divergence evaluations (through the functions of Stepper._window, or calls
+of Stepper._divergence in a checkout without it), of the cells evaluated
+(1 in a checkout that evaluates the whole grid); both as fractions of the
+grid.
 The figures go into --out (default BENCH_step.json) under --label, beside
 the runs of other labels already there, with the machine and the Python,
 numpy and scipy versions. Point PYTHONPATH at another checkout's
@@ -38,6 +42,7 @@ src to time that one under its own label.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -67,33 +72,46 @@ SOLVES = ("_GTSV", "solve_banded")
 
 
 def counted_run(grid, m: float, u0, **run_args) -> dict:
-    """One run with Stepper._divergence and the tridiagonal solve counted,
-    per RunRecord step, the run's stages and both kinds of rejections, and
-    the mean support and window fractions."""
+    """One run's work: per RunRecord step, the Newton residual evaluations
+    and tridiagonal solves (RunRecord.residuals and newton_iterates); the
+    run's stages, both kinds of rejections and its implicit dt halvings; and
+    the mean support and window fractions. A checkout whose RunRecord lacks
+    a count has it counted by wrapping the divergence, the tridiagonal solve
+    or Stepper._rkl2."""
     solver, stepper = pg.solver, pg.solver.Stepper
+    fields = {f.name for f in dataclasses.fields(pg.RunRecord)}
     name = next(n for n in SOLVES if hasattr(solver, n))
-    divergence, solve = stepper._divergence, getattr(solver, name)
+    solve = getattr(solver, name)
+    # every divergence goes through the functions Stepper._window returns,
+    # or through Stepper._divergence in a checkout without it
+    hook = "_window" if hasattr(stepper, "_window") else "_divergence"
+    hooked = getattr(stepper, hook)
     # run_pme calls super_step (explicit) or step (implicit) once per step
     steps = {meth: getattr(stepper, meth) for meth in ("step", "super_step")
              if hasattr(stepper, meth)}
     rkl2 = getattr(stepper, "_rkl2", None)
-    counts = {"residuals": 0, "solves": 0}
-    rejections = 0
+    counts = {"residuals": 0, "solves": 0, "rejections": 0}
     supports, windows = [], []
 
-    def counted_divergence(self, w):
+    def note(w):
         counts["residuals"] += 1
         windows.append(w.size / grid.cells)
-        return divergence(self, w)
+
+    def counted_window(self, k):
+        nonlinearity, divergence = hooked(self, k)
+        return nonlinearity, lambda w: note(w) or divergence(w)
+
+    def counted_divergence(self, w):
+        note(w)
+        return hooked(self, w)
 
     def counted_solve(*args, **kwargs):
         counts["solves"] += 1
         return solve(*args, **kwargs)
 
     def counted_rkl2(self, *args):
-        nonlocal rejections
         new = rkl2(self, *args)
-        rejections += new is None
+        counts["rejections"] += new is None
         return new
 
     def recorded(step):
@@ -104,25 +122,30 @@ def counted_run(grid, m: float, u0, **run_args) -> dict:
             return step(self, state, *args, **kwargs)
         return wrapper
 
-    stepper._divergence = counted_divergence
-    setattr(solver, name, counted_solve)
+    setattr(stepper, hook, counted_window if hook == "_window"
+            else counted_divergence)
+    if "newton_iterates" not in fields:
+        setattr(solver, name, counted_solve)
     for meth, step in steps.items():
         setattr(stepper, meth, recorded(step))
-    if rkl2 is not None:
+    if rkl2 is not None and "rejections" not in fields:
         stepper._rkl2 = counted_rkl2
     try:
         record = pg.run_pme(grid, m, u0, **run_args)
     finally:
-        stepper._divergence = divergence
+        setattr(stepper, hook, hooked)
         setattr(solver, name, solve)
         for meth, step in steps.items():
             setattr(stepper, meth, step)
         if rkl2 is not None:
             stepper._rkl2 = rkl2
-    out = {key: n / record.steps for key, n in counts.items()}
+    out = {"residuals": getattr(record, "residuals", counts["residuals"]),
+           "solves": getattr(record, "newton_iterates", counts["solves"])}
+    out = {key: n / record.steps for key, n in out.items()}
     out["stages"] = getattr(record, "stages", counts["residuals"])
-    out["rejections"] = getattr(record, "rejections", rejections)
+    out["rejections"] = getattr(record, "rejections", counts["rejections"])
     out["error_rejections"] = getattr(record, "error_rejections", 0)
+    out["dt_halvings"] = getattr(record, "dt_halvings", None)
     out["support_fraction"] = round(statistics.fmean(supports), 4)
     out["window_fraction"] = round(statistics.fmean(windows), 4)
     return out
@@ -143,7 +166,11 @@ def per_step(cells: int, m: float, repeats: int, full: bool = False,
         record = pg.run_pme(grid, m, u0, **run_args)
         walls.append(record.wall_time)
     samples = [wall / record.steps for wall in walls]
+    stage_samples = [wall / counts["stages"] for wall in walls
+                     if counts["stages"]]
     return {"median": statistics.median(samples), "min": min(samples),
+            "stage_median": (statistics.median(stage_samples)
+                             if stage_samples else None),
             "walls": walls, "steps": record.steps, "counts": counts}
 
 
@@ -179,6 +206,7 @@ def main(argv=None) -> int:
         explicit[key] = {
             "us_per_step": round(res["median"] * 1e6, 2),
             "us_per_step_min": round(res["min"] * 1e6, 2),
+            "us_per_stage": round(res["stage_median"] * 1e6, 3),
             "wall_s": [round(w, 5) for w in res["walls"]],
             "steps": res["steps"], "t_end": t_end,
             "stages": res["counts"]["stages"],
@@ -186,7 +214,8 @@ def main(argv=None) -> int:
             "error_rejections": res["counts"]["error_rejections"],
             "support_fraction": res["counts"]["support_fraction"],
             "window_fraction": res["counts"]["window_fraction"]}
-        print(f"explicit {key}: {res['median'] * 1e6:.1f} us/step "
+        print(f"explicit {key}: {res['median'] * 1e6:.1f} us/step, "
+              f"{res['stage_median'] * 1e6:.2f} us/stage "
               f"({res['steps']} steps, {res['counts']['stages']} stages, "
               f"{res['counts']['rejections']} + "
               f"{res['counts']['error_rejections']} rejections, "
@@ -205,6 +234,7 @@ def main(argv=None) -> int:
             "implicit_dt": IMPLICIT_DT,
             "residuals_per_step": res["counts"]["residuals"],
             "solves_per_step": res["counts"]["solves"],
+            "dt_halvings": res["counts"]["dt_halvings"],
             "support_fraction": res["counts"]["support_fraction"],
             "window_fraction": res["counts"]["window_fraction"]}
         print(f"implicit {key}: {res['median'] * 1e3:.3f} ms/step "

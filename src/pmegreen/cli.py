@@ -857,7 +857,10 @@ def _scenario_from_flags(args, kind: str) -> dict:
     return scn
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves it
+    unchanged, so every call of main reuses it."""
     parser = argparse.ArgumentParser(
         prog="pmegreen",
         description="Green-function verification experiments for the porous "

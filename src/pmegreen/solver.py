@@ -9,9 +9,9 @@ local error estimate (that of RKC: Sommeijer, Shampine & Verwer, J. Comput.
 Appl. Math. 88, 1998) in the L1 norm, under a ceiling of RKL2_MAX_STAGES
 stability steps that ties it to the grid and a front-advance limit; its
 stage count by the forward-Euler stability step 2/rho, with rho the
-Gershgorin bound on the linearised divergence. The implicit path is backward
-Euler with a damped Newton iteration on the tridiagonal system, which halves
-dt once its iterates stall.
+Gershgorin bound of the symmetrised linearised divergence, a bound on its
+spectral radius. The implicit path is backward Euler with a damped Newton
+iteration on the tridiagonal system, which halves dt once it stalls.
 
 Data with compact support keep it, and the discrete front moves at most one
 cell per divergence evaluation, so a step computes only on the window of
@@ -117,7 +117,8 @@ def _rkl2_stages(ratio: float) -> int:
 
 @functools.lru_cache(maxsize=RKL2_MAX_STAGES)
 def _rkl2_coefficients(s: int) -> tuple:
-    """(mu~_1, ((mu_j, nu_j, mu~_j, a_(j-1)) for j = 2..s)) of s-stage RKL2.
+    """(mu~_1, ((mu_j, nu_j, mu~_j, a_(j-1)) for j = 2..s), the array of
+    rows (-a_(j-1), mu~_j, nu_j, mu_j)) of s-stage RKL2.
 
     With b_0 = b_1 = b_2 = 1/3, b_j = (j^2 + j - 2) / (2 j (j + 1)), a_j =
     1 - b_j and w_1 = 4 / (s^2 + s - 2): mu~_1 = b_1 w_1, mu_j = (2j - 1)/j
@@ -132,7 +133,8 @@ def _rkl2_coefficients(s: int) -> tuple:
         mu = (2 * j - 1) / j * b[j] / b[j - 1]
         nu = -(j - 1) / j * b[j] / b[j - 2]
         stages.append((mu, nu, mu * w1, 1.0 - b[j - 1]))
-    return b[1] * w1, tuple(stages)
+    table = np.array([(-a, mu_t, nu, mu) for mu, nu, mu_t, a in stages])
+    return b[1] * w1, tuple(stages), table
 
 
 def _last_nonzero(u: np.ndarray) -> int:
@@ -224,7 +226,9 @@ class Stepper:
     to share between threads. `stages` counts the divergence evaluations of
     explicit stages and error estimates, `rejections` the stage sequences a
     super-step threw away on a negative stage and `error_rejections` those
-    it threw away on its error estimate, all since construction.
+    it threw away on its error estimate; `newton_iterates`, `residuals` and
+    `dt_halvings` count the Newton iterates (tridiagonal solves), residual
+    evaluations and dt halvings of implicit steps; all since construction.
     """
 
     def __init__(self, grid: RadialGrid, m: float, boundary: str = "absorbing",
@@ -233,13 +237,9 @@ class Stepper:
             raise ValueError("the porous medium exponent must satisfy m > 1")
         if boundary not in ("absorbing", "zero_flux"):
             raise ValueError(f"unknown boundary {boundary!r}")
-        self.grid = grid
-        self.m = float(m)
+        self.grid, self.m, self.cfl = grid, float(m), float(cfl)
         self.boundary = boundary
-        self.cfl = float(cfl)
-        n = grid.cells
-        gaps = np.diff(grid.centers)
-        dV = grid.cell_volumes
+        n, gaps, dV = grid.cells, np.diff(grid.centers), grid.cell_volumes
         self._flux_coef = grid.face_areas[1:-1] / gaps          # interior faces
         self._outer_coef = 0.0
         if boundary == "absorbing":
@@ -253,70 +253,78 @@ class Stepper:
         self._drain = drain / dV
         self._dV = dV
         # the divergence operator's bands, for the implicit Newton matrix
-        self._lo = np.zeros(n)
-        self._up = np.zeros(n)
+        self._lo, self._up = np.zeros(n), np.zeros(n)
         self._lo[1:] = self._flux_coef / dV[1:]
         self._up[:-1] = self._flux_coef / dV[:-1]
         self._diag_lin = -(self._lo + self._up)
         self._diag_lin[-1] -= self._outer_coef / dV[-1]
+        # m g with g = sqrt(up[i] lo[i+1]): the symmetrised bands' face factor
+        self._coupling = self.m * self._flux_coef / np.sqrt(dV[:-1] * dV[1:])
         # the front-advance limit's Darcy speeds and cell widths
         self._inv_gaps = 1.0 / gaps
         self._widths = np.diff(grid.edges)
         # the Newton matrix's sub-, main and super-diagonal; LAPACK overwrites
-        self._dl = np.empty(n - 1)
-        self._d = np.empty(n)
-        self._du = np.empty(n - 1)
-        # scratch: u^(m-1), u^m, face fluxes, divergence, dt rates
-        self._um1 = np.empty(n)
-        self._w = np.empty(n)
-        self._flux = np.empty(n - 1)
-        self._div = np.empty(n)
-        self._rates = np.empty(n)
+        self._dl, self._d, self._du = (np.empty(n - 1), np.empty(n),
+                                       np.empty(n - 1))
+        # scratch: u^(m-1), u^m, divergence, dt rates; the fluxes through
+        # faces 0..n, of which the pole's stays 0
+        self._um1, self._w, self._div, self._rates = (
+            np.empty(n) for _ in range(4))
+        self._flux = np.zeros(n + 1)
         # super-step scratch: L(u), L(u_new), two stage increments Y - u, a
         # stage, a sum; the last two also hold the span's Gershgorin rows and
         # speeds and the error estimate's terms
-        self._l0 = np.empty(n)
-        self._l1 = np.empty(n)
-        self._d1 = np.empty(n)
-        self._d2 = np.empty(n)
-        self._y = np.empty(n)
-        self._sum = np.empty(n)
-        self._cut_k = -1
-        self._cut_views = ()
+        self._l0, self._l1, self._d1, self._d2, self._y, self._sum = (
+            np.empty(n) for _ in range(6))
+        self._window_k, self._window_fns = -1, ()
+        # a stage sequence's table rows (-a_(j-1), mu~_j tau, nu_j, mu_j),
+        # and 0-d views of them: ufuncs take those far faster than floats
+        self._coef = np.empty((RKL2_MAX_STAGES, 4))
+        self._coef_views = [tuple(self._coef[j, c, ...] for c in range(4))
+                            for j in range(RKL2_MAX_STAGES)]
         self._dt_limit = math.nan  # dt of the last step before any halving
         # the span controller's memory: the u array the last super-step
         # returned, the span it proposes for the next, and the window
         # [0, _l1_k) on which _l1 holds L of that array (0: not held)
-        self._returned = None
-        self._carry = math.inf
-        self._l1_k = 0
-        self.stages = 0
-        self.rejections = 0
-        self.error_rejections = 0
+        self._returned, self._carry, self._l1_k = None, math.inf, 0
+        self.stages = self.rejections = self.error_rejections = 0
+        self.newton_iterates = self.residuals = self.dt_halvings = 0
 
-    def _cut(self, k: int) -> tuple:
-        """The views on the window [0, k) that the stages and iterates use:
-        u^m, u^(m-1), the fluxes with their upper and lower parts, the flux
-        coefficients, the divergence with its interior part, and the cell
-        volumes. One window serves every stage of a super-step and every
-        iterate of an implicit step, so it is cut again only when k changes;
-        slicing on every call cost a few percent on data that fill the grid."""
-        if k != self._cut_k:
-            self._cut_k = k
-            flux, div = self._flux[:k - 1], self._div[:k]
-            self._cut_views = (self._w[:k], self._um1[:k], flux, flux[1:],
-                               flux[:-1], self._flux_coef[:k - 1], div,
-                               div[1:-1], self._dV[:k])
-        return self._cut_views
+    def _window(self, k: int) -> tuple:
+        """(nonlinearity, divergence) of the window [0, k): u -> (u^m,
+        u^(m-1)), u^(m-1) being u itself at m = 2, and w = u^m -> the cell
+        divergence of its flux, the outer face's flux going to the last cell
+        and the pole face's staying 0. Both write into scratch views cut once
+        per window and are rebuilt only when k changes, so every stage and
+        Newton iterate on one window reuses them."""
+        if k != self._window_k:
+            w_out, um1_out, div, dV = (self._w[:k], self._um1[:k],
+                                       self._div[:k], self._dV[:k])
+            flux, coef = self._flux[:k + 1], self._flux_coef[:k - 1]
+            inner, upper, lower = flux[1:-1], flux[1:], flux[:-1]
+            outer, m = -self._outer_coef, self.m
+            exponent = np.array(m - 1.0)  # a 0-d array, as in _rkl2
+            multiply, subtract = np.multiply, np.subtract
+
+            def nonlinearity(u):
+                if m == 2.0:
+                    return multiply(u, u, w_out), u
+                return multiply(u, np.power(u, exponent, um1_out),
+                                w_out), um1_out
+
+            def divergence(w):
+                subtract(w[1:], w[:-1], inner)
+                multiply(inner, coef, inner)
+                flux[-1] = outer * w.item(-1)
+                subtract(upper, lower, div)
+                return np.true_divide(div, dV, div)
+
+            self._window_k, self._window_fns = k, (nonlinearity, divergence)
+        return self._window_fns
 
     def _nonlinearity(self, u: np.ndarray):
-        """(u^m, u^(m-1)) of the window u in scratch buffers; at m = 2,
-        u^(m-1) is u itself."""
-        w, um1 = self._cut(u.size)[:2]
-        if self.m == 2.0:
-            return np.multiply(u, u, w), u
-        np.power(u, self.m - 1.0, um1)
-        return np.multiply(u, um1, w), um1
+        """(u^m, u^(m-1)) of the window u, in scratch buffers; see _window."""
+        return self._window(u.size)[0](u)
 
     def _stable_dt(self, um1: np.ndarray) -> float:
         k = um1.size
@@ -326,20 +334,23 @@ class Stepper:
         return self.cfl / rate if rate > 0.0 else math.inf
 
     def _gershgorin_dt(self, um1: np.ndarray) -> float:
-        """2/rho, the forward-Euler stability step, with rho the Gershgorin
-        bound on the linearised divergence: row i is rates[i] + lo[i] P[i-1]
-        + up[i] P[i+1], P = m u^(m-1), taken as m (lo[i] u^(m-1)[i-1] + up[i]
-        u^(m-1)[i+1]) + rates[i]. Reads the rates _stable_dt(um1) left in its
-        buffer; past the window u^(m-1) is zero, or the last cell has no
-        upper band."""
+        """2/rho, the forward-Euler stability step. The divergence linearises
+        to J = V^-1 A P (V the cell volumes, A the symmetric flux operator,
+        outer face included, P = m u^(m-1)), which has the eigenvalues of the
+        symmetric, negative semidefinite S = P^1/2 V^-1/2 A V^-1/2 P^1/2; rho,
+        the largest absolute row sum of S, bounds J's spectral radius for any
+        data, grid and boundary. Row i is rates[i] + f[i-1] + f[i], with f[i]
+        = m g[i] sqrt(u^(m-1)[i]) sqrt(u^(m-1)[i+1]), g[i] = sqrt(up[i]
+        lo[i+1]), read from the rates _stable_dt(um1) left in its buffer. Past
+        the window u^(m-1) is zero, or the last cell has no upper face."""
         k = um1.size
-        rows, upper = self._y[:k], self._sum[:k - 1]
-        rows[0] = 0.0
-        np.multiply(self._lo[1:k], um1[:-1], rows[1:])
-        np.multiply(self._up[:k - 1], um1[1:], upper)
-        rows[:-1] += upper
-        rows *= self.m
-        rows += self._rates[:k]
+        rows, faces = self._y[:k], self._sum[:k - 1]
+        np.sqrt(um1, rows)
+        np.multiply(rows[:-1], rows[1:], faces)
+        faces *= self._coupling[:k - 1]
+        rows[:] = self._rates[:k]
+        rows[:-1] += faces
+        rows[1:] += faces
         rho = float(np.maximum.reduce(rows))
         return 2.0 / rho if rho > 0.0 else math.inf
 
@@ -354,16 +365,8 @@ class Stepper:
         return FRONT_CELLS * self._widths[last] / v if v > 0.0 else math.inf
 
     def _divergence(self, w: np.ndarray) -> np.ndarray:
-        """Cell divergence of the flux of the window w = u^m, in the scratch
-        buffer; the window's last cell takes the outer face's flux."""
-        _, _, flux, flux_hi, flux_lo, coef, div, div_mid, dV = self._cut(
-            w.size)
-        np.subtract(w[1:], w[:-1], flux)
-        np.multiply(flux, coef, flux)
-        div[0] = flux[0]
-        np.subtract(flux_hi, flux_lo, div_mid)
-        div[-1] = -flux[-1] - self._outer_coef * w[-1]
-        return np.true_divide(div, dV, div)
+        """Cell divergence of the flux of the window w = u^m; see _window."""
+        return self._window(w.size)[1](w)
 
     def stable_dt(self, u: np.ndarray) -> float:
         """The largest positivity-safe explicit dt at u; inf for zero data."""
@@ -373,19 +376,16 @@ class Stepper:
              scheme: str = "explicit") -> RadialState:
         """Advance one step; an explicit step clamps dt to its stable dt."""
         if scheme == "explicit":
-            return self._step_explicit(state, dt)
+            u = state.u
+            w, um1 = self._nonlinearity(u[:min(u.size, _last_nonzero(u) + 3)])
+            stable = self._stable_dt(um1)
+            return self._forward_euler(state, stable if dt is None else
+                                       min(dt, stable), w)
         if scheme == "implicit":
             if dt is None:
                 raise ValueError("implicit stepping needs an explicit dt")
             return self._step_implicit(state, dt)
         raise ValueError(f"unknown scheme {scheme!r}")
-
-    def _step_explicit(self, state: RadialState, dt: Optional[float]) -> RadialState:
-        u = state.u
-        w, um1 = self._nonlinearity(u[:min(u.size, _last_nonzero(u) + 3)])
-        stable = self._stable_dt(um1)
-        return self._forward_euler(state, stable if dt is None else
-                                   min(dt, stable), w)
 
     def _forward_euler(self, state: RadialState, dt: float,
                        w: np.ndarray) -> RadialState:
@@ -395,8 +395,7 @@ class Stepper:
             raise SolverError("stable time step is not finite for zero data; "
                               "pass dt explicitly")
         self._dt_limit = dt
-        u = state.u
-        k = w.size
+        u, k = state.u, w.size
         div = self._divergence(w)
         self.stages += 1
         u_new = np.zeros(u.size)
@@ -414,8 +413,8 @@ class Stepper:
         """Advance by one RKL2 super-step of at most dt.
 
         With dt_FE the positivity-safe explicit dt, dt_stab = 2/rho the
-        forward-Euler stability step (rho the Gershgorin bound on the
-        linearised divergence) and reach(s) = (s^2 + s - 2)/4, the step spans
+        forward-Euler stability step (rho the symmetrised Gershgorin bound
+        of _gershgorin_dt) and reach(s) = (s^2 + s - 2)/4, the step spans
         tau = min(dt, carried, reach(RKL2_MAX_STAGES) min(dt_FE, dt_stab)),
         with `carried` the span the last super-step proposed when the step
         continues from the state it returned, inf otherwise. The ceiling
@@ -470,16 +469,15 @@ class Stepper:
         # serves every retry
         k = min(n, last + _rkl2_stages(tau / dt_stab) + 2)
         w = w[:k]
-        out0 = self._outer_coef * w[-1]
+        out0 = self._outer_coef * w.item(-1)
         if resumed and self._l1_k:
             # L(u) is the last estimate's L(u_new), zero past its window
             self._l0, self._l1 = self._l1, self._l0
             self._l0[self._l1_k:k] = 0.0
-            l0 = self._l0[:k]
         else:
-            l0 = self._l0[:k]
-            l0[:] = self._divergence(w)
+            self._l0[:k] = self._divergence(w)
             self.stages += 1
+        l0 = self._l0[:k]
         support = slice(0, last + 1)
         mass = float(np.add.reduce(np.multiply(
             u[support], self._dV[support], self._rates[support])))
@@ -509,11 +507,9 @@ class Stepper:
         L(u_new) in _l1. The sum runs over the cells up to the last nonzero
         term, so it does not depend on the window."""
         k = u.size
-        w, _ = self._nonlinearity(u_new)
-        l1 = self._l1[:k]
-        l1[:] = self._divergence(w)
+        self._l1[:k] = self._divergence(self._nonlinearity(u_new)[0])
         self.stages += 1
-        terms = np.add(l0, l1, self._y[:k])
+        terms = np.add(l0, self._l1[:k], self._y[:k])
         terms *= 6.0 * tau
         diff = np.subtract(u, u_new, self._sum[:k])
         diff *= 12.0
@@ -527,35 +523,36 @@ class Stepper:
               out0: float):
         """The s stages of one super-step from the window state.u = u[:k],
         with l0 = L(u) and out0 its outflow; the full-grid state, or None
-        when a stage turns negative. Scratch views are cut once here, and
-        the ufuncs write in place."""
-        u = state.u
-        k = u.size
+        when a stage turns negative. The ufuncs write in place and take 0-d
+        coefficient arrays; the outflow ledger runs in Python floats."""
+        u, k = state.u, state.u.size
+        nonlinearity, divergence = self._window(k)
         outer = self._outer_coef
-        nonlinearity, divergence = self._nonlinearity, self._divergence
         add, multiply, lowest = np.add, np.multiply, np.minimum.reduce
-        mu1, stages = _rkl2_coefficients(s)
+        mu1, stages, table = _rkl2_coefficients(s)
+        multiply(table, (1.0, tau, 1.0, 1.0), self._coef[:s - 1])
         d1 = multiply(l0, mu1 * tau, self._d1[:k])     # Y_1 - u
         d2 = self._d2[:k]                               # Y_0 - u
         d2.fill(0.0)
         e1, e2 = mu1 * tau * out0, 0.0                  # their outflows
         y, acc = self._y[:k], self._sum[:k]
         for j, (mu, nu, mu_t, a_prev) in enumerate(stages):
+            neg_a, scale, nu_a, mu_a = self._coef_views[j]
             add(u, d1, y)
-            if lowest(y) < 0.0:
+            if float(lowest(y)) < 0.0:
                 self.stages += j
                 return None
             w, _ = nonlinearity(y)
-            out = outer * w[-1]
+            out = outer * w.item(-1)
             div = divergence(w)
             # Y_j - u = mu (Y_(j-1) - u) + nu (Y_(j-2) - u)
             #           + mu~ tau (L(Y_(j-1)) - a_(j-1) L(u))
-            multiply(l0, -a_prev, acc)
+            multiply(l0, neg_a, acc)
             add(acc, div, acc)
-            multiply(acc, mu_t * tau, acc)
-            multiply(d2, nu, d2)
+            multiply(acc, scale, acc)
+            multiply(d2, nu_a, d2)
             add(acc, d2, acc)
-            multiply(d1, mu, d2)
+            multiply(d1, mu_a, d2)
             add(d2, acc, d2)
             d1, d2 = d2, d1
             e1, e2 = (mu * e1 + nu * e2 + mu_t * tau * (out - a_prev * out0),
@@ -583,6 +580,7 @@ class Stepper:
                 u_new[:k] = u
                 return RadialState(u=u_new, t=state.t + dt, outflow=out)
             dt *= 0.5
+            self.dt_halvings += 1
         raise SolverError("implicit step kept failing after dt halvings")
 
     def _newton(self, u_prev: np.ndarray, dt: float, scale: float):
@@ -617,6 +615,7 @@ class Stepper:
             np.multiply(diag, dw, out=d)
             np.subtract(1.0, d, out=d)
             np.multiply(lo, dw[:-1], out=dl)
+            self.newton_iterates += 1
             *_, delta, info = _GTSV(dl, d, du, -resid,
                                     overwrite_dl=True, overwrite_d=True,
                                     overwrite_du=True, overwrite_b=True)
@@ -639,6 +638,7 @@ class Stepper:
         the scratch buffer or u itself."""
         w, um1 = self._nonlinearity(u)
         resid = u - u_prev - dt * self._divergence(w)
+        self.residuals += 1
         return resid, float(np.max(np.abs(resid))), um1
 
 
@@ -659,6 +659,9 @@ class RunRecord:
     stages: int = 0       # divergence evaluations of stages and estimates
     rejections: int = 0   # stage sequences thrown away on a negative stage
     error_rejections: int = 0  # stage sequences thrown away on their error
+    newton_iterates: int = 0  # Newton iterates (solves) of implicit steps
+    residuals: int = 0    # residual evaluations of implicit steps
+    dt_halvings: int = 0  # dt halvings of implicit steps
 
     def state_at(self, t: float) -> np.ndarray:
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -708,11 +711,8 @@ def run_pme(grid: RadialGrid, m: float, initial, t_end: float,
     if not snaps or snaps[-1] < t_end:
         snaps.append(float(t_end))
     state = RadialState(u=u0.copy(), t=0.0)
-    times = [0.0]
-    states = [u0.copy()]
-    outflows = [0.0]
-    mass0 = state.mass(grid)
-    steps = 0
+    times, states, outflows = [0.0], [u0.copy()], [0.0]
+    mass0, steps = state.mass(grid), 0
     tic = time.perf_counter()
     for target in snaps:
         while state.t < target - 1e-13:
@@ -738,8 +738,9 @@ def run_pme(grid: RadialGrid, m: float, initial, t_end: float,
                      times=np.asarray(times), states=states,
                      outflows=np.asarray(outflows), mass_initial=mass0,
                      steps=steps, wall_time=toc - tic,
-                     stages=stepper.stages, rejections=stepper.rejections,
-                     error_rejections=stepper.error_rejections)
+                     **{count: getattr(stepper, count) for count in (
+                         "stages", "rejections", "error_rejections",
+                         "newton_iterates", "residuals", "dt_halvings")})
 
 
 @dataclass(frozen=True)
@@ -943,19 +944,18 @@ def time_bump(window: tuple) -> tuple:
     if b <= a:
         raise ValueError("empty time window")
 
-    def x_of(t):
-        return (2.0 * t - (a + b)) / (b - a)
+    def bump(t):
+        """(x, |x| < 1, phi) at t, x the window mapped onto [-1, 1]."""
+        x = (2.0 * np.asarray(t, dtype=float) - (a + b)) / (b - a)
+        inside = np.abs(x) < 1.0
+        return x, inside, np.where(
+            inside, np.exp(-1.0 / np.maximum(1.0 - x * x, 1e-300)), 0.0)
 
     def phi(t):
-        x = x_of(np.asarray(t, dtype=float))
-        inside = np.abs(x) < 1.0
-        val = np.where(inside, np.exp(-1.0 / np.maximum(1.0 - x * x, 1e-300)), 0.0)
-        return val
+        return bump(t)[2]
 
     def dphi(t):
-        x = x_of(np.asarray(t, dtype=float))
-        inside = np.abs(x) < 1.0
-        g = np.where(inside, np.exp(-1.0 / np.maximum(1.0 - x * x, 1e-300)), 0.0)
+        x, inside, g = bump(t)
         return np.where(inside,
                         -g * 2.0 * x / np.maximum((1.0 - x * x) ** 2, 1e-300)
                         * 2.0 / (b - a), 0.0)
