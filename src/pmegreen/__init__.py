@@ -14,9 +14,10 @@ from .geometry import (AssumptionReport, GrowthFunction, RicciReport,
                        VolumeProfile, check_assumptions, make_growth,
                        make_profile, ricci_nonneg_check, unit_ball_volume,
                        unit_sphere_area)
-from .green import (BallIntegralResult, GreenBoundReport, GreenData,
-                    PotentialSandwich, RadialPotential, ball_integral,
-                    green_bounds, potential_of_cells, sandwich_check)
+from .green import (BallIntegralResult, CellPotential, GreenBoundReport,
+                    GreenData, PotentialSandwich, RadialPotential,
+                    ball_integral, green_bounds, potential_of_cells,
+                    sandwich_check)
 from .smoothing import (BoundEvaluation, LogVolumeFamily, PowerVolumeFamily,
                         SmoothingBound, family_rate, green_ball_envelope,
                         lambert_w0, smoothing_bound_l1g)
@@ -35,7 +36,7 @@ __all__ = [
     "AssumptionReport", "GrowthFunction", "RicciReport", "VolumeProfile",
     "check_assumptions", "make_growth", "make_profile", "ricci_nonneg_check",
     "unit_ball_volume", "unit_sphere_area",
-    "BallIntegralResult", "GreenBoundReport", "GreenData",
+    "BallIntegralResult", "CellPotential", "GreenBoundReport", "GreenData",
     "PotentialSandwich", "RadialPotential", "ball_integral", "green_bounds",
     "potential_of_cells", "sandwich_check",
     "WeightedNorm", "PowerLawClass", "SeparatingSequence", "l1g_norm",

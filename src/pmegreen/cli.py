@@ -402,9 +402,9 @@ def write_csv(path: Path, columns, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(columns) + "\n")
         if isinstance(rows, np.ndarray):
-            row_fmt = ",".join(["{:.17g}"] * len(columns)) + "\n"
+            row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
             for row in rows.astype(float, copy=False).tolist():
-                fh.write(row_fmt.format(*row))
+                fh.write(row_fmt % tuple(row))
             return
         for row in rows:
             fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")

@@ -22,7 +22,7 @@ import numpy as np
 from .geometry import (AssumptionReport, GrowthFunction, VolumeProfile,
                        check_assumptions, unit_ball_volume)
 from .numerics import (IntegralDivergenceError, TailTable, gauss_intervals,
-                       gauss_panels)
+                       gauss_nodes, gauss_panels, gauss_sum)
 from .smoothing import green_ball_envelope
 
 BOUND_SLACK = 1e-9
@@ -242,25 +242,12 @@ def _panel(edges: np.ndarray, r) -> np.ndarray:
     return np.clip(idx, 0, edges.size - 2)
 
 
-class _PanelPotential:
-    """The potential kernel: U(r) = int_r^inf enclosed(s)/S(s) ds on panels.
-
-    `flux` is enclosed/S = -U' on the panels and `u_end` is U at the last
-    edge, mass * G there. U at the edges is u_end plus a reverse cumulative sum of
-    Gauss panels of flux; U(r) inside the panels is the next edge's U plus
-    one Gauss rule from r to that edge.
-    """
-
-    def __init__(self, edges: np.ndarray, flux: Callable, u_end: float):
-        self.edges, self.flux = edges, flux
-        parts = gauss_panels(flux, edges)
-        self.at_edges = u_end + np.concatenate(
-            [np.cumsum(parts[::-1])[::-1], [0.0]])
-
-    def __call__(self, r) -> np.ndarray:
-        j = _panel(self.edges, r)
-        return self.at_edges[j + 1] + gauss_intervals(
-            self.flux, r, self.edges[j + 1])
+def _edge_values(parts: np.ndarray, u_end: float) -> np.ndarray:
+    """The potential kernel: U(r) = int_r^inf enclosed(s)/S(s) ds at the
+    panel edges, from U = u_end (mass * G) at the last edge and the Gauss
+    panels `parts` of enclosed/S = -U'. U inside a panel is the next edge's U
+    plus one Gauss rule from r to that edge."""
+    return u_end + np.concatenate([np.cumsum(parts[::-1])[::-1], [0.0]])
 
 
 class RadialPotential:
@@ -287,10 +274,12 @@ class RadialPotential:
         self._mass_edges = np.concatenate(
             [[0.0], np.cumsum(gauss_panels(self._density, self._edges))])
         self.mass = float(self._mass_edges[-1])
-        self._kernel = _PanelPotential(
-            self._edges, lambda s: self.enclosed(s) / np.asarray(
-                profile.area(s), dtype=float),
+        self._at_edges = _edge_values(
+            gauss_panels(self._flux, self._edges),
             self.mass * float(self.green.exact(self.support_radius)))
+
+    def _flux(self, s: np.ndarray) -> np.ndarray:
+        return self.enclosed(s) / np.asarray(self.profile.area(s), dtype=float)
 
     def _density(self, s: np.ndarray) -> np.ndarray:
         return np.asarray(self.psi(s), dtype=float) * np.asarray(
@@ -306,7 +295,10 @@ class RadialPotential:
 
     def __call__(self, r):
         rr = np.asarray(r, dtype=float)
-        out = self._kernel(np.minimum(rr, self.support_radius))
+        inside = np.minimum(rr, self.support_radius)
+        j = _panel(self._edges, inside)
+        out = self._at_edges[j + 1] + gauss_intervals(
+            self._flux, inside, self._edges[j + 1])
         far = rr >= self.support_radius
         if np.any(far):
             out = np.where(far, self.mass * np.asarray(self.green.exact(
@@ -321,33 +313,51 @@ class RadialPotential:
         return abs(float(self.profile.area(r)) * du + float(self.enclosed(r)))
 
 
+class CellPotential:
+    """The potential of piecewise-constant cell data on one grid: a call
+    applies it to a datum u and gives the (centers, faces) values.
+
+    The enclosed mass is affine in V within a cell, so the cells are the
+    kernel's panels, and all but the enclosed mass is built once per grid:
+    the Gauss nodes of the panels and from each center to the next face,
+    their cells, V(s) - V(e_j), S(s), and G at the last face, beyond which
+    everything is mass * G.
+    """
+
+    def __init__(self, profile: VolumeProfile, edges: np.ndarray,
+                 green: Optional[GreenData] = None):
+        edges = np.asarray(edges, dtype=float)
+        vol_edges = np.asarray(profile.volume(edges), dtype=float)
+        vol_edges[0] = 0.0 if edges[0] == 0.0 else vol_edges[0]
+        self._dvol = np.diff(vol_edges)
+        self._g_end = float((green or GreenData(profile)).exact(
+            float(edges[-1])))
+        centers = 0.5 * (edges[1:] + edges[:-1])
+        self._next = _panel(edges, centers) + 1
+        self._rules = []  # (cell, V(s) - V(e_cell), S(s), half) of each rule
+        for lo, hi in ((edges[:-1], edges[1:]), (centers, edges[self._next])):
+            nodes, half = gauss_nodes(lo, hi)
+            s, j = nodes.ravel(), _panel(edges, nodes.ravel())
+            self._rules.append(tuple(a.reshape(nodes.shape) for a in (
+                j, np.asarray(profile.volume(s), dtype=float) - vol_edges[j],
+                np.asarray(profile.area(s), dtype=float))) + (half,))
+
+    def __call__(self, u: np.ndarray) -> tuple:
+        u = np.asarray(u, dtype=float)
+        if u.shape != self._dvol.shape:
+            raise ValueError("edges must have one more entry than cells")
+        mass_faces = np.concatenate([[0.0], np.cumsum(u * self._dvol)])
+        parts, to_face = (gauss_sum((mass_faces[j] + u[j] * dvol) / area, half)
+                          for j, dvol, area, half in self._rules)
+        at_edges = _edge_values(parts, mass_faces[-1] * self._g_end)
+        return at_edges[self._next] + to_face, at_edges
+
+
 def potential_of_cells(profile: VolumeProfile, edges: np.ndarray,
                        u: np.ndarray, green: Optional[GreenData] = None):
-    """Exact potential of piecewise-constant cell data on a radial grid.
-
-    Returns (centers, faces) values. Within each cell the enclosed mass is
-    affine in V, so the cells are the potential kernel's panels and a fixed
-    Gauss rule per cell is accurate; beyond the last face everything is
-    mass * G.
-    """
-    edges = np.asarray(edges, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if edges.size != u.size + 1:
-        raise ValueError("edges must have one more entry than cells")
-    vol_edges = np.asarray(profile.volume(edges), dtype=float)
-    vol_edges[0] = 0.0 if edges[0] == 0.0 else vol_edges[0]
-    mass_faces = np.concatenate([[0.0], np.cumsum(u * np.diff(vol_edges))])
-
-    def flux(s: np.ndarray) -> np.ndarray:
-        j = _panel(edges, s)
-        enclosed = mass_faces[j] + u[j] * (
-            np.asarray(profile.volume(s), dtype=float) - vol_edges[j])
-        return enclosed / np.asarray(profile.area(s), dtype=float)
-
-    gd = green or GreenData(profile)
-    kernel = _PanelPotential(
-        edges, flux, mass_faces[-1] * float(gd.exact(float(edges[-1]))))
-    return kernel(0.5 * (edges[1:] + edges[:-1])), kernel.at_edges
+    """Exact potential of piecewise-constant cell data on a radial grid, as
+    (centers, faces) values: the CellPotential of the grid applied to u."""
+    return CellPotential(profile, edges, green)(u)
 
 
 @dataclass

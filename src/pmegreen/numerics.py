@@ -48,16 +48,27 @@ class BracketError(ValueError):
     """A root bracket could not be established."""
 
 
-def gauss_intervals(f: Callable[[np.ndarray], np.ndarray],
-                    lo, hi) -> np.ndarray:
-    """Fixed 5-point Gauss integral of a vectorized f over each [lo_i, hi_i]."""
+def gauss_nodes(lo, hi) -> tuple:
+    """(nodes, half): the 5-point Gauss nodes of each [lo_i, hi_i] along a
+    new last axis, and the half-widths."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
-    nodes = mid[..., None] + half[..., None] * _GAUSS_NODES
-    vals = f(nodes.ravel()).reshape(nodes.shape)
+    return mid[..., None] + half[..., None] * _GAUSS_NODES, half
+
+
+def gauss_sum(vals: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """The Gauss integrals over the intervals of gauss_nodes(lo, hi), from
+    the values of f at its nodes and its half-widths."""
     return (vals * _GAUSS_WEIGHTS).sum(axis=-1) * half
+
+
+def gauss_intervals(f: Callable[[np.ndarray], np.ndarray],
+                    lo, hi) -> np.ndarray:
+    """Fixed 5-point Gauss integral of a vectorized f over each [lo_i, hi_i]."""
+    nodes, half = gauss_nodes(lo, hi)
+    return gauss_sum(f(nodes.ravel()).reshape(nodes.shape), half)
 
 
 def gauss_panels(f: Callable[[np.ndarray], np.ndarray],

@@ -11,7 +11,10 @@ stability steps that ties it to the grid and a front-advance limit; its
 stage count by the forward-Euler stability step 2/rho, with rho the
 Gershgorin bound of the symmetrised linearised divergence, a bound on its
 spectral radius. The implicit path is backward Euler with a damped Newton
-iteration on the tridiagonal system, which halves dt once it stalls.
+iteration on the tridiagonal system, which halves dt once it stalls; the
+next step starts from the dt it reached and grows at most 2x per step.
+Both paths share one memory, the array the last step returned and L of it,
+so a step continuing a run evaluates no divergence at its start state.
 
 Data with compact support keep it, and the discrete front moves at most one
 cell per divergence evaluation, so a step computes only on the window of
@@ -37,7 +40,7 @@ import numpy as np
 
 from .geometry import (VolumeProfile, make_growth, make_profile,
                        unit_sphere_area)
-from .green import GreenData, potential_of_cells
+from .green import CellPotential, GreenData
 from .numerics import gauss_panels, loglog_slope, simpson_weights
 from .smoothing import SmoothingBound
 
@@ -65,10 +68,10 @@ def _lapack_gtsv():
     return get_lapack_funcs("gtsv", dtype=np.float64)
 
 
-def _GTSV(*args, **kwargs):
+def _GTSV(*args):
     """LAPACK ?gtsv, the tridiagonal solver scipy's solve_banded calls for
     l = u = 1, fetched from scipy.linalg on the first implicit solve."""
-    return _lapack_gtsv()(*args, **kwargs)
+    return _lapack_gtsv()(*args)
 
 
 def _half_integer_beta(a: float, b: float) -> float:
@@ -216,19 +219,21 @@ class Stepper:
 
     The explicit step evaluates the nonlinearity and its stable dt once, and
     a super-step evaluates them once per stage; both work in scratch buffers
-    owned by the stepper. Stages and Newton iterates compute on the support
-    window [0, k) only (see the module docstring); the returned state is a
-    fresh full-length array, zero past k, so returned states never share
-    memory with the stepper or with each other. A super-step from the state
-    the last super-step returned continues that run: it takes the span the
-    controller carried and reuses L of that state, so that array must not be
-    changed in place in between. The scratch buffers make one stepper unsafe
-    to share between threads. `stages` counts the divergence evaluations of
-    explicit stages and error estimates, `rejections` the stage sequences a
-    super-step threw away on a negative stage and `error_rejections` those
-    it threw away on its error estimate; `newton_iterates`, `residuals` and
-    `dt_halvings` count the Newton iterates (tridiagonal solves), residual
-    evaluations and dt halvings of implicit steps; all since construction.
+    owned by the stepper, which make one stepper unsafe to share between
+    threads. Stages and Newton iterates compute on the support window [0, k)
+    only (see the module docstring); the returned state is a fresh
+    full-length array, zero past k, so returned states never share memory
+    with the stepper or with each other. A step from the array the last step
+    returned continues that run: it reuses L of that array, the last
+    divergence that step evaluated, and takes the span (super-step) or dt
+    (implicit step) the controller carried if the last step was of its
+    kind, so that array must not be changed in place in between. `stages`
+    counts the divergence evaluations of explicit stages and error
+    estimates, `rejections` the stage sequences a super-step threw away on a
+    negative stage and `error_rejections` those it threw away on its error
+    estimate; `newton_iterates`, `residuals` and `dt_halvings` count the
+    Newton iterates (tridiagonal solves), residual evaluations and dt
+    halvings of implicit steps; all since construction.
     """
 
     def __init__(self, grid: RadialGrid, m: float, boundary: str = "absorbing",
@@ -283,10 +288,12 @@ class Stepper:
         self._coef_views = [tuple(self._coef[j, c, ...] for c in range(4))
                             for j in range(RKL2_MAX_STAGES)]
         self._dt_limit = math.nan  # dt of the last step before any halving
-        # the span controller's memory: the u array the last super-step
-        # returned, the span it proposes for the next, and the window
-        # [0, _l1_k) on which _l1 holds L of that array (0: not held)
-        self._returned, self._carry, self._l1_k = None, math.inf, 0
+        # the controllers' memory, shared by both paths: the u array the last
+        # step returned, the window [0, _l1_k) on which _l1 holds L of it (0:
+        # not held), and the span or implicit dt a continued step may take
+        self._returned, self._l1_k = None, 0
+        self._carry = self._dt_carry = math.inf
+        self._bands_key, self._bands = None, ()  # -dt up, dt diag, -dt lo
         self.stages = self.rejections = self.error_rejections = 0
         self.newton_iterates = self.residuals = self.dt_halvings = 0
 
@@ -455,6 +462,7 @@ class Stepper:
         dt_stab = self._gershgorin_dt(um1)
         resumed = u is self._returned
         carried = self._carry if resumed else math.inf
+        self._dt_carry = math.inf
         tau = min(dt, carried,
                   _rkl2_reach(RKL2_MAX_STAGES) * min(dt_fe, dt_stab))
         if tau > dt_fe and last < n - 1:
@@ -477,6 +485,7 @@ class Stepper:
         else:
             self._l0[:k] = self._divergence(w)
             self.stages += 1
+        self._l1_k = 0  # the estimates' scratch until the step returns
         l0 = self._l0[:k]
         support = slice(0, last + 1)
         mass = float(np.add.reduce(np.multiply(
@@ -566,43 +575,66 @@ class Stepper:
                            outflow=state.outflow + e1)
 
     def _step_implicit(self, state: RadialState, dt: float) -> RadialState:
-        n = state.u.size
-        k = min(n, _last_nonzero(state.u) + NEWTON_MAX_ITER + 3)
+        n, resumed = state.u.size, state.u is self._returned and self._l1_k > 0
+        # a returned array is zero past the window its L was taken on
+        last = _last_nonzero(state.u[:self._l1_k] if resumed else state.u)
+        k = min(n, last + NEWTON_MAX_ITER + 3)
         u_prev = state.u[:k]
-        self._dt_limit = dt
+        carried = self._dt_carry if resumed else math.inf
+        dt = self._dt_limit = min(dt, carried)
+        # L(u_prev) in _l1 for every attempt: the last step's L of the array
+        # it returned, exactly 0 past that step's window, or evaluated now
+        l0 = self._l1[:k]
+        if resumed:
+            l0[self._l1_k:] = 0.0
+        else:
+            l0[:] = self._divergence(self._nonlinearity(u_prev)[0])
+            self.residuals += 1
+            self._l1_k = 0
         scale = max(1.0, float(u_prev.max()))
-        for _ in range(POSITIVITY_RETRY_LIMIT):
-            u = self._newton(u_prev, dt, scale)
+        for halvings in range(POSITIVITY_RETRY_LIMIT):
+            u = self._newton(u_prev, dt, scale, l0)
             if u is not None and u.min() >= 0.0:
-                w, _ = self._nonlinearity(u)
-                out = state.outflow + dt * self._outer_coef * w[-1]
+                if u is not u_prev:  # the last residual was evaluated at u
+                    l0[:] = self._div[:k]
+                # and so was u^m, in _w
+                out = state.outflow + dt * self._outer_coef * self._w[k - 1]
                 u_new = np.zeros(n)
                 u_new[:k] = u
+                self._returned, self._l1_k, self._carry = u_new, k, math.inf
+                self._dt_carry = dt if halvings else 2.0 * max(dt, carried)
                 return RadialState(u=u_new, t=state.t + dt, outflow=out)
             dt *= 0.5
             self.dt_halvings += 1
         raise SolverError("implicit step kept failing after dt halvings")
 
-    def _newton(self, u_prev: np.ndarray, dt: float, scale: float):
+    def _newton(self, u_prev: np.ndarray, dt: float, scale: float,
+                l0: np.ndarray):
         """Damped Newton iteration on u - u_prev - dt div(u^m) = 0 over the
-        window u_prev = u[:k]; None when NEWTON_MAX_ITER iterates do not
-        converge, or once NEWTON_STALL iterates in a row each leave more than
-        NEWTON_SLOW of the residual: a stalled iteration is cheaper to
-        retry at half the dt than to run out.
-
-        Each iterate costs one tridiagonal solve and one residual per
-        line-search trial; the accepted trial's residual is the next
-        iterate's. A line search that halves lam to 1e-4 or below takes that
-        lam without the decrease test.
+        window u_prev = u[:k], from the residual 0 - dt l0, l0 = L(u_prev):
+        u_prev itself when that meets the tolerance; None when NEWTON_MAX_ITER
+        iterates do not converge, or once NEWTON_STALL iterates in a row each
+        leave more than NEWTON_SLOW of the residual, since a stalled
+        iteration is cheaper to retry at half the dt than to run out. An
+        iterate costs one tridiagonal solve and one residual per line-search
+        trial, which leaves L(trial) in _div and trial^m in _w; the accepted
+        trial's residual is the next iterate's. A line search that halves
+        lam to 1e-4 or below takes that lam without the decrease test.
         """
         k = u_prev.size
-        up = -dt * self._up[:k - 1]
-        diag = dt * self._diag_lin[:k]
-        lo = -dt * self._lo[1:k]
-        dl, d, du = self._dl[:k - 1], self._d[:k], self._du[:k - 1]
-        u = u_prev.copy()
-        resid, rnorm, um1 = self._residual(u, u_prev, dt)
-        slow = 0
+        if self._bands_key != (dt, k):
+            self._bands_key, self._bands = (dt, k), (
+                -dt * self._up[:k - 1], dt * self._diag_lin[:k],
+                -dt * self._lo[1:k])
+        up, diag, lo = self._bands
+        dl, d, du, dw = (self._dl[:k - 1], self._d[:k], self._du[:k - 1],
+                         self._rates[:k])
+        dt_div, mags = self._y[:k], self._sum[:k]
+        nonlinearity, divergence = self._window(k)
+        multiply, norm = np.multiply, np.maximum.reduce
+        u, um1 = u_prev, nonlinearity(u_prev)[1]
+        resid = np.subtract(0.0, multiply(l0, dt, out=dt_div))
+        rnorm, slow = float(norm(np.abs(resid, out=mags))), 0
         for _ in range(NEWTON_MAX_ITER):
             if rnorm <= NEWTON_TOL * scale:
                 return u
@@ -610,36 +642,34 @@ class Stepper:
                 raise SolverError("Newton residual is not finite")
             if slow == NEWTON_STALL:
                 return None
-            dw = self.m * um1
-            np.multiply(up, dw[1:], out=du)
-            np.multiply(diag, dw, out=d)
+            multiply(um1, self.m, out=dw)
+            multiply(up, dw[1:], out=du)
+            multiply(diag, dw, out=d)
             np.subtract(1.0, d, out=d)
-            np.multiply(lo, dw[:-1], out=dl)
+            multiply(lo, dw[:-1], out=dl)
             self.newton_iterates += 1
-            *_, delta, info = _GTSV(dl, d, du, -resid,
-                                    overwrite_dl=True, overwrite_d=True,
-                                    overwrite_du=True, overwrite_b=True)
+            # overwrites dl, d, du and b = -resid
+            *_, delta, info = _GTSV(dl, d, du, np.negative(resid, out=resid),
+                                    1, 1, 1, 1)
             if info != 0:
                 raise np.linalg.LinAlgError(
                     f"tridiagonal Newton solve failed (info {info})")
             lam = 1.0
             while True:
-                trial = np.maximum(u + lam * delta, 0.0)
-                r_t, rn_t, um1 = self._residual(trial, u_prev, dt)
+                trial = multiply(delta, lam)
+                trial += u
+                np.maximum(trial, 0.0, out=trial)
+                w, um1 = nonlinearity(trial)
+                r_t = np.subtract(trial, u_prev)
+                r_t -= multiply(divergence(w), dt, out=dt_div)
+                rn_t = float(norm(np.abs(r_t, out=mags)))
+                self.residuals += 1
                 if lam <= 1e-4 or rn_t <= (1.0 - 0.25 * lam) * rnorm:
                     break
                 lam *= 0.5
             slow = slow + 1 if rn_t > NEWTON_SLOW * rnorm else 0
             u, resid, rnorm = trial, r_t, rn_t
         return None
-
-    def _residual(self, u: np.ndarray, u_prev: np.ndarray, dt: float):
-        """(u - u_prev - dt div(u^m), its max norm, u^(m-1)); u^(m-1) may be
-        the scratch buffer or u itself."""
-        w, um1 = self._nonlinearity(u)
-        resid = u - u_prev - dt * self._divergence(w)
-        self.residuals += 1
-        return resid, float(np.max(np.abs(resid))), um1
 
 
 @dataclass
@@ -694,7 +724,8 @@ def run_pme(grid: RadialGrid, m: float, initial, t_end: float,
     `initial` is a cell-average array or a radial callable. Snapshot times are
     hit exactly by clipping the adaptive step; the explicit scheme takes RKL2
     super-steps (`steps` counts those), and for the implicit scheme
-    implicit_dt sets the target step.
+    implicit_dt sets the target step, which a step after a dt halving
+    approaches by doubling.
     """
     if callable(initial):
         u0 = grid.cell_average(initial)
@@ -991,7 +1022,8 @@ def weak_dual_residual(record: RunRecord, window: tuple,
 
     Needs uniformly spaced snapshots across the window (odd count, Simpson).
     The potential of each snapshot is evaluated exactly for piecewise-constant
-    data, so the residual isolates the discretization error of the evolution.
+    data, by one CellPotential of the grid, so the residual isolates the
+    discretization error of the evolution.
     """
     phi, dphi = time_bump(window)
     eta = radial_cutoff(2.0, 4.0)
@@ -1003,14 +1035,14 @@ def weak_dual_residual(record: RunRecord, window: tuple,
     if not np.allclose(spacing, spacing[0], rtol=1e-8, atol=1e-12):
         raise ValueError("snapshots across the window must be uniformly spaced")
     grid = record.grid
-    gd = green or GreenData(grid.profile)
+    kernel = CellPotential(grid.profile, grid.edges, green)
     eta_w = grid.cell_weights(eta)
     idx = np.flatnonzero(mask)
     dual = np.empty(ts.size)
     nonlinear = np.empty(ts.size)
     for j, i in enumerate(idx):
         u = record.states[i]
-        centers_u, _ = potential_of_cells(grid.profile, grid.edges, u, green=gd)
+        centers_u, _ = kernel(u)
         dual[j] = float(np.sum(centers_u * eta_w))
         nonlinear[j] = float(np.sum(np.power(u, record.m) * eta_w))
     w = simpson_weights(ts.size, float(spacing[0]))

@@ -460,6 +460,36 @@ def test_potential_of_cells_matches_half_panel_reference(spec, cells,
     assert np.array_equal(faces_u, ref_faces)
 
 
+@pytest.mark.parametrize("spec", [{"form": "euclidean", "dimension": 3},
+                                  POWER_LOG], ids=["euclidean3", "power_log"])
+@pytest.mark.parametrize("spacing", ["uniform", "geometric"])
+@pytest.mark.parametrize("cells", [250, 1000])
+def test_cell_potential_kernel_matches_separate_calls(spec, spacing, cells):
+    # one kernel built per grid and applied to several data in turn gives
+    # what a potential_of_cells call per datum gives, and the half-panel
+    # reference, bit for bit
+    profile = pg.make_profile(**spec)
+    green = pg.GreenData(profile)
+    grid = pg.RadialGrid.make(profile, 12.0, cells, spacing=spacing)
+    kernel = pg.CellPotential(profile, grid.edges, green=green)
+    rng = np.random.default_rng(cells)
+    data = [grid.cell_average(lambda r: np.exp(-np.asarray(r, dtype=float))),
+            np.where(np.arange(cells) < cells // 3, rng.random(cells), 0.0),
+            np.zeros(cells)]
+    for u in data:
+        centers_u, faces_u = kernel(u)
+        ref_centers, ref_faces = pg.potential_of_cells(profile, grid.edges, u,
+                                                       green=green)
+        assert np.array_equal(centers_u, ref_centers)
+        assert np.array_equal(faces_u, ref_faces)
+        half_centers, half_faces = reference_potential_of_cells(
+            profile, grid.edges, u, green)
+        assert np.array_equal(centers_u, half_centers)
+        assert np.array_equal(faces_u, half_faces)
+    with pytest.raises(ValueError, match="one more entry"):
+        kernel(np.zeros(cells + 1))
+
+
 def test_sandwich_check_euclidean(euclid3):
     vol_half = float(euclid3.volume(0.5))
     psi = lambda r: np.where(np.asarray(r) <= 0.5, 1.0 / vol_half, 0.0)

@@ -490,8 +490,10 @@ def test_windowed_implicit_step_matches_reference(euclid3, m, boundary,
 
 def test_implicit_step_work(euclid3, mass1_params):
     # one residual per line-search trial and none again for the accepted
-    # iterate: at dt 1e-3 a step takes two undamped iterates, so 1 + 2
-    # residuals and 2 tridiagonal solves, and no halving
+    # iterate: at dt 1e-3 a step takes two undamped iterates, so 2 residuals
+    # and 2 tridiagonal solves, and no halving; the first step also
+    # evaluates L of its start state, which a continued step takes from the
+    # last residual of the step before
     grid = pg.RadialGrid.make(euclid3, 12.0, 4000)
     stepper = pg.Stepper(grid, 2.0)
     state = pg.RadialState(u=grid.cell_average(
@@ -499,10 +501,10 @@ def test_implicit_step_work(euclid3, mass1_params):
     for step in range(1, 6):
         state = stepper.step(state, dt=1e-3, scheme="implicit")
         assert (stepper.residuals, stepper.newton_iterates,
-                stepper.dt_halvings) == (3 * step, 2 * step, 0)
+                stepper.dt_halvings) == (1 + 2 * step, 2 * step, 0)
     rec = pg.run_pme(grid, 2.0, state.u, t_end=5e-3, scheme="implicit",
                      implicit_dt=1e-3)
-    assert (rec.residuals, rec.newton_iterates, rec.dt_halvings) == (15, 10, 0)
+    assert (rec.residuals, rec.newton_iterates, rec.dt_halvings) == (11, 10, 0)
 
 
 @pytest.mark.parametrize("m, reached", [(1.5, 25.0 / 64), (2.0, 25.0 / 8),
@@ -543,6 +545,136 @@ def test_implicit_step_stops_on_a_nonfinite_residual(euclid3):
             pytest.raises(pg.solver.SolverError, match="not finite"):
         pg.run_pme(grid, 2.0, np.full(32, 1e200), t_end=0.1,
                    scheme="implicit", implicit_dt=0.01)
+
+
+def spike_state():
+    """A 1e4 spike in the first of 100 cells, and 1e-6 in the last so that
+    an absorbing boundary drains."""
+    u = np.zeros(100)
+    u[0], u[-1] = 1e4, 1e-6
+    return pg.RadialState(u=u, t=0.25, outflow=0.125)
+
+
+def copied(state):
+    return pg.RadialState(u=state.u.copy(), t=state.t, outflow=state.outflow)
+
+
+def assert_same_state(a, b):
+    assert np.array_equal(a.u, b.u)
+    assert (a.t, a.outflow) == (b.t, b.outflow)
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("boundary", ["absorbing", "zero_flux"])
+@pytest.mark.parametrize("support", ["spike", "mid"])
+def test_continued_implicit_steps_match_steps_from_copies(euclid3, m,
+                                                          boundary, support):
+    # a step from the array the last step returned reuses L of it and the
+    # carried dt; the same steps from copies, which defeat that identity
+    # check, evaluate L afresh and are asked for the dt the continued step
+    # tried. At dt 1e3 the first step halves dt at every m, and on the spike
+    # at m = 3 the fourth halves again from the carried dt. A step on the
+    # spike first leaves L values across the grid, so the mid data's window,
+    # which widens, shows that L is 0 past the last step's window.
+    grid = pg.RadialGrid.make(euclid3, 10.0, 100)
+    stepper = pg.Stepper(grid, m, boundary=boundary)
+    other = pg.Stepper(grid, m, boundary=boundary)
+    for on in (stepper, other):
+        on.step(spike_state(), dt=1e3, scheme="implicit")
+    state = spike_state() if support == "spike" else supported_state(grid,
+                                                                     "mid")
+    steps = 5
+    for _ in range(steps):
+        new = stepper.step(state, dt=1e3, scheme="implicit")
+        ref = other.step(copied(state), dt=stepper._dt_limit,
+                         scheme="implicit")
+        assert_same_state(new, ref)
+        state = new
+    assert stepper.dt_halvings == other.dt_halvings > 0
+    assert stepper.newton_iterates == other.newton_iterates
+    # every continued step takes L of its start state from the step before
+    assert stepper.residuals == other.residuals - (steps - 1)
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("boundary", ["absorbing", "zero_flux"])
+def test_mixed_steps_match_fresh_steppers(euclid3, m, boundary):
+    # super-steps, implicit steps through a dt halving, super-steps and
+    # implicit steps again, on one stepper: each phase matches the same
+    # steps of a fresh stepper from a copy of the phase's start state, so L
+    # reused across the two paths is the L a fresh stepper evaluates, and no
+    # step resumes a span or dt carried before the other path's steps
+    grid = pg.RadialGrid.make(euclid3, 10.0, 100)
+    stepper = pg.Stepper(grid, m, boundary=boundary)
+    state = spike_state()
+
+    def take(on, state, scheme):
+        if scheme == "explicit":
+            return on.super_step(state, 1.0)
+        return on.step(state, dt=1e3, scheme="implicit")
+
+    for scheme in ("explicit", "implicit", "explicit", "implicit"):
+        fresh, ref = pg.Stepper(grid, m, boundary=boundary), copied(state)
+        for _ in range(3):
+            state, ref = take(stepper, state, scheme), take(fresh, ref, scheme)
+            assert_same_state(state, ref)
+    assert stepper.dt_halvings > 0 and stepper.stages > 0
+
+
+def test_failed_super_step_leaves_no_stale_l(euclid3, monkeypatch):
+    # a super-step from the returned array takes L of it out of the shared
+    # memory; when it then fails, the implicit step from that array
+    # evaluates L afresh, as a fresh stepper does, and does not read the
+    # buffer the failed step left behind
+    grid = pg.RadialGrid.make(euclid3, 4.0, 120)
+    stepper = pg.Stepper(grid, 2.0)
+    state = stepper.super_step(supported_state(grid, "mid"), 1.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(stepper, "_rkl2", lambda *args: None)
+        with pytest.raises(pg.solver.SolverError):
+            stepper.super_step(state, 1.0)
+    new = stepper.step(state, dt=1e-3, scheme="implicit")
+    ref = pg.Stepper(grid, 2.0).step(copied(state), dt=1e-3, scheme="implicit")
+    assert_same_state(new, ref)
+
+
+def test_implicit_steps_on_zero_data(euclid3):
+    # zero data have L = 0, so a step converges at its first check, and the
+    # step after it, continuing from the zero array, evaluates nothing
+    grid = pg.RadialGrid.make(euclid3, 10.0, 100)
+    stepper = pg.Stepper(grid, 2.0)
+    state = pg.RadialState(u=np.zeros(100), t=0.25, outflow=0.125)
+    first = stepper.step(state, dt=1e-3, scheme="implicit")
+    second = stepper.step(first, dt=1e-3, scheme="implicit")
+    for new, t in ((first, 0.25 + 1e-3), (second, 0.25 + 1e-3 + 1e-3)):
+        assert not new.u.any()
+        assert (new.t, new.outflow) == (t, 0.125)
+    assert (stepper.residuals, stepper.newton_iterates,
+            stepper.dt_halvings) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+def test_implicit_dt_carries_past_a_halving(euclid3, m):
+    # a run through a spike asks every step for min(25, gap): a step after
+    # a halved one tries the dt that one reached, and a step after one that
+    # did not halve tries twice the dt it tried, up to what it was asked
+    grid = pg.RadialGrid.make(euclid3, 10.0, 100)
+    u = np.zeros(100)
+    u[0] = 1e4
+    stepper = pg.Stepper(grid, m)
+    state, reached, halved = pg.RadialState(u=u, t=0.0), math.inf, False
+    while state.t < 100.0 - 1e-13:
+        asked, before = min(25.0, 100.0 - state.t), stepper.dt_halvings
+        state = stepper.step(state, dt=asked, scheme="implicit")
+        tried = stepper._dt_limit
+        assert tried == min(asked, reached if halved else 2.0 * reached)
+        halved = stepper.dt_halvings > before
+        reached = tried * 2.0 ** (before - stepper.dt_halvings)
+    # the first step halves at m = 1.5 and 2; after it no step halves again
+    rec = pg.run_pme(grid, m, u, t_end=100.0, scheme="implicit",
+                     implicit_dt=25.0)
+    assert rec.dt_halvings == {1.5: 6, 2.0: 3, 3.0: 0}[m]
+    assert rec.mass_defect() <= 1e-11
 
 
 # -- super-steps ---------------------------------------------------------------
