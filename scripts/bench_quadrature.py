@@ -15,11 +15,11 @@ round:
   [0.25, 30]), just beyond the last edge (20 radii in [2e7, 1e12]), far
   beyond it (20 radii in [1e25, 1e30]) and below the first edge 1e-4 (200
   radii in [1e-12, 9e-5]), each read as one array call;
-- `potential`: ms per `potential_of_cells` call on uniform grids of 250,
-  1000 and 4000 cells on [0, 12] (cell averages of e^-r); ms per further
-  datum on a `CellPotential` of the grid built before the clock starts, the
-  way the dual identity applies one kernel to every snapshot (null in a
-  checkout without `CellPotential`); and ms to build a
+- `potential`: ms to build the `CellPotential` of a uniform grid of 250,
+  1000 or 4000 cells on [0, 12] and apply it to one datum (cell averages
+  of e^-r); ms per further datum on a `CellPotential` of the grid built
+  before the clock starts, the way the dual identity applies one kernel to
+  every snapshot; and ms to build a
   `RadialPotential` of the indicator of the unit ball and evaluate it at 41
   radii log-spaced on [0.1, 1e3] in one array call, on euclidean:3 and on
   power_log:4:3:0.5, with one GreenData per profile built before the clock
@@ -169,20 +169,18 @@ def main(argv=None) -> int:
         for cells in POTENTIAL_CELLS:
             grid = pg.RadialGrid.make(profile, 12.0, cells)
             u = grid.cell_average(lambda r: np.exp(-np.asarray(r, dtype=float)))
-            wall = timed(lambda: pg.potential_of_cells(
-                profile, grid.edges, u, green=green), args.repeats)
+            wall = timed(lambda: pg.CellPotential(
+                profile, grid.edges, green=green)(u), args.repeats)
             of_cells[str(cells)] = round(wall * 1e3, 3)
-            further[str(cells)] = None
-            if hasattr(pg, "CellPotential"):
-                kernel = pg.CellPotential(profile, grid.edges, green=green)
-                further[str(cells)] = round(
-                    timed(lambda: kernel(u), args.repeats) * 1e3, 3)
+            kernel = pg.CellPotential(profile, grid.edges, green=green)
+            further[str(cells)] = round(
+                timed(lambda: kernel(u), args.repeats) * 1e3, 3)
         wall = timed(lambda: pg.RadialPotential(
             profile, unit_ball, 1.0, green=green)(POTENTIAL_RADII), args.repeats)
         potential["of_cells_ms"][name] = of_cells
         potential["further_datum_ms"][name] = further
         potential["radial_potential_ms"][name] = round(wall * 1e3, 3)
-        print(f"potentials on {name}: potential_of_cells "
+        print(f"potentials on {name}: CellPotential built and applied "
               + ", ".join(f"{c} cells {ms:.3f} ms" for c, ms in of_cells.items())
               + "; further datum " + ", ".join(
                   f"{c} cells {ms} ms" for c, ms in further.items())

@@ -86,7 +86,8 @@ def counted_run(grid, m: float, u0, **run_args) -> dict:
     # or through Stepper._divergence in a checkout without it
     hook = "_window" if hasattr(stepper, "_window") else "_divergence"
     hooked = getattr(stepper, hook)
-    # run_pme calls super_step (explicit) or step (implicit) once per step
+    # run_pme calls step once per step; a checkout from before that calls
+    # super_step for explicit steps
     steps = {meth: getattr(stepper, meth) for meth in ("step", "super_step")
              if hasattr(stepper, meth)}
     rkl2 = getattr(stepper, "_rkl2", None)

@@ -13,7 +13,7 @@ import sys
 import time
 from pathlib import Path
 
-from pmegreen.cli import ConfigError, run_scenario
+from pmegreen.cli import TOLERANCE_PROFILES, ConfigError, run_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent / "scenarios"
 
@@ -25,7 +25,7 @@ def main(argv=None) -> int:
     parser.add_argument("--only", default=None,
                         help="substring filter on scenario file names")
     parser.add_argument("--tolerance-profile", default="default",
-                        choices=["default", "strict"])
+                        choices=sorted(TOLERANCE_PROFILES))
     args = parser.parse_args(argv)
 
     paths = sorted(SCENARIO_DIR.glob("*.json"))

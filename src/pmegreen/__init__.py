@@ -16,8 +16,7 @@ from .geometry import (AssumptionReport, GrowthFunction, RicciReport,
                        unit_sphere_area)
 from .green import (BallIntegralResult, CellPotential, GreenBoundReport,
                     GreenData, PotentialSandwich, RadialPotential,
-                    ball_integral, green_bounds, potential_of_cells,
-                    sandwich_check)
+                    ball_integral, green_bounds, sandwich_check)
 from .smoothing import (BoundEvaluation, LogVolumeFamily, PowerVolumeFamily,
                         SmoothingBound, family_rate, green_ball_envelope,
                         lambert_w0, smoothing_bound_l1g)
@@ -38,7 +37,7 @@ __all__ = [
     "unit_ball_volume", "unit_sphere_area",
     "BallIntegralResult", "CellPotential", "GreenBoundReport", "GreenData",
     "PotentialSandwich", "RadialPotential", "ball_integral", "green_bounds",
-    "potential_of_cells", "sandwich_check",
+    "sandwich_check",
     "WeightedNorm", "PowerLawClass", "SeparatingSequence", "l1g_norm",
     "l1_norm_radial", "powerlaw_classify", "build_separating_sequence",
     "BoundEvaluation", "SmoothingBound", "PowerVolumeFamily",

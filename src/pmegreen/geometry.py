@@ -47,14 +47,13 @@ class VolumeProfile:
     form: str
     volume: Callable[[np.ndarray], np.ndarray]
     area: Callable[[np.ndarray], np.ndarray]
-    r_max: float
     params: dict = field(default_factory=dict)
     alpha_infinity: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.dimension < 3:
             raise ProfileError("profiles need dimension >= 3 for a finite Green function")
-        rs = np.geomspace(1e-6, min(self.r_max, 1e6), 64)
+        rs = np.geomspace(1e-6, 1e6, 64)
         vs = np.asarray(self.volume(rs), dtype=float)
         ss = np.asarray(self.area(rs), dtype=float)
         if not np.all(np.isfinite(vs)) or not np.all(np.isfinite(ss)):
@@ -73,7 +72,7 @@ def _euclidean(dimension: int) -> VolumeProfile:
         dimension=n, form="euclidean",
         volume=lambda r: om * np.power(r, n),
         area=lambda r: sg * np.power(r, n - 1),
-        r_max=math.inf, params={}, alpha_infinity=float(n))
+        params={}, alpha_infinity=float(n))
 
 
 def _power(dimension: int, lam: float, coeff: float = 1.0) -> VolumeProfile:
@@ -87,7 +86,7 @@ def _power(dimension: int, lam: float, coeff: float = 1.0) -> VolumeProfile:
         dimension=dimension, form="power",
         volume=lambda r: coeff * np.power(r, lam),
         area=lambda r: coeff * lam * np.power(r, lam - 1.0),
-        r_max=math.inf, params={"lam": lam, "coeff": coeff},
+        params={"lam": lam, "coeff": coeff},
         alpha_infinity=float(lam))
 
 
@@ -113,7 +112,7 @@ def _power_log(dimension: int, lam: float, sigma: float) -> VolumeProfile:
 
     prof = VolumeProfile(
         dimension=dimension, form="power_log", volume=volume, area=area,
-        r_max=math.inf, params={"lam": lam, "sigma": sigma},
+        params={"lam": lam, "sigma": sigma},
         alpha_infinity=float(lam))
     rs = np.geomspace(1e-4, 1e8, 160)
     q = volume(rs) / np.power(rs, dimension)
@@ -152,7 +151,7 @@ def _warped(dimension: int, phi: Callable[[np.ndarray], np.ndarray],
 
     return VolumeProfile(
         dimension=dimension, form="warped", volume=volume, area=area,
-        r_max=math.inf, params={"phi": phi, "grid_r_max": r_max},
+        params={"phi": phi},
         alpha_infinity=slope_end)
 
 
@@ -189,7 +188,7 @@ def _tabulated(dimension: int, table: Sequence[Sequence[float]]) -> VolumeProfil
 
     return VolumeProfile(
         dimension=dimension, form="tabulated", volume=volume, area=area,
-        r_max=math.inf, params={"table_r_max": r_end, "table_radii": r_tab},
+        params={"table_radii": r_tab},
         alpha_infinity=slope_end)
 
 
@@ -360,8 +359,7 @@ def check_assumptions(profile: VolumeProfile, growth: GrowthFunction,
     and the Euclidean volume bound are verified with small relative slack.
     """
     if sample is None:
-        hi = min(profile.r_max, 1e4 * growth.r0)
-        sample = np.geomspace(growth.r0, hi, 96)
+        sample = np.geomspace(growth.r0, 1e4 * growth.r0, 96)
     sample = np.asarray(sample, dtype=float)
     if sample[0] < growth.r0 * (1.0 - 1e-12):
         raise ValueError("sample grid must start at or above r0")

@@ -314,8 +314,9 @@ class RadialPotential:
 
 
 class CellPotential:
-    """The potential of piecewise-constant cell data on one grid: a call
-    applies it to a datum u and gives the (centers, faces) values.
+    """The exact potential of piecewise-constant cell data on one radial
+    grid: a call applies it to a datum u and gives the (centers, faces)
+    values.
 
     The enclosed mass is affine in V within a cell, so the cells are the
     kernel's panels, and all but the enclosed mass is built once per grid:
@@ -351,13 +352,6 @@ class CellPotential:
                           for j, dvol, area, half in self._rules)
         at_edges = _edge_values(parts, mass_faces[-1] * self._g_end)
         return at_edges[self._next] + to_face, at_edges
-
-
-def potential_of_cells(profile: VolumeProfile, edges: np.ndarray,
-                       u: np.ndarray, green: Optional[GreenData] = None):
-    """Exact potential of piecewise-constant cell data on a radial grid, as
-    (centers, faces) values: the CellPotential of the grid applied to u."""
-    return CellPotential(profile, edges, green)(u)
 
 
 @dataclass

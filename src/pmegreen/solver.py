@@ -2,17 +2,19 @@
 
 Flux form on a pole-anchored grid: cell volumes come from exact differences of
 the profile volume, faces carry the sphere area, and the flux is the plain
-difference quotient of u^m between neighbouring cell averages. Explicit runs
-advance by Runge-Kutta-Legendre (RKL2) super-steps (Meyer, Balsara & Aslam,
-J. Comput. Phys. 257, 2014). A super-step's span is set by an embedded
-local error estimate (that of RKC: Sommeijer, Shampine & Verwer, J. Comput.
-Appl. Math. 88, 1998) in the L1 norm, under a ceiling of RKL2_MAX_STAGES
-stability steps that ties it to the grid and a front-advance limit; its
-stage count by the forward-Euler stability step 2/rho, with rho the
-Gershgorin bound of the symmetrised linearised divergence, a bound on its
-spectral radius. The implicit path is backward Euler with a damped Newton
-iteration on the tridiagonal system, which halves dt once it stalls; the
-next step starts from the dt it reached and grows at most 2x per step.
+difference quotient of u^m between neighbouring cell averages. Every step
+goes through Stepper.step(state, dt, scheme). An explicit step is a
+Runge-Kutta-Legendre (RKL2) super-step (Meyer, Balsara & Aslam, J. Comput.
+Phys. 257, 2014), or one forward-Euler step when its span is within the
+positivity-safe dt. A super-step's span is set by an embedded local error
+estimate (that of RKC: Sommeijer, Shampine & Verwer, J. Comput. Appl. Math.
+88, 1998) in the L1 norm, under a ceiling that ties it to the grid and a
+front-advance limit; its stage count by the forward-Euler stability step
+2/rho, with rho the Gershgorin bound of the symmetrised linearised
+divergence, a bound on its spectral radius. The implicit path is backward
+Euler with a damped Newton iteration on the tridiagonal system, which
+halves dt once it stalls; the next step starts from the dt it reached and
+grows at most 2x per step.
 Both paths share one memory, the array the last step returned and L of it,
 so a step continuing a run evaluates no divergence at its start state.
 
@@ -120,8 +122,8 @@ def _rkl2_stages(ratio: float) -> int:
 
 @functools.lru_cache(maxsize=RKL2_MAX_STAGES)
 def _rkl2_coefficients(s: int) -> tuple:
-    """(mu~_1, ((mu_j, nu_j, mu~_j, a_(j-1)) for j = 2..s), the array of
-    rows (-a_(j-1), mu~_j, nu_j, mu_j)) of s-stage RKL2.
+    """(mu~_1, the rows (-a_(j-1), mu~_j, nu_j, mu_j) for j = 2..s as float
+    tuples, the same rows as an array) of s-stage RKL2.
 
     With b_0 = b_1 = b_2 = 1/3, b_j = (j^2 + j - 2) / (2 j (j + 1)), a_j =
     1 - b_j and w_1 = 4 / (s^2 + s - 2): mu~_1 = b_1 w_1, mu_j = (2j - 1)/j
@@ -131,13 +133,12 @@ def _rkl2_coefficients(s: int) -> tuple:
     b = [1.0 / 3.0] * 3 + [(j * j + j - 2) / (2.0 * j * (j + 1))
                            for j in range(3, s + 1)]
     w1 = 1.0 / _rkl2_reach(s)
-    stages = []
+    rows = []
     for j in range(2, s + 1):
         mu = (2 * j - 1) / j * b[j] / b[j - 1]
         nu = -(j - 1) / j * b[j] / b[j - 2]
-        stages.append((mu, nu, mu * w1, 1.0 - b[j - 1]))
-    table = np.array([(-a, mu_t, nu, mu) for mu, nu, mu_t, a in stages])
-    return b[1] * w1, tuple(stages), table
+        rows.append((-(1.0 - b[j - 1]), mu * w1, nu, mu))
+    return b[1] * w1, tuple(rows), np.array(rows)
 
 
 def _last_nonzero(u: np.ndarray) -> int:
@@ -217,23 +218,25 @@ class RadialState:
 class Stepper:
     """Single-step evolution operator bound to a grid, exponent and boundary.
 
-    The explicit step evaluates the nonlinearity and its stable dt once, and
-    a super-step evaluates them once per stage; both work in scratch buffers
-    owned by the stepper, which make one stepper unsafe to share between
-    threads. Stages and Newton iterates compute on the support window [0, k)
-    only (see the module docstring); the returned state is a fresh
-    full-length array, zero past k, so returned states never share memory
-    with the stepper or with each other. A step from the array the last step
-    returned continues that run: it reuses L of that array, the last
-    divergence that step evaluated, and takes the span (super-step) or dt
-    (implicit step) the controller carried if the last step was of its
-    kind, so that array must not be changed in place in between. `stages`
-    counts the divergence evaluations of explicit stages and error
-    estimates, `rejections` the stage sequences a super-step threw away on a
-    negative stage and `error_rejections` those it threw away on its error
-    estimate; `newton_iterates`, `residuals` and `dt_halvings` count the
-    Newton iterates (tridiagonal solves), residual evaluations and dt
-    halvings of implicit steps; all since construction.
+    `step(state, dt, scheme)` is the one way to advance a state, by a
+    backward-Euler step ("implicit") or an RKL2 super-step ("explicit"),
+    which is one forward-Euler step when its span is within the
+    positivity-safe dt: step(state, min(dt, stable_dt(state.u))) is one.
+    Steps work in scratch buffers owned by the stepper, which make one
+    stepper unsafe to share between threads. Stages and Newton iterates
+    compute on the support window [0, k) only (see the module docstring);
+    the returned state is a fresh full-length array, zero past k, so
+    returned states never share memory with the stepper or with each other.
+    A step from the array the last step returned continues that run: it
+    reuses L of that array, the last divergence that step evaluated, and
+    takes the span (super-step) or dt (implicit step) the controller carried
+    if the last step was of its kind, so that array must not be changed in
+    place in between. `stages` counts the divergence evaluations of explicit
+    stages and error estimates, `rejections` the stage sequences a
+    super-step threw away on a negative stage and `error_rejections` those
+    it threw away on its error estimate; `newton_iterates`, `residuals` and
+    `dt_halvings` count the Newton iterates (tridiagonal solves), residual
+    evaluations and dt halvings of implicit steps; all since construction.
     """
 
     def __init__(self, grid: RadialGrid, m: float, boundary: str = "absorbing",
@@ -333,33 +336,37 @@ class Stepper:
         """(u^m, u^(m-1)) of the window u, in scratch buffers; see _window."""
         return self._window(u.size)[0](u)
 
-    def _stable_dt(self, um1: np.ndarray) -> float:
+    def _dt_bounds(self, um1: np.ndarray) -> tuple:
+        """(dt_FE, dt_stab) at the window um1 = u^(m-1)[:k]; both are the
+        full grid's, since u^(m-1) is zero past the window or the last cell
+        has no upper face.
+
+        dt_FE = cfl / max(rates), rates[i] = m u^(m-1)[i] times cell i's
+        drain coefficient, is the positivity-safe forward-Euler dt. dt_stab =
+        2/rho is the forward-Euler stability step: the divergence linearises
+        to J = V^-1 A P (V the cell volumes, A the symmetric flux operator,
+        outer face included, P = m u^(m-1)), which has the eigenvalues of the
+        symmetric, negative semidefinite S = P^1/2 V^-1/2 A V^-1/2 P^1/2;
+        rho, the largest absolute row sum of S, bounds J's spectral radius
+        for any data, grid and boundary. Row i is rates[i] + f[i-1] + f[i],
+        with f[i] = m g[i] sqrt(u^(m-1)[i]) sqrt(u^(m-1)[i+1]), g[i] =
+        sqrt(up[i] lo[i+1]). By sqrt(xy) <= (x + y)/2, f[i-1] + f[i] <=
+        rates[i]/2 + (rates[i-1] + rates[i+1])/2, so rho <= 2 max(rates) and
+        dt_stab >= dt_FE at cfl <= 1."""
         k = um1.size
         rates = np.multiply(um1, self.m, out=self._rates[:k])
         rates *= self._drain[:k]
         rate = float(rates.max())
-        return self.cfl / rate if rate > 0.0 else math.inf
-
-    def _gershgorin_dt(self, um1: np.ndarray) -> float:
-        """2/rho, the forward-Euler stability step. The divergence linearises
-        to J = V^-1 A P (V the cell volumes, A the symmetric flux operator,
-        outer face included, P = m u^(m-1)), which has the eigenvalues of the
-        symmetric, negative semidefinite S = P^1/2 V^-1/2 A V^-1/2 P^1/2; rho,
-        the largest absolute row sum of S, bounds J's spectral radius for any
-        data, grid and boundary. Row i is rates[i] + f[i-1] + f[i], with f[i]
-        = m g[i] sqrt(u^(m-1)[i]) sqrt(u^(m-1)[i+1]), g[i] = sqrt(up[i]
-        lo[i+1]), read from the rates _stable_dt(um1) left in its buffer. Past
-        the window u^(m-1) is zero, or the last cell has no upper face."""
-        k = um1.size
         rows, faces = self._y[:k], self._sum[:k - 1]
         np.sqrt(um1, rows)
         np.multiply(rows[:-1], rows[1:], faces)
         faces *= self._coupling[:k - 1]
-        rows[:] = self._rates[:k]
+        rows[:] = rates
         rows[:-1] += faces
         rows[1:] += faces
         rho = float(np.maximum.reduce(rows))
-        return 2.0 / rho if rho > 0.0 else math.inf
+        return (self.cfl / rate if rate > 0.0 else math.inf,
+                2.0 / rho if rho > 0.0 else math.inf)
 
     def _front_dt(self, um1: np.ndarray, last: int) -> float:
         """The time in which the Darcy speed v = m/(m-1) max(-d_r u^(m-1))
@@ -377,20 +384,15 @@ class Stepper:
 
     def stable_dt(self, u: np.ndarray) -> float:
         """The largest positivity-safe explicit dt at u; inf for zero data."""
-        return self._stable_dt(self._nonlinearity(u)[1])
+        return self._dt_bounds(self._nonlinearity(u)[1])[0]
 
-    def step(self, state: RadialState, dt: Optional[float] = None,
+    def step(self, state: RadialState, dt: float,
              scheme: str = "explicit") -> RadialState:
-        """Advance one step; an explicit step clamps dt to its stable dt."""
+        """Advance one step of at most dt: an RKL2 super-step ("explicit";
+        see _step_explicit) or a backward-Euler step ("implicit")."""
         if scheme == "explicit":
-            u = state.u
-            w, um1 = self._nonlinearity(u[:min(u.size, _last_nonzero(u) + 3)])
-            stable = self._stable_dt(um1)
-            return self._forward_euler(state, stable if dt is None else
-                                       min(dt, stable), w)
+            return self._step_explicit(state, dt)
         if scheme == "implicit":
-            if dt is None:
-                raise ValueError("implicit stepping needs an explicit dt")
             return self._step_implicit(state, dt)
         raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -400,7 +402,7 @@ class Stepper:
         [0, w.size), halving dt until the new state is nonnegative."""
         if not math.isfinite(dt):
             raise SolverError("stable time step is not finite for zero data; "
-                              "pass dt explicitly")
+                              "pass a finite dt")
         self._dt_limit = dt
         u, k = state.u, w.size
         div = self._divergence(w)
@@ -416,28 +418,31 @@ class Stepper:
             dt *= 0.5  # positivity rejection
         raise SolverError("positivity could not be restored by halving dt")
 
-    def super_step(self, state: RadialState, dt: float) -> RadialState:
+    def _step_explicit(self, state: RadialState, dt: float) -> RadialState:
         """Advance by one RKL2 super-step of at most dt.
 
         With dt_FE the positivity-safe explicit dt, dt_stab = 2/rho the
         forward-Euler stability step (rho the symmetrised Gershgorin bound
-        of _gershgorin_dt) and reach(s) = (s^2 + s - 2)/4, the step spans
+        of _dt_bounds) and reach(s) = (s^2 + s - 2)/4, the step spans
         tau = min(dt, carried, reach(RKL2_MAX_STAGES) min(dt_FE, dt_stab)),
         with `carried` the span the last super-step proposed when the step
         continues from the state it returned, inf otherwise. The ceiling
         keeps the time error shrinking like h^2 under refinement; accuracy
-        is the error estimate's job. While the data leave cells empty, tau
-        is also at most max(dt_FE, t_front), with t_front the time in which
-        the start state's largest Darcy speed moves the front FRONT_CELLS of
-        the last nonzero cell. A tau within dt_FE is one forward-Euler step;
-        otherwise the step takes the fewest s >= 2 stages with reach(s)
-        dt_stab >= tau, within which RKL2 is stable. Stages are kept as
-        increments Y_j - u, so data with zero divergence stay exactly fixed,
-        and the outflow ledger runs through the same recurrence, so mass
-        plus outflow is conserved to rounding. A stage with a negative value
-        halves tau and chooses s again; u^m is never taken of a negative
-        stage. An s-stage super-step computes on the cells up to the last
-        nonzero one plus s + 2.
+        is the error estimate's job. At cfl <= 1 dt_stab >= dt_FE (see
+        _dt_bounds), so the ceiling is reach(RKL2_MAX_STAGES) dt_FE, which
+        takes fewer than RKL2_MAX_STAGES stages: at the default cfl 0.4,
+        where dt_stab reads about 3.5 dt_FE on a self-similar run, 22. While
+        the data leave cells empty, tau is also at most max(dt_FE, t_front),
+        with t_front the time in which the start state's largest Darcy speed
+        moves the front FRONT_CELLS of the last nonzero cell. A tau within
+        dt_FE is one forward-Euler step; otherwise the step takes the fewest
+        s >= 2 stages with reach(s) dt_stab >= tau, within which RKL2 is
+        stable. Stages are kept as increments Y_j - u, so data with zero
+        divergence stay exactly fixed, and the outflow ledger runs through
+        the same recurrence, so mass plus outflow is conserved to rounding.
+        A stage with a negative value halves tau and chooses s again; u^m is
+        never taken of a negative stage. An s-stage super-step computes on
+        the cells up to the last nonzero one plus s + 2.
 
         The embedded estimate of RKC (Sommeijer, Shampine & Verwer, J.
         Comput. Appl. Math. 88, 1998), est = |12 (u - u_new) + 6 tau (L(u) +
@@ -454,13 +459,13 @@ class Stepper:
         takes no estimate and carries at least twice its span forward.
         """
         u = state.u
-        n, last = u.size, _last_nonzero(u)
-        # u^m on the widest window any stage count needs; its stable dt is
+        n, resumed = u.size, u is self._returned
+        # a returned array is zero past the window its L was taken on
+        last = _last_nonzero(u[:self._l1_k] if resumed and self._l1_k else u)
+        # u^m on the widest window any stage count needs; its dt bounds are
         # the full grid's, since u^(m-1) is zero past it
         w, um1 = self._nonlinearity(u[:min(n, last + RKL2_MAX_STAGES + 2)])
-        dt_fe = self._stable_dt(um1)
-        dt_stab = self._gershgorin_dt(um1)
-        resumed = u is self._returned
+        dt_fe, dt_stab = self._dt_bounds(um1)
         carried = self._carry if resumed else math.inf
         self._dt_carry = math.inf
         tau = min(dt, carried,
@@ -538,15 +543,15 @@ class Stepper:
         nonlinearity, divergence = self._window(k)
         outer = self._outer_coef
         add, multiply, lowest = np.add, np.multiply, np.minimum.reduce
-        mu1, stages, table = _rkl2_coefficients(s)
+        mu1, rows, table = _rkl2_coefficients(s)
         multiply(table, (1.0, tau, 1.0, 1.0), self._coef[:s - 1])
         d1 = multiply(l0, mu1 * tau, self._d1[:k])     # Y_1 - u
         d2 = self._d2[:k]                               # Y_0 - u
         d2.fill(0.0)
         e1, e2 = mu1 * tau * out0, 0.0                  # their outflows
         y, acc = self._y[:k], self._sum[:k]
-        for j, (mu, nu, mu_t, a_prev) in enumerate(stages):
-            neg_a, scale, nu_a, mu_a = self._coef_views[j]
+        for j, (neg_a, mu_t, nu, mu) in enumerate(rows):
+            neg_a_0, scale, nu_0, mu_0 = self._coef_views[j]
             add(u, d1, y)
             if float(lowest(y)) < 0.0:
                 self.stages += j
@@ -556,17 +561,17 @@ class Stepper:
             div = divergence(w)
             # Y_j - u = mu (Y_(j-1) - u) + nu (Y_(j-2) - u)
             #           + mu~ tau (L(Y_(j-1)) - a_(j-1) L(u))
-            multiply(l0, neg_a, acc)
+            multiply(l0, neg_a_0, acc)
             add(acc, div, acc)
             multiply(acc, scale, acc)
-            multiply(d2, nu_a, d2)
+            multiply(d2, nu_0, d2)
             add(acc, d2, acc)
-            multiply(d1, mu_a, d2)
+            multiply(d1, mu_0, d2)
             add(d2, acc, d2)
             d1, d2 = d2, d1
-            e1, e2 = (mu * e1 + nu * e2 + mu_t * tau * (out - a_prev * out0),
+            e1, e2 = (mu * e1 + nu * e2 + mu_t * tau * (out + neg_a * out0),
                       e1)
-        self.stages += len(stages)
+        self.stages += len(rows)
         u_new = np.zeros(self.grid.cells)
         window = add(u, d1, u_new[:k])
         if lowest(window) < 0.0:
@@ -722,10 +727,10 @@ def run_pme(grid: RadialGrid, m: float, initial, t_end: float,
     """Evolve cell data to t_end, recording exact-time snapshots.
 
     `initial` is a cell-average array or a radial callable. Snapshot times are
-    hit exactly by clipping the adaptive step; the explicit scheme takes RKL2
-    super-steps (`steps` counts those), and for the implicit scheme
-    implicit_dt sets the target step, which a step after a dt halving
-    approaches by doubling.
+    hit exactly by clipping the adaptive step. Every step is one
+    Stepper.step call, and `steps` counts them: the explicit scheme takes
+    RKL2 super-steps, and for the implicit scheme implicit_dt sets the target
+    step, which a step after a dt halving approaches by doubling.
     """
     if callable(initial):
         u0 = grid.cell_average(initial)
@@ -748,11 +753,8 @@ def run_pme(grid: RadialGrid, m: float, initial, t_end: float,
     for target in snaps:
         while state.t < target - 1e-13:
             gap = target - state.t
-            if scheme == "explicit":
-                new = stepper.super_step(state, gap)
-            else:
-                new = stepper.step(state, dt=min(implicit_dt or gap, gap),
-                                   scheme=scheme)
+            dt = min(implicit_dt or gap, gap) if scheme == "implicit" else gap
+            new = stepper.step(state, dt, scheme)
             # stamp the target only when the step took the full dt it was
             # allowed (a super-step clamps to its reach); a halved step is
             # still short of it

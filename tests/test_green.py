@@ -405,7 +405,7 @@ def test_potential_of_cells_matches_continuum(spec, spacing):
     grid = pg.RadialGrid.make(profile, 10.0, 400, spacing=spacing)
     psi = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2)
     u = grid.cell_average(psi)
-    centers_u, faces_u = pg.potential_of_cells(profile, grid.edges, u)
+    centers_u, faces_u = pg.CellPotential(profile, grid.edges)(u)
     pot = pg.RadialPotential(profile, psi, 10.0)
     cont = np.asarray(pot(grid.centers), dtype=float)
     assert np.max(np.abs(centers_u - cont)) <= 1e-3 * np.max(cont)
@@ -452,8 +452,7 @@ def test_potential_of_cells_matches_half_panel_reference(spec, cells,
     green = pg.GreenData(profile)
     grid = pg.RadialGrid.make(profile, 12.0, cells, spacing=spacing)
     u = grid.cell_average(lambda r: np.exp(-np.asarray(r, dtype=float)))
-    centers_u, faces_u = pg.potential_of_cells(profile, grid.edges, u,
-                                               green=green)
+    centers_u, faces_u = pg.CellPotential(profile, grid.edges, green=green)(u)
     ref_centers, ref_faces = reference_potential_of_cells(
         profile, grid.edges, u, green)
     assert np.array_equal(centers_u, ref_centers)
@@ -466,8 +465,8 @@ def test_potential_of_cells_matches_half_panel_reference(spec, cells,
 @pytest.mark.parametrize("cells", [250, 1000])
 def test_cell_potential_kernel_matches_separate_calls(spec, spacing, cells):
     # one kernel built per grid and applied to several data in turn gives
-    # what a potential_of_cells call per datum gives, and the half-panel
-    # reference, bit for bit
+    # what a kernel built per datum gives, and the half-panel reference,
+    # bit for bit
     profile = pg.make_profile(**spec)
     green = pg.GreenData(profile)
     grid = pg.RadialGrid.make(profile, 12.0, cells, spacing=spacing)
@@ -478,8 +477,8 @@ def test_cell_potential_kernel_matches_separate_calls(spec, spacing, cells):
             np.zeros(cells)]
     for u in data:
         centers_u, faces_u = kernel(u)
-        ref_centers, ref_faces = pg.potential_of_cells(profile, grid.edges, u,
-                                                       green=green)
+        ref_centers, ref_faces = pg.CellPotential(profile, grid.edges,
+                                                  green=green)(u)
         assert np.array_equal(centers_u, ref_centers)
         assert np.array_equal(faces_u, ref_faces)
         half_centers, half_faces = reference_potential_of_cells(

@@ -301,11 +301,12 @@ def test_explicit_step_matches_reference(euclid3, m, boundary, cfl, given_dt):
     stepper = pg.Stepper(grid, m, boundary=boundary, cfl=cfl)
     state = smooth_state(grid)
     u_in = state.u.copy()
-    # a given dt larger than the stable one is clamped to it
-    dt = 10.0 * stepper.stable_dt(state.u) if given_dt else None
+    # a step of at most the stable dt is one forward-Euler step; a given dt
+    # larger than the stable one is clamped to it
+    dt = 10.0 * stepper.stable_dt(state.u) if given_dt else math.inf
     u_ref, t_ref, out_ref, stable_ref = reference_explicit_step(
         grid, m, boundary, cfl, state, dt)
-    new = stepper.step(state, dt=dt, scheme="explicit")
+    new = stepper.step(state, min(dt, stepper.stable_dt(state.u)), "explicit")
     assert np.array_equal(new.u, u_ref)
     assert new.t == t_ref
     assert new.outflow == out_ref
@@ -330,6 +331,27 @@ def test_steps_share_no_buffers(euclid3, m, scheme):
     for state, u in zip(states, values):
         assert np.array_equal(state.u, u)
     assert len({id(s.u) for s in states}) == len(states)
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+def test_run_steps_go_through_step(euclid3, mass1_params, monkeypatch, scheme):
+    # every step of a run is one Stepper.step call with the scheme passed
+    # positionally, so a wrapper of the method that reads its fourth
+    # argument counts a run's steps by scheme: the calls equal
+    # RunRecord.steps
+    calls = []
+    step = pg.Stepper.step
+
+    def counted(self, state, dt, *args, **kwargs):
+        calls.append((args, kwargs))
+        return step(self, state, dt, *args, **kwargs)
+
+    monkeypatch.setattr(pg.Stepper, "step", counted)
+    grid = pg.RadialGrid.make(euclid3, 12.0, 200)
+    rec = pg.run_pme(grid, 2.0, pg.barenblatt_datum(mass1_params), t_end=0.5,
+                     snapshots=[0.25], scheme=scheme, implicit_dt=0.05)
+    assert rec.steps == len(calls) > 2
+    assert all(call == ((scheme,), {}) for call in calls)
 
 
 def test_identical_runs_record_identical_states(euclid3, mass1_params):
@@ -460,10 +482,10 @@ def test_windowed_explicit_step_matches_reference(euclid3, m, boundary,
     grid = pg.RadialGrid.make(euclid3, 4.0, 120)
     stepper = pg.Stepper(grid, m, boundary=boundary)
     state = supported_state(grid, support)
-    dt = 1e-3 if support == "zero" else None
+    dt = 1e-3 if support == "zero" else math.inf
     u_ref, t_ref, out_ref, _ = reference_explicit_step(
         grid, m, boundary, pg.solver.DEFAULT_CFL, state, dt)
-    new = stepper.step(state, dt=dt, scheme="explicit")
+    new = stepper.step(state, min(dt, stepper.stable_dt(state.u)), "explicit")
     assert np.array_equal(new.u, u_ref)
     assert new.t == t_ref
     assert new.outflow == out_ref
@@ -610,7 +632,7 @@ def test_mixed_steps_match_fresh_steppers(euclid3, m, boundary):
 
     def take(on, state, scheme):
         if scheme == "explicit":
-            return on.super_step(state, 1.0)
+            return on.step(state, 1.0)
         return on.step(state, dt=1e3, scheme="implicit")
 
     for scheme in ("explicit", "implicit", "explicit", "implicit"):
@@ -628,11 +650,11 @@ def test_failed_super_step_leaves_no_stale_l(euclid3, monkeypatch):
     # buffer the failed step left behind
     grid = pg.RadialGrid.make(euclid3, 4.0, 120)
     stepper = pg.Stepper(grid, 2.0)
-    state = stepper.super_step(supported_state(grid, "mid"), 1.0)
+    state = stepper.step(supported_state(grid, "mid"), 1.0)
     with monkeypatch.context() as patch:
         patch.setattr(stepper, "_rkl2", lambda *args: None)
         with pytest.raises(pg.solver.SolverError):
-            stepper.super_step(state, 1.0)
+            stepper.step(state, 1.0)
     new = stepper.step(state, dt=1e-3, scheme="implicit")
     ref = pg.Stepper(grid, 2.0).step(copied(state), dt=1e-3, scheme="implicit")
     assert_same_state(new, ref)
@@ -685,7 +707,8 @@ def forward_euler_run(grid, m, u0, t_end):
     state = pg.RadialState(u=u0.copy(), t=0.0)
     steps = 0
     while state.t < t_end - 1e-13:
-        state = stepper.step(state, dt=t_end - state.t)
+        state = stepper.step(state, min(t_end - state.t,
+                                        stepper.stable_dt(state.u)))
         steps += 1
     return state, steps
 
@@ -912,7 +935,7 @@ def test_super_step_matches_reference(euclid3, m, boundary, support, ratio):
     dt_fe = 1e-3 if support == "zero" else stepper.stable_dt(state.u)
     u_ref, t_ref, out_ref, _, halved, rejected, _ = reference_super_step(
         grid, m, boundary, pg.solver.DEFAULT_CFL, state, ratio * dt_fe)
-    new = stepper.super_step(state, ratio * dt_fe)
+    new = stepper.step(state, ratio * dt_fe)
     assert np.array_equal(new.u, u_ref)
     assert new.t == t_ref
     assert new.outflow == out_ref
@@ -933,7 +956,7 @@ def test_super_step_reference_halves_a_spike(euclid3):
     u_ref, t_ref, out_ref, _, halved, rejected, _ = reference_super_step(
         grid, 1.5, "absorbing", pg.solver.DEFAULT_CFL, state, dt)
     assert halved > 0
-    new = stepper.super_step(state, dt)
+    new = stepper.step(state, dt)
     assert np.array_equal(new.u, u_ref)
     assert (new.t, new.outflow) == (t_ref, out_ref)
     assert (stepper.rejections, stepper.error_rejections) == (halved, rejected)
@@ -989,7 +1012,7 @@ def test_super_step_stage_count(euclid3, ratio):
         assert tau == min(ratio * dt_stab, reach(CAP) * min(dt_fe, dt_stab))
         _, t_ref, _, evaluations, halved, rejected, _ = reference_super_step(
             grid, 2.0, "absorbing", cfl, state, ratio * dt_stab)
-        new = stepper.super_step(state, ratio * dt_stab)
+        new = stepper.step(state, ratio * dt_stab)
         if not rejected:
             # one evaluation for L(u); within one forward-Euler step, one
             # step, else the fewest s whose reach covers tau and an estimate
@@ -1039,8 +1062,7 @@ def test_stability_step_bounds_the_spectral_radius(profile, m, boundary,
         u = grid.cell_average(lambda r: 1.0 + np.exp(-r * r))
     stepper = pg.Stepper(grid, m, boundary=boundary)
     _, um1 = stepper._nonlinearity(u)
-    stepper._stable_dt(um1)
-    rho = 2.0 / stepper._gershgorin_dt(um1)
+    rho = 2.0 / stepper._dt_bounds(um1)[1]
     _, _, divergence = reference_operator(grid, boundary)
     jacobian = np.column_stack([divergence(e) for e in np.eye(cells)]) * (
         m * np.power(u, m - 1.0))
@@ -1076,8 +1098,7 @@ def test_super_steps_at_the_stable_reach_stay_stable(euclid3, m, cfl, stages):
         _, _, dt_stab = reference_span(grid, m, "absorbing", cfl, state.u,
                                        math.inf)
         before = stepper.stages
-        state = stepper.super_step(state, (1.0 - 1e-15) * reach(stages) *
-                                   dt_stab)
+        state = stepper.step(state, (1.0 - 1e-15) * reach(stages) * dt_stab)
         assert np.all(state.u >= 0.0)
         assert float(state.u.max()) <= sup + 1e-14 * sup0
         assert np.all(np.diff(state.u) <= 1e-14 * sup0)
@@ -1115,7 +1136,7 @@ def test_super_step_run_matches_reference(euclid3, m, boundary, datum):
         reused += count > 1 and not explicit
         evaluations += count
         explicit = count == 1
-        state = stepper.super_step(state, dt)
+        state = stepper.step(state, dt)
         assert np.array_equal(state.u, ref.u)
         assert (state.t, state.outflow) == (ref.t, ref.outflow)
         assert stepper._carry == carried
@@ -1137,7 +1158,8 @@ def test_super_step_front_error(euclid3, mass1_params):
         stepper = pg.Stepper(grid, 2.0, cfl=cfl)
         state = pg.RadialState(u=u0.copy(), t=0.0)
         while state.t < 1.0 - 1e-13:
-            state = stepper.step(state, dt=1.0 - state.t)
+            state = stepper.step(state, min(1.0 - state.t,
+                                            stepper.stable_dt(state.u)))
         return state.u
 
     fine = forward_euler(0.05)
@@ -1178,7 +1200,7 @@ def test_super_step_front_advance(euclid3, mass1_params):
     state = pg.RadialState(u=grid.cell_average(
         pg.barenblatt_datum(mass1_params)), t=0.0)
     while state.t < 1.0:
-        new = stepper.super_step(state, 1.0 - state.t)
+        new = stepper.step(state, 1.0 - state.t)
         travel = (mass1_params.support_radius(1.0 + new.t) -
                   mass1_params.support_radius(1.0 + state.t))
         assert travel <= 0.6 * grid.edges[1]
