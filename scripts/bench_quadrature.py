@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the quadrature layer: weighted norms, tail tables, radial potentials
-and the smoothing bound's radius inversion.
+"""Time the quadrature layer: weighted norms, tail tables, radial potentials,
+the smoothing bound's radius inversion and the separating sequence.
 
     PYTHONPATH=src python3 scripts/bench_quadrature.py --label after
 
@@ -27,6 +27,10 @@ round:
 - `evaluate_l1_us`: us per `SmoothingBound.evaluate_l1` on power_log:4:3:0.5
   with power_log growth k = 3, b = 0.5, r0 = 2, m = 2, at 40 times in
   [1, 1e6];
+- `separating_ms`: ms per `build_separating_sequence` of 20 distances on
+  euclidean:5 with power growth k = 5, r0 = 1, the case pmebench's
+  `quadrature` workload runs, with its GreenData built before the clock
+  starts;
 - `calls_us`: us per call of that TailTable and of its log-log spline (a
   CubicHermiteSpline in checkouts from before the package's own Hermite
   kernel) at 1, 100 and 10^4 points inside the edges, each one array;
@@ -63,6 +67,7 @@ BEYOND = np.geomspace(2e7, 1e12, 20)
 FAR = np.geomspace(1e25, 1e30, 20)
 BELOW = np.geomspace(1e-12, 9e-5, 200)
 BOUND_TIMES = np.geomspace(1.0, 1e6, 40)
+SEPARATING_COUNT = 20
 POTENTIAL_CELLS = (250, 1000, 4000)
 POTENTIAL_RADII = np.geomspace(0.1, 1e3, 41)
 CALL_POINTS = (1, 100, 10000)
@@ -195,6 +200,14 @@ def main(argv=None) -> int:
     evaluate_l1_us = round(wall / BOUND_TIMES.size * 1e6, 2)
     print(f"evaluate_l1: {evaluate_l1_us:.1f} us")
 
+    profile = pg.make_profile(form="euclidean", dimension=5)
+    growth = pg.make_growth(form="power", params={"k": 5.0}, r0=1.0)
+    green = pg.GreenData(profile)
+    wall = timed(lambda: pg.build_separating_sequence(
+        profile, growth, SEPARATING_COUNT, green=green), args.repeats)
+    separating_ms = round(wall * 1e3, 3)
+    print(f"build_separating_sequence: {separating_ms:.3f} ms")
+
     imports = cold_import(IMPORT_ROUNDS)
     print(f"cold import: median {imports['median_s']:.3f} s over "
           f"{imports['rounds']} interpreters, {imports['scipy_modules']} "
@@ -206,6 +219,7 @@ def main(argv=None) -> int:
         "machine": machine(), "repeats": args.repeats,
         "classify_ms": classify, "tail_table": tail_table,
         "potential": potential, "evaluate_l1_us": evaluate_l1_us,
+        "separating_ms": separating_ms,
         "calls_us": calls_us, "cold_import": imports}
     out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return 0

@@ -52,7 +52,7 @@ class GreenData:
     per kind over `edges`: a log grid on [r_min, r_max] joined with the table
     radii of a tabulated profile. The table carries on past r_max on its own
     and below r_min through its pole model, so G is read at any positive
-    radius; it is inf where 1/S or t/V overflows.
+    radius; it is inf only where G itself overflows.
     """
 
     r_min, r_max = 1e-4, 1e7

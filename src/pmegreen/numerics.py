@@ -1,6 +1,6 @@
 """Numerical kernels: Gauss panels, one tail model for every integral to
 infinity, one pole model below every tail table, one cubic Hermite
-interpolant, roots, slope fits.
+interpolant, one root finder for monotone functions, slope fits.
 
 The tail model: past a horizon h, f is fitted as r^p (log r)^q through
 r = h, 4h and 16h, and that fit is integrated to infinity in closed form.
@@ -11,7 +11,9 @@ the fit shows divergence, or HORIZON_CAP is reached.
 
 The pole model: below a table's first edge e0, Gauss panels over the top
 POLE_PANEL_DECADES decades and, below them, a power law c s^p fitted at r
-and 4r, integrated in closed form. Nothing here is adaptive quadrature.
+and 4r, integrated in closed form; where f(r) overflows, the fit moves up
+to where f is finite and log f is carried down to r. Nothing here is
+adaptive quadrature.
 """
 from __future__ import annotations
 
@@ -33,6 +35,10 @@ TAIL_PANEL_DECADES = 12.0
 MAX_TAIL_DECADES = 100.0
 # decades of Gauss panels below a TailTable's first edge, above its power law
 POLE_PANEL_DECADES = 4
+# where f(r) overflows, the pole model fits its power law this many x4 rungs
+# above the first where f is finite: a part of f such as V in t/V may be
+# subnormal there, and so lose precision that the power law carries down
+POLE_FIT_RUNGS = 10
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
 # the tail model's fit points h, 4h, 16h, as multiples of the horizon h
@@ -217,20 +223,39 @@ def truncated_tail(f: Callable[[np.ndarray], np.ndarray], start: float,
 
 def _power_law_integral(f: Callable[[np.ndarray], np.ndarray], r: np.ndarray,
                         b: float) -> np.ndarray:
-    """int_r^b c s^p ds for r < b, the power law through f(r) and f(min(4r, b)).
+    """int_r^b c s^p ds for r < b, the power law through f(a) and
+    f(min(4a, b)): a = r where f(r) is finite, else the rung POLE_FIT_RUNGS
+    above the first of r, 4r, 16r, ... where f is finite.
 
     With L = log(b/r) and x = (p + 1) L this is r f(r) L expm1(x)/x, formed
-    as L e^(log r + log f(r) + max(x, 0)) (1 - e^-|x|)/|x| so that nothing
-    overflows before the result does; +inf where f(r) overflows.
+    as L e^(log r + log f(r) + max(x, 0)) (1 - e^-|x|)/|x|, log f(r) carried
+    down from a by the power law, so that nothing overflows before the
+    result does; +inf where f overflows up to b.
     """
-    s = np.minimum(_FIT_RATIO * r, b)
-    fr, fs = np.asarray(f(np.concatenate([r, s])), dtype=float).reshape(2, -1)
+    a = r
+    s = np.minimum(_FIT_RATIO * a, b)
+    fa, fs = np.asarray(f(np.concatenate([a, s])), dtype=float).reshape(2, -1)
+    over = np.isinf(fa)
+    if over.any():
+        # the rungs r 4^k up to b, POLE_FIT_RUNGS + 1 past the first that
+        # reaches it
+        count = math.ceil((math.log(b) - math.log(r[over].min()))
+                          / math.log(_FIT_RATIO)) + POLE_FIT_RUNGS + 2
+        rungs = np.minimum(np.ldexp(r[over, None], 2 * np.arange(count)), b)
+        vals = np.asarray(f(rungs.ravel()), dtype=float).reshape(rungs.shape)
+        k = np.isfinite(vals).argmax(axis=1) + POLE_FIT_RUNGS
+        rows = np.arange(k.size)
+        a = r.copy()
+        a[over], s[over] = rungs[rows, k], rungs[rows, k + 1]
+        fa[over], fs[over] = vals[rows, k], vals[rows, k + 1]
     span = math.log(b) - np.log(r)  # b/r itself overflows for subnormal r
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = (np.log(fs / fr) / np.log(s / r) + 1.0) * span
+        p = np.log(fs / fa) / np.log(s / a)
+        x = (p + 1.0) * span
         shape = np.where(x == 0.0, 1.0, -np.expm1(-np.abs(x)) / np.abs(x))
-        val = span * np.exp(np.log(r) + np.log(fr) + np.maximum(x, 0.0)) * shape
-    return np.where(np.isinf(fr), np.inf, val)
+        logf = np.log(fa) + np.where(over, p * (np.log(r) - np.log(a)), 0.0)
+        val = span * np.exp(np.log(r) + logf + np.maximum(x, 0.0)) * shape
+    return np.where(np.isinf(fa), np.inf, val)
 
 
 def _knots(x, y) -> tuple:
@@ -340,8 +365,8 @@ class TailTable:
     log-log cubic Hermite spline with the exact slope -r f(r)/T(r). Past the
     extended edges T is the tail model's remainder itself, one vectorized
     call for all such points. Below the first edge e0 it is T(e0) plus the
-    pole model's int_r^e0 f, reading f only inside [r, e0]; +inf where f(r)
-    overflows.
+    pole model's int_r^e0 f, reading f only inside [r, e0]; +inf only where
+    that integral overflows.
     """
 
     def __init__(self, f: Callable[[np.ndarray], np.ndarray],
@@ -403,38 +428,44 @@ class TailTable:
 
 
 def invert_increasing(fn: Callable[[float], float], target: float,
-                      lo: float) -> float:
-    """Solve fn(x) = target for increasing fn on [lo, inf).
+                      xs: np.ndarray, ys: np.ndarray) -> float:
+    """Solve fn(x) = target for increasing fn with values ys at sorted knots xs.
 
-    Geometric bracket expansion followed by plain bisection; the bisection
-    terminates on relative bracket width, so roots near zero are not special.
+    A target at or below ys[0] returns xs[0]. The knots bracket the root;
+    past the last one the bracket grows by a width that starts at the last
+    knot spacing and doubles. Secant steps, bisecting where one leaves the
+    bracket, stop once a step moves x by at most 1e-12.
     """
-    flo = fn(lo)
-    if target < flo * (1.0 - 1e-12) - 1e-300:
-        raise BracketError(
-            f"target {target!r} lies below fn({lo!r}) = {flo!r} for an increasing function")
-    if target <= flo:
-        return lo
-    hi = 2.0 * lo if lo > 0 else 1.0
-    for _ in range(2100):
-        if fn(hi) >= target:
-            break
-        lo_new = hi
-        hi *= 2.0
-        lo = lo_new
-        if hi > 1e307:
-            raise BracketError("bracket expansion overflow before reaching target")
+    i = int(np.searchsorted(ys, target))
+    if i == 0:
+        return xs[0]
+    if i < xs.size:
+        lo, hi, flo, fhi = xs[i - 1], xs[i], ys[i - 1], ys[i]
     else:
-        raise BracketError("bracket expansion exhausted before reaching target")
-    while (hi - lo) > 1e-10 * max(abs(hi), 1e-300):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if fn(mid) < target:
-            lo = mid
+        # Python floats: a bracket that never closes runs to inf silently
+        hi, fhi, width = float(xs[-1]), float(ys[-1]), float(xs[-1] - xs[-2])
+        for _ in range(2100):
+            lo, flo, hi = hi, fhi, hi + width
+            fhi = fn(hi)
+            if fhi >= target:
+                break
+            width *= 2.0
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            raise BracketError("bracket expansion exhausted before reaching target")
+    xa, fa, xb, fb = lo, flo - target, hi, fhi - target
+    for _ in range(60):
+        x = xb - fb * (xb - xa) / (fb - fa) if fb != fa else lo
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = fn(x) - target
+        if fx == 0.0 or abs(x - xb) <= 1e-12:
+            break
+        if fx < 0.0:
+            lo = x
+        else:
+            hi = x
+        xa, fa, xb, fb = xb, fb, x, fx
+    return x
 
 
 def loglog_slope(x: np.ndarray, y: np.ndarray) -> float:

@@ -9,7 +9,8 @@ iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,8 +56,8 @@ class SmoothingBound:
     volume_floor is the pole-centered volume lower envelope, a profile's V
     through from_profile; the radius-to-scale map is
     volume_floor(R) * green_ball_envelope(R)^{1/(m-1)}. It is tabulated once
-    on the growth function's knots and inverted there by a bracket lookup
-    and a few secant steps when a bound is evaluated in the large-time
+    on the growth function's knots, with its value at r0, and inverted by
+    numerics' invert_increasing when a bound is evaluated in the large-time
     regime. volume_floor takes and returns arrays. Both branches carry the
     constant 1.
     """
@@ -65,8 +66,6 @@ class SmoothingBound:
     dimension: int
     growth: GrowthFunction
     volume_floor: Callable[[np.ndarray], np.ndarray]
-    # (log R, log data_scale(R)) on the growth knots, built on first use
-    _log_scales: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.m <= 1.0:
@@ -84,9 +83,16 @@ class SmoothingBound:
             green_ball_envelope(self.growth, radius)) ** (1.0 / (self.m - 1.0))
         return float(theta) if theta.ndim == 0 else theta
 
-    @property
+    @cached_property
     def scale_threshold(self) -> float:
         return self.data_scale(self.growth.r0)
+
+    @cached_property
+    def _log_scales(self) -> tuple:
+        """(log R, log data_scale(R)) on the growth knots."""
+        knots = self.growth.knots
+        with np.errstate(over="ignore"):  # an inf knot still brackets
+            return np.log(knots), np.log(self.data_scale(knots))
 
     def time_threshold(self, norm1: float) -> float:
         """Time at which the large-time branch takes over, for given L1 data."""
@@ -97,41 +103,18 @@ class SmoothingBound:
     def radius_for_scale(self, s: float) -> float:
         """Invert the radius-to-scale map; needs s at or above its r0 value.
 
-        The knot table brackets the root; secant steps in log-log, kept in
-        that bracket, stop once a step moves the root by under 1e-12
-        relative. Past the last knot the map is inverted by bisection.
+        numerics' invert_increasing solves it in (log R, log theta) on the
+        knot table, by secant steps to 1e-12 in log R.
         """
         if s < self.scale_threshold * (1.0 - 1e-12):
             raise DomainError(
                 f"scale {s} below the r0 value {self.scale_threshold}; "
                 "the large-time branch does not apply")
-        if self._log_scales is None:
-            knots = self.growth.knots
-            with np.errstate(over="ignore"):  # an inf knot still brackets
-                self._log_scales = (np.log(knots),
-                                    np.log(self.data_scale(knots)))
         xs, ys = self._log_scales
-        target = math.log(s)
-        i = int(np.searchsorted(ys, target))
-        if i == 0:
-            return self.growth.r0
-        if i == xs.size:
-            return invert_increasing(self.data_scale, s, math.exp(xs[-1]))
-        lo, hi = xs[i - 1], xs[i]
-        xa, fa, xb, fb = lo, ys[i - 1] - target, hi, ys[i] - target
-        for _ in range(60):
-            x = xb - fb * (xb - xa) / (fb - fa) if fb != fa else lo
-            if not lo < x < hi:
-                x = 0.5 * (lo + hi)
-            fx = math.log(self.data_scale(math.exp(x))) - target
-            if fx == 0.0 or abs(x - xb) <= 1e-12:
-                break
-            if fx < 0.0:
-                lo = x
-            else:
-                hi = x
-            xa, fa, xb, fb = xb, fb, x, fx
-        return math.exp(x)
+        x = invert_increasing(lambda x: math.log(self.data_scale(math.exp(x))),
+                              math.log(s), xs, ys)
+        # r0 itself at the first knot, not exp(log r0)
+        return self.growth.r0 if x == xs[0] else math.exp(x)
 
     def evaluate_l1(self, t: float, norm1: float) -> BoundEvaluation:
         """Sup-norm bound at time t for initial L1 size norm1.

@@ -152,7 +152,9 @@ def build_separating_sequence(profile: VolumeProfile, growth: GrowthFunction,
                               green: Optional[GreenData] = None) -> SeparatingSequence:
     """Greedy distances d_j with T(d_j - 1) <= 2^{-j} and d_j >= 4 d_{j-1}.
 
-    Each shell [d_j - 1/2, d_j + 1/2] carries exactly unit mass, so the plain
+    The root of T(d - 1) = 2^{-j} is one call of numerics' invert_increasing
+    on -log T against log R over the growth knots; d_1 >= 4 r0 + 4. Each
+    shell [d_j - 1/2, d_j + 1/2] carries exactly unit mass, so the plain
     partial sums grow linearly while the Green-weighted increments are
     summable: their certified decay is the tail bound 2^{-j} times a recorded
     constant.
@@ -161,15 +163,15 @@ def build_separating_sequence(profile: VolumeProfile, growth: GrowthFunction,
         raise ValueError("count must be positive")
     gd = green or GreenData(profile)
     r0 = growth.r0
+    knots = growth.knots
+    xs, ys = np.log(knots), -np.log(growth.tail(knots))
     distances = np.empty(count)
     prev = None
     for j in range(1, count + 1):
         target = 2.0 ** (-j)
-        if growth.tail(r0) <= target:
-            d_star = r0 + 1.0
-        else:
-            d_star = 1.0 + invert_increasing(
-                lambda R: -growth.tail(R), -target, r0)
+        d_star = 1.0 + math.exp(invert_increasing(
+            lambda x: -math.log(growth.tail(math.exp(x))), -math.log(target),
+            xs, ys))
         floor = 4.0 * r0 + 4.0 if prev is None else 4.0 * prev
         d = max(floor, d_star)
         if growth.tail(d - 1.0) > target * (1.0 + 1e-9):

@@ -439,6 +439,12 @@ def test_green_near_the_pole_exit_zero(tmp_path):
     _, rows = read_rows(tmp_path / "cli-green.csv")
     assert float(rows[0]["green_exact"]) == pytest.approx(
         333333333331.02479, rel=1e-9)
+    # 1/S overflows at 1e-160, yet G = 3.3e159 is representable
+    assert main(["green", "--profile", "power_log:4:3:0.5", "--radii",
+                 "1e-160,1", "--out-dir", str(tmp_path / "deep")]) == 0
+    _, rows = read_rows(tmp_path / "deep" / "cli-green.csv")
+    assert float(rows[0]["green_exact"]) * 3e-160 == pytest.approx(1.0,
+                                                                   rel=1e-9)
 
 
 @pytest.mark.parametrize("params, key", [

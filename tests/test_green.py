@@ -257,9 +257,33 @@ def test_green_pole_reads_are_positive_or_inf():
         for values in (green.exact(radii), green.surrogate(radii)):
             assert not np.isnan(values).any()
             assert np.all(values > 0.0)
+    # G = 1/(2 sigma_4 r^2) to leading order on the warped profile, which
+    # overflows near 1e-155
     warped = pg.GreenData(_pole_case("warped")[0])
-    assert warped.exact(1e-150) == math.inf
-    assert np.isinf(warped.exact(np.array([1e-150, 1e-200]))).all()
+    assert warped.exact(1e-150) == pytest.approx(
+        1.0 / (2.0 * pg.unit_sphere_area(4) * 1e-300), rel=1e-9)
+    assert warped.exact(1e-160) == math.inf
+    assert np.isinf(warped.exact(np.array([1e-160, 1e-200]))).all()
+
+
+def test_green_pole_is_finite_where_representable():
+    # on power_log:4:3:0.5, G = 1/(3r) and Ghat = 1/r to leading order at
+    # the pole; 1/S overflows below 1e-154 and V underflows below 1e-108,
+    # where the pole model fits its power law higher up and carries it down
+    green = pg.GreenData(_pole_case("power_log")[0])
+    radii = np.array([1e-160, 1e-300])
+    for r in radii:
+        assert green.exact(r) * 3.0 * r == pytest.approx(1.0, abs=1e-9)
+        assert green.surrogate(r) * r == pytest.approx(1.0, abs=1e-9)
+    assert np.allclose(green.exact(radii) * 3.0 * radii, 1.0, rtol=0.0,
+                       atol=1e-9)
+    assert np.allclose(green.surrogate(radii) * radii, 1.0, rtol=0.0,
+                       atol=1e-9)
+    # where 1/S and t/V are finite the values are those of the plain fit
+    assert green.exact(1e-100) == 3.333333333333378e+99
+    assert green.surrogate(1e-100) == 1.000000000000011e+100
+    assert green.exact(1e-12) == 333333333331.5186
+    assert green.surrogate(1e-12) == 999999999995.8679
 
 
 def test_growth_tail_just_below_r0():

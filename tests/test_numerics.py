@@ -69,12 +69,15 @@ def test_tail_table_pole_model_closed_forms():
                        1.0 / (1.0 + np.append(rs, 0.0)), rtol=1e-10)
 
 
-def test_tail_table_pole_model_is_inf_where_f_overflows():
+def test_tail_table_pole_model_is_inf_where_the_integral_overflows():
+    # f = t^-3 overflows below about 1e-103, its integral r^-2 / 2 only
+    # below about 1e-154
     table = TailTable(lambda t: t ** -3.0, np.geomspace(0.01, 100.0, 50))
     with np.errstate(over="ignore"):
-        values = table(np.array([1e-100, 1e-150, 5e-324]))
+        values = table(np.array([1e-100, 1e-150, 1e-160, 5e-324]))
     assert values[0] == pytest.approx(0.5e200, rel=1e-10)
-    assert values[1:].tolist() == [math.inf, math.inf]
+    assert values[1] == pytest.approx(0.5e300, rel=1e-10)
+    assert values[2:].tolist() == [math.inf, math.inf]
 
 
 # cold CLI runs after which no scipy module may be loaded; an implicit solve
@@ -210,16 +213,23 @@ def test_hermite_rejects_bad_knots():
 
 
 def test_invert_increasing_round_trip():
-    root = invert_increasing(math.exp, math.exp(3.5), 0.0)
-    assert root == pytest.approx(3.5, rel=1e-9)
-    # a decreasing function is inverted through its negative
-    root = invert_increasing(lambda r: -1.0 / r, -0.125, 1.0)
-    assert root == pytest.approx(8.0, rel=1e-9)
+    xs = np.linspace(0.0, 5.0, 6)
+    root = invert_increasing(math.exp, math.exp(3.5), xs, np.exp(xs))
+    assert root == pytest.approx(3.5, rel=1e-12)
+    # a target at or below the first value returns the first knot
+    assert invert_increasing(math.exp, 0.5, xs, np.exp(xs)) == xs[0]
+    assert invert_increasing(math.exp, 1.0, xs, np.exp(xs)) == xs[0]
+    # a decreasing function is inverted through its negative; 8 lies past
+    # the last knot, where the bracket doubles from the last knot spacing
+    xs = np.array([1.0, 2.0, 3.0])
+    root = invert_increasing(lambda r: -1.0 / r, -0.125, xs, -1.0 / xs)
+    assert root == pytest.approx(8.0, rel=1e-12)
 
 
 def test_invert_increasing_unreachable_target():
+    xs = np.linspace(0.0, 1.0, 3)
     with pytest.raises(BracketError):
-        invert_increasing(lambda r: math.atan(r), 2.0, 0.0)
+        invert_increasing(math.atan, 2.0, xs, np.arctan(xs))
 
 
 def test_gauss_panels_polynomial_exactness():

@@ -81,6 +81,14 @@ def test_radius_scale_round_trip(euclid3, growth3, R):
         R, rel=1e-8)
 
 
+def test_radius_for_scale_past_the_table(euclid3, growth3):
+    # the growth knots end at 1e12 r0; theta(R) = 2 omega_3 R^5 past them
+    bound = quintic_bound(euclid3, growth3)
+    R = 1e13
+    assert bound.radius_for_scale(2.0 * OMEGA3 * R ** 5) == pytest.approx(
+        R, rel=1e-12)
+
+
 def test_radius_for_scale_domain_guard(euclid3, growth3):
     bound = quintic_bound(euclid3, growth3)
     with pytest.raises(DomainError):

@@ -134,6 +134,17 @@ def test_separating_increments_match_closed_form(euclid5, growth5, green5):
     assert np.allclose(seq.weighted_increments, exact, rtol=1e-12, atol=0.0)
 
 
+def test_separating_distances_where_the_certificate_binds(euclid5, green5):
+    # k = 2.2, r0 = 1: T(R) = 5 R^-0.2, so T(d_j - 1) = 2^-j at
+    # d_j = 1 + (5 2^j)^5, 32x apart and so above the floor 4 d_(j-1); the
+    # last lies past the growth knots, which end at 1e12
+    growth = pg.make_growth(form="power", params={"k": 2.2}, r0=1.0)
+    seq = pg.build_separating_sequence(euclid5, growth, 8, green=green5)
+    exact = 1.0 + (5.0 * 2.0 ** np.arange(1, 9)) ** 5
+    assert exact[-1] > 1e15
+    assert np.allclose(seq.distances, exact, rtol=1e-12, atol=0.0)
+
+
 def test_separating_sequence_validation(euclid5, growth5):
     with pytest.raises(ValueError):
         pg.build_separating_sequence(euclid5, growth5, 0)
