@@ -26,8 +26,7 @@ import numpy as np
 from . import __version__
 from .geometry import (GrowthError, ProfileError, check_assumptions,
                        make_growth, make_profile)
-from .green import (GreenData, ParabolicProfileError, green_bounds,
-                    volume_power_law)
+from .green import GreenData, ParabolicProfileError, green_bounds
 from .numerics import Hermite, loglog_slope, pchip_slopes
 from .smoothing import SmoothingBound, smoothing_bound_l1g
 from .solver import (BarenblattParams, RadialGrid, barenblatt_datum,
@@ -207,6 +206,25 @@ def _range_rule(lo, hi, listed):
     return rule
 
 
+def _sample_rule(raw, scn, where):
+    # check samples [sample_min, sample_max], by default [r0, 1e4 r0]
+    r0, p = scn["growth"]["r0"], scn["params"]
+    lo, hi = p.get("sample_min", r0), p.get("sample_max", 1e4 * r0)
+    if not r0 <= lo <= hi:
+        key = "sample_min" if "sample_min" in p else "sample_max"
+        raise ConfigError(f"{_join(where, 'params.' + key)}: sample range "
+                          f"[{lo:g}, {hi:g}] must be increasing and start at "
+                          f"or above growth.r0 = {r0:g}")
+
+
+def _horizons(v, where):
+    # truncation horizons: increasing, past the tails' start r = 1
+    hs = _list(_num(gt=1.0), min_len=2)(v, where)
+    if any(b <= a for a, b in zip(hs, hs[1:])):
+        raise ConfigError(f"{where}: expected increasing values, got {v!r}")
+    return hs
+
+
 def _fit_window_rule(raw, p, where):
     # the harness fits on n_snapshots times log-spaced on [eps, eps + t_end]
     if p["fit_window"] is None:
@@ -272,7 +290,8 @@ _SCENARIOS = {kind: _Obj({**_COMMON, **spec}, rule) for kind, spec, rule in (
         "profile": (_PROFILE, _REQUIRED), "growth": (_GROWTH, _REQUIRED),
         "params": (_Obj({"sample_min": (_POS, _OPTIONAL),
                          "sample_max": (_POS, _OPTIONAL),
-                         "sample_points": (_int(ge=2), 96)}), {})}, None),
+                         "sample_points": (_int(ge=2), 96)}), {})},
+     _sample_rule),
     ("green", {
         "profile": (_PROFILE, _REQUIRED),
         "growth": (_or_none(_GROWTH), None),
@@ -290,7 +309,7 @@ _SCENARIOS = {kind: _Obj({**_COMMON, **spec}, rule) for kind, spec, rule in (
         # 1e4); the tail model extends it x10 until the corrected values
         # agree to rel_threshold, the fit shows divergence, or 1e15
         "params": (_Obj({"exponents": (_list(_NUM), _REQUIRED),
-                         "horizons": (_list(_POS), _OPTIONAL),
+                         "horizons": (_horizons, _OPTIONAL),
                          "rel_threshold": (_POS, 1e-3)}), {})}, None),
     ("bound", {
         "profile": (_PROFILE, _REQUIRED), "growth": (_GROWTH, _REQUIRED),
@@ -428,7 +447,7 @@ def write_manifest(path: Path, payload: dict) -> None:
 
 # ---------------------------------------------------------------------------
 # scenario runners: each takes a resolved scenario and returns
-# {columns, rows, metrics, checks, passed}
+# {columns, rows, metrics, checks}; _run adds passed, all checks holding
 
 def _run_check(scn, tol, out_dir):
     profile = _resolve_profile(scn["profile"])
@@ -453,7 +472,7 @@ def _run_check(scn, tol, out_dir):
               "euclidean_bound": report.euclidean_bound_ok,
               "all_assumptions": report.passed}
     return {"columns": ["r", "volume", "area", "growth_ratio"], "rows": rows,
-            "metrics": metrics, "checks": checks, "passed": report.passed}
+            "metrics": metrics, "checks": checks}
 
 
 def _check_green_values(p, radii, g_exact, g_surr):
@@ -516,14 +535,14 @@ def _run_green(scn, tol, out_dir):
     ratios = np.array([row["ratio"] for row in rows])
     metrics["ratio_min"] = float(ratios.min())
     metrics["ratio_max"] = float(ratios.max())
-    law = volume_power_law(profile)
+    law = profile.power_law
     if law is not None:
         expected = 1.0 / law[1]
         metrics["ratio_expected"] = expected
         checks["ratio_constant"] = bool(
             np.max(np.abs(ratios - expected)) <= tol["rel"] * expected)
     return {"columns": columns, "rows": rows, "metrics": metrics,
-            "checks": checks, "passed": all(checks.values())}
+            "checks": checks}
 
 
 def _run_l1g(scn, tol, out_dir):
@@ -545,13 +564,12 @@ def _run_l1g(scn, tol, out_dir):
             "l1_converged": cls.l1_diag.converged,
             "l1g_converged": cls.l1g_diag.converged,
             "consistent": cls.consistent})
-    all_consistent = all(row["consistent"] for row in rows)
     return {"columns": ["a", "in_l1", "in_l1g", "l1_total", "l1g_total",
                         "l1_converged", "l1g_converged", "consistent"],
             "rows": rows, "metrics": {"alpha_infinity":
                                       profile.alpha_infinity},
-            "checks": {"classification_consistent": all_consistent},
-            "passed": all_consistent}
+            "checks": {"classification_consistent":
+                       all(row["consistent"] for row in rows)}}
 
 
 def _run_bound(scn, tol, out_dir):
@@ -587,15 +605,14 @@ def _run_bound(scn, tol, out_dir):
                               "sit in the large-time regime")
         slope = loglog_slope(ts[large], vals[large])
         metrics["fitted_slope"] = slope
-        law = volume_power_law(profile)
-        if law is not None:
-            lam = law[1]
+        if profile.power_law is not None:
+            lam = profile.power_law[1]
             predicted = -lam / ((m - 1.0) * lam + 2.0)
             metrics["predicted_slope"] = predicted
             checks["slope_matches"] = bool(
                 abs(slope - predicted) <= tol["slope_tol"] * abs(predicted))
     return {"columns": columns, "rows": rows, "metrics": metrics,
-            "checks": checks, "passed": all(checks.values())}
+            "checks": checks}
 
 
 def _solve_initial(init, m, dimension):
@@ -656,8 +673,7 @@ def _run_solve(scn, tol, out_dir):
             checks[f"estimate_{chk.name}"] = chk.passed(report.tau)
         metrics["max_estimate_violation"] = report.max_violation
     result = {"columns": ["t", "sup_u", "mass", "outflow", "l1g_norm"],
-              "rows": rows, "metrics": metrics, "checks": checks,
-              "passed": all(checks.values())}
+              "rows": rows, "metrics": metrics, "checks": checks}
     if p["emit_profiles"]:
         prof_cols = ["r"] + [f"u_t{i}" for i in range(len(record.times))]
         name = scn["output"].get("profiles_csv", f"{scn['name']}_profiles.csv")
@@ -695,7 +711,7 @@ def _run_optimality(scn, tol, out_dir):
               "mass_conserved": report.mass_defect <= 1e-10}
     return {"columns": ["t_abs", "sup_u", "sup_scaled", "bound_l1",
                         "bound_regime"], "rows": rows, "metrics": metrics,
-            "checks": checks, "passed": all(checks.values())}
+            "checks": checks}
 
 
 def _run_sweep(scn, tol, out_dir):
@@ -718,11 +734,11 @@ def _run_sweep(scn, tol, out_dir):
     for row in rows:
         for k in metric_keys:
             row.setdefault(k, "")
-    all_ok = all(bool(row["passed"]) for row in rows)
     return {"columns": (["index", "name"] + grid_keys + metric_keys +
                         ["passed", "error"]), "rows": rows,
             "metrics": {"points": len(rows)},
-            "checks": {"all_rows_passed": all_ok}, "passed": all_ok}
+            "checks": {"all_rows_passed": all(bool(row["passed"])
+                                              for row in rows)}}
 
 
 _RUNNERS = {"check": _run_check, "green": _run_green, "l1g": _run_l1g,
@@ -734,6 +750,7 @@ def _run(scn, res, tol, out_dir: Path) -> dict:
     """Run the resolved scenario `res`; write its CSV and a manifest that
     echoes the input config `scn`."""
     result = _RUNNERS[res["kind"]](res, tol, out_dir)
+    result["passed"] = all(result["checks"].values())
     csv_name = res["output"].get("csv", f"{res['name']}.csv")
     write_csv(out_dir / csv_name, result["columns"], result["rows"])
     manifest = {"schema_version": SCHEMA_VERSION,

@@ -47,8 +47,9 @@ class VolumeProfile:
     form: str
     volume: Callable[[np.ndarray], np.ndarray]
     area: Callable[[np.ndarray], np.ndarray]
-    params: dict = field(default_factory=dict)
     alpha_infinity: Optional[float] = None
+    power_law: Optional[tuple] = None  # (c, lam) where V = c r^lam exactly
+    breaks: Sequence[float] = ()  # the radii where S may kink
 
     def __post_init__(self) -> None:
         if self.dimension < 3:
@@ -72,7 +73,7 @@ def _euclidean(dimension: int) -> VolumeProfile:
         dimension=n, form="euclidean",
         volume=lambda r: om * np.power(r, n),
         area=lambda r: sg * np.power(r, n - 1),
-        params={}, alpha_infinity=float(n))
+        alpha_infinity=float(n), power_law=(om, float(n)))
 
 
 def _power(dimension: int, lam: float, coeff: float = 1.0) -> VolumeProfile:
@@ -86,8 +87,7 @@ def _power(dimension: int, lam: float, coeff: float = 1.0) -> VolumeProfile:
         dimension=dimension, form="power",
         volume=lambda r: coeff * np.power(r, lam),
         area=lambda r: coeff * lam * np.power(r, lam - 1.0),
-        params={"lam": lam, "coeff": coeff},
-        alpha_infinity=float(lam))
+        alpha_infinity=float(lam), power_law=(coeff, lam))
 
 
 def _power_log(dimension: int, lam: float, sigma: float) -> VolumeProfile:
@@ -112,7 +112,6 @@ def _power_log(dimension: int, lam: float, sigma: float) -> VolumeProfile:
 
     prof = VolumeProfile(
         dimension=dimension, form="power_log", volume=volume, area=area,
-        params={"lam": lam, "sigma": sigma},
         alpha_infinity=float(lam))
     rs = np.geomspace(1e-4, 1e8, 160)
     q = volume(rs) / np.power(rs, dimension)
@@ -122,9 +121,10 @@ def _power_log(dimension: int, lam: float, sigma: float) -> VolumeProfile:
     return prof
 
 
-def _warped(dimension: int, phi: Callable[[np.ndarray], np.ndarray],
-            r_max: float = 1e6) -> VolumeProfile:
+def _warped(dimension: int,
+            phi: Callable[[np.ndarray], np.ndarray]) -> VolumeProfile:
     sg = unit_sphere_area(dimension)
+    r_max = 1e6
 
     def area(r):
         return sg * np.power(phi(np.asarray(r, dtype=float)), dimension - 1)
@@ -151,7 +151,6 @@ def _warped(dimension: int, phi: Callable[[np.ndarray], np.ndarray],
 
     return VolumeProfile(
         dimension=dimension, form="warped", volume=volume, area=area,
-        params={"phi": phi},
         alpha_infinity=slope_end)
 
 
@@ -188,8 +187,7 @@ def _tabulated(dimension: int, table: Sequence[Sequence[float]]) -> VolumeProfil
 
     return VolumeProfile(
         dimension=dimension, form="tabulated", volume=volume, area=area,
-        params={"table_radii": r_tab},
-        alpha_infinity=slope_end)
+        alpha_infinity=slope_end, breaks=r_tab)
 
 
 _PROFILE_FORMS = {"euclidean", "power", "power_log", "warped", "tabulated"}
@@ -213,30 +211,33 @@ def make_profile(descriptor: Optional[Mapping] = None, /, **kwargs) -> VolumePro
     if not isinstance(dimension, int) or isinstance(dimension, bool):
         raise ProfileError("profile dimension must be an integer")
     if form == "euclidean":
-        _require_params(params, set())
+        _require_params(params, set(), ProfileError)
         return _euclidean(dimension)
     if form == "power":
-        _require_params(params, {"lam"}, optional={"coeff"})
+        _require_params(params, {"lam"}, ProfileError, optional={"coeff"})
         return _power(dimension, float(params["lam"]), float(params.get("coeff", 1.0)))
     if form == "power_log":
-        _require_params(params, {"lam", "sigma"})
+        _require_params(params, {"lam", "sigma"}, ProfileError)
         return _power_log(dimension, float(params["lam"]), float(params["sigma"]))
     if form == "warped":
-        _require_params(params, {"phi"}, optional={"r_max"})
-        return _warped(dimension, params["phi"], float(params.get("r_max", 1e6)))
-    _require_params(params, set())
+        _require_params(params, {"phi"}, ProfileError)
+        return _warped(dimension, params["phi"])
+    _require_params(params, set(), ProfileError)
     if table is None:
         raise ProfileError("tabulated profile needs a table of (r, V) rows")
     return _tabulated(dimension, table)
 
 
-def _require_params(params: dict, required: set, optional: set = frozenset()) -> None:
+def _require_params(params: dict, required: set, error: type,
+                    optional: set = frozenset()) -> None:
+    """Raise `error` on a missing or unknown key of a descriptor's params."""
+    what = "profile" if error is ProfileError else "growth"
     missing = required - set(params)
     extra = set(params) - required - set(optional)
     if missing:
-        raise ProfileError(f"missing profile params: {sorted(missing)}")
+        raise error(f"missing {what} params: {sorted(missing)}")
     if extra:
-        raise ProfileError(f"unknown profile params: {sorted(extra)}")
+        raise error(f"unknown {what} params: {sorted(extra)}")
 
 
 @dataclass(eq=False)
@@ -248,7 +249,6 @@ class GrowthFunction:
     form: str
     r0: float
     rate: Callable[[np.ndarray], np.ndarray]
-    params: dict = field(default_factory=dict)
     _tail_closed: Optional[Callable] = None
     _table: Optional[TailTable] = field(default=None, init=False, repr=False)
 
@@ -289,7 +289,7 @@ def make_growth(descriptor: Optional[Mapping] = None, /, **kwargs) -> GrowthFunc
     if r0 < 1.0:
         raise GrowthError("growth functions need r0 >= 1 (unit-scale normalization)")
     if form == "power":
-        _require_growth_params(params, {"k"})
+        _require_params(params, {"k"}, GrowthError)
         k = float(params["k"])
         if k <= 2.0:
             raise GrowthError("power growth with k <= 2 makes the tail integral "
@@ -297,10 +297,9 @@ def make_growth(descriptor: Optional[Mapping] = None, /, **kwargs) -> GrowthFunc
         return GrowthFunction(
             form="power", r0=r0,
             rate=lambda t: np.power(t, k - 1.0),
-            params={"k": k},
             _tail_closed=lambda R: R ** (2.0 - k) / (k - 2.0))
     if form == "power_log":
-        _require_growth_params(params, {"k", "b"})
+        _require_params(params, {"k", "b"}, GrowthError)
         k, b = float(params["k"]), float(params["b"])
         if r0 <= 1.0:
             raise GrowthError("power_log growth needs r0 > 1 so log t stays positive")
@@ -313,26 +312,17 @@ def make_growth(descriptor: Optional[Mapping] = None, /, **kwargs) -> GrowthFunc
         return GrowthFunction(
             form="power_log", r0=r0,
             rate=lambda t: np.power(t, k - 1.0) * np.power(np.log(t), b),
-            params={"k": k, "b": b}, _tail_closed=closed)
+            _tail_closed=closed)
     if form == "numeric":
-        _require_growth_params(params, {"rate"})
+        _require_params(params, {"rate"}, GrowthError)
         rate = params["rate"]
         probe = np.geomspace(r0, 1e8, 16)
         if np.any(np.asarray(rate(probe), dtype=float) <= 0.0):
             raise GrowthError("numeric growth rate must be positive on [r0, inf)")
-        g = GrowthFunction(form="numeric", r0=r0, rate=rate, params={})
+        g = GrowthFunction(form="numeric", r0=r0, rate=rate)
         g.beta  # force the divergence diagnostic at construction
         return g
     raise GrowthError(f"unknown growth form {form!r}")
-
-
-def _require_growth_params(params: dict, required: set) -> None:
-    missing = required - set(params)
-    extra = set(params) - required
-    if missing:
-        raise GrowthError(f"missing growth params: {sorted(missing)}")
-    if extra:
-        raise GrowthError(f"unknown growth params: {sorted(extra)}")
 
 
 @dataclass

@@ -1,10 +1,11 @@
 """Pole-centered Green functions, their volume surrogate, and radial potentials.
 
 The exact Green function of a radial geometry is G(r) = int_r^inf ds/S(s); the
-surrogate Ghat replaces 1/S by t/V. A V = c r^lam profile (euclidean, power)
-has one closed form for both: G = r^(2-lam) / (c lam (lam-2)) and Ghat = lam G.
-Every other profile reads G from a tail table of cumulative fixed Gauss
-panels. Nonparabolicity makes G a tail integral; its far end comes from
+surrogate Ghat replaces 1/S by t/V. A profile whose `power_law` states
+V = c r^lam has one closed form for both: G = r^(2-lam) / (c lam (lam-2))
+and Ghat = lam G. Every other profile reads G from a tail table of
+cumulative fixed Gauss panels whose edges take in the profile's `breaks`.
+Nonparabolicity makes G a tail integral; its far end comes from
 numerics' tail model, an r^p (log r)^q fit of 1/S integrated in closed form,
 whose divergence test marks a parabolic profile; below its first edge,
 where G blows up like r^(2-n), numerics' pole model takes over. Potentials
@@ -32,25 +33,13 @@ class ParabolicProfileError(ArithmeticError):
     """The requested Green quantity diverges for this profile."""
 
 
-def volume_power_law(profile: VolumeProfile) -> Optional[tuple]:
-    """(c, lam) of a closed-form V = c r^lam profile, c = V(1); None otherwise.
-
-    Euclidean R^n has c = omega_n and lam = n; a power profile carries both.
-    """
-    if profile.form == "euclidean":
-        return unit_ball_volume(profile.dimension), float(profile.dimension)
-    if profile.form == "power":
-        return profile.params["coeff"], profile.params["lam"]
-    return None
-
-
 class GreenData:
     """Cached Green evaluators for a profile.
 
-    A V = c r^lam profile has G = r^(2-lam) / (c lam (lam-2)) and
+    A profile with power_law (c, lam) has G = r^(2-lam) / (c lam (lam-2)) and
     Ghat = r^(2-lam) / (c (lam-2)). The rest get one TailTable of 1/S or t/V
-    per kind over `edges`: a log grid on [r_min, r_max] joined with the table
-    radii of a tabulated profile. The table carries on past r_max on its own
+    per kind over `edges`: a log grid on [r_min, r_max] joined with the
+    profile's breaks inside it. The table carries on past r_max on its own
     and below r_min through its pole model, so G is read at any positive
     radius; it is inf only where G itself overflows.
     """
@@ -59,11 +48,11 @@ class GreenData:
 
     def __init__(self, profile: VolumeProfile):
         self.profile = profile
-        self._law = volume_power_law(profile)
+        self._law = profile.power_law
         if self._law is not None and self._law[1] <= 2.0:
             raise ParabolicProfileError(
                 f"{profile.form} profile with lam <= 2 is parabolic")
-        breaks = np.asarray(profile.params.get("table_radii", ()), dtype=float)
+        breaks = np.asarray(profile.breaks, dtype=float)
         self.edges = np.union1d(
             np.geomspace(self.r_min, self.r_max, 900),
             breaks[(breaks > self.r_min) & (breaks < self.r_max)])
@@ -119,11 +108,10 @@ def ball_integral(profile: VolumeProfile, radius: float,
     R = float(radius)
     n = profile.dimension
     gd = green or GreenData(profile)
-    law = volume_power_law(profile)
     if use_surrogate:
         value = gd.surrogate(R) * float(profile.volume(R)) + R * R / 2.0
-    elif law is not None:
-        value = R * R / (2.0 * (law[1] - 2.0))
+    elif profile.power_law is not None:
+        value = R * R / (2.0 * (profile.power_law[1] - 2.0))
     else:
         # Green's panel edges below R, so the kinks of a table are edges too
         edges = np.concatenate([[0.0], gd.edges[gd.edges < R], [R]])
@@ -214,7 +202,7 @@ def green_bounds(profile: VolumeProfile, growth: GrowthFunction,
     tail = np.full_like(radii, np.nan)
     far = radii >= r0 * (1.0 - 1e-12)
     rf = radii[far]
-    law = volume_power_law(profile)  # r/V = r^(1-lam)/c there
+    law = profile.power_law  # r/V = r^(1-lam)/c there
     r_over_v = (np.power(rf, 1.0 - law[1]) / law[0] if law is not None else
                 rf / np.asarray(profile.volume(rf), dtype=float))
     tail[far] = c2 * gamma * (np.asarray(growth.rate(rf), dtype=float) *

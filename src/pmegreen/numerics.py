@@ -169,14 +169,12 @@ def _truncation_block(f: Callable[[np.ndarray], np.ndarray], lo: float,
     s_edges = np.concatenate([np.linspace(math.log(a), math.log(b), n + 1)[:-1]
                               for a, b, n in zip(bounds, bounds[1:], counts)]
                              + [[math.log(bounds[-1])]])
-    mid = 0.5 * (s_edges[1:] + s_edges[:-1])
-    half = 0.5 * (s_edges[1:] - s_edges[:-1])
-    nodes = np.exp(mid[:, None] + half[:, None] * _GAUSS_NODES)
+    s_nodes, half = gauss_nodes(s_edges[:-1], s_edges[1:])
+    nodes = np.exp(s_nodes)
     pts = horizons[:, None] * _FIT_POINTS
     vals = np.asarray(f(np.concatenate([nodes.ravel(), pts.ravel()])),
                       dtype=float)
-    panels = ((vals[:nodes.size].reshape(nodes.shape) * nodes * _GAUSS_WEIGHTS)
-              .sum(axis=1) * half)
+    panels = gauss_sum(vals[:nodes.size].reshape(nodes.shape) * nodes, half)
     segment = np.add.reduceat(panels, np.concatenate([[0], np.cumsum(counts)[:-1]]))
     rem, p = _fit_remainder(horizons, vals[nodes.size:].reshape(pts.shape))
     return segment, rem, p

@@ -359,6 +359,7 @@ _BASE_SCENARIOS = {
     "bound": {"profile": _EUCLID3, "growth": _POWER3, "m": 2.0},
     "l1g": {"profile": _EUCLID3, "params": {"exponents": [4.0]}},
     "optimality": {"m": 2.0, "params": {"t_end": 1.0}},
+    "check": {"profile": _EUCLID3, "growth": {**_POWER3, "r0": 2.0}},
 }
 # (kind, dotted key, bad value, key the error must name); each is rejected
 # before any Green, bound, quadrature or solver work
@@ -376,12 +377,27 @@ BAD_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("case", BAD_INPUTS,
-                         ids=[f"{c[0]}:{c[1]}" for c in BAD_INPUTS])
+# more BAD_INPUTS, several to one key: sample ranges of check, compared once
+# their defaults [r0, 1e4 r0] are filled in, and l1g truncation horizons
+BAD_RANGES = [
+    ("check", "params.sample_min", 0.5, "params.sample_min"),
+    ("check", "params", {"sample_min": 5.0, "sample_max": 2.0},
+     "params.sample_min"),
+    ("check", "params.sample_max", 1.5, "params.sample_max"),
+    ("l1g", "params.horizons", [5.0, 2.0], "params.horizons"),
+    ("l1g", "params.horizons", [0.5, 10.0], "params.horizons[0]"),
+    ("l1g", "params.horizons", [10.0], "params.horizons"),
+]
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS + BAD_RANGES, ids=[
+    f"{c[0]}:{c[1]}" for c in BAD_INPUTS] + [
+    f"{c[0]}:{c[1]}={c[2]!r}" for c in BAD_RANGES])
 def test_bad_input_is_exit_two(tmp_path, monkeypatch, capsys, case):
     kind, key, value, named = case
     for name in ("GreenData", "green_bounds", "SmoothingBound",
-                 "powerlaw_classify", "optimality_harness", "run_pme"):
+                 "powerlaw_classify", "optimality_harness", "run_pme",
+                 "check_assumptions"):
         monkeypatch.setattr(cli, name, _forbidden)
     scn = {"schema_version": SCHEMA_VERSION, "kind": kind, "name": "bad",
            **copy.deepcopy(_BASE_SCENARIOS[kind])}
@@ -391,7 +407,8 @@ def test_bad_input_is_exit_two(tmp_path, monkeypatch, capsys, case):
         node = node.setdefault(part, {})
     node[leaf] = value
     cfg = write_config(tmp_path, scn)
-    assert main([kind, "--config", str(cfg),
+    command = {"check": "check-assumptions"}.get(kind, kind)
+    assert main([command, "--config", str(cfg),
                  "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert named in err

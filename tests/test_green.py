@@ -286,6 +286,45 @@ def test_green_pole_is_finite_where_representable():
     assert green.surrogate(1e-12) == 999999999995.8679
 
 
+# the table's rows straddle GreenData's edge range [1e-4, 1e7]
+_TABLE_RADII = np.geomspace(1e-6, 1e9, 40)
+_FIELD_CASES = {
+    "euclidean": ({"form": "euclidean", "dimension": 4}, True),
+    "power": ({"form": "power", "dimension": 4,
+               "params": {"lam": 3.0, "coeff": 0.5}}, True),
+    "power_log": ({"form": "power_log", "dimension": 4,
+                   "params": {"lam": 3.0, "sigma": 0.5}}, False),
+    "warped": ({"form": "warped", "dimension": 4,
+                "params": {"phi": _warp}}, False),
+    "tabulated": ({"form": "tabulated", "dimension": 3, "table":
+                   np.column_stack([_TABLE_RADII, _TABLE_RADII ** 3])},
+                  False),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_FIELD_CASES))
+def test_profile_states_its_power_law_and_breaks(form):
+    spec, has_law = _FIELD_CASES[form]
+    prof = pg.make_profile(spec)
+    if has_law:
+        c, lam = prof.power_law
+        rs = np.geomspace(1e-3, 1e3, 25)
+        np.testing.assert_allclose(prof.volume(rs), c * rs ** lam,
+                                   rtol=1e-14, atol=0.0)
+    else:
+        assert prof.power_law is None
+    breaks = np.asarray(prof.breaks, dtype=float)
+    if form == "tabulated":
+        # the rows, with the pole row the builder adds
+        np.testing.assert_array_equal(
+            breaks, np.concatenate([[0.0], _TABLE_RADII]))
+    else:
+        assert breaks.size == 0
+    green = pg.GreenData(prof)
+    inside = breaks[(breaks >= green.r_min) & (breaks <= green.r_max)]
+    assert np.isin(inside, green.edges).all()
+
+
 def test_growth_tail_just_below_r0():
     # tail accepts r down to r0 (1 - 1e-12), just below its first knot; the
     # pole model may read the rate only inside [r, r0] there

@@ -70,9 +70,11 @@ def test_powerlaw_integrable_exponent(euclid5, green5):
 
 
 def test_shallow_growth_profile_rejected():
+    # phi = tanh grows V like r: alpha_infinity is about 1
     prof = pg.make_profile(form="warped", dimension=3,
-                           params={"phi": np.tanh, "r_max": 30.0})
-    with pytest.raises(ValueError):
+                           params={"phi": np.tanh})
+    assert prof.alpha_infinity == pytest.approx(1.0, abs=1e-3)
+    with pytest.raises(ValueError, match="volume growth exponent"):
         pg.powerlaw_classify(prof, 3.0)
 
 
