@@ -458,7 +458,11 @@ def _run_check(scn, tol, out_dir):
         sample = np.geomspace(p.get("sample_min", growth.r0),
                               p.get("sample_max", 1e4 * growth.r0),
                               p["sample_points"])
-    report = check_assumptions(profile, growth, sample=sample)
+    try:
+        report = check_assumptions(profile, growth, sample=sample)
+    except ValueError as exc:  # the sample leaves double range
+        where = "params.sample_max" if "sample_max" in p else "growth.r0"
+        raise ConfigError(f"{where}: {exc}") from exc
     rows = [{"r": float(r),
              "volume": float(profile.volume(r)),
              "area": float(profile.area(r)),
@@ -645,7 +649,11 @@ def _run_solve(scn, tol, out_dir):
     profile = _resolve_profile(scn["profile"])
     m, p = scn["m"], scn["params"]
     datum = _solve_initial(p["init"], m, profile.dimension)
-    grid = RadialGrid.make(profile, p["r_max"], p["cells"])
+    try:
+        grid = RadialGrid.make(profile, p["r_max"], p["cells"])
+    except ValueError as exc:  # cells >= 4 is validated: r_max is at fault
+        raise ConfigError(f"params.r_max: {p['r_max']:g} on {p['cells']} "
+                          f"cells: {exc}") from exc
     snaps = p["snapshots"]
     if not isinstance(snaps, list):
         snaps = list(np.linspace(0.0, p["t_end"], snaps + 1)[1:])

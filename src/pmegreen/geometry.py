@@ -347,6 +347,7 @@ def check_assumptions(profile: VolumeProfile, growth: GrowthFunction,
     alpha is the pole-centered unit-ball volume, gamma the worst uniform-growth
     ratio over ordered sample pairs, beta the tail of 1/f at r0. Bishop-Gromov
     and the Euclidean volume bound are verified with small relative slack.
+    Raises ValueError where V or S is not finite on the sample.
     """
     if sample is None:
         sample = np.geomspace(growth.r0, 1e4 * growth.r0, 96)
@@ -355,7 +356,13 @@ def check_assumptions(profile: VolumeProfile, growth: GrowthFunction,
         raise ValueError("sample grid must start at or above r0")
 
     n = profile.dimension
-    vols = np.asarray(profile.volume(sample), dtype=float)
+    with np.errstate(over="ignore"):  # checked below
+        vols = np.asarray(profile.volume(sample), dtype=float)
+        areas = np.asarray(profile.area(sample), dtype=float)
+    finite = np.isfinite(vols) & np.isfinite(areas)
+    if not np.all(finite):
+        raise ValueError(f"V or S is not finite at r = "
+                         f"{sample[np.argmin(finite)]:g} on the sample")
     rates = np.asarray(growth.rate(sample), dtype=float)
     failures = []
 

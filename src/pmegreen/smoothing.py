@@ -98,7 +98,11 @@ class SmoothingBound:
         """Time at which the large-time branch takes over, for given L1 data."""
         if norm1 <= 0.0:
             raise ValueError("norm1 must be positive")
-        return self.scale_threshold ** (self.m - 1.0) * norm1 ** (-(self.m - 1.0))
+        try:
+            return (self.scale_threshold ** (self.m - 1.0)
+                    * norm1 ** (-(self.m - 1.0)))
+        except OverflowError:  # past double range: every t is small-time
+            return math.inf
 
     def radius_for_scale(self, s: float) -> float:
         """Invert the radius-to-scale map; needs s at or above its r0 value.
@@ -111,8 +115,10 @@ class SmoothingBound:
                 f"scale {s} below the r0 value {self.scale_threshold}; "
                 "the large-time branch does not apply")
         xs, ys = self._log_scales
-        x = invert_increasing(lambda x: math.log(self.data_scale(math.exp(x))),
-                              math.log(s), xs, ys)
+        with np.errstate(over="ignore"):  # an expanding bracket may pass inf
+            x = invert_increasing(
+                lambda x: math.log(self.data_scale(math.exp(x))),
+                math.log(s), xs, ys)
         # r0 itself at the first knot, not exp(log r0)
         return self.growth.r0 if x == xs[0] else math.exp(x)
 

@@ -179,14 +179,18 @@ class RadialGrid:
             edges *= r_max / edges[-1]
         else:
             raise ValueError(f"unknown spacing {spacing!r}")
-        vols = np.asarray(profile.volume(edges), dtype=float)
-        vols[0] = 0.0
-        dV = np.diff(vols)
-        if np.any(dV <= 0.0):
-            raise ValueError("grid produced nonpositive cell volumes")
-        areas = np.empty(cells + 1)
-        areas[0] = 0.0  # the pole face carries no flux
-        areas[1:] = np.asarray(profile.area(edges[1:]), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            vols = np.asarray(profile.volume(edges), dtype=float)
+            vols[0] = 0.0
+            dV = np.diff(vols)
+            areas = np.empty(cells + 1)
+            areas[0] = 0.0  # the pole face carries no flux
+            areas[1:] = np.asarray(profile.area(edges[1:]), dtype=float)
+        # NaN fails both comparisons, so test for the good values
+        if not (np.all(np.isfinite(dV) & (dV > 0.0)) and
+                np.all(np.isfinite(areas[1:]) & (areas[1:] > 0.0))):
+            raise ValueError("grid produced cell volumes or face areas that "
+                             "are not finite and positive")
         centers = 0.5 * (edges[1:] + edges[:-1])
         return cls(profile=profile, edges=edges, centers=centers,
                    cell_volumes=dV, face_areas=areas)

@@ -478,6 +478,56 @@ def test_green_range_outside_double_range_is_exit_two(tmp_path, capsys,
     assert not any((tmp_path / "out").iterdir())
 
 
+# V = 4 pi r^3 / 3 on the grid edges overflows at 1e300 and underflows to
+# cell volumes of 0 at 1e-300
+@pytest.mark.parametrize("r_max", [1e300, 1e-300])
+def test_solve_r_max_outside_double_range_is_exit_two(tmp_path, capsys, r_max):
+    scn = solve_scenario()
+    scn["params"]["r_max"] = r_max
+    cfg = write_config(tmp_path, scn)
+    assert main(["solve", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "error: params.r_max:" in err and "Traceback" not in err
+
+
+# V = 4 pi r^3 / 3 overflows on the sample from r0 = 1e300, or up to a
+# sample_max of 1e300
+@pytest.mark.parametrize("growth_r0, params, key", [
+    (1e300, {}, "growth.r0"),
+    (1.0, {"sample_max": 1e300}, "params.sample_max")])
+def test_check_sample_outside_double_range_is_exit_two(tmp_path, capsys,
+                                                       growth_r0, params, key):
+    cfg = write_config(tmp_path, {
+        "schema_version": SCHEMA_VERSION, "kind": "check", "name": "c",
+        "profile": _EUCLID3, "growth": {**_POWER3, "r0": growth_r0},
+        "params": params})
+    assert main(["check-assumptions", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {key}:" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "c.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_bound_at_extreme_m_and_t(tmp_path):
+    # theta(r0)^(m - 1) leaves double range from about m = 500: the large-time
+    # branch never takes over
+    assert main(["bound", "--profile", "euclidean:3", "--growth", "power:3",
+                 "--m", "1000", "--out-dir", str(tmp_path / "m")]) == 0
+    _, rows = read_rows(tmp_path / "m" / "cli-bound.csv")
+    assert rows and {row["regime"] for row in rows} == {"small-time"}
+    manifest = json.loads((tmp_path / "m" / "cli-bound.manifest.json")
+                          .read_text(encoding="utf-8"))
+    assert manifest["metrics"]["threshold_time"] == math.inf
+    # the radius inversion expands its bracket past double range of V
+    assert main(["bound", "--profile", "euclidean:3", "--growth", "power:3",
+                 "--m", "2", "--t-max", "1e300",
+                 "--out-dir", str(tmp_path / "t")]) == 0
+    _, rows = read_rows(tmp_path / "t" / "cli-bound.csv")
+    assert float(rows[-1]["t"]) == 1e300 and rows[-1]["regime"] == "large-time"
+
+
 @pytest.mark.parametrize("argv", [
     ["green", "--profile", "power_log:3:2.1:-0.97"],
     ["green", "--profile", "power_log:3:2.1:-0.9677048587908412"],

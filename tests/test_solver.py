@@ -42,6 +42,13 @@ def test_grid_geometric_spacing(euclid3):
     assert grid.edges[-1] == pytest.approx(10.0, rel=1e-12)
 
 
+def test_grid_rejects_volumes_outside_double_range(euclid3):
+    # V(r) = 4 pi r^3 / 3 overflows on the outer edges: differences of inf
+    # are NaN, which compares false with 0 as well
+    with pytest.raises(ValueError, match="not finite and positive"):
+        pg.RadialGrid.make(euclid3, 1e110, 100)
+
+
 def test_grid_cell_average_constant(euclid3):
     grid = pg.RadialGrid.make(euclid3, 5.0, 64)
     u = grid.cell_average(lambda r: 0.7 * np.ones_like(np.asarray(r)))
