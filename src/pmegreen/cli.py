@@ -31,7 +31,8 @@ from .numerics import Hermite, loglog_slope, pchip_slopes
 from .smoothing import SmoothingBound, smoothing_bound_l1g
 from .solver import (BarenblattParams, RadialGrid, barenblatt_datum,
                      optimality_harness, run_pme, verify_solution_estimates)
-from .weighted import powerlaw_classify, volume_growth_exponent
+from .weighted import (DEFAULT_HORIZONS, powerlaw_classify,
+                       volume_growth_exponent)
 
 SCHEMA_VERSION = 1
 
@@ -209,12 +210,21 @@ def _range_rule(lo, hi, listed):
 def _sample_rule(raw, scn, where):
     # check samples [sample_min, sample_max], by default [r0, 1e4 r0]
     r0, p = scn["growth"]["r0"], scn["params"]
-    lo, hi = p.get("sample_min", r0), p.get("sample_max", 1e4 * r0)
+    key = "sample_min" if "sample_min" in p else "sample_max"
+    lo = p.setdefault("sample_min", r0)
+    hi = p.setdefault("sample_max", 1e4 * r0)
     if not r0 <= lo <= hi:
-        key = "sample_min" if "sample_min" in p else "sample_max"
         raise ConfigError(f"{_join(where, 'params.' + key)}: sample range "
                           f"[{lo:g}, {hi:g}] must be increasing and start at "
                           f"or above growth.r0 = {r0:g}")
+
+
+def _bounds_rule(raw, scn, where):
+    # green bounds need a growth, and are computed whenever one is given
+    has_growth = scn["growth"] is not None
+    if scn["params"].setdefault("bounds", has_growth) and not has_growth:
+        raise ConfigError(f"{_join(where, 'params.bounds')}: green bounds "
+                          "need a growth descriptor")
 
 
 def _horizons(v, where):
@@ -267,11 +277,12 @@ def _sweep_point(base, overrides):
 
 
 def _sweep_rule(raw, scn, where):
-    # base stays raw in the resolved copy: points merge into the raw base
+    # points merge into the raw base; grid -> (overrides, raw, resolved)
     validate_scenario(scn["base"], _join(where, "base"))
     for i, overrides in enumerate(scn["grid"]):
-        validate_scenario(_sweep_point(scn["base"], overrides),
-                          _join(where, f"grid[{i}]"))
+        sub = _sweep_point(scn["base"], overrides)
+        scn["grid"][i] = (overrides, sub,
+                          validate_scenario(sub, _join(where, f"grid[{i}]")))
 
 
 _COMMON = {
@@ -282,9 +293,8 @@ _COMMON = {
 _M = (_num(gt=1.0), _REQUIRED)
 
 # kind -> top-level keys besides _COMMON; "params" holds the kind's knobs.
-# Defaults that depend on other inputs (sample range from growth.r0, the
-# tolerance-profile thresholds, green bounds iff a growth is given) are left
-# to the runners.
+# A kind's rule fills the defaults that depend on other keys: the check
+# sample range from growth.r0, green bounds iff a growth is given.
 _SCENARIOS = {kind: _Obj({**_COMMON, **spec}, rule) for kind, spec, rule in (
     ("check", {
         "profile": (_PROFILE, _REQUIRED), "growth": (_GROWTH, _REQUIRED),
@@ -302,14 +312,15 @@ _SCENARIOS = {kind: _Obj({**_COMMON, **spec}, rule) for kind, spec, rule in (
                          "c1": (_or_none(_POS), None),
                          "c2": (_or_none(_POS), None),
                          "bounds": (_BOOL, _OPTIONAL)},
-                        _range_rule("r_min", "r_max", "radii")), {})}, None),
+                        _range_rule("r_min", "r_max", "radii")), {})},
+     _bounds_rule),
     ("l1g", {
         "profile": (_PROFILE, _REQUIRED),
-        # horizons: the first truncation schedule (default 10, 1e2, 1e3,
-        # 1e4); the tail model extends it x10 until the corrected values
-        # agree to rel_threshold, the fit shows divergence, or 1e15
+        # horizons: the first truncation schedule; the tail model extends it
+        # x10 until the corrected values agree to rel_threshold, the fit
+        # shows divergence, or 1e15
         "params": (_Obj({"exponents": (_list(_NUM), _REQUIRED),
-                         "horizons": (_horizons, _OPTIONAL),
+                         "horizons": (_horizons, list(DEFAULT_HORIZONS)),
                          "rel_threshold": (_POS, 1e-3)}), {})}, None),
     ("bound", {
         "profile": (_PROFILE, _REQUIRED), "growth": (_GROWTH, _REQUIRED),
@@ -446,22 +457,17 @@ def write_manifest(path: Path, payload: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# scenario runners: each takes a resolved scenario and returns
-# {columns, rows, metrics, checks}; _run adds passed, all checks holding
+# scenario runners: (resolved scenario, profile, growth, thresholds) ->
+# {columns, rows, metrics, checks[, profiles (columns, array)]}; _run writes
 
-def _run_check(scn, tol, out_dir):
-    profile = _resolve_profile(scn["profile"])
-    growth = _resolve_growth(scn["growth"])
+def _run_check(scn, profile, growth, tol, out_dir):
     p = scn["params"]
-    sample = None
-    if "sample_min" in p or "sample_max" in p:
-        sample = np.geomspace(p.get("sample_min", growth.r0),
-                              p.get("sample_max", 1e4 * growth.r0),
-                              p["sample_points"])
+    sample = np.geomspace(p["sample_min"], p["sample_max"], p["sample_points"])
     try:
         report = check_assumptions(profile, growth, sample=sample)
     except ValueError as exc:  # the sample leaves double range
-        where = "params.sample_max" if "sample_max" in p else "growth.r0"
+        where = ("growth.r0" if p["sample_max"] == 1e4 * growth.r0  # default
+                 else "params.sample_max")
         raise ConfigError(f"{where}: {exc}") from exc
     rows = [{"r": float(r),
              "volume": float(profile.volume(r)),
@@ -498,20 +504,15 @@ def _check_green_values(p, radii, g_exact, g_surr):
             "precision")
 
 
-def _run_green(scn, tol, out_dir):
-    profile = _resolve_profile(scn["profile"])
-    growth = _resolve_growth(scn["growth"])
+def _run_green(scn, profile, growth, tol, out_dir):
     p = scn["params"]
     radii = (np.asarray(p["radii"], dtype=float) if "radii" in p else
              np.geomspace(p["r_min"], p["r_max"], p["count"]))
-    want_bounds = p.get("bounds", growth is not None)
     columns = ["r", "green_exact", "green_surrogate", "ratio"]
     checks, metrics = {}, {}
-    if want_bounds and growth is None:
-        raise ConfigError("green bounds need a growth descriptor")
     # radii where G or Ghat leave double precision are rejected below
     with np.errstate(all="ignore"):
-        if want_bounds:
+        if p["bounds"]:
             report = green_bounds(profile, growth, radii,
                                   use_surrogate=p["use_surrogate"],
                                   c1=p["c1"], c2=p["c2"])
@@ -520,7 +521,7 @@ def _run_green(scn, tol, out_dir):
             gd = GreenData(profile)
             g_exact, g_surr = gd.exact(radii), gd.surrogate(radii)
     _check_green_values(p, radii, g_exact, g_surr)
-    if want_bounds:
+    if p["bounds"]:
         columns += ["lower_far", "upper_tail", "upper_near",
                     "lower_ok", "tail_ok", "near_ok"]
         checks["bounds_hold"] = bool(report.all_ok)
@@ -530,7 +531,7 @@ def _run_green(scn, tol, out_dir):
         ge, gs = float(g_exact[i]), float(g_surr[i])
         row = {"r": float(r), "green_exact": ge, "green_surrogate": gs,
                "ratio": ge / gs}
-        if want_bounds:
+        if p["bounds"]:
             row.update({k: getattr(report, k)[i] for k in
                         ("lower_far", "upper_tail", "upper_near")})
             row.update({k: bool(getattr(report, k)[i]) for k in
@@ -549,16 +550,14 @@ def _run_green(scn, tol, out_dir):
             "checks": checks}
 
 
-def _run_l1g(scn, tol, out_dir):
-    profile = _resolve_profile(scn["profile"])
+def _run_l1g(scn, profile, growth, tol, out_dir):
     try:
         volume_growth_exponent(profile)
     except ValueError as exc:
         raise ConfigError(f"profile: {exc}") from exc
     p = scn["params"]
-    kwargs = {"rel_threshold": p["rel_threshold"], "green": GreenData(profile)}
-    if "horizons" in p:
-        kwargs["horizons"] = tuple(p["horizons"])
+    kwargs = {"horizons": tuple(p["horizons"]),
+              "rel_threshold": p["rel_threshold"], "green": GreenData(profile)}
     rows = []
     for a in p["exponents"]:
         cls = powerlaw_classify(profile, a, **kwargs)
@@ -576,9 +575,7 @@ def _run_l1g(scn, tol, out_dir):
                        all(row["consistent"] for row in rows)}}
 
 
-def _run_bound(scn, tol, out_dir):
-    profile = _resolve_profile(scn["profile"])
-    growth = _resolve_growth(scn["growth"])
+def _run_bound(scn, profile, growth, tol, out_dir):
     m, p = scn["m"], scn["params"]
     norm1 = p["norm1"]
     ts = (np.asarray(p["t_values"], dtype=float) if "t_values" in p else
@@ -645,8 +642,7 @@ def _solve_initial(init, m, dimension):
                                    nan=0.0)
 
 
-def _run_solve(scn, tol, out_dir):
-    profile = _resolve_profile(scn["profile"])
+def _run_solve(scn, profile, growth, tol, out_dir):
     m, p = scn["m"], scn["params"]
     datum = _solve_initial(p["init"], m, profile.dimension)
     try:
@@ -676,22 +672,20 @@ def _run_solve(scn, tol, out_dir):
                                      for s in record.states) >= 0.0)}
     if p["verify"]:
         report = verify_solution_estimates(record, green=green,
-                                           tau=p.get("tau", tol["tau"]))
+                                           tau=tol["tau"])
         for chk in report.checks:
             checks[f"estimate_{chk.name}"] = chk.passed(report.tau)
         metrics["max_estimate_violation"] = report.max_violation
     result = {"columns": ["t", "sup_u", "mass", "outflow", "l1g_norm"],
               "rows": rows, "metrics": metrics, "checks": checks}
     if p["emit_profiles"]:
-        prof_cols = ["r"] + [f"u_t{i}" for i in range(len(record.times))]
-        name = scn["output"].get("profiles_csv", f"{scn['name']}_profiles.csv")
-        write_csv(out_dir / name, prof_cols,
-                  np.column_stack([grid.centers, *record.states]))
-        result["profiles_csv"] = name
+        result["profiles"] = (
+            ["r"] + [f"u_t{i}" for i in range(len(record.times))],
+            np.column_stack([grid.centers, *record.states]))
     return result
 
 
-def _run_optimality(scn, tol, out_dir):
+def _run_optimality(scn, profile, growth, tol, out_dir):
     m, p = scn["m"], scn["params"]
     report = optimality_harness(
         dimension=p["dimension"], m=m, mass=p["mass"], eps=p["eps"],
@@ -704,40 +698,39 @@ def _run_optimality(scn, tol, out_dir):
                                         report.sup_scaled,
                                         report.bound_values,
                                         report.bound_regimes)]
-    slope_tol = p.get("slope_tol", tol["slope_tol"])
-    band_limit = p.get("band_limit", tol["band_limit"])
-    l1_limit = p.get("l1_limit", tol["l1_limit"])
     metrics = {"fitted_slope": report.slope,
                "expected_slope": report.expected_slope,
                "band_ratio": report.band_ratio,
                "l1_error_final": report.l1_error_final,
                "mass_defect": report.mass_defect,
                "steps": report.steps}
-    checks = {"slope": abs(report.slope - report.expected_slope) <= slope_tol,
-              "band": report.band_ratio <= band_limit,
-              "l1_error": report.l1_error_final <= l1_limit * p["mass"],
+    checks = {"slope": (abs(report.slope - report.expected_slope) <=
+                        tol["slope_tol"]),
+              "band": report.band_ratio <= tol["band_limit"],
+              "l1_error": report.l1_error_final <= tol["l1_limit"] * p["mass"],
               "mass_conserved": report.mass_defect <= 1e-10}
     return {"columns": ["t_abs", "sup_u", "sup_scaled", "bound_l1",
                         "bound_regime"], "rows": rows, "metrics": metrics,
             "checks": checks}
 
 
-def _run_sweep(scn, tol, out_dir):
-    grid_keys = sorted({k for overrides in scn["grid"] for k in overrides})
-    rows, metric_keys = [], []
-    for i, overrides in enumerate(scn["grid"]):
-        sub = _sweep_point(scn["base"], overrides)
-        sub["name"] = f"{scn['name']}-{i:03d}"
+def _run_sweep(scn, profile, growth, tol, out_dir):
+    grid_keys = sorted({k for point in scn["grid"] for k in point[0]})
+    rows, metric_keys, worst = [], [], 0
+    for i, (overrides, sub, res) in enumerate(scn["grid"]):
+        sub["name"] = res["name"] = f"{scn['name']}-{i:03d}"
         row = {"index": i, "name": sub["name"], "passed": False, "error": "",
                **{k: overrides.get(k, "") for k in grid_keys}}
         try:
-            result = _run(sub, validate_scenario(sub), tol, out_dir)
+            result = _run(sub, res, tol, out_dir)
             row.update(result["metrics"], passed=result["passed"])
             metric_keys = metric_keys or sorted(result["metrics"])
+            worst = max(worst, result["exit"])
         except ConfigError as exc:
-            row["error"] = str(exc)
-        except Exception as exc:  # recorded per row, not fatal to the sweep
-            row["error"] = f"{type(exc).__name__}: {exc}"
+            row["error"], worst = str(exc), max(worst, 2)
+        except Exception as exc:  # recorded per row; the sweep exits 3
+            traceback.print_exc()
+            row["error"], worst = f"{type(exc).__name__}: {exc}", 3
         rows.append(row)
     for row in rows:
         for k in metric_keys:
@@ -746,7 +739,8 @@ def _run_sweep(scn, tol, out_dir):
                         ["passed", "error"]), "rows": rows,
             "metrics": {"points": len(rows)},
             "checks": {"all_rows_passed": all(bool(row["passed"])
-                                              for row in rows)}}
+                                              for row in rows)},
+            "exit": worst}
 
 
 _RUNNERS = {"check": _run_check, "green": _run_green, "l1g": _run_l1g,
@@ -755,21 +749,33 @@ _RUNNERS = {"check": _run_check, "green": _run_green, "l1g": _run_l1g,
 
 
 def _run(scn, res, tol, out_dir: Path) -> dict:
-    """Run the resolved scenario `res`; write its CSV and a manifest that
-    echoes the input config `scn`."""
-    result = _RUNNERS[res["kind"]](res, tol, out_dir)
+    """Run the resolved scenario `res` on its profile, its growth and its
+    own thresholds laid over `tol`; write its CSVs and a manifest echoing the
+    input config `scn`. Unless the runner set it, exit is 0 or 1 (passed)."""
+    p = res.get("params", {})
+    tol = {**tol, **{k: p[k] for k in tol if k in p}}
+    profile = _resolve_profile(res["profile"]) if "profile" in res else None
+    growth = _resolve_growth(res.get("growth"))
+    try:
+        result = _RUNNERS[res["kind"]](res, profile, growth, tol, out_dir)
+    except (ParabolicProfileError, GrowthError) as exc:
+        # a tail integral of the given geometry fails the tail model's
+        # divergence test: the input is at fault, found only once work started
+        where = "growth" if isinstance(exc, GrowthError) else "profile"
+        raise ConfigError(f"{where}: {exc}") from exc
     result["passed"] = all(result["checks"].values())
-    csv_name = res["output"].get("csv", f"{res['name']}.csv")
-    write_csv(out_dir / csv_name, result["columns"], result["rows"])
-    manifest = {"schema_version": SCHEMA_VERSION,
-                "library_version": __version__,
-                "name": res["name"], "kind": res["kind"], "config": scn,
-                "outputs": {"csv": csv_name},
-                "metrics": result["metrics"], "checks": result["checks"],
-                "passed": result["passed"]}
-    if "profiles_csv" in result:
-        manifest["outputs"]["profiles"] = result["profiles_csv"]
-    write_manifest(out_dir / f"{res['name']}.manifest.json", manifest)
+    result.setdefault("exit", 0 if result["passed"] else 1)
+    outputs = {"csv": res["output"].get("csv", f"{res['name']}.csv")}
+    write_csv(out_dir / outputs["csv"], result["columns"], result["rows"])
+    if "profiles" in result:
+        outputs["profiles"] = res["output"].get("profiles_csv",
+                                                f"{res['name']}_profiles.csv")
+        write_csv(out_dir / outputs["profiles"], *result["profiles"])
+    write_manifest(out_dir / f"{res['name']}.manifest.json", {
+        "schema_version": SCHEMA_VERSION, "library_version": __version__,
+        "name": res["name"], "kind": res["kind"], "config": scn,
+        "outputs": outputs, "metrics": result["metrics"],
+        "checks": result["checks"], "passed": result["passed"]})
     return result
 
 
@@ -778,14 +784,7 @@ def _execute(scn, out_dir, tolerance_profile: str) -> int:
     res = validate_scenario(scn)
     out = Path(out_dir) if out_dir else Path.cwd()
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        result = _run(scn, res, TOLERANCE_PROFILES[tolerance_profile], out)
-    except (ParabolicProfileError, GrowthError) as exc:
-        # a tail integral of the given geometry fails the tail model's
-        # divergence test: the input is at fault, found only once work started
-        where = "growth" if isinstance(exc, GrowthError) else "profile"
-        raise ConfigError(f"{where}: {exc}") from exc
-    return 0 if result["passed"] else 1
+    return _run(scn, res, TOLERANCE_PROFILES[tolerance_profile], out)["exit"]
 
 
 def run_scenario(config_path, out_dir=None,
@@ -867,6 +866,10 @@ _COMMANDS = {
 }
 
 
+def _dest(flag):
+    return _DESTS.get(flag, flag[2:].replace("-", "_"))
+
+
 def _scenario_from_flags(args, kind: str) -> dict:
     """Raw scenario from direct flags: each flag's dest is its spec key."""
     scn = {"schema_version": SCHEMA_VERSION, "kind": kind,
@@ -875,7 +878,7 @@ def _scenario_from_flags(args, kind: str) -> dict:
     for node, keys in ((scn, spec), (scn["params"], spec["params"][0].spec)):
         for key, (_, default) in keys.items():
             val = getattr(args, key, None)
-            if val is not None and val is not False:
+            if val is not None:
                 node[key] = val
             elif default is _REQUIRED and hasattr(args, key):
                 raise ConfigError(f"{args.command} needs --{key}")
@@ -893,7 +896,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, default=None,
-                        help="JSON scenario file (overrides direct flags)")
+                        help="JSON scenario file of the command's kind; "
+                             "takes no scenario flags")
     common.add_argument("--out-dir", type=str, default=None)
     common.add_argument("--tolerance-profile", type=str, default="default",
                         choices=sorted(TOLERANCE_PROFILES))
@@ -901,11 +905,11 @@ def build_parser() -> argparse.ArgumentParser:
     for command, flags in _COMMANDS.items():
         cmd = sub.add_parser(command, parents=[common])
         for flag in flags.split():
-            dest = _DESTS.get(flag, flag[2:].replace("-", "_"))
-            if _FLAGS[flag] is None:
-                cmd.add_argument(flag, dest=dest, action="store_true")
+            if _FLAGS[flag] is None:  # an unset switch reads None, as flags do
+                cmd.add_argument(flag, dest=_dest(flag), action="store_true",
+                                 default=None)
             else:
-                cmd.add_argument(flag, dest=dest, type=_FLAGS[flag])
+                cmd.add_argument(flag, dest=_dest(flag), type=_FLAGS[flag])
     return parser
 
 
@@ -931,12 +935,20 @@ def main(argv=None) -> int:
     kind = _CMD_TO_KIND.get(args.command, args.command)
     try:
         if args.config:
-            return run_scenario(args.config, args.out_dir,
-                                args.tolerance_profile)
-        if kind == "sweep":
+            given = [flag for flag in _COMMANDS[args.command].split()
+                     if getattr(args, _dest(flag)) is not None]
+            if given:
+                raise ConfigError(f"--config takes no scenario flags; got "
+                                  f"{' '.join(given)}")
+            scn = load_scenario(Path(args.config))
+            if scn["kind"] != kind:
+                raise ConfigError(f"--config: {args.config} holds a "
+                                  f"{scn['kind']!r} scenario, not {kind!r}")
+        elif kind == "sweep":
             raise ConfigError("sweep needs --config")
-        return _execute(_scenario_from_flags(args, kind), args.out_dir,
-                        args.tolerance_profile)
+        else:
+            scn = _scenario_from_flags(args, kind)
+        return _execute(scn, args.out_dir, args.tolerance_profile)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmegreen import __version__, cli
+from pmegreen import __version__, cli, weighted
 from pmegreen.cli import (SCHEMA_VERSION, ConfigError, load_scenario, main,
                           validate_scenario)
 
@@ -203,6 +203,7 @@ def test_check_assumptions_flags(tmp_path):
 
 
 def test_strict_tolerance_profile(tmp_path):
+    # --out-dir and --tolerance-profile are the flags --config admits
     cfg = write_config(tmp_path, green_scenario(dimension=4))
     out = tmp_path / "out"
     code = main(["green", "--config", str(cfg), "--out-dir", str(out),
@@ -267,12 +268,31 @@ def test_sweep_captures_row_errors(tmp_path):
                     {"profile.dimension": 4}]}
     cfg = write_config(tmp_path, scn)
     out = tmp_path / "out"
-    assert main(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    # a point rejected as config makes the sweep exit 2, once all is written
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == 2
     _, rows = read_rows(out / "swe.csv")
     assert rows[0]["error"] != "" and rows[0]["passed"] == "false"
     assert rows[1]["error"] == "" and rows[1]["passed"] == "true"
     manifest = json.loads((out / "swe.manifest.json").read_text())
     assert manifest["passed"] is False
+
+
+def test_sweep_internal_error_is_exit_three(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "GreenData", broken)
+    scn = {"schema_version": SCHEMA_VERSION, "kind": "sweep", "name": "swi",
+           "base": green_scenario(name="unused"),
+           "grid": [{"profile.dimension": 3}]}
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(write_config(tmp_path, scn)),
+                 "--out-dir", str(out)]) == 3
+    assert "RuntimeError: boom" in capsys.readouterr().err
+    _, rows = read_rows(out / "swi.csv")
+    assert rows[0]["error"] == "RuntimeError: boom"
+    assert json.loads((out / "swi.manifest.json").read_text())[
+        "passed"] is False
 
 
 def test_sweep_cartesian_grid(tmp_path):
@@ -292,6 +312,23 @@ def test_sweep_cartesian_grid(tmp_path):
 def test_sweep_requires_config(capsys):
     assert main(["sweep"]) == 2
     assert "sweep needs --config" in capsys.readouterr().err
+
+
+def test_config_kind_must_match_the_command(tmp_path, capsys):
+    cfg = write_config(tmp_path, green_scenario())
+    assert main(["solve", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert "'green' scenario, not 'solve'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_takes_no_scenario_flags(tmp_path, capsys):
+    cfg = write_config(tmp_path, solve_scenario())
+    assert main(["solve", "--config", str(cfg), "--cells", "10", "--verify",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "--config takes no scenario flags; got --cells --verify" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_requires_init(capsys, tmp_path):
@@ -374,6 +411,7 @@ BAD_INPUTS = [
     ("optimality", "params.fit_window", [50.0, 60.0], "params.fit_window"),
     ("optimality", "params.dimension", 2, "params.dimension"),
     ("green", "profile.dimension", 2, "profile.dimension"),
+    ("green", "params.bounds", True, "params.bounds"),
 ]
 
 
@@ -578,12 +616,60 @@ def test_internal_error_is_exit_three(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("path", BUNDLED, ids=[p.stem for p in BUNDLED])
 def test_bundled_scenarios_validate(path):
-    res = validate_scenario(load_scenario(path))
+    scn = load_scenario(path)
+    res = validate_scenario(scn)
+    assert_defaults_filled(scn, res)
     if res["kind"] == "sweep":
         assert res["grid"]
-        for overrides in res["grid"]:
-            point = validate_scenario(cli._sweep_point(res["base"], overrides))
+        for overrides, sub, point in res["grid"]:
+            assert sub == cli._sweep_point(res["base"], overrides)
+            assert point == validate_scenario(sub)
             assert point["kind"] == res["base"]["kind"]
+
+
+def assert_defaults_filled(scn, res):
+    """The resolved copy `res` of `scn` holds every default its runner
+    reads, those that depend on other keys included."""
+    given, p = scn.get("params", {}), res.get("params", {})
+    if res["kind"] == "check":
+        r0 = res["growth"]["r0"]
+        assert p["sample_min"] == given.get("sample_min", r0)
+        assert p["sample_max"] == given.get("sample_max", 1e4 * r0)
+    elif res["kind"] == "green":
+        assert p["bounds"] == given.get("bounds", res["growth"] is not None)
+    elif res["kind"] == "l1g":
+        assert p["horizons"] == given.get("horizons",
+                                          list(weighted.DEFAULT_HORIZONS))
+    for _, sub, point in res["grid"] if res["kind"] == "sweep" else ():
+        assert_defaults_filled(sub, point)
+
+
+_MINIMAL = {**_BASE_SCENARIOS,
+            "solve": {"profile": _EUCLID3, "m": 2.0,
+                      "params": {"init": {"kind": "barenblatt"}}},
+            "sweep": {"base": {"schema_version": SCHEMA_VERSION,
+                               "kind": "green", "profile": _EUCLID3},
+                      "grid": [{}, {"growth": _POWER3}]}}
+
+
+@pytest.mark.parametrize("kind", _MINIMAL)
+def test_minimal_scenario_resolves_every_default(kind):
+    scn = {"schema_version": SCHEMA_VERSION, "kind": kind,
+           **copy.deepcopy(_MINIMAL[kind])}
+    raw = copy.deepcopy(scn)
+    assert_defaults_filled(raw, validate_scenario(scn))
+    assert scn == raw  # the defaults go into the resolved copy only
+
+
+def test_check_honours_sample_points(tmp_path):
+    cfg = write_config(tmp_path, {
+        "schema_version": SCHEMA_VERSION, "kind": "check", "name": "c5",
+        "profile": _EUCLID3, "growth": _POWER3,
+        "params": {"sample_points": 5}})
+    assert main(["check-assumptions", "--config", str(cfg),
+                 "--out-dir", str(tmp_path)]) == 0
+    _, rows = read_rows(tmp_path / "c5.csv")
+    assert len(rows) == 5
 
 
 _JSON = st.recursive(
@@ -729,8 +815,15 @@ def test_run_scenarios_reports_config_errors(tmp_path, monkeypatch, capsys):
     scenarios.mkdir()
     write_config(scenarios, {**green_scenario("bad"), "seed": 7}, "bad.json")
     write_config(scenarios, green_scenario("good"), "good.json")
+    write_config(scenarios, {
+        "schema_version": SCHEMA_VERSION, "kind": "sweep", "name": "swept",
+        "base": green_scenario("unused"),
+        "grid": [{"profile.form": "power", "profile.lam": 1.5}]},
+        "swept.json")
     monkeypatch.setattr(runner, "SCENARIO_DIR", scenarios)
     assert runner.main(["--out-dir", str(tmp_path / "out")]) == 2
-    out = capsys.readouterr().out
-    assert "FAIL (exit 2)" in out and "unknown key 'seed'" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL (exit 2)" in lines[0] and "unknown key 'seed'" in lines[0]
+    assert lines[2].startswith("swept") and "FAIL (exit 2)" in lines[2]
     assert (tmp_path / "out" / "good.csv").exists()
+    assert (tmp_path / "out" / "swept.csv").exists()
