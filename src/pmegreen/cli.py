@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .geometry import (GrowthError, ProfileError, check_assumptions,
+from .geometry import (GROWTH_FORMS, NUMBER, NUMBERS, PROFILE_FORMS,
+                       GrowthError, ProfileError, check_assumptions,
                        make_growth, make_profile)
 from .green import GreenData, ParabolicProfileError, green_bounds
 from .numerics import Hermite, loglog_slope, pchip_slopes
@@ -155,24 +156,45 @@ _STR = _is(str, "a string")
 _BOOL = _is(bool, "a boolean")
 
 
-def _table_rule(raw, prof, where):
-    if ("radii" in prof) != ("volumes" in prof):
-        raise ConfigError(f"{where}: give both radii and volumes")
+# a form's params by their value types in geometry's form tables; a form
+# with a param of another type (a callable) is library-only
+_VALUE = {NUMBER: _NUM, NUMBERS: _list(_NUM)}
+_PROFILE_FRAME = {"form": (_STR, _REQUIRED),
+                  "dimension": (_int(ge=3), _REQUIRED)}
 
 
-_PROFILE = _Obj({
-    "form": (_one_of("euclidean", "power", "power_log", "tabulated"),
-             _REQUIRED),
-    "dimension": (_int(ge=3), _REQUIRED),
-    "lam": (_NUM, _OPTIONAL), "coeff": (_POS, _OPTIONAL),
-    "sigma": (_NUM, _OPTIONAL),
-    "radii": (_list(_NUM), _OPTIONAL), "volumes": (_list(_NUM), _OPTIONAL)},
-    _table_rule)
+def _forms(forms, frame, nest):
+    """Spec check and flag preset of a profile or growth, read from a
+    geometry form table. The check takes the `frame` keys and the form's
+    params, beside them or (nest) under "params". The preset covers the
+    forms whose params are all numbers: the required frame keys and params
+    in order, then the optional ones."""
+    specs, presets = {}, {}
+    need = [k for k, (_, d) in frame.items() if d is _REQUIRED and k != "form"]
+    extra = [k for k, (_, d) in frame.items() if d is not _REQUIRED]
+    for name, (_, required, optional) in forms.items():
+        types = {**required, **optional}
+        if set(types.values()) <= _VALUE.keys():
+            own = {k: (_VALUE[t], _REQUIRED if k in required else _OPTIONAL)
+                   for k, t in types.items()}
+            specs[name] = _Obj({**frame, "params": (_Obj(own), {})}
+                               if nest else {**frame, **own})
+        if set(types.values()) <= {NUMBER}:
+            presets[name] = ([*need, *required], [*optional, *extra])
+    form_of = _one_of(*specs)
 
-_GROWTH = _Obj({
-    "form": (_one_of("power", "power_log"), _REQUIRED),
-    "r0": (_num(ge=1.0), 1.0),
-    "params": (_Obj({"k": (_NUM, _OPTIONAL), "b": (_NUM, _OPTIONAL)}), {})})
+    def check(v, where):
+        if not isinstance(v, dict):
+            raise ConfigError(f"{where}: expected an object")
+        if "form" not in v:
+            raise ConfigError(f"missing required key {_join(where, 'form')!r}")
+        return specs[form_of(v["form"], _join(where, "form"))](v, where)
+    return check, ("form", presets, tuple(frame) if nest else None)
+
+
+_PROFILE, _PROFILE_PRESET = _forms(PROFILE_FORMS, _PROFILE_FRAME, nest=False)
+_GROWTH, _GROWTH_PRESET = _forms(GROWTH_FORMS, {
+    "form": (_STR, _REQUIRED), "r0": (_num(ge=1.0), 1.0)}, nest=True)
 
 
 def _init_rule(raw, init, where):
@@ -277,12 +299,20 @@ def _sweep_point(base, overrides):
 
 
 def _sweep_rule(raw, scn, where):
-    # points merge into the raw base; grid -> (overrides, raw, resolved)
-    validate_scenario(scn["base"], _join(where, "base"))
+    # points merge into the raw base; grid -> (overrides, raw, resolved).
+    # No two points may write one output file
+    base = validate_scenario(scn["base"], _join(where, "base"))
+    writer = {}
     for i, overrides in enumerate(scn["grid"]):
         sub = _sweep_point(scn["base"], overrides)
-        scn["grid"][i] = (overrides, sub,
-                          validate_scenario(sub, _join(where, f"grid[{i}]")))
+        res = validate_scenario(sub, _join(where, f"grid[{i}]"))
+        scn["grid"][i] = (overrides, sub, res)
+        for key, name in res["output"].items():
+            if writer.setdefault(name, i) != i:
+                at = "base" if base["output"].get(key) == name else f"grid[{i}]"
+                raise ConfigError(
+                    f"{_join(where, at)}.output.{key}: sweep points "
+                    f"{writer[name]} and {i} both write {name!r}")
 
 
 _COMMON = {
@@ -380,6 +410,8 @@ def validate_scenario(scn: dict, path: str = "") -> dict:
 
 
 def load_scenario(path: Path) -> dict:
+    """The scenario of a JSON file, named after the file unless it names
+    itself; it is validated when it runs."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -391,29 +423,14 @@ def load_scenario(path: Path) -> dict:
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(scn, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    validate_scenario(scn)
-    if "name" not in scn:
-        scn["name"] = path.stem
+    scn.setdefault("name", path.stem)
     return scn
 
 
-def _resolve_profile(desc):
-    spec = {"form": desc["form"], "dimension": desc["dimension"],
-            "params": {k: desc[k] for k in ("lam", "coeff", "sigma")
-                       if k in desc}}
-    if "radii" in desc:
-        spec["table"] = np.column_stack([desc["radii"], desc["volumes"]])
-    try:
-        return make_profile(spec)
-    except (ProfileError, ValueError, TypeError) as exc:
-        raise ConfigError(f"profile: {exc}") from exc
-
-
-def _resolve_growth(desc):
-    try:
-        return None if desc is None else make_growth(**desc)
-    except (GrowthError, ValueError, TypeError) as exc:
-        raise ConfigError(f"growth: {exc}") from exc
+def _nest(desc, top):
+    """A flat descriptor with every key but those of `top` under params."""
+    return {**{k: desc[k] for k in top if k in desc},
+            "params": {k: v for k, v in desc.items() if k not in top}}
 
 
 def _fmt(value) -> str:
@@ -551,10 +568,7 @@ def _run_green(scn, profile, growth, tol, out_dir):
 
 
 def _run_l1g(scn, profile, growth, tol, out_dir):
-    try:
-        volume_growth_exponent(profile)
-    except ValueError as exc:
-        raise ConfigError(f"profile: {exc}") from exc
+    volume_growth_exponent(profile)  # rejects the profile before any work
     p = scn["params"]
     kwargs = {"horizons": tuple(p["horizons"]),
               "rel_threshold": p["rel_threshold"], "green": GreenData(profile)}
@@ -754,13 +768,15 @@ def _run(scn, res, tol, out_dir: Path) -> dict:
     input config `scn`. Unless the runner set it, exit is 0 or 1 (passed)."""
     p = res.get("params", {})
     tol = {**tol, **{k: p[k] for k in tol if k in p}}
-    profile = _resolve_profile(res["profile"]) if "profile" in res else None
-    growth = _resolve_growth(res.get("growth"))
     try:
+        profile = (make_profile(_nest(res["profile"], _PROFILE_FRAME))
+                   if "profile" in res else None)
+        growth = make_growth(res["growth"]) if res.get("growth") else None
         result = _RUNNERS[res["kind"]](res, profile, growth, tol, out_dir)
-    except (ParabolicProfileError, GrowthError) as exc:
-        # a tail integral of the given geometry fails the tail model's
-        # divergence test: the input is at fault, found only once work started
+    except (ProfileError, ParabolicProfileError, GrowthError) as exc:
+        # the library rejects the geometry: its builders check ranges and
+        # cross-key rules, and a tail integral may fail the tail model's
+        # divergence test once work has started
         where = "growth" if isinstance(exc, GrowthError) else "profile"
         raise ConfigError(f"{where}: {exc}") from exc
     result["passed"] = all(result["checks"].values())
@@ -797,40 +813,40 @@ def run_scenario(config_path, out_dir=None,
 # ---------------------------------------------------------------------------
 # flag-driven scenarios
 
-# --profile/--growth/--init presets: form -> the keys that its ":"-separated
-# values fill in order; keys after "|" may be left out
+# --profile/--growth/--init presets: (head key, form -> (the keys that its
+# ":"-separated values fill in order, the optional keys that may follow),
+# the keys to keep on top of a nested descriptor or None)
 _PRESETS = {
-    "profile": ("form", {"euclidean": "dimension",
-                         "power": "dimension lam | coeff",
-                         "power_log": "dimension lam sigma"}),
-    "growth": ("form", {"power": "k | r0", "power_log": "k b | r0"}),
-    "init": ("kind", {"barenblatt": "| mass eps", "powerlaw": "a",
-                      "table": "path"}),
+    "profile": _PROFILE_PRESET, "growth": _GROWTH_PRESET,
+    "init": ("kind", {"barenblatt": ([], ["mass", "eps"]),
+                      "powerlaw": (["a"], []), "table": (["path"], [])}, None),
 }
 
 
 def _preset(flag):
-    """argparse type for a preset flag, e.g. `power:4:3` -> a profile."""
-    head, forms = _PRESETS[flag]
+    """argparse type for a preset flag, e.g. `barenblatt:1:1` -> an init."""
+    head, forms, top = _PRESETS[flag]
+    spelling = {form: ":".join([form, *map(str.upper, need)]) +
+                "".join(f"[:{k.upper()}]" for k in extra)
+                for form, (need, extra) in forms.items()}
 
     def parse(text):
         form, *vals = text.split(":")
         if form not in forms:
             raise argparse.ArgumentTypeError(
                 f"unknown {flag} preset {text!r}; forms: {sorted(forms)}")
-        need, _, extra = (part.split() for part in
-                          forms[form].partition("|"))
+        need, extra = forms[form]
         if form == "table":
             vals = [":".join(vals)]  # a path may itself contain ':'
         if not len(need) <= len(vals) <= len(need) + len(extra):
-            raise argparse.ArgumentTypeError(f"{form} takes {forms[form]!r}")
+            raise argparse.ArgumentTypeError(f"{form} takes {spelling[form]}")
         desc = {head: form}
         for key, val in zip(need + extra, vals):
-            node = desc.setdefault("params", {}) if key in ("k", "b") else desc
-            node[key] = (int(val) if key == "dimension" else
+            desc[key] = (int(val) if key == "dimension" else
                          val if key == "path" else float(val))
-        return desc
+        return desc if top is None else _nest(desc, top)
     parse.__name__ = f"{flag} preset"  # argparse: "invalid <name> value"
+    parse.help = "one of " + ", ".join(spelling.values())
     return parse
 
 
@@ -909,7 +925,8 @@ def build_parser() -> argparse.ArgumentParser:
                 cmd.add_argument(flag, dest=_dest(flag), action="store_true",
                                  default=None)
             else:
-                cmd.add_argument(flag, dest=_dest(flag), type=_FLAGS[flag])
+                cmd.add_argument(flag, dest=_dest(flag), type=_FLAGS[flag],
+                                 help=getattr(_FLAGS[flag], "help", None))
     return parser
 
 
@@ -941,9 +958,10 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--config takes no scenario flags; got "
                                   f"{' '.join(given)}")
             scn = load_scenario(Path(args.config))
-            if scn["kind"] != kind:
+            if scn.get("kind") != kind:
                 raise ConfigError(f"--config: {args.config} holds a "
-                                  f"{scn['kind']!r} scenario, not {kind!r}")
+                                  f"{scn.get('kind')!r} scenario, not "
+                                  f"{kind!r}")
         elif kind == "sweep":
             raise ConfigError("sweep needs --config")
         else:

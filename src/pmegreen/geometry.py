@@ -7,6 +7,7 @@ beyond their working range.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
@@ -154,11 +155,13 @@ def _warped(dimension: int,
         alpha_infinity=slope_end)
 
 
-def _tabulated(dimension: int, table: Sequence[Sequence[float]]) -> VolumeProfile:
-    arr = np.asarray(table, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 4:
-        raise ProfileError("tabulated profile needs rows of (r, V), at least 4 of them")
-    r_tab, v_tab = arr[:, 0], arr[:, 1]
+def _tabulated(dimension: int, radii: Sequence[float],
+               volumes: Sequence[float]) -> VolumeProfile:
+    r_tab = np.asarray(radii, dtype=float)
+    v_tab = np.asarray(volumes, dtype=float)
+    if r_tab.ndim != 1 or r_tab.shape != v_tab.shape or r_tab.size < 4:
+        raise ProfileError("tabulated profile needs radii and volumes of one "
+                           "length, at least 4 of them")
     if r_tab[0] < 0 or np.any(np.diff(r_tab) <= 0):
         raise ProfileError("tabulated radii must be nonnegative and strictly increasing")
     if np.any(np.diff(v_tab) <= 0):
@@ -190,54 +193,53 @@ def _tabulated(dimension: int, table: Sequence[Sequence[float]]) -> VolumeProfil
         alpha_infinity=slope_end, breaks=r_tab)
 
 
-_PROFILE_FORMS = {"euclidean", "power", "power_log", "warped", "tabulated"}
+# the value types of a form's params
+NUMBER, NUMBERS, CALLABLE = "number", "list of numbers", "callable"
+
+# form -> (builder, required params, optional params), each param mapped to
+# its value type. A builder takes the dimension (a growth's r0) and the
+# params as keywords, and makes its own range and cross-param checks.
+PROFILE_FORMS = {
+    "euclidean": (_euclidean, {}, {}),
+    "power": (_power, {"lam": NUMBER}, {"coeff": NUMBER}),
+    "power_log": (_power_log, {"lam": NUMBER, "sigma": NUMBER}, {}),
+    "warped": (_warped, {"phi": CALLABLE}, {}),
+    "tabulated": (_tabulated, {"radii": NUMBERS, "volumes": NUMBERS}, {}),
+}
+
+
+def _lookup(forms, kind, error, frame, default, descriptor, kwargs):
+    """(builder with its params bound, frame value) of a descriptor given as
+    a mapping and/or keywords; raises `error` on a key besides form, `frame`
+    and params, on an unknown form, and on a missing or unknown param."""
+    spec = dict(descriptor) if descriptor is not None else {}
+    spec.update(kwargs)
+    form = spec.pop("form", None)
+    first = spec.pop(frame, default)
+    params = spec.pop("params", {})
+    if spec:
+        raise error(f"unknown {kind} keys: {sorted(spec)}")
+    if form not in forms:
+        raise error(f"unknown {kind} form {form!r}; expected one of "
+                    f"{sorted(forms)}")
+    build, required, optional = forms[form]
+    if not required.keys() <= params.keys() <= required.keys() | optional:
+        raise error(f"{form} {kind} takes params {sorted(required)} and "
+                    f"optionally {sorted(optional)}, got {sorted(params)}")
+    return functools.partial(build, **params), first
 
 
 def make_profile(descriptor: Optional[Mapping] = None, /, **kwargs) -> VolumeProfile:
     """Build a VolumeProfile from a descriptor mapping or keyword arguments.
 
-    Descriptor keys: form, dimension, params (form-specific), table.
+    Descriptor keys: form, dimension and params, which holds the required
+    and optional params that PROFILE_FORMS gives the form.
     """
-    spec = dict(descriptor) if descriptor is not None else {}
-    spec.update(kwargs)
-    form = spec.pop("form", None)
-    dimension = spec.pop("dimension", None)
-    params = dict(spec.pop("params", {}))
-    table = spec.pop("table", None)
-    if spec:
-        raise ProfileError(f"unknown profile keys: {sorted(spec)}")
-    if form not in _PROFILE_FORMS:
-        raise ProfileError(f"unknown profile form {form!r}; expected one of {sorted(_PROFILE_FORMS)}")
+    build, dimension = _lookup(PROFILE_FORMS, "profile", ProfileError,
+                               "dimension", None, descriptor, kwargs)
     if not isinstance(dimension, int) or isinstance(dimension, bool):
         raise ProfileError("profile dimension must be an integer")
-    if form == "euclidean":
-        _require_params(params, set(), ProfileError)
-        return _euclidean(dimension)
-    if form == "power":
-        _require_params(params, {"lam"}, ProfileError, optional={"coeff"})
-        return _power(dimension, float(params["lam"]), float(params.get("coeff", 1.0)))
-    if form == "power_log":
-        _require_params(params, {"lam", "sigma"}, ProfileError)
-        return _power_log(dimension, float(params["lam"]), float(params["sigma"]))
-    if form == "warped":
-        _require_params(params, {"phi"}, ProfileError)
-        return _warped(dimension, params["phi"])
-    _require_params(params, set(), ProfileError)
-    if table is None:
-        raise ProfileError("tabulated profile needs a table of (r, V) rows")
-    return _tabulated(dimension, table)
-
-
-def _require_params(params: dict, required: set, error: type,
-                    optional: set = frozenset()) -> None:
-    """Raise `error` on a missing or unknown key of a descriptor's params."""
-    what = "profile" if error is ProfileError else "growth"
-    missing = required - set(params)
-    extra = set(params) - required - set(optional)
-    if missing:
-        raise error(f"missing {what} params: {sorted(missing)}")
-    if extra:
-        raise error(f"unknown {what} params: {sorted(extra)}")
+    return build(dimension)
 
 
 @dataclass(eq=False)
@@ -277,52 +279,60 @@ class GrowthFunction:
         return self.tail(self.r0)
 
 
+def _power_growth(r0: float, k: float) -> GrowthFunction:
+    if k <= 2.0:
+        raise GrowthError("power growth with k <= 2 makes the tail integral "
+                          "of 1/f diverge")
+    return GrowthFunction(
+        form="power", r0=r0,
+        rate=lambda t: np.power(t, k - 1.0),
+        _tail_closed=lambda R: R ** (2.0 - k) / (k - 2.0))
+
+
+def _power_log_growth(r0: float, k: float, b: float) -> GrowthFunction:
+    if r0 <= 1.0:
+        raise GrowthError("power_log growth needs r0 > 1 so log t stays positive")
+    if k < 2.0 or (k == 2.0 and b <= 1.0):
+        raise GrowthError("power_log tail integral diverges unless k > 2 "
+                          "or (k = 2 and b > 1)")
+    closed = None
+    if k == 2.0:
+        closed = lambda R: np.log(R) ** (1.0 - b) / (b - 1.0)
+    return GrowthFunction(
+        form="power_log", r0=r0,
+        rate=lambda t: np.power(t, k - 1.0) * np.power(np.log(t), b),
+        _tail_closed=closed)
+
+
+def _numeric_growth(r0: float, rate: Callable) -> GrowthFunction:
+    probe = np.geomspace(r0, 1e8, 16)
+    if np.any(np.asarray(rate(probe), dtype=float) <= 0.0):
+        raise GrowthError("numeric growth rate must be positive on [r0, inf)")
+    g = GrowthFunction(form="numeric", r0=r0, rate=rate)
+    g.beta  # force the divergence diagnostic at construction
+    return g
+
+
+# rates: power t^(k-1), power_log t^(k-1) log^b t, numeric the given one
+GROWTH_FORMS = {
+    "power": (_power_growth, {"k": NUMBER}, {}),
+    "power_log": (_power_log_growth, {"k": NUMBER, "b": NUMBER}, {}),
+    "numeric": (_numeric_growth, {"rate": CALLABLE}, {}),
+}
+
+
 def make_growth(descriptor: Optional[Mapping] = None, /, **kwargs) -> GrowthFunction:
-    """Growth presets: power (f = t^(k-1)), power_log (f = t^(k-1) log^b t), numeric."""
-    spec = dict(descriptor) if descriptor is not None else {}
-    spec.update(kwargs)
-    form = spec.pop("form", None)
-    r0 = float(spec.pop("r0", 1.0))
-    params = dict(spec.pop("params", {}))
-    if spec:
-        raise GrowthError(f"unknown growth keys: {sorted(spec)}")
+    """Build a GrowthFunction from a descriptor mapping or keyword arguments.
+
+    Descriptor keys: form, r0 (default 1) and params, which holds the
+    required and optional params that GROWTH_FORMS gives the form.
+    """
+    build, r0 = _lookup(GROWTH_FORMS, "growth", GrowthError, "r0", 1.0,
+                        descriptor, kwargs)
+    r0 = float(r0)
     if r0 < 1.0:
         raise GrowthError("growth functions need r0 >= 1 (unit-scale normalization)")
-    if form == "power":
-        _require_params(params, {"k"}, GrowthError)
-        k = float(params["k"])
-        if k <= 2.0:
-            raise GrowthError("power growth with k <= 2 makes the tail integral "
-                              "of 1/f diverge")
-        return GrowthFunction(
-            form="power", r0=r0,
-            rate=lambda t: np.power(t, k - 1.0),
-            _tail_closed=lambda R: R ** (2.0 - k) / (k - 2.0))
-    if form == "power_log":
-        _require_params(params, {"k", "b"}, GrowthError)
-        k, b = float(params["k"]), float(params["b"])
-        if r0 <= 1.0:
-            raise GrowthError("power_log growth needs r0 > 1 so log t stays positive")
-        if k < 2.0 or (k == 2.0 and b <= 1.0):
-            raise GrowthError("power_log tail integral diverges unless k > 2 "
-                              "or (k = 2 and b > 1)")
-        closed = None
-        if k == 2.0:
-            closed = lambda R: np.log(R) ** (1.0 - b) / (b - 1.0)
-        return GrowthFunction(
-            form="power_log", r0=r0,
-            rate=lambda t: np.power(t, k - 1.0) * np.power(np.log(t), b),
-            _tail_closed=closed)
-    if form == "numeric":
-        _require_params(params, {"rate"}, GrowthError)
-        rate = params["rate"]
-        probe = np.geomspace(r0, 1e8, 16)
-        if np.any(np.asarray(rate(probe), dtype=float) <= 0.0):
-            raise GrowthError("numeric growth rate must be positive on [r0, inf)")
-        g = GrowthFunction(form="numeric", r0=r0, rate=rate)
-        g.beta  # force the divergence diagnostic at construction
-        return g
-    raise GrowthError(f"unknown growth form {form!r}")
+    return build(r0)
 
 
 @dataclass

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import GrowthFunction, VolumeProfile
+from .geometry import GrowthFunction, ProfileError, VolumeProfile
 from .green import GreenData
 from .numerics import (PANELS_PER_DECADE, gauss_intervals, gauss_panels,
                        invert_increasing, tail_remainder, truncated_tail)
@@ -107,8 +107,8 @@ def volume_growth_exponent(profile: VolumeProfile) -> float:
     """alpha_infinity, checked to lie in (2, n] as the dichotomy needs."""
     alpha = profile.alpha_infinity
     if alpha is None or not 2.0 < alpha <= profile.dimension + 1e-9:
-        raise ValueError("power-law classification needs a volume growth "
-                         f"exponent in (2, {profile.dimension}], got {alpha}")
+        raise ProfileError("power-law classification needs a volume growth "
+                           f"exponent in (2, {profile.dimension}], got {alpha}")
     return float(alpha)
 
 

@@ -15,9 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pmegreen as pg
 from pmegreen import __version__, cli, weighted
 from pmegreen.cli import (SCHEMA_VERSION, ConfigError, load_scenario, main,
                           validate_scenario)
+from pmegreen.geometry import GROWTH_FORMS, NUMBER, NUMBERS, PROFILE_FORMS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 BUNDLED = sorted((SCRIPTS / "scenarios").glob("*.json"))
@@ -322,6 +324,77 @@ def test_config_kind_must_match_the_command(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_each_scenario_is_validated_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(scn, path=""):
+        calls.append(path)
+        return validate(scn, path)
+
+    validate = cli.validate_scenario
+    monkeypatch.setattr(cli, "validate_scenario", counted)
+    scn = {"schema_version": SCHEMA_VERSION, "kind": "sweep", "name": "sw",
+           "base": green_scenario(name="unused"),
+           "grid": {"profile.dimension": [3, 4]}}
+    cfg = write_config(tmp_path, scn)
+    assert main(["sweep", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    # the sweep, its base and its two points
+    assert sorted(calls) == ["", "base", "grid[0]", "grid[1]"]
+
+
+# (kind, base output, grid, key the error must name)
+SHARED_OUTPUTS = [
+    ("green", {"csv": "pts.csv"}, {"profile.dimension": [3, 4]},
+     "base.output.csv"),
+    ("solve", {"profiles_csv": "u.csv"}, {"m": [2.0, 3.0]},
+     "base.output.profiles_csv"),
+    ("green", {}, [{"output.csv": "a.csv"}, {"output.csv": "a.csv"}],
+     "grid[1].output.csv"),
+]
+
+
+@pytest.mark.parametrize("case", SHARED_OUTPUTS,
+                         ids=[c[3] for c in SHARED_OUTPUTS])
+def test_sweep_points_sharing_an_output_are_exit_two(tmp_path, capsys, case):
+    kind, output, grid, named = case
+    base = green_scenario() if kind == "green" else solve_scenario()
+    base["output"] = output
+    if kind == "solve":
+        base["params"]["emit_profiles"] = True
+    scn = {"schema_version": SCHEMA_VERSION, "kind": "sweep", "name": "sw",
+           "base": base, "grid": grid}
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(write_config(tmp_path, scn)),
+                 "--out-dir", str(out)]) == 2
+    assert f"{named}: sweep points 0 and 1 both write" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_sweep_points_with_their_own_outputs_run(tmp_path):
+    scn = {"schema_version": SCHEMA_VERSION, "kind": "sweep", "name": "sw",
+           "base": green_scenario(),
+           "grid": [{"output.csv": "a.csv"}, {"output.csv": "b.csv"}]}
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(write_config(tmp_path, scn)),
+                 "--out-dir", str(out)]) == 0
+    assert (out / "a.csv").exists() and (out / "b.csv").exists()
+
+
+def test_help_lists_the_presets(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["green", "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for spelling in ("euclidean:DIMENSION", "power:DIMENSION:LAM[:COEFF]",
+                     "power_log:DIMENSION:LAM:SIGMA", "power:K[:R0]",
+                     "power_log:K:B[:R0]"):
+        assert spelling in text
+    for flag in ("profile", "growth"):
+        assert all(f"{form}:" in text for form in cli._PRESETS[flag][1])
+
+
 def test_config_takes_no_scenario_flags(tmp_path, capsys):
     cfg = write_config(tmp_path, solve_scenario())
     assert main(["solve", "--config", str(cfg), "--cells", "10", "--verify",
@@ -451,6 +524,127 @@ def test_bad_input_is_exit_two(tmp_path, monkeypatch, capsys, case):
     err = capsys.readouterr().err
     assert named in err
     assert "Traceback" not in err
+
+
+# a JSON spelling, with every optional key, of each form of geometry's
+# tables that JSON can spell; the power_log and tabulated profiles and the
+# power_log growth are the benchmark's
+_TABLE_RADII = [float(r) for r in np.geomspace(0.01, 10.0, 60)]
+FORM_EXAMPLES = {
+    "profile": {
+        "euclidean": {"dimension": 3},
+        "power": {"dimension": 4, "lam": 2.5, "coeff": 0.5},
+        "power_log": {"dimension": 4, "lam": 3.0, "sigma": 0.5},
+        "tabulated": {"dimension": 3, "radii": _TABLE_RADII,
+                      "volumes": [r ** 3 for r in _TABLE_RADII]}},
+    "growth": {
+        "power": {"params": {"k": 3.0}, "r0": 1.5},
+        "power_log": {"params": {"k": 3.0, "b": 0.5}, "r0": 2.0}},
+}
+_TABLES = {"profile": PROFILE_FORMS, "growth": GROWTH_FORMS}
+FORM_CASES = [(which, form) for which in FORM_EXAMPLES
+              for form in FORM_EXAMPLES[which]]
+
+
+def test_every_json_form_has_an_example():
+    for which, forms in _TABLES.items():
+        spelled = {form for form, (_, required, optional) in forms.items()
+                   if {*required.values(), *optional.values()} <= {
+                       NUMBER, NUMBERS}}
+        assert set(FORM_EXAMPLES[which]) == spelled
+
+
+def _with_form(which, form):
+    """A green scenario on the example of `form`: as its profile, or as its
+    growth on euclidean:3."""
+    scn = green_scenario()
+    scn[which] = {"form": form, **copy.deepcopy(FORM_EXAMPLES[which][form])}
+    return scn
+
+
+def _run_green_config(tmp_path, monkeypatch, scn):
+    for name in ("GreenData", "green_bounds"):
+        monkeypatch.setattr(cli, name, _forbidden)
+    return main(["green", "--config", str(write_config(tmp_path, scn)),
+                 "--out-dir", str(tmp_path / "out")])
+
+
+# (which, form, path of a required key)
+MISSING_KEYS = [
+    (which, form, path) for which, form in FORM_CASES
+    for path in ([("form",)] +
+                 ([("dimension",)] + [(k,) for k in
+                                      PROFILE_FORMS[form][1]]
+                  if which == "profile" else
+                  [("params", k) for k in GROWTH_FORMS[form][1]]))]
+
+
+@pytest.mark.parametrize("which, form, path", MISSING_KEYS, ids=[
+    f"{form}:{which}.{'.'.join(path)}" for which, form, path in MISSING_KEYS])
+def test_form_without_a_required_key_is_exit_two(tmp_path, monkeypatch,
+                                                 capsys, which, form, path):
+    scn = _with_form(which, form)
+    node = scn[which]
+    for part in path[:-1]:
+        node = node[part]
+    del node[path[-1]]
+    assert _run_green_config(tmp_path, monkeypatch, scn) == 2
+    dotted = ".".join((which, *path))
+    assert f"missing required key {dotted!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which, form", FORM_CASES,
+                         ids=[f"{w}:{f}" for w, f in FORM_CASES])
+def test_form_with_a_stray_key_is_exit_two(tmp_path, monkeypatch, capsys,
+                                           which, form):
+    # a param of another form of the table, such as sigma on power
+    forms = _TABLES[which]
+    taken = {**forms[form][1], **forms[form][2]}
+    stray = next(k for _, required, optional in forms.values()
+                 for k in {**required, **optional} if k not in taken)
+    scn = _with_form(which, form)
+    (scn[which] if which == "profile" else scn[which]["params"])[stray] = 1.0
+    assert _run_green_config(tmp_path, monkeypatch, scn) == 2
+    dotted = f"{which}.{stray}" if which == "profile" else (
+        f"{which}.params.{stray}")
+    assert f"unknown key {dotted!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which, form", FORM_CASES,
+                         ids=[f"{w}:{f}" for w, f in FORM_CASES])
+def test_cli_and_library_descriptors_agree(tmp_path, monkeypatch, which,
+                                           form):
+    built = {}
+
+    def capture(res, profile, growth, tol, out_dir):
+        built.update(profile=profile, growth=growth)
+        return {"columns": [], "rows": [], "metrics": {}, "checks": {}}
+
+    monkeypatch.setitem(cli._RUNNERS, "green", capture)
+    assert _run_green_config(tmp_path, monkeypatch,
+                             _with_form(which, form)) == 0
+    example = FORM_EXAMPLES[which][form]
+    rs = np.geomspace(0.1, 100.0, 9)
+    if which == "profile":
+        lib = pg.make_profile(form=form, dimension=example["dimension"],
+                              params={k: v for k, v in example.items()
+                                      if k != "dimension"})
+        for attr in ("volume", "area"):
+            np.testing.assert_array_equal(getattr(built["profile"], attr)(rs),
+                                          getattr(lib, attr)(rs))
+    else:
+        lib = pg.make_growth(form=form, **example)
+        rs = rs * example["r0"] / rs[0]
+        for attr in ("rate", "tail"):
+            np.testing.assert_array_equal(getattr(built["growth"], attr)(rs),
+                                          getattr(lib, attr)(rs))
+    # the flag preset, where there is one, spells the same descriptor
+    presets = cli._PRESETS[which][1]
+    if form in presets:
+        flat = {**example, **example.get("params", {})}
+        text = ":".join([form, *(str(flat[k]) for k in sum(presets[form],
+                                                           []))])
+        assert cli._preset(which)(text) == {"form": form, **example}
 
 
 def test_reversed_range_flags_are_exit_two(tmp_path, capsys):
@@ -751,6 +945,9 @@ _TEXT = {
     "a": _number_text(-1.0, 4.0),
     "path": st.sampled_from(["no-such-table.csv", "", "a:b"]),
 }
+# the text of a preset key that _TEXT does not name, such as the param of a
+# newly tabled form
+_ANY_NUMBER = _number_text(-1.0, 10.0)
 # flags every drawn run of these commands sets, to keep it small
 _SIZE_FLAGS = {"solve": ("--cells", "--tend"),
                "optimality": ("--cells", "--t-end")}
@@ -758,15 +955,16 @@ _SIZE_FLAGS = {"solve": ("--cells", "--tend"),
 
 @st.composite
 def _preset_text(draw, flag):
-    """`form:v1:v2...` for a preset flag: a form of the preset table with
+    """`form:v1:v2...` for a preset flag: a form of the preset table, which
+    for profiles and growths is derived from geometry's form tables, with
     values for its keys, now and then an unknown form or a value too many."""
-    _, forms = cli._PRESETS[flag]
+    _, forms, _ = cli._PRESETS[flag]
     form = draw(_rarely(st.sampled_from(sorted(forms)), st.just("unknown")))
-    need, _, extra = (part.split() for part in
-                      forms.get(form, "dimension").partition("|"))
+    need, extra = forms.get(form, (["dimension"], []))
     keys = need + extra[:draw(st.integers(0, len(extra)))]
     keys += draw(_rarely(st.just([]), st.just(["lam"])))  # one too many
-    return ":".join([form, *(draw(_TEXT[key]) for key in keys)])
+    return ":".join([form, *(draw(_TEXT.get(key, _ANY_NUMBER))
+                             for key in keys)])
 
 
 @st.composite

@@ -53,16 +53,16 @@ def test_make_profile_rejects_bad_input():
 
 def test_tabulated_profile_round_trip(euclid3):
     rs = np.geomspace(0.01, 50.0, 400)
-    table = np.column_stack([rs, np.asarray(euclid3.volume(rs))])
-    prof = pg.make_profile(form="tabulated", dimension=3, table=table)
+    prof = pg.make_profile(form="tabulated", dimension=3, params={
+        "radii": rs, "volumes": np.asarray(euclid3.volume(rs))})
     probe = np.array([0.1, 1.0, 7.3, 40.0])
     assert np.allclose(prof.volume(probe), euclid3.volume(probe), rtol=1e-6)
 
 
 def test_tabulated_rejects_nonmonotone():
-    table = np.array([[0.5, 1.0], [1.0, 0.8], [2.0, 2.0]])
     with pytest.raises(ProfileError):
-        pg.make_profile(form="tabulated", dimension=3, table=table)
+        pg.make_profile(form="tabulated", dimension=3, params={
+            "radii": [0.5, 1.0, 2.0], "volumes": [1.0, 0.8, 2.0]})
 
 
 def test_warped_identity_matches_euclidean(euclid3):

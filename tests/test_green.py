@@ -146,7 +146,7 @@ def _tabulated_r3():
     end slope; also the kinks of the table."""
     r_tab = np.geomspace(0.01, 10.0, 60)
     prof = pg.make_profile(form="tabulated", dimension=3,
-                           table=np.column_stack([r_tab, r_tab ** 3]))
+                           params={"radii": r_tab, "volumes": r_tab ** 3})
     knots = np.concatenate([[0.0], r_tab])
     vol = PchipInterpolator(knots, np.concatenate([[0.0], r_tab ** 3]))
     r_end, v_end = knots[-1], r_tab[-1] ** 3
@@ -296,9 +296,8 @@ _FIELD_CASES = {
                    "params": {"lam": 3.0, "sigma": 0.5}}, False),
     "warped": ({"form": "warped", "dimension": 4,
                 "params": {"phi": _warp}}, False),
-    "tabulated": ({"form": "tabulated", "dimension": 3, "table":
-                   np.column_stack([_TABLE_RADII, _TABLE_RADII ** 3])},
-                  False),
+    "tabulated": ({"form": "tabulated", "dimension": 3, "params": {
+        "radii": _TABLE_RADII, "volumes": _TABLE_RADII ** 3}}, False),
 }
 
 
