@@ -2,20 +2,34 @@
 """Run the bundled experiment scenarios and summarize their verdicts.
 
 Each scenario writes a CSV and a manifest into the output directory; the
-script exits with the worst exit code of its scenarios. A scenario whose
-config is rejected is reported as FAIL (exit 2) with the reason, and the
-remaining scenarios still run.
+script exits with the worst exit code of its scenarios. After each verdict
+it prints the smallest margin of the scenario's manifest and the name of its
+check. A scenario whose config is rejected is reported as FAIL (exit 2) with
+the reason, and the remaining scenarios still run.
 """
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import sys
 import time
 from pathlib import Path
 
-from pmegreen.cli import TOLERANCE_PROFILES, ConfigError, run_scenario
+from pmegreen.cli import (TOLERANCE_PROFILES, ConfigError, load_scenario,
+                          run_scenario)
 
 SCENARIO_DIR = Path(__file__).resolve().parent / "scenarios"
+
+
+def smallest_margin(manifest: Path) -> str:
+    """The least margin of a manifest's checks and the check's name; a nan
+    margin, from a nan value, counts as the least."""
+    margins = json.loads(manifest.read_text(encoding="utf-8"))["margins"]
+    if not margins:
+        return "no checks"
+    name = min(margins, key=lambda k: (margins[k] >= -math.inf, margins[k]))
+    return f"margin {margins[name]:.3g} ({name})"
 
 
 def main(argv=None) -> int:
@@ -40,11 +54,15 @@ def main(argv=None) -> int:
         tic = time.perf_counter()
         reason = ""
         try:
+            name = load_scenario(path)["name"]
             code = run_scenario(path, out_dir=args.out_dir,
                                 tolerance_profile=args.tolerance_profile)
-        except ConfigError as exc:
+        except ConfigError as exc:  # rejected before it wrote a manifest
             code, reason = 2, f"  {exc}"
         elapsed = time.perf_counter() - tic
+        if not reason:
+            reason = "  " + smallest_margin(
+                Path(args.out_dir) / f"{name}.manifest.json")
         verdict = "ok" if code == 0 else f"FAIL (exit {code})"
         print(f"{path.stem:24s} {verdict:14s} {elapsed:7.2f}s{reason}")
         worst = max(worst, code)

@@ -28,8 +28,8 @@ from .geometry import (GROWTH_FORMS, NUMBER, NUMBERS, PROFILE_FORMS,
                        GrowthError, ProfileError, check_assumptions,
                        make_growth, make_profile)
 from .green import GreenData, ParabolicProfileError, green_bounds
-from .numerics import Hermite, loglog_slope, pchip_slopes
-from .smoothing import SmoothingBound, smoothing_bound_l1g
+from .numerics import Check, Hermite, loglog_slope, max_rise, pchip_slopes
+from .smoothing import SmoothingBound, decay_exponent, smoothing_bound_l1g
 from .solver import (BarenblattParams, RadialGrid, barenblatt_datum,
                      optimality_harness, run_pme, verify_solution_estimates)
 from .weighted import (DEFAULT_HORIZONS, powerlaw_classify,
@@ -300,9 +300,9 @@ def _sweep_point(base, overrides):
 
 def _sweep_rule(raw, scn, where):
     # points merge into the raw base; grid -> (overrides, raw, resolved).
-    # No two points may write one output file
+    # No two points may write one output file, nor the sweep's own CSV
     base = validate_scenario(scn["base"], _join(where, "base"))
-    writer = {}
+    writer = {scn["output"].get("csv", f"{scn.get('name')}.csv"): None}
     for i, overrides in enumerate(scn["grid"]):
         sub = _sweep_point(scn["base"], overrides)
         res = validate_scenario(sub, _join(where, f"grid[{i}]"))
@@ -310,9 +310,11 @@ def _sweep_rule(raw, scn, where):
         for key, name in res["output"].items():
             if writer.setdefault(name, i) != i:
                 at = "base" if base["output"].get(key) == name else f"grid[{i}]"
+                who = (f"point {i} writes the sweep's own CSV"
+                       if writer[name] is None else
+                       f"points {writer[name]} and {i} both write")
                 raise ConfigError(
-                    f"{_join(where, at)}.output.{key}: sweep points "
-                    f"{writer[name]} and {i} both write {name!r}")
+                    f"{_join(where, at)}.output.{key}: sweep {who} {name!r}")
 
 
 _COMMON = {
@@ -475,7 +477,7 @@ def write_manifest(path: Path, payload: dict) -> None:
 
 # ---------------------------------------------------------------------------
 # scenario runners: (resolved scenario, profile, growth, thresholds) ->
-# {columns, rows, metrics, checks[, profiles (columns, array)]}; _run writes
+# {columns, rows, metrics, checks: {name: Check}[, profiles]}; _run writes
 
 def _run_check(scn, profile, growth, tol, out_dir):
     p = scn["params"]
@@ -495,9 +497,9 @@ def _run_check(scn, profile, growth, tol, out_dir):
                "gamma_uniformity": report.gamma_uniformity,
                "beta": report.beta,
                "doubling_constant": report.doubling_constant}
-    checks = {"bishop_gromov": report.bishop_gromov_ok,
-              "euclidean_bound": report.euclidean_bound_ok,
-              "all_assumptions": report.passed}
+    checks = {"bishop_gromov": report.bishop_gromov,
+              "euclidean_bound": report.euclidean_bound,
+              "all_assumptions": Check(len(report.failures), 0.0)}
     return {"columns": ["r", "volume", "area", "growth_ratio"], "rows": rows,
             "metrics": metrics, "checks": checks}
 
@@ -541,7 +543,7 @@ def _run_green(scn, profile, growth, tol, out_dir):
     if p["bounds"]:
         columns += ["lower_far", "upper_tail", "upper_near",
                     "lower_ok", "tail_ok", "near_ok"]
-        checks["bounds_hold"] = bool(report.all_ok)
+        checks["bounds_hold"] = report.bounds_hold
         metrics.update(c1=report.c1, c2=report.c2)
     rows = []
     for i, r in enumerate(radii):
@@ -549,10 +551,7 @@ def _run_green(scn, profile, growth, tol, out_dir):
         row = {"r": float(r), "green_exact": ge, "green_surrogate": gs,
                "ratio": ge / gs}
         if p["bounds"]:
-            row.update({k: getattr(report, k)[i] for k in
-                        ("lower_far", "upper_tail", "upper_near")})
-            row.update({k: bool(getattr(report, k)[i]) for k in
-                        ("lower_ok", "tail_ok", "near_ok")})
+            row.update({k: getattr(report, k)[i] for k in columns[4:]})
         rows.append(row)
     ratios = np.array([row["ratio"] for row in rows])
     metrics["ratio_min"] = float(ratios.min())
@@ -561,8 +560,8 @@ def _run_green(scn, profile, growth, tol, out_dir):
     if law is not None:
         expected = 1.0 / law[1]
         metrics["ratio_expected"] = expected
-        checks["ratio_constant"] = bool(
-            np.max(np.abs(ratios - expected)) <= tol["rel"] * expected)
+        checks["ratio_constant"] = Check(
+            float(np.max(np.abs(ratios - expected))), tol["rel"] * expected)
     return {"columns": columns, "rows": rows, "metrics": metrics,
             "checks": checks}
 
@@ -585,8 +584,8 @@ def _run_l1g(scn, profile, growth, tol, out_dir):
                         "l1_converged", "l1g_converged", "consistent"],
             "rows": rows, "metrics": {"alpha_infinity":
                                       profile.alpha_infinity},
-            "checks": {"classification_consistent":
-                       all(row["consistent"] for row in rows)}}
+            "checks": {"classification_consistent": Check(
+                sum(not row["consistent"] for row in rows), 0.0)}}
 
 
 def _run_bound(scn, profile, growth, tol, out_dir):
@@ -609,10 +608,9 @@ def _run_bound(scn, profile, growth, tol, out_dir):
         rows.append(row)
     vals = np.array([r["bound_l1"] for r in rows])
     metrics = {"threshold_time": bound.time_threshold(norm1)}
-    checks = {"finite_positive": bool(np.all(np.isfinite(vals)) and
-                                      np.all(vals > 0.0)),
-              "nonincreasing": bool(np.all(np.diff(vals) <=
-                                           1e-12 * vals[:-1]))}
+    bad = np.count_nonzero(~(np.isfinite(vals) & (vals > 0.0)))
+    checks = {"finite_positive": Check(bad, 0.0),
+              "nonincreasing": Check(max_rise(vals), 1e-12)}
     if p["fit"]:
         large = np.array([r["regime"] == "large-time" for r in rows])
         if np.count_nonzero(large) < 3:
@@ -621,11 +619,10 @@ def _run_bound(scn, profile, growth, tol, out_dir):
         slope = loglog_slope(ts[large], vals[large])
         metrics["fitted_slope"] = slope
         if profile.power_law is not None:
-            lam = profile.power_law[1]
-            predicted = -lam / ((m - 1.0) * lam + 2.0)
+            predicted = -decay_exponent(m, profile.power_law[1])
             metrics["predicted_slope"] = predicted
-            checks["slope_matches"] = bool(
-                abs(slope - predicted) <= tol["slope_tol"] * abs(predicted))
+            checks["slope_matches"] = Check(
+                abs(slope - predicted), tol["slope_tol"] * abs(predicted))
     return {"columns": columns, "rows": rows, "metrics": metrics,
             "checks": checks}
 
@@ -681,14 +678,13 @@ def _run_solve(scn, profile, growth, tol, out_dir):
                                      record.outflows)]
     metrics = {"mass_defect": record.mass_defect(), "steps": record.steps,
                "cells": p["cells"]}
-    checks = {"mass_conserved": record.mass_defect() <= 1e-10,
-              "positivity": bool(min(float(s.min())
-                                     for s in record.states) >= 0.0)}
+    checks = {"mass_conserved": Check(record.mass_defect(), 1e-10),
+              "positivity": Check(-min(s.min() for s in record.states), 0.0)}
     if p["verify"]:
         report = verify_solution_estimates(record, green=green,
                                            tau=tol["tau"])
-        for chk in report.checks:
-            checks[f"estimate_{chk.name}"] = chk.passed(report.tau)
+        checks.update((f"estimate_{name}", chk)
+                      for name, chk in report.checks.items())
         metrics["max_estimate_violation"] = report.max_violation
     result = {"columns": ["t", "sup_u", "mass", "outflow", "l1g_norm"],
               "rows": rows, "metrics": metrics, "checks": checks}
@@ -718,11 +714,12 @@ def _run_optimality(scn, profile, growth, tol, out_dir):
                "l1_error_final": report.l1_error_final,
                "mass_defect": report.mass_defect,
                "steps": report.steps}
-    checks = {"slope": (abs(report.slope - report.expected_slope) <=
-                        tol["slope_tol"]),
-              "band": report.band_ratio <= tol["band_limit"],
-              "l1_error": report.l1_error_final <= tol["l1_limit"] * p["mass"],
-              "mass_conserved": report.mass_defect <= 1e-10}
+    checks = {"slope": Check(abs(report.slope - report.expected_slope),
+                             tol["slope_tol"]),
+              "band": Check(report.band_ratio, tol["band_limit"]),
+              "l1_error": Check(report.l1_error_final,
+                                tol["l1_limit"] * p["mass"]),
+              "mass_conserved": Check(report.mass_defect, 1e-10)}
     return {"columns": ["t_abs", "sup_u", "sup_scaled", "bound_l1",
                         "bound_regime"], "rows": rows, "metrics": metrics,
             "checks": checks}
@@ -752,8 +749,8 @@ def _run_sweep(scn, profile, growth, tol, out_dir):
     return {"columns": (["index", "name"] + grid_keys + metric_keys +
                         ["passed", "error"]), "rows": rows,
             "metrics": {"points": len(rows)},
-            "checks": {"all_rows_passed": all(bool(row["passed"])
-                                              for row in rows)},
+            "checks": {"all_rows_passed": Check(
+                sum(not row["passed"] for row in rows), 0.0)},
             "exit": worst}
 
 
@@ -779,7 +776,8 @@ def _run(scn, res, tol, out_dir: Path) -> dict:
         # divergence test once work has started
         where = "growth" if isinstance(exc, GrowthError) else "profile"
         raise ConfigError(f"{where}: {exc}") from exc
-    result["passed"] = all(result["checks"].values())
+    checks = result["checks"]
+    result["passed"] = all(c.passed for c in checks.values())
     result.setdefault("exit", 0 if result["passed"] else 1)
     outputs = {"csv": res["output"].get("csv", f"{res['name']}.csv")}
     write_csv(out_dir / outputs["csv"], result["columns"], result["rows"])
@@ -791,7 +789,9 @@ def _run(scn, res, tol, out_dir: Path) -> dict:
         "schema_version": SCHEMA_VERSION, "library_version": __version__,
         "name": res["name"], "kind": res["kind"], "config": scn,
         "outputs": outputs, "metrics": result["metrics"],
-        "checks": result["checks"], "passed": result["passed"]})
+        "checks": {k: c.passed for k, c in checks.items()},
+        "margins": {k: c.margin for k, c in checks.items()},
+        "passed": result["passed"]})
     return result
 
 

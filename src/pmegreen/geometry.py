@@ -14,8 +14,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .numerics import (Hermite, IntegralDivergenceError, TailTable,
-                       gauss_intervals, gauss_panels, pchip_slopes)
+from .numerics import (Check, Hermite, IntegralDivergenceError, TailTable,
+                       gauss_intervals, gauss_panels, max_rise, pchip_slopes)
 
 # relative slack for monotonicity checks on exact closed forms
 MONOTONE_SLACK = 1e-12
@@ -32,7 +32,10 @@ class GrowthError(ValueError):
 
 
 def unit_ball_volume(n: int) -> float:
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    try:
+        return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    except OverflowError:  # Gamma leaves double range from n = 342 on
+        return math.exp(0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1))
 
 
 def unit_sphere_area(n: int) -> float:
@@ -115,8 +118,7 @@ def _power_log(dimension: int, lam: float, sigma: float) -> VolumeProfile:
         dimension=dimension, form="power_log", volume=volume, area=area,
         alpha_infinity=float(lam))
     rs = np.geomspace(1e-4, 1e8, 160)
-    q = volume(rs) / np.power(rs, dimension)
-    if np.any(np.diff(q) > q[:-1] * MONOTONE_SLACK):
+    if max_rise(volume(rs) / np.power(rs, dimension)) > MONOTONE_SLACK:
         raise ProfileError("power_log parameters break V(r)/r^n monotonicity; "
                            "reduce sigma or lam")
     return prof
@@ -343,8 +345,8 @@ class AssumptionReport:
     gamma_uniformity: float
     beta: float
     doubling_constant: float
-    bishop_gromov_ok: bool
-    euclidean_bound_ok: bool
+    bishop_gromov: Check         # the largest relative rise of V / r^n
+    euclidean_bound: Check       # the largest relative excess over omega_n r^n
     failures: list
     passed: bool
     sample: np.ndarray
@@ -356,7 +358,7 @@ def check_assumptions(profile: VolumeProfile, growth: GrowthFunction,
 
     alpha is the pole-centered unit-ball volume, gamma the worst uniform-growth
     ratio over ordered sample pairs, beta the tail of 1/f at r0. Bishop-Gromov
-    and the Euclidean volume bound are verified with small relative slack.
+    and the Euclidean volume bound check their excess against MONOTONE_SLACK.
     Raises ValueError where V or S is not finite on the sample.
     """
     if sample is None:
@@ -390,14 +392,13 @@ def check_assumptions(profile: VolumeProfile, growth: GrowthFunction,
     if not math.isfinite(beta):
         failures.append("finite_tail")
 
-    q = vols / np.power(sample, n)
-    bishop = bool(np.all(np.diff(q) <= q[:-1] * MONOTONE_SLACK))
-    if not bishop:
+    bishop = Check(max_rise(vols / np.power(sample, n)), MONOTONE_SLACK)
+    if not bishop.passed:
         failures.append("bishop_gromov")
 
-    om = unit_ball_volume(n)
-    euclid_ok = bool(np.all(vols <= om * np.power(sample, n) * (1.0 + MONOTONE_SLACK)))
-    if not euclid_ok:
+    euclid = Check(float(np.max(vols / (unit_ball_volume(n) * np.power(
+        sample, n)) - 1.0, initial=0.0)), MONOTONE_SLACK)
+    if not euclid.passed:
         failures.append("euclidean_volume_bound")
 
     half = sample[2.0 * sample <= sample[-1]]
@@ -410,8 +411,8 @@ def check_assumptions(profile: VolumeProfile, growth: GrowthFunction,
 
     return AssumptionReport(
         alpha_noncollapse=alpha, gamma_uniformity=gamma, beta=beta,
-        doubling_constant=doubling, bishop_gromov_ok=bishop,
-        euclidean_bound_ok=euclid_ok, failures=failures,
+        doubling_constant=doubling, bishop_gromov=bishop,
+        euclidean_bound=euclid, failures=failures,
         passed=not failures, sample=sample)
 
 

@@ -22,8 +22,8 @@ import numpy as np
 
 from .geometry import (AssumptionReport, GrowthFunction, VolumeProfile,
                        check_assumptions, unit_ball_volume)
-from .numerics import (IntegralDivergenceError, TailTable, gauss_intervals,
-                       gauss_nodes, gauss_panels, gauss_sum)
+from .numerics import (Check, IntegralDivergenceError, TailTable,
+                       gauss_intervals, gauss_nodes, gauss_panels, gauss_sum)
 from .smoothing import green_ball_envelope
 
 BOUND_SLACK = 1e-9
@@ -151,15 +151,11 @@ class GreenBoundReport:
     lower_ok: np.ndarray
     tail_ok: np.ndarray
     near_ok: np.ndarray
+    bounds_hold: Check           # the worst relative excess over the bounds
     c1: float
     c2: float
     constants: AssumptionReport
     use_surrogate: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return bool(np.all(self.lower_ok) and np.all(self.tail_ok) and
-                    np.all(self.near_ok))
 
 
 def green_bounds(profile: VolumeProfile, growth: GrowthFunction,
@@ -173,7 +169,8 @@ def green_bounds(profile: VolumeProfile, growth: GrowthFunction,
     defaults c1, c2 are the extremes of G/Ghat on a log grid spanning the
     radii and [r0, 100 r0]. A bound holds only where it is finite; the tail
     bound applies from r0 on and is nan below. The upper bounds never form
-    r^n or V, which overflow long before the bounds do.
+    r^n or V, which overflow long before the bounds do. Every verdict reads
+    the relative excess over its bound against BOUND_SLACK.
     """
     radii = np.asarray(radii, dtype=float)
     rep = check_assumptions(profile, growth)
@@ -213,13 +210,16 @@ def green_bounds(profile: VolumeProfile, growth: GrowthFunction,
                            gamma * beta * f_anchor * r_anchor
                            ) * np.power(r_anchor / radii, n - 2.0)
 
-    lower_ok = np.isfinite(lower) & (gvals >= lower * (1.0 - BOUND_SLACK))
-    tail_ok = ~far | (np.isfinite(tail) & (gvals <= tail * (1.0 + BOUND_SLACK)))
-    near_ok = np.isfinite(near) & (gvals <= near * (1.0 + BOUND_SLACK))
+    with np.errstate(divide="ignore", invalid="ignore"):  # nan: no bound
+        excess = np.stack([(lower - gvals) / lower, (gvals - tail) / tail,
+                           (gvals - near) / near])
+    excess[1, ~far] = -np.inf  # no tail bound below r0
+    lower_ok, tail_ok, near_ok = excess <= BOUND_SLACK
     return GreenBoundReport(
         radii=radii, green_values=g_exact, surrogate_values=g_surr,
         lower_far=lower, upper_tail=tail, upper_near=near,
         lower_ok=lower_ok, tail_ok=tail_ok, near_ok=near_ok,
+        bounds_hold=Check(float(np.max(excess, initial=0.0)), BOUND_SLACK),
         c1=float(c1), c2=float(c2), constants=rep, use_surrogate=use_surrogate)
 
 

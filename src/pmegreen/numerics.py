@@ -1,6 +1,6 @@
 """Numerical kernels: Gauss panels, one tail model for every integral to
-infinity, one pole model below every tail table, one cubic Hermite
-interpolant, one root finder for monotone functions, slope fits.
+infinity, one pole model below every tail table, one cubic Hermite interpolant,
+one root finder for monotone functions, slope fits, and the verdict `Check`.
 
 The tail model: past a horizon h, f is fitted as r^p (log r)^q through
 r = h, 4h and 16h, and that fit is integrated to infinity in closed form.
@@ -464,6 +464,35 @@ def invert_increasing(fn: Callable[[float], float], target: float,
             hi = x
         xa, fa, xb, fb = xb, fb, x, fx
     return x
+
+
+@dataclass(frozen=True)
+class Check:
+    """A verdict: a measured value against its limit. It passes iff value <=
+    limit, so a nan value fails; a lower limit is stated negated, as
+    Check(-value, -limit). Its margin is (limit - value) / |limit|, or
+    limit - value where the limit is 0: >= 0 iff it passes, nan at nan."""
+
+    value: float
+    limit: float
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.value <= self.limit)
+
+    @property
+    def margin(self) -> float:
+        gap = float(self.limit - self.value)
+        return gap / abs(self.limit) if self.limit else gap + 0.0  # no -0.0
+
+
+def max_rise(q: np.ndarray) -> float:
+    """max (q[i+1] - q[i]) / q[i] over an array, and at least 0: a step of 0
+    counts 0 even from 0, a rise from 0 is inf, a nan term gives nan."""
+    step = np.diff(q)
+    with np.errstate(divide="ignore"):
+        return float(np.max(np.divide(step, q[:-1], out=np.zeros_like(step),
+                                      where=step != 0.0), initial=0.0))
 
 
 def loglog_slope(x: np.ndarray, y: np.ndarray) -> float:

@@ -26,6 +26,11 @@ class DomainError(ValueError):
     """Evaluation requested outside the validity range of a bound."""
 
 
+def decay_exponent(m: float, lam: float) -> float:
+    """lam / ((m - 1) lam + 2): the sup-norm decay rate on volume ~ r^lam."""
+    return lam / ((m - 1.0) * lam + 2.0)
+
+
 def green_ball_envelope(growth: GrowthFunction, radius):
     """R f(R) T(R) + R^2: the growth-driven envelope of the Green ball mass.
 
@@ -137,7 +142,7 @@ class SmoothingBound:
         n = self.dimension
 
         def small_at(s):
-            return s ** (-n / (mm * n + 2.0)) * norm1 ** (
+            return s ** (-decay_exponent(self.m, n)) * norm1 ** (
                 2.0 / (n * mm + 2.0))
 
         if t >= threshold * (1.0 - THRESHOLD_TIE_REL):
@@ -172,7 +177,7 @@ def smoothing_bound_l1g(m: float, dimension: int, t: float,
         value = t ** (-1.0 / m) * norm_green ** (1.0 / m)
         regime = "large-time"
     else:
-        value = t ** (-n / ((m - 1.0) * n + 2.0)) * norm_green ** (
+        value = t ** (-decay_exponent(m, n)) * norm_green ** (
             2.0 / ((m - 1.0) * n + 2.0))
         regime = "small-time"
     return BoundEvaluation(t=t, norm_value=norm_green, regime=regime,
@@ -262,7 +267,7 @@ def family_rate(family, m: float, t: float, norm1: float) -> float:
     mm = m - 1.0
     if isinstance(family, PowerVolumeFamily):
         lam = family.lam
-        return t ** (-lam / (mm * lam + 2.0)) * norm1 ** (2.0 / (mm * lam + 2.0))
+        return t ** (-decay_exponent(m, lam)) * norm1 ** (2.0 / (mm * lam + 2.0))
     if isinstance(family, LogVolumeFamily):
         a = family.lam + 2.0 / mm
         b = family.sigma + 1.0 / mm

@@ -35,7 +35,7 @@ import bisect
 import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -43,8 +43,8 @@ import numpy as np
 from .geometry import (VolumeProfile, make_growth, make_profile,
                        unit_sphere_area)
 from .green import CellPotential, GreenData
-from .numerics import gauss_panels, loglog_slope, simpson_weights
-from .smoothing import SmoothingBound
+from .numerics import Check, gauss_panels, loglog_slope, simpson_weights
+from .smoothing import SmoothingBound, decay_exponent
 
 DEFAULT_CFL = 0.4
 NEWTON_MAX_ITER = 60
@@ -800,8 +800,7 @@ class BarenblattParams:
 
     @property
     def alpha(self) -> float:
-        k = self.dimension
-        return k / (k * (self.m - 1.0) + 2.0)
+        return decay_exponent(self.m, self.dimension)
 
     @property
     def radius_exponent(self) -> float:
@@ -855,33 +854,19 @@ def barenblatt_datum(params: BarenblattParams) -> Callable:
 
 
 @dataclass
-class EstimateCheck:
-    name: str
-    violation: float
-    detail: dict = field(default_factory=dict)
-
-    def passed(self, tau: float) -> bool:
-        return self.violation <= tau
-
-
-@dataclass
 class SolutionEstimateReport:
-    checks: list
-    tau: float
+    """Estimate checks (violation against tau) and diagnostics, by name."""
+
+    checks: dict
+    details: dict
 
     @property
     def max_violation(self) -> float:
-        return max(c.violation for c in self.checks)
+        return max(c.value for c in self.checks.values())
 
     @property
     def passed(self) -> bool:
-        return all(c.passed(self.tau) for c in self.checks)
-
-    def by_name(self, name: str) -> EstimateCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+        return all(c.passed for c in self.checks.values())
 
 
 def verify_solution_estimates(record: RunRecord,
@@ -901,13 +886,15 @@ def verify_solution_estimates(record: RunRecord,
         raise ValueError("estimate checks need at least two snapshots")
     gw = grid.cell_weights((green or GreenData(grid.profile)).exact)
     times = record.times
-    checks = []
+    checks, details = {}, {}
+
+    def add(name, violation, detail):
+        checks[name], details[name] = Check(violation, tau), detail
 
     wgreen = np.array([float(np.sum(s * gw)) for s in record.states])
     growth_steps = np.diff(wgreen)
     viol = float(max(0.0, np.max(growth_steps) / max(wgreen[0], 1e-300)))
-    checks.append(EstimateCheck("green_mass_monotone", viol,
-                                {"weighted_masses": wgreen}))
+    add("green_mass_monotone", viol, {"weighted_masses": wgreen})
 
     if triple is None:
         positive = times[times > 0.0]
@@ -927,9 +914,8 @@ def verify_solution_estimates(record: RunRecord,
         rhs = (m - 1.0) * t2 ** mm * t0 ** (-1.0 / (m - 1.0)) * utc ** m
         scale = max(abs(mid), abs(lhs), 1e-300)
         viol = float(max(0.0, (lhs - mid) / scale, (mid - rhs) / scale))
-        checks.append(EstimateCheck("center_two_sided", viol,
-                                    {"lhs": lhs, "mid": mid, "rhs": rhs,
-                                     "triple": triple}))
+        add("center_two_sided", viol,
+            {"lhs": lhs, "mid": mid, "rhs": rhs, "triple": triple})
 
     dV = grid.cell_volumes
     viols = []
@@ -942,7 +928,7 @@ def verify_solution_estimates(record: RunRecord,
                               for s in record.states])
         viols.append(max(0.0, float(np.max(norms - norms[0]) / max(norms[0], 1e-300))))
         detail[f"p{p:g}"] = norms
-    checks.append(EstimateCheck("lp_nonexpansive", float(max(viols)), detail))
+    add("lp_nonexpansive", float(max(viols)), detail)
 
     pos = np.flatnonzero(times > 0.0)
     if pos.size >= 2:  # a monotonicity check needs two times
@@ -950,8 +936,7 @@ def verify_solution_estimates(record: RunRecord,
                            float(record.states[i][0]) for i in pos])
         drops = -np.diff(scaled)
         viol = float(max(0.0, np.max(drops / np.maximum(scaled[1:], 1e-300))))
-        checks.append(EstimateCheck("center_scaled_monotone", viol,
-                                    {"scaled_center": scaled}))
+        add("center_scaled_monotone", viol, {"scaled_center": scaled})
 
     if pair is not None:
         if pair.grid is not grid and not np.array_equal(pair.grid.edges,
@@ -963,16 +948,16 @@ def verify_solution_estimates(record: RunRecord,
         diffs = np.array([float(np.sum(np.abs(a - b) * dV))
                           for a, b in zip(record.states, pair.states)])
         viol = float(max(0.0, np.max(diffs - diffs[0]) / max(diffs[0], 1e-300)))
-        checks.append(EstimateCheck("l1_contraction", viol, {"l1_gaps": diffs}))
+        add("l1_contraction", viol, {"l1_gaps": diffs})
 
         if np.any(record.states[0] > pair.states[0] + 1e-12 * pair.states[0].max()):
             raise ValueError("comparison check needs ordered initial data")
         overs = np.array([float(np.max((a - b) / max(float(np.max(b)), 1e-300)))
                           for a, b in zip(record.states, pair.states)])
         viol = float(max(0.0, np.max(overs)))
-        checks.append(EstimateCheck("comparison", viol, {"max_overshoot": overs}))
+        add("comparison", viol, {"max_overshoot": overs})
 
-    return SolutionEstimateReport(checks=checks, tau=tau)
+    return SolutionEstimateReport(checks=checks, details=details)
 
 
 def time_bump(window: tuple) -> tuple:

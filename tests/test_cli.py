@@ -372,6 +372,23 @@ def test_sweep_points_sharing_an_output_are_exit_two(tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("output, grid, point", [
+    ({}, [{"output.csv": "sw.csv"}, {}], 0),
+    ({"csv": "t.csv"}, [{}, {"output.csv": "t.csv"}], 1),
+], ids=["default-name", "named"])
+def test_sweep_point_may_not_write_the_sweeps_own_csv(tmp_path, capsys,
+                                                       output, grid, point):
+    scn = {"schema_version": SCHEMA_VERSION, "kind": "sweep", "name": "sw",
+           "output": output, "base": green_scenario(), "grid": grid}
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(write_config(tmp_path, scn)),
+                 "--out-dir", str(out)]) == 2
+    own = output.get("csv", "sw.csv")
+    assert (f"error: grid[{point}].output.csv: sweep point {point} writes "
+            f"the sweep's own CSV {own!r}") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_points_with_their_own_outputs_run(tmp_path):
     scn = {"schema_version": SCHEMA_VERSION, "kind": "sweep", "name": "sw",
            "base": green_scenario(),
@@ -741,6 +758,37 @@ def test_check_sample_outside_double_range_is_exit_two(tmp_path, capsys,
     assert not (tmp_path / "out" / "c.csv").exists()
 
 
+def test_bound_at_one_time_is_nonincreasing(tmp_path):
+    # one row: the bound's diff is empty and rises nowhere
+    scn = {"schema_version": SCHEMA_VERSION, "kind": "bound", "name": "b1",
+           "profile": _EUCLID3, "growth": _POWER3, "m": 2.0,
+           "params": {"t_values": [5.0]}}
+    assert main(["bound", "--config", str(write_config(tmp_path, scn)),
+                 "--out-dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "b1.manifest.json").read_text())
+    assert manifest["checks"]["nonincreasing"] is True
+    assert manifest["margins"]["nonincreasing"] == 1.0
+
+
+# omega_n leaves double range through Gamma from n = 342 on; V then
+# overflows on the profile's check grid, or the power coefficient 1
+# exceeds omega_n, as at n = 341
+@pytest.mark.parametrize("preset, profile", [
+    ("euclidean:400", {"form": "euclidean", "dimension": 400}),
+    ("power:400:3", {"form": "power", "dimension": 400, "lam": 3.0}),
+], ids=["euclidean", "power"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_huge_dimensions_are_exit_two(tmp_path, capsys, preset, profile):
+    assert main(["green", "--profile", preset,
+                 "--out-dir", str(tmp_path / "flag")]) == 2
+    cfg = write_config(tmp_path, {**green_scenario(), "profile": profile})
+    assert main(["green", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: profile: ") == 2 and "Traceback" not in err
+    assert not any((tmp_path / "flag").iterdir())
+
+
 @pytest.mark.filterwarnings("error")
 def test_bound_at_extreme_m_and_t(tmp_path):
     # theta(r0)^(m - 1) leaves double range from about m = 500: the large-time
@@ -1004,11 +1052,54 @@ def test_flag_path_exits_cleanly(argv):
     assert "Traceback" not in err.getvalue()
 
 
-def test_run_scenarios_reports_config_errors(tmp_path, monkeypatch, capsys):
+def load_runner():
+    """scripts/run_scenarios.py as a module."""
     spec = importlib.util.spec_from_file_location(
         "run_scenarios", SCRIPTS / "run_scenarios.py")
     runner = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(runner)
+    return runner
+
+
+def run_bundled(out: Path, capsys, *flags) -> tuple:
+    """The stdout lines of run_scenarios.py on the bundled scenarios, and
+    every manifest it wrote, by name."""
+    assert load_runner().main(["--out-dir", str(out), *flags]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return lines, {p.name: json.loads(p.read_text(encoding="utf-8"))
+                   for p in out.glob("*.manifest.json")}
+
+
+def test_bundled_manifests_state_a_margin_per_check(tmp_path, capsys):
+    lines, manifests = run_bundled(tmp_path / "default", capsys)
+    # 7 scenarios, one of them a sweep of 3 points
+    assert len(lines) == len(BUNDLED) and len(manifests) == 10
+    for name, manifest in manifests.items():
+        checks, margins = manifest["checks"], manifest["margins"]
+        assert checks and margins.keys() == checks.keys(), name
+        for key, margin in margins.items():
+            assert math.isfinite(margin), (name, key)
+            assert checks[key] == (margin >= 0.0), (name, key)
+        assert manifest["passed"] == all(checks.values())
+    # each line ends in its scenario's least margin and that check's name
+    for line, path in zip(lines, BUNDLED):
+        margins = manifests[f"{path.stem}.manifest.json"]["margins"]
+        least = min(margins, key=margins.get)
+        assert line.endswith(f" margin {margins[least]:.3g} ({least})")
+
+
+def test_strict_tolerances_shrink_the_optimality_margins(tmp_path, capsys):
+    name = "optimality-k3-m2.manifest.json"
+    margins = {profile: run_bundled(
+        tmp_path / profile, capsys, "--only", "optimality-k3-m2",
+        "--tolerance-profile", profile)[1][name]["margins"]
+        for profile in ("default", "strict")}
+    for key in ("slope", "band", "l1_error"):
+        assert 0.0 <= margins["strict"][key] < margins["default"][key], key
+
+
+def test_run_scenarios_reports_config_errors(tmp_path, monkeypatch, capsys):
+    runner = load_runner()
     scenarios = tmp_path / "scenarios"
     scenarios.mkdir()
     write_config(scenarios, {**green_scenario("bad"), "seed": 7}, "bad.json")

@@ -21,6 +21,16 @@ def test_unit_constants():
     assert pg.unit_sphere_area(5) == pytest.approx(8.0 * math.pi ** 2 / 3.0)
 
 
+def test_unit_ball_volume_past_gamma_overflow():
+    # Gamma(n/2 + 1) overflows from n = 342 on; omega_n then comes from
+    # lgamma and keeps the recurrence omega_n = 2 pi / n omega_(n-2)
+    assert pg.unit_ball_volume(341) == math.pi ** 170.5 / math.gamma(171.5)
+    for n in (342, 343, 400, 600):
+        assert pg.unit_ball_volume(n) == pytest.approx(
+            2.0 * math.pi / n * pg.unit_ball_volume(n - 2), rel=1e-12)
+    assert pg.unit_ball_volume(2000) == 0.0
+
+
 @pytest.mark.parametrize("descriptor", [
     {"form": "euclidean", "dimension": 3},
     {"form": "power", "dimension": 4, "params": {"lam": 3.0, "coeff": 0.5}},
@@ -109,7 +119,37 @@ def test_check_assumptions_euclid5(euclid5, growth5):
     assert rep.gamma_uniformity == pytest.approx(1.0, abs=1e-9)
     assert rep.beta == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert rep.doubling_constant == pytest.approx(32.0, rel=1e-9)
-    assert rep.bishop_gromov_ok and rep.euclidean_bound_ok
+    assert rep.bishop_gromov.passed and rep.euclidean_bound.passed
+
+
+def test_check_assumptions_state_their_excess(growth3):
+    # V = r^3 up to r = 1, then about r^4: V / r^3 rises at least by the
+    # ratio of adjacent sample radii, and V / (omega_3 r^3) is largest at the
+    # last sample
+    radii = np.geomspace(0.01, 10.0, 40)
+    prof = pg.make_profile(form="tabulated", dimension=3, params={
+        "radii": list(radii), "volumes": list(radii ** 3 * np.maximum(
+            radii, 1.0))})
+    rep = pg.check_assumptions(prof, growth3)
+    step = rep.sample[1] / rep.sample[0] - 1.0
+    assert rep.bishop_gromov.value >= step * (1.0 - 1e-9)
+    assert rep.bishop_gromov.margin < 0.0 and not rep.bishop_gromov.passed
+    r = rep.sample[-1]
+    assert rep.euclidean_bound.value == pytest.approx(
+        float(prof.volume(r)) / (pg.unit_ball_volume(3) * r ** 3) - 1.0)
+    assert rep.euclidean_bound.margin < 0.0
+    assert {"bishop_gromov", "euclidean_volume_bound"} <= set(rep.failures)
+
+
+def test_check_assumptions_where_r_to_the_n_overflows():
+    # r^100 overflows from r = 1e3.08 on, so V / r^n is 0 there: no rise
+    prof = pg.make_profile(form="power", dimension=100,
+                           params={"lam": 3.0, "coeff": 1e-45})
+    growth = pg.make_growth(form="power", params={"k": 3.0}, r0=1.0)
+    with np.errstate(over="ignore"):
+        rep = pg.check_assumptions(prof, growth)
+    assert rep.bishop_gromov.value == 0.0 and rep.euclidean_bound.value == 0.0
+    assert rep.passed
 
 
 def test_check_assumptions_flags_growth_mismatch(euclid3):

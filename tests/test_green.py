@@ -364,7 +364,9 @@ def test_green_bounds_surrogate_mode(euclid5, growth5):
     radii = np.geomspace(0.25, 200.0, 30)
     rep = pg.green_bounds(euclid5, growth5, radii, use_surrogate=True)
     assert rep.c1 == 1.0 and rep.c2 == 1.0
-    assert rep.all_ok
+    assert rep.bounds_hold.passed
+    # the worst relative excess over a bound is at most 0 up to rounding
+    assert rep.bounds_hold.value <= 1e-15
     # gamma = 1 here, so the distant upper bound is attained exactly
     far = radii >= growth5.r0
     ghat = pg.GreenData(euclid5).surrogate(radii[far])
@@ -380,9 +382,9 @@ def test_green_bounds_fail_where_the_tail_bound_is_not_finite(euclid5,
         rep = pg.green_bounds(euclid5, growth5, radii, use_surrogate=True)
     assert np.isnan(rep.upper_tail[[0, 2]]).all()
     assert rep.tail_ok.tolist() == [True, True, False]
-    assert not rep.all_ok
+    assert not rep.bounds_hold.passed and np.isnan(rep.bounds_hold.value)
     assert pg.green_bounds(euclid5, growth5, radii[:2],
-                           use_surrogate=True).all_ok
+                           use_surrogate=True).bounds_hold.passed
 
 
 def test_green_bounds_hold_where_the_volume_overflows(euclid5):
@@ -393,7 +395,7 @@ def test_green_bounds_hold_where_the_volume_overflows(euclid5):
     growth = pg.make_growth(form="power", params={"k": 3.0}, r0=1.0)
     radii = np.array([1.0, 1e62])
     rep = pg.green_bounds(euclid5, growth, radii, use_surrogate=True)
-    assert rep.all_ok
+    assert rep.bounds_hold.passed
     om = pg.unit_ball_volume(5)
     assert np.allclose(rep.upper_tail, radii ** -3.0 / om, rtol=1e-12)
     assert np.allclose(rep.upper_near, (radii ** 2 / 3.0 + radii ** 3) / om,
@@ -406,13 +408,13 @@ def test_green_bounds_power_profile():
     growth = pg.make_growth(form="power", params={"k": 3.0}, r0=1.0)
     radii = np.geomspace(0.5, 100.0, 20)
     rep = pg.green_bounds(prof, growth, radii, use_surrogate=True)
-    assert rep.all_ok
+    assert rep.bounds_hold.passed
 
 
 def test_green_bounds_empirical_mode(euclid3, growth3):
     radii = np.geomspace(0.5, 50.0, 15)
     rep = pg.green_bounds(euclid3, growth3, radii, use_surrogate=False)
-    assert rep.all_ok
+    assert rep.bounds_hold.passed
     assert 0.0 < rep.c1 <= 1.0 + 1e-12
     assert np.isfinite(rep.c2)
 

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
-from pmegreen.numerics import (BracketError, Hermite, IntegralDivergenceError,
-                               TailTable, gauss_panels, invert_increasing,
-                               loglog_slope, pchip_slopes, simpson_weights,
+from pmegreen.numerics import (BracketError, Check, Hermite,
+                               IntegralDivergenceError, TailTable,
+                               gauss_panels, invert_increasing, loglog_slope,
+                               max_rise, pchip_slopes, simpson_weights,
                                tail_remainder)
 
 
@@ -260,3 +261,48 @@ def test_tail_integral_power_family(a, p):
     # closed form a^{1-p}/(p-1) for integrand t^{-p}
     val = tail(lambda t: t ** -p, a)
     assert val == pytest.approx(a ** (1.0 - p) / (p - 1.0), rel=1e-8)
+
+
+def test_check_fails_a_nan_value():
+    check = Check(math.nan, 1.0)
+    assert not check.passed and math.isnan(check.margin)
+
+
+def test_check_at_its_limit_passes_with_margin_zero():
+    for limit in (0.5, -2.0, 0.0):
+        check = Check(limit, limit)
+        assert check.passed and check.margin == 0.0
+    assert Check(1.0, 4.0).margin == 0.75
+    assert Check(-3.0, -2.0).margin == 0.5
+    assert Check(6.0, 4.0).margin == -0.5
+
+
+def test_check_at_a_zero_limit_states_the_gap():
+    assert Check(3.0, 0.0).margin == -3.0
+    assert Check(-2.0, 0.0).margin == 2.0
+    for value in (0.0, -0.0):
+        for limit in (0.0, -0.0):
+            margin = Check(value, limit).margin
+            assert margin == 0.0 and math.copysign(1.0, margin) == 1.0
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(_FINITE, _FINITE)
+@settings(max_examples=200, deadline=None)
+def test_check_lower_limit_is_stated_negated(x, bound):
+    # x >= bound, stated as -x <= -bound; the margin is >= 0 iff it passes
+    check = Check(-x, -bound)
+    assert check.passed == (x >= bound)
+    assert (check.margin >= 0.0) == check.passed
+
+
+def test_max_rise():
+    assert max_rise(np.array([1.0, 2.0, 1.5])) == 1.0
+    assert max_rise(np.array([3.0, 2.0, 1.0])) == 0.0
+    assert max_rise(np.array([1.0])) == 0.0
+    # V / r^n at 0 once r^n overflows does not rise, but a rise from 0 is inf
+    assert max_rise(np.array([2.0, 0.0, 0.0])) == 0.0
+    assert max_rise(np.array([0.0, 1.0])) == math.inf
+    assert math.isnan(max_rise(np.array([1.0, math.nan, 0.5])))

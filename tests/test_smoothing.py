@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pmegreen as pg
-from pmegreen.smoothing import DomainError
+from pmegreen.smoothing import DomainError, decay_exponent
 
 
 # -- envelope ---------------------------------------------------------------
@@ -326,3 +326,17 @@ def test_family_rate_validation():
         pg.family_rate(fam, 2.0, -1.0, 1.0)
     with pytest.raises(TypeError):
         pg.family_rate(object(), 2.0, 1.0, 1.0)
+
+
+def test_one_decay_exponent():
+    # lam / ((m - 1) lam + 2) is the Barenblatt alpha, the power family's
+    # rate and the small-time rate of the Green-weighted bound
+    assert decay_exponent(2.0, 3.0) == 0.6
+    for m, n in ((2.0, 3), (1.5, 5), (3.0, 4)):
+        alpha = decay_exponent(m, n)
+        assert pg.BarenblattParams(n, m, 1.0).alpha == alpha
+        fam = pg.PowerVolumeFamily(dimension=n, k=3.0, delta=1.0,
+                                   lam=float(n))
+        assert pg.family_rate(fam, m, 7.0, 1.0) == 7.0 ** -alpha
+        assert pg.smoothing_bound_l1g(m, n, 1e-3, 1.0).value == (
+            1e-3 ** -alpha)

@@ -1221,7 +1221,7 @@ def test_estimates_on_solver_run(short_run, green3):
     rep = pg.verify_solution_estimates(rec, green=green3)
     assert rep.passed
     assert rep.max_violation <= 0.02
-    names = {c.name for c in rep.checks}
+    names = set(rep.checks)
     assert {"green_mass_monotone", "center_two_sided", "lp_nonexpansive",
             "center_scaled_monotone"} <= names
 
@@ -1232,10 +1232,10 @@ def test_estimates_on_exact_snapshots(euclid3, green3, mass1_params):
                        [0.5, 1.0, 1.5, 2.0])
     rep = pg.verify_solution_estimates(rec, green=green3,
                                        triple=(1.0, 2.0, 2.0))
-    two = rep.by_name("center_two_sided")
-    assert two.violation == 0.0
+    assert rep.checks["center_two_sided"].value == 0.0
     # strict inequalities in the sandwich, not mere nonnegativity
-    assert two.detail["lhs"] < two.detail["mid"] < two.detail["rhs"]
+    two = rep.details["center_two_sided"]
+    assert two["lhs"] < two["mid"] < two["rhs"]
     assert rep.passed
 
 
@@ -1248,8 +1248,8 @@ def test_estimates_pair_checks(euclid3, green3):
     rec_large = exact_record(euclid3, large, grid, times)
     rep = pg.verify_solution_estimates(rec_small, green=green3,
                                        pair=rec_large)
-    assert rep.by_name("l1_contraction").violation <= 1e-12
-    assert rep.by_name("comparison").violation <= 1e-12
+    assert rep.checks["l1_contraction"].value <= 1e-12
+    assert rep.checks["comparison"].value <= 1e-12
     # misordered data is rejected rather than silently failed
     with pytest.raises(ValueError):
         pg.verify_solution_estimates(rec_large, green=green3, pair=rec_small)
@@ -1269,7 +1269,7 @@ def test_estimates_pair_on_another_grid_rejected(euclid3, green3):
     same = exact_record(euclid3, params, pg.RadialGrid.make(euclid3, 12.0, 300),
                         times)
     rep = pg.verify_solution_estimates(rec, green=green3, pair=same)
-    assert rep.by_name("l1_contraction").violation == 0.0
+    assert rep.checks["l1_contraction"].value == 0.0
 
 
 def test_estimates_pair_at_other_times_rejected(euclid3, green3):
@@ -1287,7 +1287,7 @@ def test_estimates_skip_triple_when_underresolved(euclid3, green3,
     grid = pg.RadialGrid.make(euclid3, 12.0, 200)
     rec = exact_record(euclid3, mass1_params, grid, [0.25, 0.5])
     rep = pg.verify_solution_estimates(rec, green=green3)
-    assert "center_two_sided" not in {c.name for c in rep.checks}
+    assert "center_two_sided" not in rep.checks
     assert rep.passed
     single = exact_record(euclid3, mass1_params, grid, [0.5])
     with pytest.raises(ValueError):
