@@ -33,9 +33,11 @@ tree; a later run that raises or fails its check counts in `failed`.
 --out gets, under --label, per case and per pmebench workload (the sum of
 its operations in one round): each tree's median and quartiles in ms per
 run, the median over rounds of the paired ratio B/A, the rounds each tree
-won (ties count for neither) and a bootstrap 95% interval of the median
-ratio; with each tree's commit, the rounds, the machine and the Python,
-numpy and scipy versions.
+won (ties count for neither), a bootstrap 95% interval of the median
+ratio and `claim`, whether B's gain meets the claim rule: B faster in at
+least nine rounds in ten, and B's median below A's by more than A's
+interquartile distance; with each tree's commit, the rounds, the machine
+and the Python, numpy and scipy versions.
 """
 from __future__ import annotations
 
@@ -70,8 +72,10 @@ SIDES = ("A", "B")
 def paired(a: list, b: list) -> dict:
     """Statistics of per-round samples a and b, None where a side has none:
     each side's quartiles, the median per-round ratio b/a, the rounds each
-    side took less time (ties count for neither) and a bootstrap 95%
-    interval of the median ratio, resampling rounds with a fixed seed."""
+    side took less time (ties count for neither), a bootstrap 95% interval
+    of the median ratio, resampling rounds with a fixed seed, and `claim`:
+    whether B won at least nine rounds in ten and its median undercuts A's
+    by more than A's interquartile distance, over the rounds both ran."""
     out = {}
     for side, xs in zip(SIDES, (a, b)):
         xs = [x for x in xs if x is not None]
@@ -80,15 +84,20 @@ def paired(a: list, b: list) -> dict:
         out[side] = {"median": median, "q1": q1, "q3": q3, "n": len(xs)}
     both = [(x, y) for x, y in zip(a, b) if x is not None and y is not None]
     if not both:
-        return {**out, "ratio": None, "ratio_ci95": None, "wins": None}
+        return {**out, "ratio": None, "ratio_ci95": None, "wins": None,
+                "claim": None}
     x, y = np.array(both).T
     ratios = y / x
     draws = np.random.default_rng(0).integers(0, ratios.size,
                                               (RESAMPLES, ratios.size))
     ci = np.percentile(np.median(ratios[draws], axis=1), [2.5, 97.5])
+    wins = {"A": int(np.sum(x < y)), "B": int(np.sum(y < x))}
+    q1, q3 = np.percentile(x, [25, 75])
+    claim = (10 * wins["B"] >= 9 * x.size and
+             np.median(x) - np.median(y) > q3 - q1)
     return {**out, "ratio": round(float(np.median(ratios)), 4),
             "ratio_ci95": [round(float(v), 4) for v in ci],
-            "wins": {"A": int(np.sum(x < y)), "B": int(np.sum(y < x))}}
+            "wins": wins, "claim": bool(claim)}
 
 
 @dataclass
@@ -147,15 +156,11 @@ def _cases(src: str, out_dir: Path) -> dict:
         return pg.make_profile(form="power_log", dimension=4,
                                params={"lam": 3.0, "sigma": 0.5})
 
-    def with_green(make):
+    # a layer case reads its profile's own GreenData, whose tables the
+    # untimed warm-up builds
+    def classify(make, exponents):
         profile = make()
-        green = pg.GreenData(profile)
-        green.exact(1.0)  # builds the table of a non-closed profile
-        return profile, green
-
-    def classify(profile, exponents):
-        profile, green = with_green(profile)
-        return Case(lambda: [pg.powerlaw_classify(profile, a, green=green)
+        return Case(lambda: [pg.powerlaw_classify(profile, a)
                              for a in exponents])
 
     cases["layer: powerlaw_classify euclidean:5"] = partial(
@@ -190,22 +195,21 @@ def _cases(src: str, out_dir: Path) -> dict:
         cases[f"layer: TailTable spline, {count} radii"] = partial(
             tail_read, radii, spline=True)
 
-    def cell_potential(profile, cells, further):
-        profile, green = with_green(profile)
+    def cell_potential(make, cells, further):
+        profile = make()
         grid = pg.RadialGrid.make(profile, 12.0, cells)
         u = grid.cell_average(lambda r: np.exp(-np.asarray(r, dtype=float)))
         if further:  # the dual identity applies one kernel to every snapshot
-            kernel = pg.CellPotential(profile, grid.edges, green=green)
+            kernel = pg.CellPotential(profile, grid.edges)
             return Case(lambda: kernel(u))
-        return Case(lambda: pg.CellPotential(profile, grid.edges,
-                                             green=green)(u))
+        return Case(lambda: pg.CellPotential(profile, grid.edges)(u))
 
-    def radial_potential(profile):
-        profile, green = with_green(profile)
+    def radial_potential(make):
+        profile = make()
         radii = np.geomspace(0.1, 1e3, 41)
         return Case(lambda: pg.RadialPotential(
-            profile, lambda r: np.where(np.asarray(r) <= 1.0, 1.0, 0.0), 1.0,
-            green=green)(radii))
+            profile, lambda r: np.where(np.asarray(r) <= 1.0, 1.0, 0.0),
+            1.0)(radii))
 
     for label, profile in (("euclidean:3", partial(euclidean, 3)),
                            ("power_log:4:3:0.5", power_log)):
@@ -226,9 +230,7 @@ def _cases(src: str, out_dir: Path) -> dict:
     def separating():
         profile = euclidean(5)
         growth = pg.make_growth(form="power", params={"k": 5.0}, r0=1.0)
-        green = pg.GreenData(profile)
-        return Case(lambda: pg.build_separating_sequence(profile, growth, 20,
-                                                         green=green))
+        return Case(lambda: pg.build_separating_sequence(profile, growth, 20))
 
     def cold_import():
         env = dict(os.environ, PYTHONPATH=src)
@@ -422,7 +424,8 @@ def main(argv=None) -> int:
         if fig["ratio"] is not None:
             lo, hi = fig["ratio_ci95"]
             line += (f", B/A {fig['ratio']:.3f} [{lo:.3f}, {hi:.3f}], wins "
-                     f"A {fig['wins']['A']} B {fig['wins']['B']}")
+                     f"A {fig['wins']['A']} B {fig['wins']['B']}, B gain "
+                     + ("claimed" if fig["claim"] else "not claimed"))
         print(line)
 
     doc = (json.loads(args.out.read_text(encoding="utf-8"))

@@ -27,7 +27,7 @@ from . import __version__
 from .geometry import (GROWTH_FORMS, NUMBER, NUMBERS, PROFILE_FORMS,
                        GrowthError, ProfileError, check_assumptions,
                        make_growth, make_profile)
-from .green import GreenData, ParabolicProfileError, green_bounds
+from .green import ParabolicProfileError, green_bounds
 from .numerics import Check, Hermite, loglog_slope, max_rise, pchip_slopes
 from .smoothing import SmoothingBound, decay_exponent, smoothing_bound_l1g
 from .solver import (BarenblattParams, RadialGrid, barenblatt_datum,
@@ -537,8 +537,8 @@ def _run_green(scn, profile, growth, tol, out_dir):
                                   c1=p["c1"], c2=p["c2"])
             g_exact, g_surr = report.green_values, report.surrogate_values
         else:
-            gd = GreenData(profile)
-            g_exact, g_surr = gd.exact(radii), gd.surrogate(radii)
+            g_exact = profile.green.exact(radii)
+            g_surr = profile.green.surrogate(radii)
     _check_green_values(p, radii, g_exact, g_surr)
     if p["bounds"]:
         columns += ["lower_far", "upper_tail", "upper_near",
@@ -569,11 +569,10 @@ def _run_green(scn, profile, growth, tol, out_dir):
 def _run_l1g(scn, profile, growth, tol, out_dir):
     volume_growth_exponent(profile)  # rejects the profile before any work
     p = scn["params"]
-    kwargs = {"horizons": tuple(p["horizons"]),
-              "rel_threshold": p["rel_threshold"], "green": GreenData(profile)}
     rows = []
     for a in p["exponents"]:
-        cls = powerlaw_classify(profile, a, **kwargs)
+        cls = powerlaw_classify(profile, a, tuple(p["horizons"]),
+                                p["rel_threshold"])
         rows.append({
             "a": a, "in_l1": cls.in_l1, "in_l1g": cls.in_l1g,
             "l1_total": cls.l1_diag.total, "l1g_total": cls.l1g_diag.total,
@@ -667,10 +666,9 @@ def _run_solve(scn, profile, growth, tol, out_dir):
     record = run_pme(grid, m, datum, t_end=p["t_end"], snapshots=snaps,
                      scheme=p["scheme"], boundary=p["boundary"],
                      cfl=p["cfl"], implicit_dt=p["implicit_dt"])
-    green = GreenData(profile)
     l1g_w = grid.cell_weights(
         lambda r: np.where(np.asarray(r) < 1.0, 1.0,
-                           np.asarray(green.exact(r), dtype=float)))
+                           np.asarray(profile.green.exact(r), dtype=float)))
     rows = [{"t": float(t), "sup_u": float(state.max()),
              "mass": float(np.sum(state * grid.cell_volumes)),
              "outflow": float(out), "l1g_norm": float(np.sum(state * l1g_w))}
@@ -679,10 +677,9 @@ def _run_solve(scn, profile, growth, tol, out_dir):
     metrics = {"mass_defect": record.mass_defect(), "steps": record.steps,
                "cells": p["cells"]}
     checks = {"mass_conserved": Check(record.mass_defect(), 1e-10),
-              "positivity": Check(-min(s.min() for s in record.states), 0.0)}
+              "positivity": Check(-np.min(record.states), 0.0)}
     if p["verify"]:
-        report = verify_solution_estimates(record, green=green,
-                                           tau=tol["tau"])
+        report = verify_solution_estimates(record, tau=tol["tau"])
         checks.update((f"estimate_{name}", chk)
                       for name, chk in report.checks.items())
         metrics["max_estimate_violation"] = report.max_violation

@@ -68,6 +68,12 @@ class VolumeProfile:
         if np.any(np.diff(vs) <= 0.0):
             raise ProfileError(f"{self.form}: ball volume must be strictly increasing")
 
+    @functools.cached_property
+    def green(self):
+        """The profile's one GreenData, built on first use and kept."""
+        from .green import GreenData  # green imports this module
+        return GreenData(self)
+
 
 def _euclidean(dimension: int) -> VolumeProfile:
     om = unit_ball_volume(dimension)

@@ -34,7 +34,7 @@ class ParabolicProfileError(ArithmeticError):
 
 
 class GreenData:
-    """Cached Green evaluators for a profile.
+    """Cached Green evaluators for a profile, read as `profile.green`.
 
     A profile with power_law (c, lam) has G = r^(2-lam) / (c lam (lam-2)) and
     Ghat = r^(2-lam) / (c (lam-2)). The rest get one TailTable of 1/S or t/V
@@ -95,8 +95,7 @@ class BallIntegralResult:
 
 def ball_integral(profile: VolumeProfile, radius: float,
                   growth: Optional[GrowthFunction] = None,
-                  use_surrogate: bool = False,
-                  green: Optional[GreenData] = None) -> BallIntegralResult:
+                  use_surrogate: bool = False) -> BallIntegralResult:
     """Integral of the (surrogate) Green function over the ball of `radius`.
 
     Integration by parts turns the double integral into a single one:
@@ -107,7 +106,7 @@ def ball_integral(profile: VolumeProfile, radius: float,
     """
     R = float(radius)
     n = profile.dimension
-    gd = green or GreenData(profile)
+    gd = profile.green
     if use_surrogate:
         value = gd.surrogate(R) * float(profile.volume(R)) + R * R / 2.0
     elif profile.power_law is not None:
@@ -174,7 +173,7 @@ def green_bounds(profile: VolumeProfile, growth: GrowthFunction,
     """
     radii = np.asarray(radii, dtype=float)
     rep = check_assumptions(profile, growth)
-    gd = GreenData(profile)
+    gd = profile.green
     g_exact = np.asarray(gd.exact(radii), dtype=float)
     g_surr = np.asarray(gd.surrogate(radii), dtype=float)
     if use_surrogate:
@@ -251,20 +250,19 @@ class RadialPotential:
     PANELS = 1024
 
     def __init__(self, profile: VolumeProfile, psi: Callable,
-                 support_radius: float, green: Optional[GreenData] = None):
+                 support_radius: float):
         if support_radius <= 0.0:
             raise ValueError("support_radius must be positive")
         self.profile = profile
         self.psi = psi
         self.support_radius = float(support_radius)
-        self.green = green or GreenData(profile)
         self._edges = np.linspace(0.0, self.support_radius, self.PANELS + 1)
         self._mass_edges = np.concatenate(
             [[0.0], np.cumsum(gauss_panels(self._density, self._edges))])
         self.mass = float(self._mass_edges[-1])
         self._at_edges = _edge_values(
             gauss_panels(self._flux, self._edges),
-            self.mass * float(self.green.exact(self.support_radius)))
+            self.mass * float(profile.green.exact(self.support_radius)))
 
     def _flux(self, s: np.ndarray) -> np.ndarray:
         return self.enclosed(s) / np.asarray(self.profile.area(s), dtype=float)
@@ -289,8 +287,8 @@ class RadialPotential:
             self._flux, inside, self._edges[j + 1])
         far = rr >= self.support_radius
         if np.any(far):
-            out = np.where(far, self.mass * np.asarray(self.green.exact(
-                np.maximum(rr, self.support_radius)), dtype=float), out)
+            g = self.profile.green.exact(np.maximum(rr, self.support_radius))
+            out = np.where(far, self.mass * np.asarray(g, dtype=float), out)
         return float(out) if out.ndim == 0 else out
 
     def flux_defect(self, r: float, h: Optional[float] = None) -> float:
@@ -313,14 +311,12 @@ class CellPotential:
     everything is mass * G.
     """
 
-    def __init__(self, profile: VolumeProfile, edges: np.ndarray,
-                 green: Optional[GreenData] = None):
+    def __init__(self, profile: VolumeProfile, edges: np.ndarray):
         edges = np.asarray(edges, dtype=float)
         vol_edges = np.asarray(profile.volume(edges), dtype=float)
         vol_edges[0] = 0.0 if edges[0] == 0.0 else vol_edges[0]
         self._dvol = np.diff(vol_edges)
-        self._g_end = float((green or GreenData(profile)).exact(
-            float(edges[-1])))
+        self._g_end = float(profile.green.exact(float(edges[-1])))
         centers = 0.5 * (edges[1:] + edges[:-1])
         self._next = _panel(edges, centers) + 1
         self._rules = []  # (cell, V(s) - V(e_cell), S(s), half) of each rule
@@ -369,7 +365,7 @@ def sandwich_check(profile: VolumeProfile, psi: Callable,
     probe = np.linspace(support_radius * 1e-4, support_radius, 512)
     sup_norm = float(np.max(np.abs(np.asarray(psi(probe), dtype=float))))
     n = profile.dimension
-    gvals = np.asarray(pot.green.exact(radii), dtype=float)
+    gvals = np.asarray(profile.green.exact(radii), dtype=float)
     uvals = np.asarray(pot(radii), dtype=float)
     lower_anchor = pot.mass * np.minimum(np.power(radii, n - 2.0), 1.0) * gvals
     upper_anchor = sup_norm * float(profile.volume(support_radius)) * gvals

@@ -495,6 +495,12 @@ def max_rise(q: np.ndarray) -> float:
                                       where=step != 0.0), initial=0.0))
 
 
+def nonneg_max(*values) -> float:
+    """The largest of 0 and every entry of `values`, scalars or arrays; nan
+    if any is nan, where Python's max(0.0, nan) is 0.0, and never -0.0."""
+    return float(np.max(np.hstack((0.0, *values)))) + 0.0
+
+
 def loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     """Least-squares slope of log y against log x."""
     lx = np.log(np.asarray(x, dtype=float))

@@ -42,8 +42,9 @@ import numpy as np
 
 from .geometry import (VolumeProfile, make_growth, make_profile,
                        unit_sphere_area)
-from .green import CellPotential, GreenData
-from .numerics import Check, gauss_panels, loglog_slope, simpson_weights
+from .green import CellPotential
+from .numerics import (Check, gauss_panels, loglog_slope, nonneg_max,
+                       simpson_weights)
 from .smoothing import SmoothingBound, decay_exponent
 
 DEFAULT_CFL = 0.4
@@ -862,7 +863,7 @@ class SolutionEstimateReport:
 
     @property
     def max_violation(self) -> float:
-        return max(c.value for c in self.checks.values())
+        return nonneg_max(*(c.value for c in self.checks.values()))
 
     @property
     def passed(self) -> bool:
@@ -870,7 +871,6 @@ class SolutionEstimateReport:
 
 
 def verify_solution_estimates(record: RunRecord,
-                              green: Optional[GreenData] = None,
                               pair: Optional[RunRecord] = None,
                               triple: Optional[tuple] = None,
                               tau: float = 0.02) -> SolutionEstimateReport:
@@ -884,7 +884,7 @@ def verify_solution_estimates(record: RunRecord,
     grid, m = record.grid, record.m
     if len(record.states) < 2:
         raise ValueError("estimate checks need at least two snapshots")
-    gw = grid.cell_weights((green or GreenData(grid.profile)).exact)
+    gw = grid.cell_weights(grid.profile.green.exact)
     times = record.times
     checks, details = {}, {}
 
@@ -893,7 +893,7 @@ def verify_solution_estimates(record: RunRecord,
 
     wgreen = np.array([float(np.sum(s * gw)) for s in record.states])
     growth_steps = np.diff(wgreen)
-    viol = float(max(0.0, np.max(growth_steps) / max(wgreen[0], 1e-300)))
+    viol = nonneg_max(np.max(growth_steps) / max(wgreen[0], 1e-300))
     add("green_mass_monotone", viol, {"weighted_masses": wgreen})
 
     if triple is None:
@@ -913,12 +913,11 @@ def verify_solution_estimates(record: RunRecord,
         lhs = (t0 / t1) ** mm * (t1 - t0) * u0c ** m
         rhs = (m - 1.0) * t2 ** mm * t0 ** (-1.0 / (m - 1.0)) * utc ** m
         scale = max(abs(mid), abs(lhs), 1e-300)
-        viol = float(max(0.0, (lhs - mid) / scale, (mid - rhs) / scale))
+        viol = nonneg_max((lhs - mid) / scale, (mid - rhs) / scale)
         add("center_two_sided", viol,
             {"lhs": lhs, "mid": mid, "rhs": rhs, "triple": triple})
 
     dV = grid.cell_volumes
-    viols = []
     detail = {}
     for p in (1.0, 2.0, math.inf):
         if math.isinf(p):
@@ -926,16 +925,16 @@ def verify_solution_estimates(record: RunRecord,
         else:
             norms = np.array([float(np.sum(s ** p * dV)) ** (1.0 / p)
                               for s in record.states])
-        viols.append(max(0.0, float(np.max(norms - norms[0]) / max(norms[0], 1e-300))))
         detail[f"p{p:g}"] = norms
-    add("lp_nonexpansive", float(max(viols)), detail)
+    add("lp_nonexpansive", nonneg_max(*(np.max(n - n[0]) / max(n[0], 1e-300)
+                                        for n in detail.values())), detail)
 
     pos = np.flatnonzero(times > 0.0)
     if pos.size >= 2:  # a monotonicity check needs two times
         scaled = np.array([times[i] ** (1.0 / (m - 1.0)) *
                            float(record.states[i][0]) for i in pos])
         drops = -np.diff(scaled)
-        viol = float(max(0.0, np.max(drops / np.maximum(scaled[1:], 1e-300))))
+        viol = nonneg_max(drops / np.maximum(scaled[1:], 1e-300))
         add("center_scaled_monotone", viol, {"scaled_center": scaled})
 
     if pair is not None:
@@ -947,15 +946,14 @@ def verify_solution_estimates(record: RunRecord,
             raise ValueError("paired run must share the snapshot times")
         diffs = np.array([float(np.sum(np.abs(a - b) * dV))
                           for a, b in zip(record.states, pair.states)])
-        viol = float(max(0.0, np.max(diffs - diffs[0]) / max(diffs[0], 1e-300)))
+        viol = nonneg_max(np.max(diffs - diffs[0]) / max(diffs[0], 1e-300))
         add("l1_contraction", viol, {"l1_gaps": diffs})
 
         if np.any(record.states[0] > pair.states[0] + 1e-12 * pair.states[0].max()):
             raise ValueError("comparison check needs ordered initial data")
         overs = np.array([float(np.max((a - b) / max(float(np.max(b)), 1e-300)))
                           for a, b in zip(record.states, pair.states)])
-        viol = float(max(0.0, np.max(overs)))
-        add("comparison", viol, {"max_overshoot": overs})
+        add("comparison", nonneg_max(overs), {"max_overshoot": overs})
 
     return SolutionEstimateReport(checks=checks, details=details)
 
@@ -1006,8 +1004,7 @@ class WeakDualReport:
     cells: int
 
 
-def weak_dual_residual(record: RunRecord, window: tuple,
-                       green: Optional[GreenData] = None) -> WeakDualReport:
+def weak_dual_residual(record: RunRecord, window: tuple) -> WeakDualReport:
     """Residual of the dual identity on a run, for the test function
     time_bump(window) x radial_cutoff(2, 4).
 
@@ -1026,7 +1023,7 @@ def weak_dual_residual(record: RunRecord, window: tuple,
     if not np.allclose(spacing, spacing[0], rtol=1e-8, atol=1e-12):
         raise ValueError("snapshots across the window must be uniformly spaced")
     grid = record.grid
-    kernel = CellPotential(grid.profile, grid.edges, green)
+    kernel = CellPotential(grid.profile, grid.edges)
     eta_w = grid.cell_weights(eta)
     idx = np.flatnonzero(mask)
     dual = np.empty(ts.size)
@@ -1055,7 +1052,6 @@ def weak_dual_refinement(profile: VolumeProfile, m: float, initial: Callable,
                          window: tuple) -> RefinementStudy:
     """Dual-identity residuals of absorbing runs at (cells, time_nodes) levels."""
     reports = []
-    gd = GreenData(profile)
     for cells, nodes in levels:
         if nodes % 2 == 1:
             raise ValueError("time_nodes counts intervals and must be even")
@@ -1063,7 +1059,7 @@ def weak_dual_refinement(profile: VolumeProfile, m: float, initial: Callable,
         grid = RadialGrid.make(profile, r_max, cells)
         record = run_pme(grid, m, initial, t_end=window[1],
                          snapshots=snap_times)
-        reports.append(weak_dual_residual(record, window, green=gd))
+        reports.append(weak_dual_residual(record, window))
     residuals = [abs(r.residual) for r in reports]
     orders = [math.log2(residuals[i] / residuals[i + 1])
               for i in range(len(residuals) - 1)]

@@ -67,8 +67,7 @@ def _weighted_l1(profile: VolumeProfile, fn: Callable, weight: Callable,
 
 def l1g_norm(profile: VolumeProfile, fn: Callable[[np.ndarray], np.ndarray],
              horizons: Sequence[float] = DEFAULT_HORIZONS,
-             rel_threshold: float = 1e-3,
-             green: Optional[GreenData] = None) -> WeightedNorm:
+             rel_threshold: float = 1e-3) -> WeightedNorm:
     """Pole-centered weighted norm: int_{B_1} |f| + int_{M \\ B_1} |f| G.
 
     `horizons` is the first truncation schedule; the horizons grow x10 past
@@ -77,8 +76,8 @@ def l1g_norm(profile: VolumeProfile, fn: Callable[[np.ndarray], np.ndarray],
     infinite total; the per-horizon corrected truncations stay available for
     diagnosis.
     """
-    gd = green or GreenData(profile)
-    return _weighted_l1(profile, fn, gd.exact, horizons, rel_threshold)
+    return _weighted_l1(profile, fn, profile.green.exact, horizons,
+                        rel_threshold)
 
 
 def l1_norm_radial(profile: VolumeProfile, fn: Callable,
@@ -114,8 +113,7 @@ def volume_growth_exponent(profile: VolumeProfile) -> float:
 
 def powerlaw_classify(profile: VolumeProfile, a: float,
                       horizons: Sequence[float] = DEFAULT_HORIZONS,
-                      rel_threshold: float = 1e-3,
-                      green: Optional[GreenData] = None) -> PowerLawClass:
+                      rel_threshold: float = 1e-3) -> PowerLawClass:
     """Membership of u_a(r) = (1 + r)^{-a} in L1 and in the weighted space.
 
     The decision rule is strict: plain integrability needs a above the volume
@@ -125,7 +123,7 @@ def powerlaw_classify(profile: VolumeProfile, a: float,
     alpha = volume_growth_exponent(profile)
     u_a = lambda r: np.power(1.0 + np.asarray(r, dtype=float), -a)
     l1 = l1_norm_radial(profile, u_a, horizons, rel_threshold)
-    l1g = l1g_norm(profile, u_a, horizons, rel_threshold, green=green)
+    l1g = l1g_norm(profile, u_a, horizons, rel_threshold)
     return PowerLawClass(
         exponent=a, alpha_infinity=alpha,
         in_l1=a > alpha, in_l1g=a > 2.0,
@@ -161,7 +159,7 @@ def build_separating_sequence(profile: VolumeProfile, growth: GrowthFunction,
     """
     if count < 1:
         raise ValueError("count must be positive")
-    gd = green or GreenData(profile)
+    gd = green or profile.green
     r0 = growth.r0
     knots = growth.knots
     xs, ys = np.log(knots), -np.log(growth.tail(knots))

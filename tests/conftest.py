@@ -17,16 +17,6 @@ def euclid5():
 
 
 @pytest.fixture(scope="session")
-def green3(euclid3):
-    return pg.GreenData(euclid3)
-
-
-@pytest.fixture(scope="session")
-def green5(euclid5):
-    return pg.GreenData(euclid5)
-
-
-@pytest.fixture(scope="session")
 def growth3():
     return pg.make_growth(form="power", params={"k": 3.0}, r0=1.0)
 

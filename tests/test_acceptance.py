@@ -153,7 +153,7 @@ def test_criterion_06_solver_tracks_self_similar_decay():
     assert elapsed < 120.0
 
 
-def test_criterion_07_estimate_suite_with_refinement(euclid3, green3):
+def test_criterion_07_estimate_suite_with_refinement(euclid3):
     tic = time.perf_counter()
     pa = pg.BarenblattParams.from_mass(3, 2.0, 1.0)
     pb = pg.BarenblattParams.from_mass(3, 2.0, 1.5)
@@ -164,7 +164,7 @@ def test_criterion_07_estimate_suite_with_refinement(euclid3, green3):
                          snapshots=[0.5, 1.0, 1.5, 2.0])
         pair = pg.run_pme(grid, 2.0, pg.barenblatt_datum(pb), t_end=2.0,
                           snapshots=[0.5, 1.0, 1.5, 2.0])
-        report = pg.verify_solution_estimates(rec, green=green3, pair=pair,
+        report = pg.verify_solution_estimates(rec, pair=pair,
                                               triple=(1.0, 2.0, 2.0))
         assert len(report.checks) == 6
         taus[cells] = report.max_violation
@@ -195,14 +195,14 @@ def test_criterion_08_dual_identity_refinement(euclid3, mass1_params):
     assert elapsed < 180.0
 
 
-def test_criterion_09_weighted_space_dichotomy(euclid5, green5):
+def test_criterion_09_weighted_space_dichotomy(euclid5):
     tic = time.perf_counter()
     expected = {2.0: (False, False), 2.5: (False, True), 3.0: (False, True),
                 5.0: (False, True), 6.0: (True, True)}
     got = {}
     consistent = True
     for a in expected:
-        cls = pg.powerlaw_classify(euclid5, a, green=green5)
+        cls = pg.powerlaw_classify(euclid5, a)
         got[a] = (cls.in_l1, cls.in_l1g)
         consistent = consistent and cls.consistent
     elapsed = time.perf_counter() - tic
@@ -214,9 +214,9 @@ def test_criterion_09_weighted_space_dichotomy(euclid5, green5):
     assert elapsed < 10.0
 
 
-def test_criterion_10_strict_inclusion_sequence(euclid5, growth5, green5):
+def test_criterion_10_strict_inclusion_sequence(euclid5, growth5):
     tic = time.perf_counter()
-    seq = pg.build_separating_sequence(euclid5, growth5, 20, green=green5)
+    seq = pg.build_separating_sequence(euclid5, growth5, 20)
     j_idx = np.arange(1, 21, dtype=float)
     linear_growth = seq.l1_partials[-1] > 19.0 * seq.masses[0]
     certified = bool(np.all(

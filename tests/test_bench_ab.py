@@ -15,9 +15,9 @@ bench_ab = sys.modules["bench_ab"] = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_ab)
 
 
-def _samples(rng, rounds=30):
+def _samples(rng, rounds=30, spread=0.3):
     # a drifting machine: each round's speed shared by both sides, plus noise
-    drift = rng.uniform(0.7, 1.3, rounds)
+    drift = rng.uniform(1.0 - spread, 1.0 + spread, rounds)
     return lambda: list(drift * rng.lognormal(0.0, 0.05, rounds))
 
 
@@ -48,6 +48,20 @@ def test_paired_a_fifth_off_excludes_one():
     assert stats["wins"] == {"A": 0, "B": 30}
 
 
+def test_paired_claim_rule():
+    # B claims a gain when it wins nine rounds in ten and its median sits
+    # below A's by more than A's interquartile distance
+    draw = _samples(np.random.default_rng(3), spread=0.1)
+    a = draw()
+    assert bench_ab.paired(a, draw())["claim"] is False
+    assert bench_ab.paired(a, [0.8 * x for x in draw()])["claim"] is True
+    # a drift wider than the gain hides it, though B wins every round
+    draw = _samples(np.random.default_rng(4), spread=0.4)
+    a = draw()
+    stats = bench_ab.paired(a, [0.8 * x for x in draw()])
+    assert stats["wins"]["B"] == 30 and stats["claim"] is False
+
+
 def test_paired_ties_count_for_neither_and_gaps_drop_their_round():
     stats = bench_ab.paired([1.0, 2.0, 3.0, 4.0, None],
                             [1.0, 1.0, 4.0, 4.0, 9.0])
@@ -55,6 +69,7 @@ def test_paired_ties_count_for_neither_and_gaps_drop_their_round():
     assert stats["A"]["n"] == 4 and stats["B"]["n"] == 5
     none = bench_ab.paired([None, None], [1.0, 2.0])
     assert none["ratio"] is none["wins"] is none["ratio_ci95"] is None
+    assert none["claim"] is None
     assert none["A"] == {"median": None, "q1": None, "q3": None, "n": 0}
 
 
@@ -72,7 +87,8 @@ def test_a_against_itself_smoke(tmp_path):
     assert run["workloads"] == {} and list(run["cases"]) == [name]
     case = run["cases"][name]
     assert case["runs_per_sample"] >= 1 and case["wins"] is not None
+    assert isinstance(case["claim"], bool)
     for side in ("A", "B"):
         assert case[side]["n"] == 1 and case[side]["failed"] == 0
         assert case[side]["error"] is None and case[side]["median"] > 0.0
-    assert name in done.stdout
+    assert name in done.stdout and "B gain" in done.stdout

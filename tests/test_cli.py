@@ -157,6 +157,26 @@ def test_solve_flags_with_verification(tmp_path):
     assert all(manifest["checks"][k] for k in estimate_checks)
 
 
+def test_solve_nan_snapshot_fails_positivity_and_estimates(tmp_path,
+                                                           monkeypatch):
+    run_pme = cli.run_pme
+
+    def poisoned(*args, **kwargs):
+        record = run_pme(*args, **kwargs)
+        record.states[2][0] = np.nan  # not the first snapshot's minimum
+        return record
+
+    monkeypatch.setattr(cli, "run_pme", poisoned)
+    out = tmp_path / "run"
+    assert main(["solve", "--profile", "euclidean:3", "--m", "2",
+                 "--init", "barenblatt", "--cells", "200", "--tend", "1",
+                 "--snapshots", "4", "--verify", "--out-dir", str(out)]) == 1
+    checks = json.loads((out / "cli-solve.manifest.json").read_text())[
+        "checks"]
+    assert checks["positivity"] is False
+    assert checks["estimate_green_mass_monotone"] is False
+
+
 def test_l1g_flags(tmp_path):
     out = tmp_path / "out"
     code = main(["l1g", "--profile", "euclidean:5", "--exponents",
@@ -283,7 +303,7 @@ def test_sweep_internal_error_is_exit_three(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "GreenData", broken)
+    monkeypatch.setattr("pmegreen.green.GreenData", broken)
     scn = {"schema_version": SCHEMA_VERSION, "kind": "sweep", "name": "swi",
            "base": green_scenario(name="unused"),
            "grid": [{"profile.dimension": 3}]}
@@ -462,8 +482,8 @@ def test_bad_solve_input_is_exit_two(tmp_path, monkeypatch, capsys, case):
     key, value, named = case if len(case) == 3 else (*case, case[0])
     monkeypatch.chdir(tmp_path)
     (tmp_path / "not-a-table.csv").write_text("r,u\nx,y\n", encoding="utf-8")
-    for name in ("run_pme", "GreenData"):
-        monkeypatch.setattr(cli, name, _forbidden)
+    monkeypatch.setattr(cli, "run_pme", _forbidden)
+    monkeypatch.setattr("pmegreen.green.GreenData", _forbidden)
     monkeypatch.setattr(cli, "RadialGrid", SimpleNamespace(make=_forbidden))
     scn = solve_scenario()
     *parents, leaf = key.split(".")
@@ -523,10 +543,10 @@ BAD_RANGES = [
     f"{c[0]}:{c[1]}={c[2]!r}" for c in BAD_RANGES])
 def test_bad_input_is_exit_two(tmp_path, monkeypatch, capsys, case):
     kind, key, value, named = case
-    for name in ("GreenData", "green_bounds", "SmoothingBound",
-                 "powerlaw_classify", "optimality_harness", "run_pme",
-                 "check_assumptions"):
+    for name in ("green_bounds", "SmoothingBound", "powerlaw_classify",
+                 "optimality_harness", "run_pme", "check_assumptions"):
         monkeypatch.setattr(cli, name, _forbidden)
+    monkeypatch.setattr("pmegreen.green.GreenData", _forbidden)
     scn = {"schema_version": SCHEMA_VERSION, "kind": kind, "name": "bad",
            **copy.deepcopy(_BASE_SCENARIOS[kind])}
     *parents, leaf = key.split(".")
@@ -580,8 +600,8 @@ def _with_form(which, form):
 
 
 def _run_green_config(tmp_path, monkeypatch, scn):
-    for name in ("GreenData", "green_bounds"):
-        monkeypatch.setattr(cli, name, _forbidden)
+    monkeypatch.setattr(cli, "green_bounds", _forbidden)
+    monkeypatch.setattr("pmegreen.green.GreenData", _forbidden)
     return main(["green", "--config", str(write_config(tmp_path, scn)),
                  "--out-dir", str(tmp_path / "out")])
 
@@ -848,7 +868,7 @@ def test_internal_error_is_exit_three(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "GreenData", broken)
+    monkeypatch.setattr("pmegreen.green.GreenData", broken)
     cfg = write_config(tmp_path, green_scenario())
     assert main(["green", "--config", str(cfg),
                  "--out-dir", str(tmp_path)]) == 3

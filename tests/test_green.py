@@ -85,6 +85,26 @@ def test_parabolic_profile_rejected():
         pg.GreenData(prof).exact(1.0)
 
 
+def test_parabolic_power_law_raises_at_first_use():
+    # V = r^2 is parabolic; the profile builds, and each use of its Green
+    # data raises, since a failed build is not kept
+    prof = pg.VolumeProfile(dimension=3, form="power",
+                            volume=lambda r: np.power(r, 2.0),
+                            area=lambda r: 2.0 * np.asarray(r, dtype=float),
+                            power_law=(1.0, 2.0))
+    for _ in range(2):
+        with pytest.raises(ParabolicProfileError):
+            prof.green
+    with pytest.raises(ParabolicProfileError):
+        pg.l1g_norm(prof, lambda r: np.exp(-np.asarray(r, dtype=float)))
+
+
+def test_profile_owns_one_green_data(euclid3):
+    assert isinstance(euclid3.green, pg.GreenData)
+    assert euclid3.green is euclid3.green
+    assert euclid3.green.profile is euclid3
+
+
 @pytest.mark.parametrize("spec", [
     {"form": "euclidean", "dimension": 3},
     {"form": "power", "dimension": 4, "params": {"lam": 3.0, "coeff": 0.5}},
@@ -100,11 +120,11 @@ def test_green_rejects_nonpositive_radii(spec, r):
             evaluate(r)
 
 
-def test_green_data_interpolant_accuracy(euclid5, green5):
+def test_green_data_interpolant_accuracy(euclid5):
     rs = np.geomspace(2e-4, 5e6, 40)
     closed = pg.GreenData(euclid5)
     exact = np.array([closed.exact(float(r)) for r in rs])
-    interp = np.asarray(green5.exact(rs), dtype=float)
+    interp = np.asarray(euclid5.green.exact(rs), dtype=float)
     assert np.allclose(interp, exact, rtol=1e-7)
 
 
@@ -459,6 +479,27 @@ POWER_LOG = {"form": "power_log", "dimension": 4,
              "params": {"lam": 3.0, "sigma": 0.5}}
 
 
+def test_consumers_build_the_exact_table_once(monkeypatch):
+    # every consumer reads the profile's GreenData, so its table of 1/S is
+    # built on first use and read from then on
+    builds = []
+    table = pg.numerics.TailTable
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return table(*args, **kwargs)
+
+    monkeypatch.setattr("pmegreen.green.TailTable", counting)
+    profile = pg.make_profile(**POWER_LOG)
+    decay = lambda r: np.exp(-np.asarray(r, dtype=float))
+    first = pg.l1g_norm(profile, decay).total
+    assert pg.l1g_norm(profile, decay).total == first
+    grid = pg.RadialGrid.make(profile, 12.0, 100)
+    pg.CellPotential(profile, grid.edges)(grid.cell_average(decay))
+    pg.RadialPotential(profile, np.ones_like, 1.0)(np.geomspace(0.1, 1e3, 9))
+    assert len(builds) == 1
+
+
 @pytest.mark.parametrize("spec, spacing", [
     ({"form": "euclidean", "dimension": 3}, "uniform"),
     (POWER_LOG, "uniform"),
@@ -477,7 +518,7 @@ def test_potential_of_cells_matches_continuum(spec, spacing):
     assert np.all(np.diff(faces_u) <= 1e-15)
 
 
-def reference_potential_of_cells(profile, edges, u, green):
+def reference_potential_of_cells(profile, edges, u):
     """The cell potential built on 2N half panels: faces from the reverse
     cumulative sum of one Gauss panel of enclosed/S per cell, centres from
     the even half panels [centre_j, e_{j+1}], the odd seam panels unused."""
@@ -493,7 +534,7 @@ def reference_potential_of_cells(profile, edges, u, green):
         return enclosed / np.asarray(profile.area(s), dtype=float)
 
     faces = np.empty(u.size + 1)
-    faces[-1] = mass_faces[-1] * float(green.exact(float(edges[-1])))
+    faces[-1] = mass_faces[-1] * float(profile.green.exact(float(edges[-1])))
     faces[:-1] = faces[-1] + np.cumsum(
         gauss_panels(mass_over_area, edges)[::-1])[::-1]
     centers = 0.5 * (edges[1:] + edges[:-1])
@@ -513,12 +554,11 @@ def reference_potential_of_cells(profile, edges, u, green):
 def test_potential_of_cells_matches_half_panel_reference(spec, cells,
                                                          spacing):
     profile = pg.make_profile(**spec)
-    green = pg.GreenData(profile)
     grid = pg.RadialGrid.make(profile, 12.0, cells, spacing=spacing)
     u = grid.cell_average(lambda r: np.exp(-np.asarray(r, dtype=float)))
-    centers_u, faces_u = pg.CellPotential(profile, grid.edges, green=green)(u)
+    centers_u, faces_u = pg.CellPotential(profile, grid.edges)(u)
     ref_centers, ref_faces = reference_potential_of_cells(
-        profile, grid.edges, u, green)
+        profile, grid.edges, u)
     assert np.array_equal(centers_u, ref_centers)
     assert np.array_equal(faces_u, ref_faces)
 
@@ -532,21 +572,19 @@ def test_cell_potential_kernel_matches_separate_calls(spec, spacing, cells):
     # what a kernel built per datum gives, and the half-panel reference,
     # bit for bit
     profile = pg.make_profile(**spec)
-    green = pg.GreenData(profile)
     grid = pg.RadialGrid.make(profile, 12.0, cells, spacing=spacing)
-    kernel = pg.CellPotential(profile, grid.edges, green=green)
+    kernel = pg.CellPotential(profile, grid.edges)
     rng = np.random.default_rng(cells)
     data = [grid.cell_average(lambda r: np.exp(-np.asarray(r, dtype=float))),
             np.where(np.arange(cells) < cells // 3, rng.random(cells), 0.0),
             np.zeros(cells)]
     for u in data:
         centers_u, faces_u = kernel(u)
-        ref_centers, ref_faces = pg.CellPotential(profile, grid.edges,
-                                                  green=green)(u)
+        ref_centers, ref_faces = pg.CellPotential(profile, grid.edges)(u)
         assert np.array_equal(centers_u, ref_centers)
         assert np.array_equal(faces_u, ref_faces)
         half_centers, half_faces = reference_potential_of_cells(
-            profile, grid.edges, u, green)
+            profile, grid.edges, u)
         assert np.array_equal(centers_u, half_centers)
         assert np.array_equal(faces_u, half_faces)
     with pytest.raises(ValueError, match="one more entry"):

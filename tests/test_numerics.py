@@ -17,8 +17,8 @@ from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 from pmegreen.numerics import (BracketError, Check, Hermite,
                                IntegralDivergenceError, TailTable,
                                gauss_panels, invert_increasing, loglog_slope,
-                               max_rise, pchip_slopes, simpson_weights,
-                               tail_remainder)
+                               max_rise, nonneg_max, pchip_slopes,
+                               simpson_weights, tail_remainder)
 
 
 def tail(f, a):
@@ -306,3 +306,12 @@ def test_max_rise():
     assert max_rise(np.array([2.0, 0.0, 0.0])) == 0.0
     assert max_rise(np.array([0.0, 1.0])) == math.inf
     assert math.isnan(max_rise(np.array([1.0, math.nan, 0.5])))
+
+
+def test_nonneg_max_keeps_nan_and_drops_negative_zero():
+    assert nonneg_max(-1.0, np.array([-2.0, 0.5])) == 0.5
+    assert nonneg_max(np.array([-3.0])) == 0.0
+    # Python's max(0.0, nan) is 0.0; a nan anywhere is a nan here
+    assert math.isnan(nonneg_max(0.1, np.array([1.0, math.nan]), 0.2))
+    for zero in (nonneg_max(-0.0), nonneg_max(np.array([-0.0, -1.0]))):
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0

@@ -1216,9 +1216,9 @@ def test_super_step_front_advance(euclid3, mass1_params):
 
 # -- a-priori estimate checks -------------------------------------------------
 
-def test_estimates_on_solver_run(short_run, green3):
+def test_estimates_on_solver_run(short_run):
     _, rec = short_run
-    rep = pg.verify_solution_estimates(rec, green=green3)
+    rep = pg.verify_solution_estimates(rec)
     assert rep.passed
     assert rep.max_violation <= 0.02
     names = set(rep.checks)
@@ -1226,12 +1226,11 @@ def test_estimates_on_solver_run(short_run, green3):
             "center_scaled_monotone"} <= names
 
 
-def test_estimates_on_exact_snapshots(euclid3, green3, mass1_params):
+def test_estimates_on_exact_snapshots(euclid3, mass1_params):
     grid = pg.RadialGrid.make(euclid3, 12.0, 400)
     rec = exact_record(euclid3, mass1_params, grid,
                        [0.5, 1.0, 1.5, 2.0])
-    rep = pg.verify_solution_estimates(rec, green=green3,
-                                       triple=(1.0, 2.0, 2.0))
+    rep = pg.verify_solution_estimates(rec, triple=(1.0, 2.0, 2.0))
     assert rep.checks["center_two_sided"].value == 0.0
     # strict inequalities in the sandwich, not mere nonnegativity
     two = rep.details["center_two_sided"]
@@ -1239,23 +1238,22 @@ def test_estimates_on_exact_snapshots(euclid3, green3, mass1_params):
     assert rep.passed
 
 
-def test_estimates_pair_checks(euclid3, green3):
+def test_estimates_pair_checks(euclid3):
     small = pg.BarenblattParams.from_mass(3, 2.0, 1.0)
     large = pg.BarenblattParams.from_mass(3, 2.0, 1.5)
     grid = pg.RadialGrid.make(euclid3, 12.0, 300)
     times = [0.5, 1.0]
     rec_small = exact_record(euclid3, small, grid, times)
     rec_large = exact_record(euclid3, large, grid, times)
-    rep = pg.verify_solution_estimates(rec_small, green=green3,
-                                       pair=rec_large)
+    rep = pg.verify_solution_estimates(rec_small, pair=rec_large)
     assert rep.checks["l1_contraction"].value <= 1e-12
     assert rep.checks["comparison"].value <= 1e-12
     # misordered data is rejected rather than silently failed
     with pytest.raises(ValueError):
-        pg.verify_solution_estimates(rec_large, green=green3, pair=rec_small)
+        pg.verify_solution_estimates(rec_large, pair=rec_small)
 
 
-def test_estimates_pair_on_another_grid_rejected(euclid3, green3):
+def test_estimates_pair_on_another_grid_rejected(euclid3):
     # the same cell count on another r_max covers other cells
     params = pg.BarenblattParams.from_mass(3, 2.0, 1.0)
     times = [0.5, 1.0]
@@ -1264,41 +1262,55 @@ def test_estimates_pair_on_another_grid_rejected(euclid3, green3):
     pair = exact_record(euclid3, params, pg.RadialGrid.make(euclid3, 6.0, 300),
                         times)
     with pytest.raises(ValueError, match="share the grid"):
-        pg.verify_solution_estimates(rec, green=green3, pair=pair)
+        pg.verify_solution_estimates(rec, pair=pair)
     # an equal grid built separately is accepted
     same = exact_record(euclid3, params, pg.RadialGrid.make(euclid3, 12.0, 300),
                         times)
-    rep = pg.verify_solution_estimates(rec, green=green3, pair=same)
+    rep = pg.verify_solution_estimates(rec, pair=same)
     assert rep.checks["l1_contraction"].value == 0.0
 
 
-def test_estimates_pair_at_other_times_rejected(euclid3, green3):
+def test_estimates_pair_at_other_times_rejected(euclid3):
     # states paired by position must be states at the same times
     params = pg.BarenblattParams.from_mass(3, 2.0, 1.0)
     grid = pg.RadialGrid.make(euclid3, 12.0, 300)
     rec = exact_record(euclid3, params, grid, [0.0, 0.5, 1.0, 2.0])
     pair = exact_record(euclid3, params, grid, [0.0, 4.0, 8.0])
     with pytest.raises(ValueError, match="snapshot times"):
-        pg.verify_solution_estimates(rec, green=green3, pair=pair)
+        pg.verify_solution_estimates(rec, pair=pair)
 
 
-def test_estimates_skip_triple_when_underresolved(euclid3, green3,
+def test_estimates_skip_triple_when_underresolved(euclid3,
                                                   mass1_params):
     grid = pg.RadialGrid.make(euclid3, 12.0, 200)
     rec = exact_record(euclid3, mass1_params, grid, [0.25, 0.5])
-    rep = pg.verify_solution_estimates(rec, green=green3)
+    rep = pg.verify_solution_estimates(rec)
     assert "center_two_sided" not in rep.checks
     assert rep.passed
     single = exact_record(euclid3, mass1_params, grid, [0.5])
     with pytest.raises(ValueError):
-        pg.verify_solution_estimates(single, green=green3)
+        pg.verify_solution_estimates(single)
 
 
-def test_estimates_bad_triple_rejected(short_run, green3):
+def test_estimates_bad_triple_rejected(short_run):
     _, rec = short_run
     with pytest.raises(ValueError):
-        pg.verify_solution_estimates(rec, green=green3,
-                                     triple=(0.75, 0.5, 1.0))
+        pg.verify_solution_estimates(rec, triple=(0.75, 0.5, 1.0))
+
+
+def test_estimates_fail_on_a_nan_snapshot(euclid3, mass1_params):
+    # a nan in a later snapshot fails every clamped violation it reaches,
+    # where max(0.0, nan) reads 0.0 and passes
+    grid = pg.RadialGrid.make(euclid3, 12.0, 200)
+    rec = pg.run_pme(grid, 2.0, pg.barenblatt_datum(mass1_params), t_end=1.0,
+                     snapshots=[0.25, 0.5, 0.75, 1.0])
+    assert pg.verify_solution_estimates(rec).passed
+    rec.states[2][0] = np.nan
+    rep = pg.verify_solution_estimates(rec)
+    assert not rep.passed and math.isnan(rep.max_violation)
+    failed = {name for name, chk in rep.checks.items() if not chk.passed}
+    assert failed == {"green_mass_monotone", "lp_nonexpansive",
+                      "center_scaled_monotone"}
 
 
 # -- test functions for the dual identity -------------------------------------
@@ -1327,7 +1339,7 @@ def test_radial_cutoff_shape():
 
 # -- dual identity residual ----------------------------------------------------
 
-def test_weak_dual_zero_data(euclid3, green3, mass1_params):
+def test_weak_dual_zero_data(euclid3, mass1_params):
     grid = pg.RadialGrid.make(euclid3, 8.0, 100)
     times = np.linspace(0.5, 1.5, 5)
     states = [np.zeros(100) for _ in times]
@@ -1335,18 +1347,18 @@ def test_weak_dual_zero_data(euclid3, green3, mass1_params):
                        scheme="exact", times=times, states=states,
                        outflows=np.zeros(times.size), mass_initial=0.0,
                        steps=0, wall_time=0.0)
-    rep = pg.weak_dual_residual(rec, (0.5, 1.5), green=green3)
+    rep = pg.weak_dual_residual(rec, (0.5, 1.5))
     assert rep.residual == 0.0 and rep.scale == 0.0
 
 
-def test_weak_dual_on_exact_solution(euclid3, green3, mass1_params):
+def test_weak_dual_on_exact_solution(euclid3, mass1_params):
     grid = pg.RadialGrid.make(euclid3, 12.0, 400)
     window = (0.5, 1.5)
     residuals = []
     for nodes in (17, 33, 65):
         rec = exact_record(euclid3, mass1_params, grid,
                            np.linspace(window[0], window[1], nodes))
-        rep = pg.weak_dual_residual(rec, window, green=green3)
+        rep = pg.weak_dual_residual(rec, window)
         residuals.append(abs(rep.residual))
         assert rep.nodes == nodes
     # pure time-quadrature error: fourth-order collapse as nodes double
@@ -1354,14 +1366,14 @@ def test_weak_dual_on_exact_solution(euclid3, green3, mass1_params):
     assert residuals[2] <= 1e-5
 
 
-def test_weak_dual_snapshot_validation(euclid3, green3, mass1_params):
+def test_weak_dual_snapshot_validation(euclid3, mass1_params):
     grid = pg.RadialGrid.make(euclid3, 8.0, 100)
     rec = exact_record(euclid3, mass1_params, grid, [0.5, 0.9, 1.5])
     with pytest.raises(ValueError):
-        pg.weak_dual_residual(rec, (0.5, 1.5), green=green3)
+        pg.weak_dual_residual(rec, (0.5, 1.5))
     rec2 = exact_record(euclid3, mass1_params, grid, [0.5, 1.5])
     with pytest.raises(ValueError):
-        pg.weak_dual_residual(rec2, (0.5, 1.5), green=green3)
+        pg.weak_dual_residual(rec2, (0.5, 1.5))
 
 
 def test_weak_dual_refinement_order(euclid3, mass1_params):
