@@ -30,24 +30,32 @@ enough for SAMPLE_S on the slower tree, one for a pmebench operation. A
 case that a tree cannot run (it raises in the warm-up) is null for that
 tree; a later run that raises or fails its check counts in `failed`.
 
+After every sample a worker runs `gc.collect()`, untimed, and reports
+how many objects it freed: objects left in reference cycles, which wait
+for the collector and so raise the peak memory of a long run.
+
 --out gets, under --label, per case and per pmebench workload (the sum of
 its operations in one round): each tree's median and quartiles in ms per
 run, the median over rounds of the paired ratio B/A, the rounds each tree
 won (ties count for neither), a bootstrap 95% interval of the median
 ratio and `claim`, whether B's gain meets the claim rule: B faster in at
 least nine rounds in ten, and B's median below A's by more than A's
-interquartile distance; with each tree's commit, the rounds, the machine
-and the Python, numpy and scipy versions.
+interquartile distance; per case, each tree's median count of objects
+that `gc.collect()` freed after a sample (`gc_freed`); with each tree's
+peak resident memory (`ru_maxrss_mb`, its worker's ru_maxrss), commit,
+the rounds, the machine and the Python, numpy and scipy versions.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import multiprocessing
 import os
 import platform
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -257,8 +265,13 @@ def _op_case(op, references) -> Case:
     return Case(op.run, check, op.prepare)
 
 
+def _maxrss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def _worker(src: str, conn) -> None:
-    """Serve (name, runs) requests on one tree until a None arrives."""
+    """Serve (name, runs) requests on one tree until a None arrives, which
+    it answers with its peak resident memory in MB."""
     sys.path[:0] = [src, str(PMEBENCH)]
     with tempfile.TemporaryDirectory() as tmp:
         factories = _cases(src, Path(tmp))
@@ -278,9 +291,12 @@ def _worker(src: str, conn) -> None:
                 seconds = (time.perf_counter() - tic) / runs
                 reply = {"s": seconds, "problems": case.check(out),
                          "counts": case.counts(out) if case.counts else None}
+                del out
+                reply["gc_freed"] = gc.collect()
             except Exception as exc:  # a fault of the tree fails this case
                 reply = {"error": f"{type(exc).__name__}: {exc}".splitlines()[0]}
             conn.send(reply)
+        conn.send(_maxrss_mb())
 
 
 def commit(tree: Path) -> Optional[str]:
@@ -336,7 +352,7 @@ def bench(trees: list, pattern: str, rounds: int) -> dict:
                 error = next((w["error"] for w in warm if "error" in w), None)
                 sides.append({"error": error, "warm_s": warm[-1].get("s"),
                               "counts": warm[0].get("counts"), "samples": [],
-                              "problems": []})
+                              "problems": [], "gc_freed": []})
             slowest = max((s["warm_s"] for s in sides if s["error"] is None),
                           default=None)
             runs = 1
@@ -357,6 +373,12 @@ def bench(trees: list, pattern: str, rounds: int) -> dict:
                     side["problems"] += problems
                     side["samples"].append(None if problems
                                            else reply["s"] * 1e3)
+                    if "gc_freed" in reply:
+                        side["gc_freed"].append(reply["gc_freed"])
+        maxrss = {}
+        for side, (conn, _) in zip(SIDES, workers):
+            conn.send(None)
+            maxrss[side] = round(conn.recv(), 2)
     finally:
         for conn, proc in workers:
             try:
@@ -367,14 +389,16 @@ def bench(trees: list, pattern: str, rounds: int) -> dict:
             if proc.is_alive():
                 proc.kill()
 
-    out = {"cases": {}, "workloads": {}}
+    out = {"ru_maxrss_mb": maxrss, "cases": {}, "workloads": {}}
     for name, (runs, sides) in cases.items():
         fig = paired(sides[0]["samples"], sides[1]["samples"])
         for side, info in zip(SIDES, sides):
             fig[side].update(
                 failed=(None if info["error"] else
                         sum(x is None for x in info["samples"])),
-                problems=sorted(set(info["problems"])), error=info["error"])
+                problems=sorted(set(info["problems"])), error=info["error"],
+                gc_freed=(int(np.median(info["gc_freed"]))
+                          if info["gc_freed"] else None))
             if info["counts"] is not None:
                 fig[side]["counts"] = {key: info["counts"].get(key)
                                        for key in COUNTS}
@@ -426,7 +450,12 @@ def main(argv=None) -> int:
             line += (f", B/A {fig['ratio']:.3f} [{lo:.3f}, {hi:.3f}], wins "
                      f"A {fig['wins']['A']} B {fig['wins']['B']}, B gain "
                      + ("claimed" if fig["claim"] else "not claimed"))
+        if fig["A"].get("gc_freed") or fig["B"].get("gc_freed"):
+            line += (f", gc freed A {fig['A']['gc_freed']} "
+                     f"B {fig['B']['gc_freed']}")
         print(line)
+    print("peak RSS: " + ", ".join(f"{side} {mb} MB" for side, mb in
+                                   result["ru_maxrss_mb"].items()))
 
     doc = (json.loads(args.out.read_text(encoding="utf-8"))
            if args.out.exists() else {})

@@ -488,11 +488,10 @@ def _run_check(scn, profile, growth, tol, out_dir):
         where = ("growth.r0" if p["sample_max"] == 1e4 * growth.r0  # default
                  else "params.sample_max")
         raise ConfigError(f"{where}: {exc}") from exc
-    rows = [{"r": float(r),
-             "volume": float(profile.volume(r)),
-             "area": float(profile.area(r)),
-             "growth_ratio": float(r * growth.rate(r) / profile.volume(r))}
-            for r in report.sample]
+    r = report.sample
+    volume = np.asarray(profile.volume(r), dtype=float)
+    rows = np.column_stack([r, volume, np.asarray(profile.area(r), dtype=float),
+                            r * np.asarray(growth.rate(r), dtype=float) / volume])
     metrics = {"alpha_noncollapse": report.alpha_noncollapse,
                "gamma_uniformity": report.gamma_uniformity,
                "beta": report.beta,
@@ -598,12 +597,11 @@ def _run_bound(scn, profile, growth, tol, out_dir):
     if norm_green is not None:
         columns.append("bound_l1g")
     rows = []
-    for t in ts:
-        ev = bound.evaluate_l1(float(t), norm1)
-        row = {"t": float(t), "regime": ev.regime, "bound_l1": ev.value}
+    for t, ev in zip(ts.tolist(), bound.evaluate_l1_many(ts, norm1)):
+        row = {"t": t, "regime": ev.regime, "bound_l1": ev.value}
         if norm_green is not None:
             row["bound_l1g"] = smoothing_bound_l1g(
-                m, profile.dimension, float(t), norm_green).value
+                m, profile.dimension, t, norm_green).value
         rows.append(row)
     vals = np.array([r["bound_l1"] for r in rows])
     metrics = {"threshold_time": bound.time_threshold(norm1)}

@@ -264,23 +264,45 @@ class GrowthFunction:
 
     def tail(self, radius):
         """Integral of 1/f over [radius, inf); takes and returns arrays."""
-        r = np.asarray(radius, dtype=float)
-        if np.any(r < self.r0 * (1.0 - 1e-12)):
-            raise GrowthError(f"tail requested at {radius} below r0 = {self.r0}")
+        r = self._radii(radius)
         if self._tail_closed is not None:
             return (self._tail_closed(r) if r.ndim else
                     float(self._tail_closed(float(r))))
         try:
             if self._table is None:
+                rate = self.rate  # not self: the table dies with the growth
                 self._table = TailTable(lambda t: 1.0 / np.asarray(
-                    self.rate(t), dtype=float), self.knots, "growth tail integral")
+                    rate(t), dtype=float), self.knots, "growth tail integral")
             return self._table(r)
         except IntegralDivergenceError as exc:
             raise GrowthError(str(exc)) from exc
 
-    @property
+    def tail_each(self, radii: np.ndarray) -> np.ndarray:
+        """tail at each radius of a 1-d array, bit for bit what a call with
+        that one radius gives: a closed form reads Python floats, whose ** is
+        not numpy's power, and a table reads one radius at a time past its
+        last edge, where the tail model's matrix product sums a row in an
+        order that depends on the number of rows."""
+        if self._tail_closed is not None:
+            self._radii(radii)
+            return np.array([self._tail_closed(x) for x in radii.tolist()])
+        out = self.tail(radii)
+        far = radii > self._table.edges[-1]
+        if far.any():
+            out[far] = [self.tail(x) for x in radii[far]]
+        return out
+
+    def _radii(self, radius) -> np.ndarray:
+        r = np.asarray(radius, dtype=float)
+        if (r < self.r0 * (1.0 - 1e-12)).any():
+            raise GrowthError(f"tail requested at {radius} below r0 = {self.r0}")
+        return r
+
+    @functools.cached_property
     def knots(self) -> np.ndarray:
-        return np.geomspace(self.r0, 1e12 * self.r0, 3600)
+        knots = np.geomspace(self.r0, 1e12 * self.r0, 3600)
+        knots.flags.writeable = False
+        return knots
 
     @property
     def beta(self) -> float:

@@ -15,6 +15,7 @@ Gauss panels of enclosed mass / S, anchored at mass * G at the last edge.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -41,13 +42,16 @@ class GreenData:
     per kind over `edges`: a log grid on [r_min, r_max] joined with the
     profile's breaks inside it. The table carries on past r_max on its own
     and below r_min through its pole model, so G is read at any positive
-    radius; it is inf only where G itself overflows.
+    radius; it is inf only where G itself overflows. It keeps the profile's
+    area and volume and holds the profile itself only weakly, so a profile
+    and its tables die by reference count.
     """
 
     r_min, r_max = 1e-4, 1e7
 
     def __init__(self, profile: VolumeProfile):
-        self.profile = profile
+        self._profile = weakref.ref(profile)
+        self._area, self._volume = profile.area, profile.volume
         self._law = profile.power_law
         if self._law is not None and self._law[1] <= 2.0:
             raise ParabolicProfileError(
@@ -58,13 +62,20 @@ class GreenData:
             breaks[(breaks > self.r_min) & (breaks < self.r_max)])
         self._tables = {}
 
+    @property
+    def profile(self) -> Optional[VolumeProfile]:
+        """The profile, or None once it is gone."""
+        return self._profile()
+
     def exact(self, r):
         """G(r) = int_r^inf ds/S(s)."""
-        return self._eval("exact", r, lambda s: 1.0 / self.profile.area(s))
+        area = self._area
+        return self._eval("exact", r, lambda s: 1.0 / area(s))
 
     def surrogate(self, r):
         """Ghat(r) = int_r^inf t/V(t) dt."""
-        return self._eval("surrogate", r, lambda t: t / self.profile.volume(t))
+        volume = self._volume
+        return self._eval("surrogate", r, lambda t: t / volume(t))
 
     def _eval(self, kind: str, r, f: Callable):
         rr = np.asarray(r, dtype=float)

@@ -7,7 +7,8 @@ r = h, 4h and 16h, and that fit is integrated to infinity in closed form.
 A tail counts as integrable only when p < -1 - TAIL_SLOPE_MARGIN. Truncated
 integrals sum 5-point Gauss panels in s = log r up to each horizon and add
 the remainder; the horizons grow x10 until the corrected values are Cauchy,
-the fit shows divergence, or HORIZON_CAP is reached.
+the fit shows divergence, or HORIZON_CAP is reached. Integrands that share
+their nodes, as weighted norms of one density do, share the calls.
 
 The pole model: below a table's first edge e0, Gauss panels over the top
 POLE_PANEL_DECADES decades and, below them, a power law c s^p fitted at r
@@ -161,8 +162,8 @@ class TailTruncations:
 
 def _truncation_block(f: Callable[[np.ndarray], np.ndarray], lo: float,
                       horizons: np.ndarray) -> tuple:
-    """Panel integrals of f over [lo, h_1], [h_1, h_2], ... and the
-    remainders past each h_i, from one call of f."""
+    """Panel integrals of each row of f over [lo, h_1], [h_1, h_2], ...
+    and the remainders past each h_i, from one call of f."""
     bounds = np.concatenate([[lo], horizons])
     counts = np.maximum(1, np.ceil(PANELS_PER_DECADE * np.log10(
         bounds[1:] / bounds[:-1]) - 1e-9).astype(int))
@@ -174,20 +175,29 @@ def _truncation_block(f: Callable[[np.ndarray], np.ndarray], lo: float,
     pts = horizons[:, None] * _FIT_POINTS
     vals = np.asarray(f(np.concatenate([nodes.ravel(), pts.ravel()])),
                       dtype=float)
-    panels = gauss_sum(vals[:nodes.size].reshape(nodes.shape) * nodes, half)
-    segment = np.add.reduceat(panels, np.concatenate([[0], np.cumsum(counts)[:-1]]))
-    rem, p = _fit_remainder(horizons, vals[nodes.size:].reshape(pts.shape))
+    panels = gauss_sum(vals[:, :nodes.size].reshape(
+        (-1,) + nodes.shape) * nodes, half)
+    segment = np.add.reduceat(
+        panels, np.concatenate([[0], np.cumsum(counts)[:-1]]), axis=-1)
+    # row by row: the tail model's matrix product sums a row in an order
+    # that depends on the number of rows
+    rem, p = zip(*(_fit_remainder(horizons, row[nodes.size:].reshape(pts.shape))
+                   for row in vals))
     return segment, rem, p
 
 
 def truncated_tail(f: Callable[[np.ndarray], np.ndarray], start: float,
-                   horizons: Sequence[float], rel_threshold: float) -> TailTruncations:
-    """Truncations of int_start^inf f, corrected by the tail model.
+                   horizons: Sequence[float], rel_threshold: float) -> list:
+    """Truncations of int_start^inf of each integrand, corrected by the tail
+    model: f gives one row of values per integrand, shape (k, r.size), and
+    the result is one TailTruncations per row.
 
     The given horizons are the first schedule, integrated in one call of the
     vectorized f. Past them the horizons grow x10, one call each, until the
-    last two corrected values agree to rel_threshold, the last one is inf
-    (the fit shows divergence), or a horizon reaches HORIZON_CAP.
+    last two corrected values of a row agree to rel_threshold, its last one
+    is inf (the fit shows divergence), or a horizon reaches HORIZON_CAP. A
+    row that stops takes no further horizons, so each reads as if it had
+    been integrated alone.
     """
     hs = np.array([float(h) for h in horizons])
     if hs.size < 2 or np.any(np.diff(hs) <= 0.0):
@@ -195,28 +205,34 @@ def truncated_tail(f: Callable[[np.ndarray], np.ndarray], start: float,
     if hs[0] <= start:
         raise ValueError("first horizon must exceed the integration start")
     segment, rem, p = _truncation_block(f, start, hs)
-    truncated = list(np.cumsum(segment))
-    corrected = list(np.asarray(truncated) + rem)
-    exponents = list(p)
+    truncated = [list(np.cumsum(row)) for row in segment]
+    corrected = [list(np.asarray(row) + r) for row, r in zip(truncated, rem)]
+    exponents = [list(row) for row in p]
     horizons_out = list(hs)
 
-    def cauchy() -> bool:
-        a, b = corrected[-2], corrected[-1]
+    def cauchy(row: list) -> bool:
+        a, b = row[-2], row[-1]
         return (math.isfinite(a) and math.isfinite(b) and
                 abs(b - a) <= rel_threshold * abs(b))
 
-    while (not cauchy() and math.isfinite(corrected[-1]) and
-           horizons_out[-1] < HORIZON_CAP):
+    def going(i: int) -> bool:
+        return (not cauchy(corrected[i]) and math.isfinite(corrected[i][-1])
+                and horizons_out[-1] < HORIZON_CAP)
+
+    active = [i for i in range(len(corrected)) if going(i)]
+    while active:
         h = min(10.0 * horizons_out[-1], HORIZON_CAP)
         segment, rem, p = _truncation_block(f, horizons_out[-1], np.array([h]))
-        truncated.append(truncated[-1] + float(segment[0]))
-        corrected.append(truncated[-1] + float(rem[0]))
-        exponents.append(float(p[0]))
         horizons_out.append(h)
-    return TailTruncations(
-        horizons=tuple(horizons_out), truncated=tuple(map(float, truncated)),
-        corrected=tuple(map(float, corrected)),
-        exponents=tuple(map(float, exponents)), converged=cauchy())
+        for i in active:
+            truncated[i].append(truncated[i][-1] + float(segment[i, 0]))
+            corrected[i].append(truncated[i][-1] + float(rem[i][0]))
+            exponents[i].append(float(p[i][0]))
+        active = [i for i in active if going(i)]
+    return [TailTruncations(
+        horizons=tuple(horizons_out[:len(c)]), truncated=tuple(map(float, t)),
+        corrected=tuple(map(float, c)), exponents=tuple(map(float, e)),
+        converged=cauchy(c)) for t, c, e in zip(truncated, corrected, exponents)]
 
 
 def _power_law_integral(f: Callable[[np.ndarray], np.ndarray], r: np.ndarray,
@@ -425,45 +441,75 @@ class TailTable:
         return float(out[0]) if rr.ndim == 0 else out.reshape(rr.shape)
 
 
-def invert_increasing(fn: Callable[[float], float], target: float,
-                      xs: np.ndarray, ys: np.ndarray) -> float:
-    """Solve fn(x) = target for increasing fn with values ys at sorted knots xs.
+def invert_increasing(fn: Callable[[np.ndarray], np.ndarray], target,
+                      xs: np.ndarray, ys: np.ndarray):
+    """Solve fn(x) = target for increasing fn with values ys at sorted knots
+    xs, for one target or an array of them; fn takes a 1-d array and returns
+    its values as an array or a list.
 
     A target at or below ys[0] returns xs[0]. The knots bracket the root;
     past the last one the bracket grows by a width that starts at the last
     knot spacing and doubles. Secant steps, bisecting where one leaves the
-    bracket, stop once a step moves x by at most 1e-12.
+    bracket, stop once a step moves x by at most 1e-12. Each target keeps
+    its own bracket in Python floats and takes the steps it would take
+    alone; one call of fn per step serves the targets still at work, so a
+    batch gives each root bit for bit.
     """
-    i = int(np.searchsorted(ys, target))
-    if i == 0:
-        return xs[0]
-    if i < xs.size:
-        lo, hi, flo, fhi = xs[i - 1], xs[i], ys[i - 1], ys[i]
-    else:
-        # Python floats: a bracket that never closes runs to inf silently
-        hi, fhi, width = float(xs[-1]), float(ys[-1]), float(xs[-1] - xs[-2])
-        for _ in range(2100):
-            lo, flo, hi = hi, fhi, hi + width
-            fhi = fn(hi)
-            if fhi >= target:
-                break
-            width *= 2.0
-        else:
-            raise BracketError("bracket expansion exhausted before reaching target")
-    xa, fa, xb, fb = lo, flo - target, hi, fhi - target
-    for _ in range(60):
-        x = xb - fb * (xb - xa) / (fb - fa) if fb != fa else lo
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        fx = fn(x) - target
-        if fx == 0.0 or abs(x - xb) <= 1e-12:
+    target = np.asarray(target, dtype=float)
+    goals = target.ravel().tolist()
+    roots = [float(xs[0])] * len(goals)
+    # (n, goal, lo, hi, fn(lo), fn(hi)) of each bracketed target n, and
+    # (n, goal, hi, fn(hi), width) of each target past the last knot
+    work, grow = [], []
+    for n, (goal, i) in enumerate(zip(goals, np.searchsorted(
+            ys, goals).tolist())):
+        if 0 < i < xs.size:
+            work.append((n, goal, float(xs[i - 1]), float(xs[i]),
+                         float(ys[i - 1]), float(ys[i])))
+        elif i == xs.size:
+            grow.append((n, goal, float(xs[-1]), float(ys[-1]),
+                         float(xs[-1] - xs[-2])))
+    for _ in range(2100):
+        if not grow:
             break
-        if fx < 0.0:
-            lo = x
-        else:
-            hi = x
-        xa, fa, xb, fb = xb, fb, x, fx
-    return x
+        his = [hi + width for n, goal, hi, fhi, width in grow]
+        left = []
+        # the old hi is the new lo
+        for (n, goal, lo, flo, width), hi, fhi in zip(grow, his, _call(fn, his)):
+            if fhi >= goal:
+                work.append((n, goal, lo, hi, flo, fhi))
+            else:
+                left.append((n, goal, hi, fhi, 2.0 * width))
+        grow = left
+    if grow:
+        raise BracketError("bracket expansion exhausted before reaching target")
+    # (n, goal, lo, hi, xa, fa, xb, fb): the bracket and the last two iterates
+    work = [(n, goal, lo, hi, lo, flo - goal, hi, fhi - goal)
+            for n, goal, lo, hi, flo, fhi in work]
+    for _ in range(60):
+        if not work:
+            break
+        steps = []
+        for n, goal, lo, hi, xa, fa, xb, fb in work:
+            x = xb - fb * (xb - xa) / (fb - fa) if fb != fa else lo
+            steps.append(x if lo < x < hi else 0.5 * (lo + hi))
+        left = []
+        for (n, goal, lo, hi, xa, fa, xb, fb), x, fx in zip(
+                work, steps, _call(fn, steps)):
+            fx -= goal
+            roots[n] = x
+            if fx == 0.0 or abs(x - xb) <= 1e-12:
+                continue
+            lo, hi = (x, hi) if fx < 0.0 else (lo, x)
+            left.append((n, goal, lo, hi, xb, fb, x, fx))
+        work = left
+    return roots[0] if target.ndim == 0 else np.reshape(roots, target.shape)
+
+
+def _call(fn: Callable[[np.ndarray], np.ndarray], xs: list) -> list:
+    """fn at a list of floats, as a list."""
+    values = fn(np.array(xs))
+    return values.tolist() if isinstance(values, np.ndarray) else values
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,18 @@ def green_ball_envelope(growth: GrowthFunction, radius):
     return float(env) if env.ndim == 0 else env
 
 
+def _envelope_each(growth: GrowthFunction, R: np.ndarray) -> np.ndarray:
+    """green_ball_envelope at each radius R >= r0 of a 1-d array, bit for bit
+    its value at that one radius."""
+    return (R * np.asarray(growth.rate(R), dtype=float) * growth.tail_each(R)
+            + R * R)
+
+
+def _positive_finite(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:  # nan fails too
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass
 class BoundEvaluation:
     t: float
@@ -73,7 +85,7 @@ class SmoothingBound:
     volume_floor: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
-        if self.m <= 1.0:
+        if not self.m > 1.0:
             raise ValueError("smoothing bounds need m > 1")
 
     @classmethod
@@ -84,9 +96,20 @@ class SmoothingBound:
 
     def data_scale(self, radius):
         """theta(R): the t^{1/(m-1)} ||u0||_1 scale resolved at radius R."""
-        theta = np.asarray(self.volume_floor(radius), dtype=float) * np.asarray(
-            green_ball_envelope(self.growth, radius)) ** (1.0 / (self.m - 1.0))
+        theta = self._scale(radius, green_ball_envelope(self.growth, radius))
         return float(theta) if theta.ndim == 0 else theta
+
+    def _scale(self, radius, envelope) -> np.ndarray:
+        return np.asarray(self.volume_floor(radius), dtype=float) * np.asarray(
+            envelope) ** (1.0 / (self.m - 1.0))
+
+    def _log_scale_each(self, x: np.ndarray) -> list:
+        """log data_scale(e^x) at each x of a 1-d array, bit for bit its
+        value at that one x: math's exp and log, not numpy's, which differ
+        in the last bit."""
+        R = np.array([math.exp(v) for v in x.tolist()])
+        return [math.log(v) for v in self._scale(
+            R, _envelope_each(self.growth, R)).tolist()]
 
     @cached_property
     def scale_threshold(self) -> float:
@@ -101,31 +124,34 @@ class SmoothingBound:
 
     def time_threshold(self, norm1: float) -> float:
         """Time at which the large-time branch takes over, for given L1 data."""
-        if norm1 <= 0.0:
-            raise ValueError("norm1 must be positive")
+        _positive_finite("norm1", norm1)
         try:
             return (self.scale_threshold ** (self.m - 1.0)
                     * norm1 ** (-(self.m - 1.0)))
         except OverflowError:  # past double range: every t is small-time
             return math.inf
 
-    def radius_for_scale(self, s: float) -> float:
-        """Invert the radius-to-scale map; needs s at or above its r0 value.
+    def radius_for_scale(self, s):
+        """Invert the radius-to-scale map at one scale or an array of them;
+        each needs to sit at or above the map's r0 value.
 
         numerics' invert_increasing solves it in (log R, log theta) on the
-        knot table, by secant steps to 1e-12 in log R.
+        knot table, by secant steps to 1e-12 in log R, for all scales at once.
         """
-        if s < self.scale_threshold * (1.0 - 1e-12):
+        s = np.asarray(s, dtype=float)
+        low = s < self.scale_threshold * (1.0 - 1e-12)
+        if low.any():
             raise DomainError(
-                f"scale {s} below the r0 value {self.scale_threshold}; "
-                "the large-time branch does not apply")
+                f"scale {float(s[low].flat[0])} below the r0 value "
+                f"{self.scale_threshold}; the large-time branch does not apply")
         xs, ys = self._log_scales
         with np.errstate(over="ignore"):  # an expanding bracket may pass inf
-            x = invert_increasing(
-                lambda x: math.log(self.data_scale(math.exp(x))),
-                math.log(s), xs, ys)
+            x = invert_increasing(self._log_scale_each, np.array(
+                [math.log(v) for v in s.ravel().tolist()]), xs, ys)
         # r0 itself at the first knot, not exp(log r0)
-        return self.growth.r0 if x == xs[0] else math.exp(x)
+        r = np.array([self.growth.r0 if v == xs[0] else math.exp(v)
+                      for v in x.tolist()])
+        return float(r[0]) if s.ndim == 0 else r.reshape(s.shape)
 
     def evaluate_l1(self, t: float, norm1: float) -> BoundEvaluation:
         """Sup-norm bound at time t for initial L1 size norm1.
@@ -135,42 +161,60 @@ class SmoothingBound:
         branch decreases, so this is min over s <= t of the two-regime bound,
         still valid since the sup-norm of a solution is nonincreasing.
         """
-        if t <= 0.0:
-            raise ValueError("t must be positive")
+        return self.evaluate_l1_many([t], norm1)[0]
+
+    def evaluate_l1_many(self, times, norm1: float) -> list:
+        """evaluate_l1 at each of `times`, in order, with one radius
+        inversion for all large-time ones; each result is bit for bit the
+        one evaluate_l1 gives alone. Raises ValueError, before any work,
+        where a time or norm1 is not positive and finite."""
+        ts = [float(t) for t in times]
+        for t in ts:
+            _positive_finite("t", t)
         threshold = self.time_threshold(norm1)
         mm = self.m - 1.0
-        n = self.dimension
+        small_exponent = -decay_exponent(self.m, self.dimension)
+        small_factor = norm1 ** (2.0 / (self.dimension * mm + 2.0))
 
         def small_at(s):
-            return s ** (-decay_exponent(self.m, n)) * norm1 ** (
-                2.0 / (n * mm + 2.0))
+            return s ** small_exponent * small_factor
 
-        if t >= threshold * (1.0 - THRESHOLD_TIE_REL):
-            r_star = self.radius_for_scale(max(t ** (1.0 / mm) * norm1,
-                                               self.scale_threshold))
-            large = t ** (-1.0 / mm) * green_ball_envelope(
-                self.growth, r_star) ** (1.0 / mm)
+        late = [t >= threshold * (1.0 - THRESHOLD_TIE_REL) for t in ts]
+        if any(late):
+            r_stars = self.radius_for_scale(np.array([
+                max(t ** (1.0 / mm) * norm1, self.scale_threshold)
+                for t, is_late in zip(ts, late) if is_late]))
+            large_time = iter(zip(r_stars.tolist(), _envelope_each(
+                self.growth, r_stars).tolist()))
+        out = []
+        for t, is_late in zip(ts, late):
+            small = small_at(t)
+            if not is_late:
+                out.append(BoundEvaluation(
+                    t=t, norm_value=norm1, regime="small-time", value=small,
+                    r_star=None, threshold_time=threshold))
+                continue
+            r_star, env = next(large_time)
+            large = t ** (-1.0 / mm) * env ** (1.0 / mm)
             tie = None
             if abs(t - threshold) <= THRESHOLD_TIE_REL * threshold:
-                tie = (large, small_at(t))
-            cap = small_at(min(t, threshold))
-            return BoundEvaluation(
+                tie = (large, small)
+            cap = small if t <= threshold else small_at(threshold)
+            out.append(BoundEvaluation(
                 t=t, norm_value=norm1,
                 regime="large-time" if large <= cap else "capped",
                 value=min(large, cap), r_star=r_star,
-                threshold_time=threshold, tie_values=tie)
-        return BoundEvaluation(t=t, norm_value=norm1, regime="small-time",
-                               value=small_at(t), r_star=None,
-                               threshold_time=threshold)
+                threshold_time=threshold, tie_values=tie))
+        return out
 
 
 def smoothing_bound_l1g(m: float, dimension: int, t: float,
                         norm_green: float) -> BoundEvaluation:
     """Two-regime sup-norm bound from the Green-weighted norm of the data."""
-    if m <= 1.0:
+    if not m > 1.0:
         raise ValueError("m must exceed 1")
-    if t <= 0.0 or norm_green <= 0.0:
-        raise ValueError("t and norm_green must be positive")
+    _positive_finite("t", t)
+    _positive_finite("norm_green", norm_green)
     threshold = norm_green ** (-(m - 1.0))
     n = dimension
     if t >= threshold * (1.0 - THRESHOLD_TIE_REL):

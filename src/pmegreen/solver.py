@@ -1110,7 +1110,7 @@ def optimality_harness(dimension: int, m: float, mass: float = 1.0,
 
     growth = make_growth(form="power", params={"k": float(dimension)}, r0=1.0)
     bound = SmoothingBound.from_profile(profile, m, growth)
-    evals = [bound.evaluate_l1(float(t), mass) for t in t_abs]
+    evals = bound.evaluate_l1_many(t_abs, mass)
 
     window = fit_window or (eps, eps + t_end)
     sel = (t_abs >= window[0] - 1e-12) & (t_abs <= window[1] + 1e-12)

@@ -43,26 +43,29 @@ class WeightedNorm:
     slope_at_horizon: float      # the fitted tail exponent p at the last horizon
 
 
-def _weighted_l1(profile: VolumeProfile, fn: Callable, weight: Callable,
-                 horizons: Sequence[float], rel_threshold: float) -> WeightedNorm:
-    """int_{B_1} |f| + int_{M \\ B_1} |f| w with truncation diagnostics."""
+def _weighted_l1(profile: VolumeProfile, fn: Callable, weights: tuple,
+                 horizons: Sequence[float], rel_threshold: float) -> list:
+    """int_{B_1} |f| + int_{M \\ B_1} |f| w with truncation diagnostics, for
+    each weight w; the density |f| S is read once for all of them."""
     density = lambda r: np.abs(np.asarray(fn(r), dtype=float)) * np.asarray(
         profile.area(r), dtype=float)
     # int_0^POLE g dr = int_{1/POLE}^inf g(1/t) t^-2 dt, a tail like any other
     inner = float(np.sum(gauss_panels(density, _BALL_EDGES)) + tail_remainder(
         lambda t: density(1.0 / t) / (t * t), 1.0 / _POLE)[0])
-    diag = truncated_tail(
-        lambda r: density(r) * np.asarray(weight(r), dtype=float),
-        1.0, horizons, rel_threshold)
-    outer = diag.value
-    return WeightedNorm(
-        inner=inner, outer=outer, total=inner + outer,
+
+    def weighted(r):
+        d = density(r)
+        return np.stack([d * np.asarray(w(r), dtype=float) for w in weights])
+
+    return [WeightedNorm(
+        inner=inner, outer=diag.value, total=inner + diag.value,
         truncation_radius=diag.horizons[-1],
         tail_estimate=diag.corrected[-1] - diag.truncated[-1],
         converged=diag.converged and math.isfinite(inner),
         outer_truncated=diag.truncated[-1],
         horizons=diag.horizons, corrected=diag.corrected,
         slope_at_horizon=diag.exponents[-1])
+        for diag in truncated_tail(weighted, 1.0, horizons, rel_threshold)]
 
 
 def l1g_norm(profile: VolumeProfile, fn: Callable[[np.ndarray], np.ndarray],
@@ -76,15 +79,16 @@ def l1g_norm(profile: VolumeProfile, fn: Callable[[np.ndarray], np.ndarray],
     infinite total; the per-horizon corrected truncations stay available for
     diagnosis.
     """
-    return _weighted_l1(profile, fn, profile.green.exact, horizons,
-                        rel_threshold)
+    return _weighted_l1(profile, fn, (profile.green.exact,), horizons,
+                        rel_threshold)[0]
 
 
 def l1_norm_radial(profile: VolumeProfile, fn: Callable,
                    horizons: Sequence[float] = DEFAULT_HORIZONS,
                    rel_threshold: float = 1e-3) -> WeightedNorm:
     """Unweighted radial L1 norm with the same truncation diagnostics."""
-    return _weighted_l1(profile, fn, np.ones_like, horizons, rel_threshold)
+    return _weighted_l1(profile, fn, (np.ones_like,), horizons,
+                        rel_threshold)[0]
 
 
 @dataclass
@@ -122,8 +126,8 @@ def powerlaw_classify(profile: VolumeProfile, a: float,
     """
     alpha = volume_growth_exponent(profile)
     u_a = lambda r: np.power(1.0 + np.asarray(r, dtype=float), -a)
-    l1 = l1_norm_radial(profile, u_a, horizons, rel_threshold)
-    l1g = l1g_norm(profile, u_a, horizons, rel_threshold)
+    l1, l1g = _weighted_l1(profile, u_a, (np.ones_like, profile.green.exact),
+                           horizons, rel_threshold)
     return PowerLawClass(
         exponent=a, alpha_infinity=alpha,
         in_l1=a > alpha, in_l1g=a > 2.0,
@@ -150,12 +154,12 @@ def build_separating_sequence(profile: VolumeProfile, growth: GrowthFunction,
                               green: Optional[GreenData] = None) -> SeparatingSequence:
     """Greedy distances d_j with T(d_j - 1) <= 2^{-j} and d_j >= 4 d_{j-1}.
 
-    The root of T(d - 1) = 2^{-j} is one call of numerics' invert_increasing
-    on -log T against log R over the growth knots; d_1 >= 4 r0 + 4. Each
-    shell [d_j - 1/2, d_j + 1/2] carries exactly unit mass, so the plain
-    partial sums grow linearly while the Green-weighted increments are
-    summable: their certified decay is the tail bound 2^{-j} times a recorded
-    constant.
+    The roots of T(d - 1) = 2^{-j}, j = 1..count, are one batched call of
+    numerics' invert_increasing on -log T against log R over the growth
+    knots; d_1 >= 4 r0 + 4. Each shell [d_j - 1/2, d_j + 1/2] carries
+    exactly unit mass, so the plain partial sums grow linearly while the
+    Green-weighted increments are summable: their certified decay is the
+    tail bound 2^{-j} times a recorded constant.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -163,19 +167,23 @@ def build_separating_sequence(profile: VolumeProfile, growth: GrowthFunction,
     r0 = growth.r0
     knots = growth.knots
     xs, ys = np.log(knots), -np.log(growth.tail(knots))
+    j_idx = np.arange(1, count + 1)
+    targets = 2.0 ** (-j_idx.astype(float))
+
+    def neg_log_tail(x: np.ndarray) -> list:
+        # math's exp and log, as on each root alone
+        return [-math.log(v) for v in growth.tail_each(
+            np.array([math.exp(u) for u in x.tolist()])).tolist()]
+
+    roots = invert_increasing(neg_log_tail, [-math.log(v) for v in
+                                             targets.tolist()], xs, ys)
     distances = np.empty(count)
-    prev = None
-    for j in range(1, count + 1):
-        target = 2.0 ** (-j)
-        d_star = 1.0 + math.exp(invert_increasing(
-            lambda x: -math.log(growth.tail(math.exp(x))), -math.log(target),
-            xs, ys))
-        floor = 4.0 * r0 + 4.0 if prev is None else 4.0 * prev
-        d = max(floor, d_star)
-        if growth.tail(d - 1.0) > target * (1.0 + 1e-9):
-            raise ArithmeticError("separating distance failed its tail certificate")
-        distances[j - 1] = d
-        prev = d
+    floor = 4.0 * r0 + 4.0
+    for j, root in enumerate(roots.tolist()):
+        distances[j] = max(floor, 1.0 + math.exp(root))
+        floor = 4.0 * distances[j]
+    if np.any(growth.tail_each(distances - 1.0) > targets * (1.0 + 1e-9)):
+        raise ArithmeticError("separating distance failed its tail certificate")
 
     shells = np.column_stack([distances - 0.5, distances + 0.5])
     # 8 panels per shell; the shell volume comes from the same Gauss rule of S
@@ -188,11 +196,10 @@ def build_separating_sequence(profile: VolumeProfile, growth: GrowthFunction,
         seg[:, :-1], seg[:, 1:]).sum(axis=1)
     increments = weighted / vols
     partial_weighted = np.cumsum(increments)
-    j_idx = np.arange(1, count + 1)
     constant = float(np.max(increments * 2.0 ** j_idx))
     return SeparatingSequence(
         distances=distances, shells=shells, masses=np.ones(count),
         l1_partials=j_idx.astype(float),
         weighted_increments=increments, weighted_partials=partial_weighted,
-        increment_constant=constant, tail_targets=2.0 ** (-j_idx.astype(float)),
+        increment_constant=constant, tail_targets=targets,
         r0=r0)

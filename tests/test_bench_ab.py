@@ -91,4 +91,9 @@ def test_a_against_itself_smoke(tmp_path):
     for side in ("A", "B"):
         assert case[side]["n"] == 1 and case[side]["failed"] == 0
         assert case[side]["error"] is None and case[side]["median"] > 0.0
+        # objects the collector freed after the sample: the sequence's
+        # tables die by reference count, so there are none
+        assert case[side]["gc_freed"] == 0
+        assert run["ru_maxrss_mb"][side] > 0.0
     assert name in done.stdout and "B gain" in done.stdout
+    assert "peak RSS: A" in done.stdout

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import gc
 import importlib.util
 import io
 import json
@@ -1136,3 +1137,27 @@ def test_run_scenarios_reports_config_errors(tmp_path, monkeypatch, capsys):
     assert lines[2].startswith("swept") and "FAIL (exit 2)" in lines[2]
     assert (tmp_path / "out" / "good.csv").exists()
     assert (tmp_path / "out" / "swept.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["green", "--profile", "power_log:4:3:0.5", "--growth",
+     "power_log:3:0.5:2"],
+    ["bound", "--profile", "power_log:4:3:0.5", "--growth",
+     "power_log:3:0.5:2", "--m", "2", "--count", "5"],
+    ["l1g", "--profile", "power_log:4:3:0.5", "--exponents", "2.5"],
+], ids=["green", "bound", "l1g"])
+def test_a_run_leaves_no_tables_for_the_collector(tmp_path, argv):
+    # every table a run builds dies by reference count when the run ends,
+    # so peak memory does not wait on the cyclic collector
+    def tables():
+        return sum(isinstance(x, pg.numerics.TailTable)
+                   for x in gc.get_objects())
+
+    gc.collect()
+    before = tables()
+    gc.disable()
+    try:
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+        assert tables() == before
+    finally:
+        gc.enable()

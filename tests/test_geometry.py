@@ -240,3 +240,27 @@ def test_growth_tail_takes_arrays(descriptor):
     assert isinstance(growth.tail(3.0), float)
     with pytest.raises(GrowthError):
         growth.tail(np.array([5.0, 0.5]))
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"form": "power_log", "params": {"k": 3.0, "b": 0.5}, "r0": 2.0},
+    {"form": "power_log", "params": {"k": 2.0, "b": 2.5}, "r0": 3.0},
+    {"form": "power", "params": {"k": 3.7}, "r0": 1.0},
+    {"form": "numeric", "params": {"rate": lambda t: t * t}, "r0": 1.0},
+], ids=["power_log", "power_log_closed", "power", "numeric"])
+def test_growth_tail_each_is_the_lone_tail_bit_for_bit(descriptor):
+    # inside the table, past the knots, and past the table's last edge,
+    # where several radii at once would sum the tail model in another order
+    growth = pg.make_growth(descriptor)
+    rs = np.concatenate([np.geomspace(3.0, 1e9, 40), [1e13],
+                         np.geomspace(1e40, 1e44, 5)])
+    assert growth.tail_each(rs).tolist() == [growth.tail(float(r)) for r in rs]
+    with pytest.raises(GrowthError):
+        growth.tail_each(np.array([5.0, 0.5]))
+
+
+def test_growth_knots_are_built_once():
+    growth = pg.make_growth(form="power", params={"k": 3.0}, r0=2.0)
+    knots = growth.knots
+    assert growth.knots is knots and not knots.flags.writeable
+    assert np.array_equal(knots, np.geomspace(2.0, 2e12, 3600))

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -103,6 +105,39 @@ def test_profile_owns_one_green_data(euclid3):
     assert isinstance(euclid3.green, pg.GreenData)
     assert euclid3.green is euclid3.green
     assert euclid3.green.profile is euclid3
+
+
+def test_tables_die_by_reference_count():
+    # no reference cycles: with the collector off, dropping the last names
+    # frees a profile with both Green tables built, a growth with its tail
+    # table built, and a bound with its knot table built
+    gc.disable()
+    try:
+        profile = pg.make_profile(form="power_log", dimension=4,
+                                  params={"lam": 3.0, "sigma": 0.5})
+        growth = pg.make_growth(form="power_log", params={"k": 3.0, "b": 0.5},
+                                r0=2.0)
+        bound = pg.SmoothingBound.from_profile(profile, 2.0, growth)
+        assert bound.evaluate_l1(1e3, 1.0).regime == "large-time"
+        profile.green.exact(2.0)
+        profile.green.surrogate(2.0)
+        tables = list(profile.green._tables.values()) + [growth._table]
+        assert len(tables) == 3 and "_log_scales" in vars(bound)
+        refs = [weakref.ref(x) for x in
+                [profile, profile.green, growth, bound] + tables]
+        del profile, growth, bound, tables
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_green_data_outlives_its_profile():
+    # the profile is held weakly; area and volume are kept
+    green = pg.GreenData(pg.make_profile(form="power_log", dimension=4,
+                                         params={"lam": 3.0, "sigma": 0.5}))
+    gc.collect()
+    assert green.profile is None
+    assert green.exact(2.0) > 0.0 and green.surrogate(2.0) > 0.0
 
 
 @pytest.mark.parametrize("spec", [

@@ -215,11 +215,11 @@ def test_hermite_rejects_bad_knots():
 
 def test_invert_increasing_round_trip():
     xs = np.linspace(0.0, 5.0, 6)
-    root = invert_increasing(math.exp, math.exp(3.5), xs, np.exp(xs))
+    root = invert_increasing(np.exp, math.exp(3.5), xs, np.exp(xs))
     assert root == pytest.approx(3.5, rel=1e-12)
     # a target at or below the first value returns the first knot
-    assert invert_increasing(math.exp, 0.5, xs, np.exp(xs)) == xs[0]
-    assert invert_increasing(math.exp, 1.0, xs, np.exp(xs)) == xs[0]
+    assert invert_increasing(np.exp, 0.5, xs, np.exp(xs)) == xs[0]
+    assert invert_increasing(np.exp, 1.0, xs, np.exp(xs)) == xs[0]
     # a decreasing function is inverted through its negative; 8 lies past
     # the last knot, where the bracket doubles from the last knot spacing
     xs = np.array([1.0, 2.0, 3.0])
@@ -227,10 +227,33 @@ def test_invert_increasing_round_trip():
     assert root == pytest.approx(8.0, rel=1e-12)
 
 
+def test_invert_increasing_batch_matches_one_target_at_a_time():
+    # inside the knots, on a knot, below them and past them, where the
+    # bracket expands: every root of a batch is the lone root bit for bit,
+    # and fn sees only the targets still at work
+    xs = np.linspace(0.0, 2.0, 5)
+    targets = np.array([[0.5, math.exp(1.3), math.exp(1.5)],
+                        [math.exp(2.0), math.exp(7.25), math.exp(40.0)]])
+    sizes = []
+
+    def fn(x):
+        sizes.append(x.size)
+        return np.exp(x)
+
+    roots = invert_increasing(fn, targets, xs, np.exp(xs))
+    assert roots.shape == targets.shape
+    alone = [invert_increasing(np.exp, t, xs, np.exp(xs)) for t in targets.flat]
+    assert roots.ravel().tolist() == alone
+    assert roots[0, 0] == xs[0]
+    assert roots[1, 2] == pytest.approx(40.0, rel=1e-12)
+    assert sizes[0] == 2 and sizes[-1] < 5  # growing brackets, then fewer
+    assert invert_increasing(fn, np.array([]), xs, np.exp(xs)).shape == (0,)
+
+
 def test_invert_increasing_unreachable_target():
     xs = np.linspace(0.0, 1.0, 3)
     with pytest.raises(BracketError):
-        invert_increasing(math.atan, 2.0, xs, np.arctan(xs))
+        invert_increasing(np.arctan, 2.0, xs, np.arctan(xs))
 
 
 def test_gauss_panels_polynomial_exactness():

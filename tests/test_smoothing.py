@@ -105,6 +105,112 @@ def test_smoothing_bound_validation(euclid3, growth3):
         bound.time_threshold(0.0)
 
 
+@pytest.mark.parametrize("t, norm1", [(1.0, math.nan), (math.nan, 1.0),
+                                      (1.0, math.inf), (math.inf, 1.0)],
+                         ids=["nan-norm", "nan-t", "inf-norm", "inf-t"])
+def test_non_finite_input_is_rejected_before_any_work(euclid3, growth3, t,
+                                                      norm1):
+    bound = pg.SmoothingBound.from_profile(euclid3, 2.0, growth3)
+    with pytest.raises(ValueError, match="positive and finite"):
+        bound.evaluate_l1(t, norm1)
+    with pytest.raises(ValueError, match="positive and finite"):
+        bound.evaluate_l1_many([2.0, t, 3.0], norm1)
+    assert "_log_scales" not in vars(bound)  # no knot table was built
+    with pytest.raises(ValueError, match="positive and finite"):
+        pg.smoothing_bound_l1g(2.0, 3, t, norm1)
+
+
+# -- batched evaluation against the one-time loop ---------------------------
+
+def _root_alone(fn, target, xs, ys):
+    """The one-target secant loop of invert_increasing, on scalar fn."""
+    i = int(np.searchsorted(ys, target))
+    if i == 0:
+        return xs[0]
+    if i < xs.size:
+        lo, hi, flo, fhi = xs[i - 1], xs[i], ys[i - 1], ys[i]
+    else:
+        hi, fhi, width = float(xs[-1]), float(ys[-1]), float(xs[-1] - xs[-2])
+        while True:
+            lo, flo, hi = hi, fhi, hi + width
+            fhi = fn(hi)
+            if fhi >= target:
+                break
+            width *= 2.0
+    xa, fa, xb, fb = lo, flo - target, hi, fhi - target
+    for _ in range(60):
+        x = xb - fb * (xb - xa) / (fb - fa) if fb != fa else lo
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = fn(x) - target
+        if fx == 0.0 or abs(x - xb) <= 1e-12:
+            break
+        if fx < 0.0:
+            lo = x
+        else:
+            hi = x
+        xa, fa, xb, fb = xb, fb, x, fx
+    return x
+
+
+def _bound_alone(bound, t, norm1):
+    """evaluate_l1 at one time, on scalars throughout."""
+    threshold = bound.time_threshold(norm1)
+    mm, n = bound.m - 1.0, bound.dimension
+
+    def small_at(s):
+        return s ** (-decay_exponent(bound.m, n)) * norm1 ** (2.0 / (n * mm + 2.0))
+
+    if t < threshold * (1.0 - 1e-9):
+        return pg.BoundEvaluation(t, norm1, "small-time", small_at(t), None,
+                                  threshold)
+    xs, ys = bound._log_scales
+    with np.errstate(over="ignore"):
+        x = _root_alone(lambda x: math.log(bound.data_scale(math.exp(x))),
+                        math.log(max(t ** (1.0 / mm) * norm1,
+                                     bound.scale_threshold)), xs, ys)
+    r_star = bound.growth.r0 if x == xs[0] else math.exp(x)
+    large = t ** (-1.0 / mm) * pg.green_ball_envelope(
+        bound.growth, r_star) ** (1.0 / mm)
+    tie = ((large, small_at(t)) if abs(t - threshold) <= 1e-9 * threshold
+           else None)
+    cap = small_at(min(t, threshold))
+    return pg.BoundEvaluation(t, norm1, "large-time" if large <= cap else
+                              "capped", min(large, cap), r_star, threshold, tie)
+
+
+@pytest.mark.parametrize("growth", [
+    # closed forms whose ** is no reciprocal, which numpy and libm agree on
+    {"form": "power", "params": {"k": 3.7}},
+    {"form": "power_log", "params": {"k": 3.0, "b": 0.5}, "r0": 2.0},
+    {"form": "power_log", "params": {"k": 2.0, "b": 2.5}, "r0": 3.0},
+    {"form": "numeric", "params": {"rate": lambda t: np.power(t, 3.5)}},
+], ids=["power", "power_log-table", "power_log-closed", "numeric"])
+@pytest.mark.parametrize("m", [2.0, 3.0])
+def test_batched_bounds_match_one_time_loop_bit_for_bit(growth, m):
+    profile = pg.make_profile(form="power_log", dimension=4,
+                              params={"lam": 3.0, "sigma": 0.5})
+    bound = pg.SmoothingBound.from_profile(profile, m, pg.make_growth(growth))
+    norm1 = 0.7
+    threshold = bound.time_threshold(norm1)
+    # the scale of a radius past the growth knots, whose inversion expands
+    # its bracket beyond the knot table
+    far = (bound.data_scale(3e12 * bound.growth.r0) / norm1) ** (m - 1.0)
+    times = np.concatenate([np.geomspace(1e-3, 1e8, 40),
+                            [threshold, threshold * (1.0 - 5e-10), far]])
+    batch = bound.evaluate_l1_many(times, norm1)
+    alone = [_bound_alone(bound, float(t), norm1) for t in times]
+    assert batch == alone
+    assert [bound.evaluate_l1(float(t), norm1) for t in times] == alone
+    assert batch[40].tie_values is not None and batch[41].tie_values is not None
+    assert batch[42].r_star > 1e12 * bound.growth.r0
+    assert {ev.regime for ev in batch} >= {"small-time", "large-time"}
+    scales = np.array([bound.scale_threshold, 3.0 * bound.scale_threshold,
+                       bound.data_scale(2e12 * bound.growth.r0)])
+    assert bound.radius_for_scale(scales).tolist() == [
+        bound.radius_for_scale(float(s)) for s in scales]
+
+
 # -- two-regime bound -------------------------------------------------------
 
 def test_bound_regimes_and_threshold_tie(euclid3, growth3):

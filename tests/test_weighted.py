@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pmegreen as pg
+from pmegreen.numerics import invert_increasing
 
 
 def expdecay(r):
@@ -154,6 +155,19 @@ def test_separating_distances_where_the_certificate_binds(euclid5):
     assert np.allclose(seq.distances, exact, rtol=1e-12, atol=0.0)
 
 
+def test_separating_roots_are_the_lone_roots(euclid5):
+    # k = 2.2 puts every root above the floor 4 d_(j-1), so each distance
+    # is 1 + e^root, its root taken alone bit for bit
+    growth = pg.make_growth(form="power", params={"k": 2.2}, r0=1.0)
+    seq = pg.build_separating_sequence(euclid5, growth, 8)
+    xs = np.log(growth.knots)
+    ys = -np.log(growth.tail(growth.knots))
+    alone = [1.0 + math.exp(invert_increasing(
+        lambda x: [-math.log(growth.tail(math.exp(x[0])))],
+        -math.log(2.0 ** -j), xs, ys)) for j in range(1, 9)]
+    assert seq.distances.tolist() == alone
+
+
 def test_separating_sequence_validation(euclid5, growth5):
     with pytest.raises(ValueError):
         pg.build_separating_sequence(euclid5, growth5, 0)
@@ -219,3 +233,20 @@ def test_l1_norm_power_log_at_three_and_a_half():
     res = pg.l1_norm_radial(prof, lambda r: (1.0 + np.asarray(r)) ** -3.5)
     assert res.converged
     assert res.total == pytest.approx(5.789343622933990821, rel=1e-5)
+
+
+@pytest.mark.parametrize("profile", [
+    {"form": "euclidean", "dimension": 5},
+    {"form": "power_log", "dimension": 4, "params": {"lam": 3.0, "sigma": 0.5}},
+], ids=["euclid5", "power_log"])
+@pytest.mark.parametrize("a", [2.0, 2.5, 3.5, 4.5, 6.0])
+def test_powerlaw_classify_matches_the_separate_norms(profile, a):
+    # one density read for both norms; the plain norm may settle at another
+    # horizon than the weighted one, and each reads as if run alone
+    profile = pg.make_profile(profile)
+    u_a = lambda r: np.power(1.0 + np.asarray(r, dtype=float), -a)
+    cls = pg.powerlaw_classify(profile, a, (10.0, 100.0))
+    assert repr(cls.l1_diag) == repr(pg.l1_norm_radial(profile, u_a,
+                                                       (10.0, 100.0)))
+    assert repr(cls.l1g_diag) == repr(pg.l1g_norm(profile, u_a,
+                                                  (10.0, 100.0)))
