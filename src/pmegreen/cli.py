@@ -29,7 +29,8 @@ from .geometry import (GROWTH_FORMS, NUMBER, NUMBERS, PROFILE_FORMS,
                        make_growth, make_profile)
 from .green import ParabolicProfileError, green_bounds
 from .numerics import Check, Hermite, loglog_slope, max_rise, pchip_slopes
-from .smoothing import SmoothingBound, decay_exponent, smoothing_bound_l1g
+from .smoothing import (DomainError, SmoothingBound, decay_exponent,
+                        smoothing_bound_l1g)
 from .solver import (BarenblattParams, RadialGrid, barenblatt_datum,
                      optimality_harness, run_pme, verify_solution_estimates)
 from .weighted import (DEFAULT_HORIZONS, powerlaw_classify,
@@ -445,39 +446,43 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, columns, rows) -> None:
-    """Rows are dicts keyed by column, or a 2-D float array with one column
-    per name, written as the same floats in dicts would be."""
+def write_csv(path: Path, table: dict) -> None:
+    """Write a table of named columns in order. A column of floats is
+    formatted with %.17g in one pass, as _fmt would each cell; any other
+    column cell by cell through _fmt."""
+    specs, columns = [], []
+    for values in table.values():
+        values = (values.tolist() if isinstance(values, np.ndarray) else
+                  list(values))
+        if all(type(v) is float for v in values):
+            specs.append("%.17g")
+        else:
+            specs.append("%s")
+            values = [_fmt(v) for v in values]
+        columns.append(values)
+    row = ",".join(specs) + "\n"
+    text = "".join(row % cells for cells in zip(*columns, strict=True))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        if isinstance(rows, np.ndarray):
-            row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
-            for row in rows.astype(float, copy=False).tolist():
-                fh.write(row_fmt % tuple(row))
-            return
-        for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+        fh.write(",".join(table) + "\n" + text)
 
 
-def _jsonable(value):
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in value]
-    return value
+def _numpy_value(value):
+    """json.dumps' hook for numpy scalars and arrays: their Python values."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def write_manifest(path: Path, payload: dict) -> None:
+    text = json.dumps(payload, sort_keys=True, indent=2, default=_numpy_value)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(_jsonable(payload), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
 # scenario runners: (resolved scenario, profile, growth, thresholds) ->
-# {columns, rows, metrics, checks: {name: Check}[, profiles]}; _run writes
+# {csv: {column: values}[, profiles: {column: values}], metrics,
+# checks: {name: Check}}; _run writes each table under its output key
 
 def _run_check(scn, profile, growth, tol, out_dir):
     p = scn["params"]
@@ -488,10 +493,6 @@ def _run_check(scn, profile, growth, tol, out_dir):
         where = ("growth.r0" if p["sample_max"] == 1e4 * growth.r0  # default
                  else "params.sample_max")
         raise ConfigError(f"{where}: {exc}") from exc
-    r = report.sample
-    volume = np.asarray(profile.volume(r), dtype=float)
-    rows = np.column_stack([r, volume, np.asarray(profile.area(r), dtype=float),
-                            r * np.asarray(growth.rate(r), dtype=float) / volume])
     metrics = {"alpha_noncollapse": report.alpha_noncollapse,
                "gamma_uniformity": report.gamma_uniformity,
                "beta": report.beta,
@@ -499,7 +500,9 @@ def _run_check(scn, profile, growth, tol, out_dir):
     checks = {"bishop_gromov": report.bishop_gromov,
               "euclidean_bound": report.euclidean_bound,
               "all_assumptions": Check(len(report.failures), 0.0)}
-    return {"columns": ["r", "volume", "area", "growth_ratio"], "rows": rows,
+    return {"csv": {"r": report.sample, "volume": report.volumes,
+                    "area": report.areas,
+                    "growth_ratio": report.growth_ratios},
             "metrics": metrics, "checks": checks}
 
 
@@ -526,7 +529,6 @@ def _run_green(scn, profile, growth, tol, out_dir):
     p = scn["params"]
     radii = (np.asarray(p["radii"], dtype=float) if "radii" in p else
              np.geomspace(p["r_min"], p["r_max"], p["count"]))
-    columns = ["r", "green_exact", "green_surrogate", "ratio"]
     checks, metrics = {}, {}
     # radii where G or Ghat leave double precision are rejected below
     with np.errstate(all="ignore"):
@@ -539,20 +541,15 @@ def _run_green(scn, profile, growth, tol, out_dir):
             g_exact = profile.green.exact(radii)
             g_surr = profile.green.surrogate(radii)
     _check_green_values(p, radii, g_exact, g_surr)
+    ratios = g_exact / g_surr
+    csv = {"r": radii, "green_exact": g_exact, "green_surrogate": g_surr,
+           "ratio": ratios}
     if p["bounds"]:
-        columns += ["lower_far", "upper_tail", "upper_near",
-                    "lower_ok", "tail_ok", "near_ok"]
+        csv.update((k, getattr(report, k)) for k in (
+            "lower_far", "upper_tail", "upper_near",
+            "lower_ok", "tail_ok", "near_ok"))
         checks["bounds_hold"] = report.bounds_hold
         metrics.update(c1=report.c1, c2=report.c2)
-    rows = []
-    for i, r in enumerate(radii):
-        ge, gs = float(g_exact[i]), float(g_surr[i])
-        row = {"r": float(r), "green_exact": ge, "green_surrogate": gs,
-               "ratio": ge / gs}
-        if p["bounds"]:
-            row.update({k: getattr(report, k)[i] for k in columns[4:]})
-        rows.append(row)
-    ratios = np.array([row["ratio"] for row in rows])
     metrics["ratio_min"] = float(ratios.min())
     metrics["ratio_max"] = float(ratios.max())
     law = profile.power_law
@@ -561,29 +558,26 @@ def _run_green(scn, profile, growth, tol, out_dir):
         metrics["ratio_expected"] = expected
         checks["ratio_constant"] = Check(
             float(np.max(np.abs(ratios - expected))), tol["rel"] * expected)
-    return {"columns": columns, "rows": rows, "metrics": metrics,
-            "checks": checks}
+    return {"csv": csv, "metrics": metrics, "checks": checks}
 
 
 def _run_l1g(scn, profile, growth, tol, out_dir):
     volume_growth_exponent(profile)  # rejects the profile before any work
     p = scn["params"]
-    rows = []
-    for a in p["exponents"]:
-        cls = powerlaw_classify(profile, a, tuple(p["horizons"]),
-                                p["rel_threshold"])
-        rows.append({
-            "a": a, "in_l1": cls.in_l1, "in_l1g": cls.in_l1g,
-            "l1_total": cls.l1_diag.total, "l1g_total": cls.l1g_diag.total,
-            "l1_converged": cls.l1_diag.converged,
-            "l1g_converged": cls.l1g_diag.converged,
-            "consistent": cls.consistent})
-    return {"columns": ["a", "in_l1", "in_l1g", "l1_total", "l1g_total",
-                        "l1_converged", "l1g_converged", "consistent"],
-            "rows": rows, "metrics": {"alpha_infinity":
-                                      profile.alpha_infinity},
-            "checks": {"classification_consistent": Check(
-                sum(not row["consistent"] for row in rows), 0.0)}}
+    classes = [powerlaw_classify(profile, a, tuple(p["horizons"]),
+                                 p["rel_threshold"]) for a in p["exponents"]]
+    consistent = [cls.consistent for cls in classes]
+    return {"csv": {
+        "a": p["exponents"], "in_l1": [cls.in_l1 for cls in classes],
+        "in_l1g": [cls.in_l1g for cls in classes],
+        "l1_total": [cls.l1_diag.total for cls in classes],
+        "l1g_total": [cls.l1g_diag.total for cls in classes],
+        "l1_converged": [cls.l1_diag.converged for cls in classes],
+        "l1g_converged": [cls.l1g_diag.converged for cls in classes],
+        "consistent": consistent},
+        "metrics": {"alpha_infinity": profile.alpha_infinity},
+        "checks": {"classification_consistent": Check(
+            consistent.count(False), 0.0)}}
 
 
 def _run_bound(scn, profile, growth, tol, out_dir):
@@ -592,24 +586,25 @@ def _run_bound(scn, profile, growth, tol, out_dir):
     ts = (np.asarray(p["t_values"], dtype=float) if "t_values" in p else
           np.geomspace(p["t_min"], p["t_max"], p["count"]))
     bound = SmoothingBound.from_profile(profile, m, growth)
-    columns = ["t", "regime", "bound_l1"]
-    norm_green = p["norm_green"]
-    if norm_green is not None:
-        columns.append("bound_l1g")
-    rows = []
-    for t, ev in zip(ts.tolist(), bound.evaluate_l1_many(ts, norm1)):
-        row = {"t": t, "regime": ev.regime, "bound_l1": ev.value}
-        if norm_green is not None:
-            row["bound_l1g"] = smoothing_bound_l1g(
-                m, profile.dimension, t, norm_green).value
-        rows.append(row)
-    vals = np.array([r["bound_l1"] for r in rows])
+    try:
+        evals = bound.evaluate_l1_many(ts, norm1)
+    except DomainError as exc:  # a scale or bound past double range at exc.t
+        where = (f"params.t_values[{ts.tolist().index(exc.t)}]"
+                 if "t_values" in p else
+                 "params.t_min" if exc.t == ts[0] else "params.t_max")
+        raise ConfigError(f"{where}: {exc}") from exc
+    vals = np.array([ev.value for ev in evals])
+    csv = {"t": ts, "regime": [ev.regime for ev in evals], "bound_l1": vals}
+    if p["norm_green"] is not None:
+        csv["bound_l1g"] = [smoothing_bound_l1g(
+            m, profile.dimension, t, p["norm_green"]).value
+            for t in ts.tolist()]
     metrics = {"threshold_time": bound.time_threshold(norm1)}
     bad = np.count_nonzero(~(np.isfinite(vals) & (vals > 0.0)))
     checks = {"finite_positive": Check(bad, 0.0),
               "nonincreasing": Check(max_rise(vals), 1e-12)}
     if p["fit"]:
-        large = np.array([r["regime"] == "large-time" for r in rows])
+        large = np.array([ev.regime == "large-time" for ev in evals])
         if np.count_nonzero(large) < 3:
             raise ConfigError("fit requested but fewer than 3 sample times "
                               "sit in the large-time regime")
@@ -620,8 +615,7 @@ def _run_bound(scn, profile, growth, tol, out_dir):
             metrics["predicted_slope"] = predicted
             checks["slope_matches"] = Check(
                 abs(slope - predicted), tol["slope_tol"] * abs(predicted))
-    return {"columns": columns, "rows": rows, "metrics": metrics,
-            "checks": checks}
+    return {"csv": csv, "metrics": metrics, "checks": checks}
 
 
 def _solve_initial(init, m, dimension):
@@ -667,26 +661,24 @@ def _run_solve(scn, profile, growth, tol, out_dir):
     l1g_w = grid.cell_weights(
         lambda r: np.where(np.asarray(r) < 1.0, 1.0,
                            np.asarray(profile.green.exact(r), dtype=float)))
-    rows = [{"t": float(t), "sup_u": float(state.max()),
-             "mass": float(np.sum(state * grid.cell_volumes)),
-             "outflow": float(out), "l1g_norm": float(np.sum(state * l1g_w))}
-            for t, state, out in zip(record.times, record.states,
-                                     record.outflows)]
-    metrics = {"mass_defect": record.mass_defect(), "steps": record.steps,
+    defect = record.mass_defect()
+    metrics = {"mass_defect": defect, "steps": record.steps,
                "cells": p["cells"]}
-    checks = {"mass_conserved": Check(record.mass_defect(), 1e-10),
+    checks = {"mass_conserved": Check(defect, 1e-10),
               "positivity": Check(-np.min(record.states), 0.0)}
     if p["verify"]:
         report = verify_solution_estimates(record, tau=tol["tau"])
         checks.update((f"estimate_{name}", chk)
                       for name, chk in report.checks.items())
         metrics["max_estimate_violation"] = report.max_violation
-    result = {"columns": ["t", "sup_u", "mass", "outflow", "l1g_norm"],
-              "rows": rows, "metrics": metrics, "checks": checks}
+    result = {"csv": {"t": record.times, "sup_u": record.sup_norms,
+                      "mass": record.masses, "outflow": record.outflows,
+                      "l1g_norm": [float(np.sum(state * l1g_w))
+                                   for state in record.states]},
+              "metrics": metrics, "checks": checks}
     if p["emit_profiles"]:
-        result["profiles"] = (
-            ["r"] + [f"u_t{i}" for i in range(len(record.times))],
-            np.column_stack([grid.centers, *record.states]))
+        result["profiles"] = {"r": grid.centers, **{
+            f"u_t{i}": state for i, state in enumerate(record.states)}}
     return result
 
 
@@ -697,12 +689,6 @@ def _run_optimality(scn, profile, growth, tol, out_dir):
         cells=p["cells"], r_max=p["r_max"], t_end=p["t_end"],
         n_snapshots=p["n_snapshots"],
         fit_window=tuple(p["fit_window"]) if p["fit_window"] else None)
-    rows = [{"t_abs": float(t), "sup_u": float(s), "sup_scaled": float(sc),
-             "bound_l1": float(b), "bound_regime": reg}
-            for t, s, sc, b, reg in zip(report.times_abs, report.sup_values,
-                                        report.sup_scaled,
-                                        report.bound_values,
-                                        report.bound_regimes)]
     metrics = {"fitted_slope": report.slope,
                "expected_slope": report.expected_slope,
                "band_ratio": report.band_ratio,
@@ -715,9 +701,11 @@ def _run_optimality(scn, profile, growth, tol, out_dir):
               "l1_error": Check(report.l1_error_final,
                                 tol["l1_limit"] * p["mass"]),
               "mass_conserved": Check(report.mass_defect, 1e-10)}
-    return {"columns": ["t_abs", "sup_u", "sup_scaled", "bound_l1",
-                        "bound_regime"], "rows": rows, "metrics": metrics,
-            "checks": checks}
+    return {"csv": {"t_abs": report.times_abs, "sup_u": report.sup_values,
+                    "sup_scaled": report.sup_scaled,
+                    "bound_l1": report.bound_values,
+                    "bound_regime": report.bound_regimes},
+            "metrics": metrics, "checks": checks}
 
 
 def _run_sweep(scn, profile, growth, tol, out_dir):
@@ -726,7 +714,7 @@ def _run_sweep(scn, profile, growth, tol, out_dir):
     for i, (overrides, sub, res) in enumerate(scn["grid"]):
         sub["name"] = res["name"] = f"{scn['name']}-{i:03d}"
         row = {"index": i, "name": sub["name"], "passed": False, "error": "",
-               **{k: overrides.get(k, "") for k in grid_keys}}
+               **overrides}
         try:
             result = _run(sub, res, tol, out_dir)
             row.update(result["metrics"], passed=result["passed"])
@@ -738,11 +726,9 @@ def _run_sweep(scn, profile, growth, tol, out_dir):
             traceback.print_exc()
             row["error"], worst = f"{type(exc).__name__}: {exc}", 3
         rows.append(row)
-    for row in rows:
-        for k in metric_keys:
-            row.setdefault(k, "")
-    return {"columns": (["index", "name"] + grid_keys + metric_keys +
-                        ["passed", "error"]), "rows": rows,
+    # a point without a key of the table leaves its cell empty
+    columns = ["index", "name", *grid_keys, *metric_keys, "passed", "error"]
+    return {"csv": {c: [row.get(c, "") for row in rows] for c in columns},
             "metrics": {"points": len(rows)},
             "checks": {"all_rows_passed": Check(
                 sum(not row["passed"] for row in rows), 0.0)},
@@ -752,6 +738,9 @@ def _run_sweep(scn, profile, growth, tol, out_dir):
 _RUNNERS = {"check": _run_check, "green": _run_green, "l1g": _run_l1g,
             "bound": _run_bound, "solve": _run_solve,
             "optimality": _run_optimality, "sweep": _run_sweep}
+# a runner's table -> (the output key naming its file, the default name's
+# suffix after the scenario name)
+_TABLES = {"csv": ("csv", ""), "profiles": ("profiles_csv", "_profiles")}
 
 
 def _run(scn, res, tol, out_dir: Path) -> dict:
@@ -774,12 +763,12 @@ def _run(scn, res, tol, out_dir: Path) -> dict:
     checks = result["checks"]
     result["passed"] = all(c.passed for c in checks.values())
     result.setdefault("exit", 0 if result["passed"] else 1)
-    outputs = {"csv": res["output"].get("csv", f"{res['name']}.csv")}
-    write_csv(out_dir / outputs["csv"], result["columns"], result["rows"])
-    if "profiles" in result:
-        outputs["profiles"] = res["output"].get("profiles_csv",
-                                                f"{res['name']}_profiles.csv")
-        write_csv(out_dir / outputs["profiles"], *result["profiles"])
+    outputs = {}
+    for key, (out_key, suffix) in _TABLES.items():
+        if key in result:
+            outputs[key] = res["output"].get(out_key,
+                                             f"{res['name']}{suffix}.csv")
+            write_csv(out_dir / outputs[key], result[key])
     write_manifest(out_dir / f"{res['name']}.manifest.json", {
         "schema_version": SCHEMA_VERSION, "library_version": __version__,
         "name": res["name"], "kind": res["kind"], "config": scn,

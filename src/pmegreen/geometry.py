@@ -378,6 +378,9 @@ class AssumptionReport:
     failures: list
     passed: bool
     sample: np.ndarray
+    volumes: np.ndarray          # V on the sample
+    areas: np.ndarray            # S on the sample
+    growth_ratios: np.ndarray    # r f(r) / V on the sample
 
 
 def check_assumptions(profile: VolumeProfile, growth: GrowthFunction,
@@ -410,8 +413,8 @@ def check_assumptions(profile: VolumeProfile, growth: GrowthFunction,
     if alpha <= 0.0:
         failures.append("noncollapsing")
 
-    g = sample * rates / vols
-    gamma = float(np.max(g / np.minimum.accumulate(g)))
+    ratios = sample * rates / vols
+    gamma = float(np.max(ratios / np.minimum.accumulate(ratios)))
 
     try:
         beta = growth.beta
@@ -441,7 +444,8 @@ def check_assumptions(profile: VolumeProfile, growth: GrowthFunction,
         alpha_noncollapse=alpha, gamma_uniformity=gamma, beta=beta,
         doubling_constant=doubling, bishop_gromov=bishop,
         euclidean_bound=euclid, failures=failures,
-        passed=not failures, sample=sample)
+        passed=not failures, sample=sample, volumes=vols, areas=areas,
+        growth_ratios=ratios)
 
 
 @dataclass

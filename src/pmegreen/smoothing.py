@@ -23,7 +23,12 @@ LAMBERT_MAX_ITER = 32
 
 
 class DomainError(ValueError):
-    """Evaluation requested outside the validity range of a bound."""
+    """Evaluation requested outside the validity range of a bound; `t` is
+    the time at fault, where there is one."""
+
+    def __init__(self, message: str, t: Optional[float] = None):
+        super().__init__(message)
+        self.t = t
 
 
 def decay_exponent(m: float, lam: float) -> float:
@@ -48,6 +53,23 @@ def _envelope_each(growth: GrowthFunction, R: np.ndarray) -> np.ndarray:
     its value at that one radius."""
     return (R * np.asarray(growth.rate(R), dtype=float) * growth.tail_each(R)
             + R * R)
+
+
+def _pow(x: float, p: float) -> float:
+    """x ** p, inf where Python's float power raises: on overflow, or for 0
+    to a negative power."""
+    try:
+        return x ** p
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def _in_range(what: str, value: float, t: float) -> float:
+    """value, unless it is 0, inf or nan: then a DomainError naming t."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{what} is {value:g} at t = {t:g}, outside double "
+                          "range", t=t)
+    return value
 
 
 def _positive_finite(name: str, value: float) -> None:
@@ -167,7 +189,9 @@ class SmoothingBound:
         """evaluate_l1 at each of `times`, in order, with one radius
         inversion for all large-time ones; each result is bit for bit the
         one evaluate_l1 gives alone. Raises ValueError, before any work,
-        where a time or norm1 is not positive and finite."""
+        where a time or norm1 is not positive and finite, and DomainError
+        naming the time where t^{1/(m-1)} norm1 or the bound leaves double
+        range."""
         ts = [float(t) for t in times]
         for t in ts:
             _positive_finite("t", t)
@@ -177,13 +201,14 @@ class SmoothingBound:
         small_factor = norm1 ** (2.0 / (self.dimension * mm + 2.0))
 
         def small_at(s):
-            return s ** small_exponent * small_factor
+            return _pow(s, small_exponent) * small_factor
 
         late = [t >= threshold * (1.0 - THRESHOLD_TIE_REL) for t in ts]
         if any(late):
-            r_stars = self.radius_for_scale(np.array([
-                max(t ** (1.0 / mm) * norm1, self.scale_threshold)
-                for t, is_late in zip(ts, late) if is_late]))
+            r_stars = self.radius_for_scale(np.array([max(_in_range(
+                "t^(1/(m-1)) norm1", _pow(t, 1.0 / mm) * norm1, t),
+                self.scale_threshold) for t, is_late in zip(ts, late)
+                if is_late]))
             large_time = iter(zip(r_stars.tolist(), _envelope_each(
                 self.growth, r_stars).tolist()))
         out = []
@@ -191,11 +216,13 @@ class SmoothingBound:
             small = small_at(t)
             if not is_late:
                 out.append(BoundEvaluation(
-                    t=t, norm_value=norm1, regime="small-time", value=small,
+                    t=t, norm_value=norm1, regime="small-time",
+                    value=_in_range("the small-time bound", small, t),
                     r_star=None, threshold_time=threshold))
                 continue
             r_star, env = next(large_time)
-            large = t ** (-1.0 / mm) * env ** (1.0 / mm)
+            large = _in_range("the large-time bound", _pow(t, -1.0 / mm)
+                              * _pow(env, 1.0 / mm), t)
             tie = None
             if abs(t - threshold) <= THRESHOLD_TIE_REL * threshold:
                 tie = (large, small)
@@ -302,7 +329,8 @@ def family_rate(family, m: float, t: float, norm1: float) -> float:
 
     Power family: t^{-lam/((m-1)lam+2)} norm1^{2/((m-1)lam+2)}.
     Log family: the implicit rate resolved through the principal Lambert
-    branch; only defined once the resolved scale exceeds 1.
+    branch; only defined once the resolved scale exceeds 1. Raises
+    DomainError where a power of t or the rate leaves double range.
     """
     if m <= 1.0:
         raise ValueError("m must exceed 1")
@@ -311,15 +339,16 @@ def family_rate(family, m: float, t: float, norm1: float) -> float:
     mm = m - 1.0
     if isinstance(family, PowerVolumeFamily):
         lam = family.lam
-        return t ** (-decay_exponent(m, lam)) * norm1 ** (2.0 / (mm * lam + 2.0))
+        return _in_range("the power-family rate", _pow(t, -decay_exponent(
+            m, lam)) * norm1 ** (2.0 / (mm * lam + 2.0)), t)
     if isinstance(family, LogVolumeFamily):
         a = family.lam + 2.0 / mm
         b = family.sigma + 1.0 / mm
-        s = t ** (1.0 / mm) * norm1
+        s = _in_range("t^(1/(m-1)) norm1", _pow(t, 1.0 / mm) * norm1, t)
         if b == 0.0:
             resolved = s ** (1.0 / a)
         else:
-            arg = (a / b) * s ** (1.0 / b)
+            arg = (a / b) * _pow(s, 1.0 / b)
             if arg < -math.exp(-1.0):
                 raise DomainError("log-family rate undefined: Lambert argument "
                                   "below the branch point at this t")
@@ -327,6 +356,7 @@ def family_rate(family, m: float, t: float, norm1: float) -> float:
         if resolved <= 1.0:
             raise DomainError("log-family rate needs a resolved scale above 1; "
                               "increase t")
-        return (t ** (-1.0 / mm) * resolved ** (2.0 / mm) *
-                math.log(resolved) ** (1.0 / mm))
+        return _in_range("the log-family rate", _pow(t, -1.0 / mm) *
+                         _pow(resolved, 2.0 / mm) *
+                         _pow(math.log(resolved), 1.0 / mm), t)
     raise TypeError(f"unknown family {type(family).__name__}")

@@ -17,8 +17,9 @@ import numpy as np
 
 from .geometry import GrowthFunction, ProfileError, VolumeProfile
 from .green import GreenData
-from .numerics import (PANELS_PER_DECADE, gauss_intervals, gauss_panels,
-                       invert_increasing, tail_remainder, truncated_tail)
+from .numerics import (PANELS_PER_DECADE, gauss_nodes, gauss_panels,
+                       gauss_sum, invert_increasing, tail_remainder,
+                       truncated_tail)
 
 # the first truncation schedule; past it the horizons grow x10
 DEFAULT_HORIZONS = (10.0, 1e2, 1e3, 1e4)
@@ -186,14 +187,19 @@ def build_separating_sequence(profile: VolumeProfile, growth: GrowthFunction,
         raise ArithmeticError("separating distance failed its tail certificate")
 
     shells = np.column_stack([distances - 0.5, distances + 0.5])
-    # 8 panels per shell; the shell volume comes from the same Gauss rule of S
-    # as the weighted mass, not from a difference of two large volumes
-    seg = np.linspace(shells[:, 0], shells[:, 1], 9, axis=1)
-    area = lambda r: np.asarray(profile.area(r), dtype=float)
-    vols = gauss_intervals(area, seg[:, :-1], seg[:, 1:]).sum(axis=1)
-    weighted = gauss_intervals(
-        lambda r: np.asarray(gd.exact(r), dtype=float) * area(r),
-        seg[:, :-1], seg[:, 1:]).sum(axis=1)
+    # 8 panels per shell, of half-width exactly 1/16: their Gauss nodes are d
+    # plus offsets in [-1/2, 1/2], so no width is a difference of two large
+    # radii (those round to one double past 2^53). The shell volume comes
+    # from the same rule of S as the weighted mass, not from a difference of
+    # two large volumes
+    offsets, half = gauss_nodes(-1.0 / 16.0, 1.0 / 16.0)
+    mids = distances[:, None] + (np.arange(8) - 3.5) / 8.0
+    nodes = mids[..., None] + offsets
+    area = np.asarray(profile.area(nodes.ravel()), dtype=float)
+    g_exact = np.asarray(gd.exact(nodes.ravel()), dtype=float)
+    vols = gauss_sum(area.reshape(nodes.shape), half).sum(axis=1)
+    weighted = gauss_sum((g_exact * area).reshape(nodes.shape),
+                         half).sum(axis=1)
     increments = weighted / vols
     partial_weighted = np.cumsum(increments)
     constant = float(np.max(increments * 2.0 ** j_idx))

@@ -93,21 +93,60 @@ def test_outputs_are_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_array_rows_write_as_dict_rows(tmp_path):
-    # the profiles CSV is written from one array; its bytes must be those of
-    # float rows given as dicts
+def _cell_by_cell(table):
+    """The CSV text of a table of columns with every cell through _fmt."""
+    rows = zip(*table.values())
+    return "".join(",".join(cli._fmt(v) for v in row) + "\n"
+                   for row in [list(table), *rows]).encode()
+
+
+def test_float_columns_write_as_fmt_cells(tmp_path):
+    # a float column is formatted in one pass; its bytes must be those of
+    # _fmt on each cell, whether it comes as an array or as Python floats
     rng = np.random.default_rng(7)
-    table = rng.random((50, 4)) * np.logspace(-300, 300, 50)[:, None]
-    table[0] = [0.0, -0.0, 5e-324, 2.2250738585072014e-308]
-    table[1] = [1e-300, 3.0e-301, 1.0000000000000001e-300, -1e-300]
-    table[2] = [1.0, 0.1, 1.0 / 3.0, 2.0**52 + 1.0]
-    columns = ["r", "u_t0", "u_t1", "u_t2"]
-    cli.write_csv(tmp_path / "array.csv", columns, table)
-    rows = [{c: float(v) for c, v in zip(columns, row)} for row in table]
-    cli.write_csv(tmp_path / "dicts.csv", columns, rows)
-    written = (tmp_path / "array.csv").read_bytes()
-    assert written == (tmp_path / "dicts.csv").read_bytes()
-    assert written.count(b"\n") == 51
+    values = rng.random(60) * np.logspace(-300, 300, 60)
+    values[:12] = [0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                   2.0**52 + 1.0, math.nan, math.inf, -math.inf, 1.0, 0.1,
+                   1.0 / 3.0, -1e-300]
+    table = {"array": values, "floats": values.tolist(),
+             "numpy_floats": list(values), "reversed": values[::-1]}
+    cli.write_csv(tmp_path / "t.csv", table)
+    written = (tmp_path / "t.csv").read_bytes()
+    assert written == _cell_by_cell(table)
+    assert written.count(b"\n") == 61
+    assert b"-0,-0,-0," in written and b"nan,nan,nan," in written
+    assert b"2.2250738585072014e-308," in written
+
+
+def test_other_columns_write_cell_by_cell(tmp_path):
+    table = {"flag": [True, False, True], "mask": np.array([False, True, True]),
+             "count": [0, -7, 2**60], "index": np.arange(3),
+             "name": ["a", "b c", "x-001"],
+             "metric": [1.5, "", 2.0**52 + 1.0]}  # "" as a sweep leaves it
+    cli.write_csv(tmp_path / "t.csv", table)
+    written = (tmp_path / "t.csv").read_text(encoding="utf-8")
+    assert written.encode() == _cell_by_cell(table)
+    assert written.splitlines() == [
+        "flag,mask,count,index,name,metric",
+        "true,false,0,0,a,1.5",
+        "false,true,-7,1,b c,",
+        "true,true,1152921504606846976,2,x-001,4503599627370497"]
+
+
+def test_columns_of_unequal_length_are_rejected(tmp_path):
+    with pytest.raises(ValueError):
+        cli.write_csv(tmp_path / "t.csv", {"a": [1.0, 2.0], "b": [1.0]})
+
+
+def test_manifest_writes_numpy_values_as_python_values(tmp_path):
+    payload = {"b": np.float64(0.1), "a": [np.int64(3), np.bool_(True)],
+               "c": np.array([1.5, -0.0]), "d": (1, "x")}
+    cli.write_manifest(tmp_path / "m.json", payload)
+    assert (tmp_path / "m.json").read_text(encoding="utf-8") == json.dumps(
+        {"a": [3, True], "b": 0.1, "c": [1.5, -0.0], "d": [1, "x"]},
+        sort_keys=True, indent=2) + "\n"
+    with pytest.raises(TypeError):
+        cli.write_manifest(tmp_path / "bad.json", {"x": object()})
 
 
 def test_unknown_key_reports_dotted_path(tmp_path, capsys):
@@ -656,7 +695,7 @@ def test_cli_and_library_descriptors_agree(tmp_path, monkeypatch, which,
 
     def capture(res, profile, growth, tol, out_dir):
         built.update(profile=profile, growth=growth)
-        return {"columns": [], "rows": [], "metrics": {}, "checks": {}}
+        return {"csv": {}, "metrics": {}, "checks": {}}
 
     monkeypatch.setitem(cli._RUNNERS, "green", capture)
     assert _run_green_config(tmp_path, monkeypatch,
@@ -827,6 +866,47 @@ def test_bound_at_extreme_m_and_t(tmp_path):
                  "--out-dir", str(tmp_path / "t")]) == 0
     _, rows = read_rows(tmp_path / "t" / "cli-bound.csv")
     assert float(rows[-1]["t"]) == 1e300 and rows[-1]["regime"] == "large-time"
+
+
+# t^(1/(m-1)) leaves double range inside [1, t_max]: t^2 past 1e154 at
+# m = 1.5, t^100 past about 1e3 at m = 1.01; at m = 1.01 the small-time
+# bound t^-1.48 leaves it at t_min = 1e-300
+@pytest.mark.parametrize("range_args, message", [
+    (["--m", "1.5", "--t-max", "1e200"],
+     "params.t_max: t^(1/(m-1)) norm1 is inf at t = "),
+    (["--m", "1.01", "--t-max", "1e10"],
+     "params.t_max: t^(1/(m-1)) norm1 is inf at t = "),
+    (["--m", "1.01", "--t-min", "1e-300", "--t-max", "100"],
+     "params.t_min: the small-time bound is inf at t = 1e-300")])
+def test_bound_past_double_range_is_exit_two(tmp_path, capsys, range_args,
+                                             message):
+    assert main(["bound", "--profile", "euclidean:3", "--growth", "power:3",
+                 *range_args, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err and not any(tmp_path.iterdir())
+
+
+def test_bound_times_past_double_range_name_their_index(tmp_path, capsys):
+    scn = {"schema_version": SCHEMA_VERSION, "kind": "bound", "name": "b",
+           "profile": _EUCLID3, "growth": _POWER3, "m": 1.5,
+           "params": {"t_values": [10.0, 1e100, 1e200, 1e300]}}
+    assert main(["bound", "--config", str(write_config(tmp_path, scn)),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "error: params.t_values[2]: " in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_bound_just_inside_double_range_is_exit_zero(tmp_path):
+    # t^2 = 1e300 at m = 1.5 still fits
+    assert main(["bound", "--profile", "euclidean:3", "--growth", "power:3",
+                 "--m", "1.5", "--t-max", "1e150",
+                 "--out-dir", str(tmp_path)]) == 0
+    _, rows = read_rows(tmp_path / "cli-bound.csv")
+    assert float(rows[-1]["t"]) == 1e150 and rows[-1]["regime"] == "large-time"
+    assert float(rows[-1]["bound_l1"]) == pytest.approx(2.143472587794551e-129,
+                                                        rel=1e-12)
 
 
 @pytest.mark.parametrize("argv", [

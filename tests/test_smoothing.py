@@ -404,6 +404,48 @@ def test_log_family_power_resolution_exact():
         pg.family_rate(fam, m, 0.5, 1.0)   # resolved scale below 1
 
 
+@pytest.mark.parametrize("family", [
+    pg.PowerVolumeFamily(dimension=5, k=3.0, delta=1.0, lam=3.0),
+    pg.LogVolumeFamily(dimension=4, delta=2.0, lam=3.0, sigma=1.0)],
+    ids=["power", "log"])
+def test_family_rate_past_double_range_names_t(family):
+    # m = 1.01: t^100 overflows at t = 1e10 (log family), and t^-1.48 at
+    # t = 1e-300 (power family)
+    t = 1e10 if isinstance(family, pg.LogVolumeFamily) else 1e-300
+    with pytest.raises(DomainError, match="outside double range") as exc:
+        pg.family_rate(family, 1.01, t, 1.0)
+    assert exc.value.t == t
+
+
+def test_bounds_past_double_range_name_their_time(euclid3, growth3):
+    bound = pg.SmoothingBound.from_profile(euclid3, 1.5, growth3)
+    with pytest.raises(DomainError, match=r"t\^\(1/\(m-1\)\) norm1") as exc:
+        bound.evaluate_l1_many([10.0, 1e200], 1.0)
+    assert exc.value.t == 1e200
+    slow = pg.SmoothingBound.from_profile(euclid3, 1.01, growth3)
+    with pytest.raises(DomainError, match="small-time bound") as exc:
+        slow.evaluate_l1(1e-300, 1e-300)
+    assert exc.value.t == 1e-300
+    # a volume floor of 1e-300 r^3 puts the large-time bound norm1 / V(r*)
+    # past double range at the threshold, where r* = r0
+    tiny = pg.SmoothingBound(m=1.5, dimension=3, growth=growth3,
+                             volume_floor=lambda r: 1e-300 * np.asarray(
+                                 r, dtype=float) ** 3)
+    t = tiny.time_threshold(1e10)
+    with pytest.raises(DomainError, match="large-time bound") as exc:
+        tiny.evaluate_l1(t, 1e10)
+    assert exc.value.t == t
+
+
+def test_bound_whose_threshold_underflows_is_large_time(euclid3, growth3):
+    # norm1^-(m-1) = 1e-400 rounds the threshold to 0: every time is late,
+    # and the cap at time 0 is inf
+    bound = pg.SmoothingBound.from_profile(euclid3, 5.0, growth3)
+    assert bound.time_threshold(1e100) == 0.0
+    ev = bound.evaluate_l1(1.0, 1e100)
+    assert ev.regime == "large-time" and 0.0 < ev.value < math.inf
+
+
 def test_log_family_tracks_generic_bound():
     # the closed-form family rate and the generic envelope bound agree up to
     # a bounded constant across both regimes

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,22 @@ def test_separating_sequence_euclid5(euclid5, growth5):
     assert np.all(seq.weighted_increments <=
                   seq.increment_constant * 2.0 ** (-j_idx) * (1.0 + 1e-12))
     assert np.all(np.diff(seq.weighted_partials) > 0.0)
+
+
+def test_separating_sequence_past_two_to_the_53():
+    # d_30 = 8 4^29 ~ 2.3e18: d +- 1/2 round to d itself, yet every shell
+    # keeps its width through its own Gauss offsets
+    prof = pg.make_profile(form="euclidean", dimension=3)
+    growth = pg.make_growth(form="power", params={"k": 3.0}, r0=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seq = pg.build_separating_sequence(prof, growth, 30)
+    inc = seq.weighted_increments
+    assert seq.distances[-1] == 8.0 * 4.0 ** 29
+    assert np.all(np.isfinite(inc)) and np.all(inc > 0.0)
+    assert np.all(np.diff(inc) < 0.0)
+    assert math.isfinite(seq.increment_constant)
+    assert np.all(np.isfinite(seq.weighted_partials))
 
 
 def test_separating_increments_match_closed_form(euclid5, growth5):
