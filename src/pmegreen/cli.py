@@ -38,6 +38,8 @@ from .weighted import (DEFAULT_HORIZONS, powerlaw_classify,
 
 SCHEMA_VERSION = 1
 
+# the one source of every verdict limit that is not exact, by name: the
+# --tolerance-profile that each manifest records
 TOLERANCE_PROFILES = {
     "default": {"tau": 0.02, "slope_tol": 0.05, "band_limit": 1.3,
                 "l1_limit": 1e-2, "rel": 1e-8},
@@ -242,14 +244,6 @@ def _sample_rule(raw, scn, where):
                           f"or above growth.r0 = {r0:g}")
 
 
-def _bounds_rule(raw, scn, where):
-    # green bounds need a growth, and are computed whenever one is given
-    has_growth = scn["growth"] is not None
-    if scn["params"].setdefault("bounds", has_growth) and not has_growth:
-        raise ConfigError(f"{_join(where, 'params.bounds')}: green bounds "
-                          "need a growth descriptor")
-
-
 def _horizons(v, where):
     # truncation horizons: increasing, past the tails' start r = 1
     hs = _list(_num(gt=1.0), min_len=2)(v, where)
@@ -325,9 +319,9 @@ _COMMON = {
                      "profiles_csv": (_STR, _OPTIONAL)}), {})}
 _M = (_num(gt=1.0), _REQUIRED)
 
-# kind -> top-level keys besides _COMMON; "params" holds the kind's knobs.
-# A kind's rule fills the defaults that depend on other keys: the check
-# sample range from growth.r0, green bounds iff a growth is given.
+# kind -> top-level keys besides _COMMON; "params" holds the kind's knobs,
+# and TOLERANCE_PROFILES every verdict's limit. A kind's rule fills the
+# defaults that depend on other keys: the check sample range from growth.r0.
 _SCENARIOS = {kind: _Obj({**_COMMON, **spec}, rule) for kind, spec, rule in (
     ("check", {
         "profile": (_PROFILE, _REQUIRED), "growth": (_GROWTH, _REQUIRED),
@@ -341,20 +335,17 @@ _SCENARIOS = {kind: _Obj({**_COMMON, **spec}, rule) for kind, spec, rule in (
         "params": (_Obj({"radii": (_list(_POS), _OPTIONAL),
                          "r_min": (_POS, 0.5), "r_max": (_POS, 100.0),
                          "count": (_int(ge=1), 25),
-                         "use_surrogate": (_BOOL, True),
-                         "c1": (_or_none(_POS), None),
-                         "c2": (_or_none(_POS), None),
-                         "bounds": (_BOOL, _OPTIONAL)},
+                         "use_surrogate": (_BOOL, True)},
                         _range_rule("r_min", "r_max", "radii")), {})},
-     _bounds_rule),
+     None),
     ("l1g", {
         "profile": (_PROFILE, _REQUIRED),
         # horizons: the first truncation schedule; the tail model extends it
-        # x10 until the corrected values agree to rel_threshold, the fit
-        # shows divergence, or 1e15
+        # x10 until the corrected values agree to weighted's CAUCHY_REL, the
+        # fit shows divergence, or 1e15
         "params": (_Obj({"exponents": (_list(_NUM), _REQUIRED),
-                         "horizons": (_horizons, list(DEFAULT_HORIZONS)),
-                         "rel_threshold": (_POS, 1e-3)}), {})}, None),
+                         "horizons": (_horizons, list(DEFAULT_HORIZONS))}),
+                   {})}, None),
     ("bound", {
         "profile": (_PROFILE, _REQUIRED), "growth": (_GROWTH, _REQUIRED),
         "m": _M,
@@ -382,18 +373,15 @@ _SCENARIOS = {kind: _Obj({**_COMMON, **spec}, rule) for kind, spec, rule in (
             "t_end": (_POS, 1.0), "snapshots": (_snapshots, 10),
             "cfl": (_num(gt=0.0, le=1.0), 0.4),
             "implicit_dt": (_or_none(_POS), None),
-            "verify": (_BOOL, False), "tau": (_POS, _OPTIONAL),
-            "emit_profiles": (_BOOL, False)}, _snapshots_rule), {})}, None),
+            "verify": (_BOOL, False), "emit_profiles": (_BOOL, False)},
+            _snapshots_rule), {})}, None),
     ("optimality", {
         "m": _M,
         "params": (_Obj({"dimension": (_int(ge=3), 3), "mass": (_POS, 1.0),
                          "eps": (_POS, 1.0), "cells": (_int(ge=4), 2000),
                          "r_max": (_POS, 20.0), "t_end": (_POS, 10.0),
                          "n_snapshots": (_int(ge=2), 25),
-                         "fit_window": (_or_none(_list(_POS, 2, 2)), None),
-                         "slope_tol": (_POS, _OPTIONAL),
-                         "band_limit": (_POS, _OPTIONAL),
-                         "l1_limit": (_POS, _OPTIONAL)},
+                         "fit_window": (_or_none(_list(_POS, 2, 2)), None)},
                         _fit_window_rule), {})}, None),
     ("sweep", {"base": (_is(dict, "an object"), _REQUIRED),
                "grid": (_grid, [])},
@@ -532,10 +520,9 @@ def _run_green(scn, profile, growth, tol, out_dir):
     checks, metrics = {}, {}
     # radii where G or Ghat leave double precision are rejected below
     with np.errstate(all="ignore"):
-        if p["bounds"]:
+        if growth is not None:
             report = green_bounds(profile, growth, radii,
-                                  use_surrogate=p["use_surrogate"],
-                                  c1=p["c1"], c2=p["c2"])
+                                  use_surrogate=p["use_surrogate"])
             g_exact, g_surr = report.green_values, report.surrogate_values
         else:
             g_exact = profile.green.exact(radii)
@@ -544,7 +531,7 @@ def _run_green(scn, profile, growth, tol, out_dir):
     ratios = g_exact / g_surr
     csv = {"r": radii, "green_exact": g_exact, "green_surrogate": g_surr,
            "ratio": ratios}
-    if p["bounds"]:
+    if growth is not None:
         csv.update((k, getattr(report, k)) for k in (
             "lower_far", "upper_tail", "upper_near",
             "lower_ok", "tail_ok", "near_ok"))
@@ -564,8 +551,8 @@ def _run_green(scn, profile, growth, tol, out_dir):
 def _run_l1g(scn, profile, growth, tol, out_dir):
     volume_growth_exponent(profile)  # rejects the profile before any work
     p = scn["params"]
-    classes = [powerlaw_classify(profile, a, tuple(p["horizons"]),
-                                 p["rel_threshold"]) for a in p["exponents"]]
+    classes = [powerlaw_classify(profile, a, tuple(p["horizons"]))
+               for a in p["exponents"]]
     consistent = [cls.consistent for cls in classes]
     return {"csv": {
         "a": p["exponents"], "in_l1": [cls.in_l1 for cls in classes],
@@ -744,11 +731,10 @@ _TABLES = {"csv": ("csv", ""), "profiles": ("profiles_csv", "_profiles")}
 
 
 def _run(scn, res, tol, out_dir: Path) -> dict:
-    """Run the resolved scenario `res` on its profile, its growth and its
-    own thresholds laid over `tol`; write its CSVs and a manifest echoing the
-    input config `scn`. Unless the runner set it, exit is 0 or 1 (passed)."""
-    p = res.get("params", {})
-    tol = {**tol, **{k: p[k] for k in tol if k in p}}
+    """Run the resolved scenario `res` on its profile, its growth and the
+    thresholds `tol` of a tolerance profile; write its CSVs and a manifest
+    echoing the input config `scn` and naming the profile, tol["name"].
+    Unless the runner set it, exit is 0 or 1 (passed)."""
     try:
         profile = (make_profile(_nest(res["profile"], _PROFILE_FRAME))
                    if "profile" in res else None)
@@ -775,7 +761,7 @@ def _run(scn, res, tol, out_dir: Path) -> dict:
         "outputs": outputs, "metrics": result["metrics"],
         "checks": {k: c.passed for k, c in checks.items()},
         "margins": {k: c.margin for k, c in checks.items()},
-        "passed": result["passed"]})
+        "passed": result["passed"], "tolerance_profile": tol["name"]})
     return result
 
 
@@ -784,7 +770,8 @@ def _execute(scn, out_dir, tolerance_profile: str) -> int:
     res = validate_scenario(scn)
     out = Path(out_dir) if out_dir else Path.cwd()
     out.mkdir(parents=True, exist_ok=True)
-    return _run(scn, res, TOLERANCE_PROFILES[tolerance_profile], out)["exit"]
+    tol = {"name": tolerance_profile, **TOLERANCE_PROFILES[tolerance_profile]}
+    return _run(scn, res, tol, out)["exit"]
 
 
 def run_scenario(config_path, out_dir=None,

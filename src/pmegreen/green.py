@@ -169,14 +169,13 @@ class GreenBoundReport:
 
 
 def green_bounds(profile: VolumeProfile, growth: GrowthFunction,
-                 radii: Sequence[float], c1: Optional[float] = None,
-                 c2: Optional[float] = None,
+                 radii: Sequence[float],
                  use_surrogate: bool = False) -> GreenBoundReport:
     """Check the three pointwise Green bounds on a radius grid.
 
-    In surrogate mode the sandwich constants are both 1 and every bound is an
-    exact consequence of the measured assumption constants; in exact mode the
-    defaults c1, c2 are the extremes of G/Ghat on a log grid spanning the
+    In surrogate mode the sandwich constants c1, c2 are both 1 and every
+    bound is an exact consequence of the measured assumption constants; in
+    exact mode they are the extremes of G/Ghat on a log grid spanning the
     radii and [r0, 100 r0]. A bound holds only where it is finite; the tail
     bound applies from r0 on and is nan below. The upper bounds never form
     r^n or V, which overflow long before the bounds do. Every verdict reads
@@ -191,13 +190,12 @@ def green_bounds(profile: VolumeProfile, growth: GrowthFunction,
         c1 = c2 = 1.0
         gvals = g_surr
     else:
-        if c1 is None or c2 is None:
-            rs = np.geomspace(min(float(radii.min()), growth.r0),
-                              max(float(radii.max()), 100.0 * growth.r0), 200)
-            ratios = np.asarray(gd.exact(rs), dtype=float) / np.asarray(
-                gd.surrogate(rs), dtype=float)
-            c1 = c1 if c1 is not None else float(ratios.min()) * (1.0 - 1e-12)
-            c2 = c2 if c2 is not None else float(ratios.max()) * (1.0 + 1e-12)
+        rs = np.geomspace(min(float(radii.min()), growth.r0),
+                          max(float(radii.max()), 100.0 * growth.r0), 200)
+        ratios = np.asarray(gd.exact(rs), dtype=float) / np.asarray(
+            gd.surrogate(rs), dtype=float)
+        c1 = float(ratios.min()) * (1.0 - 1e-12)
+        c2 = float(ratios.max()) * (1.0 + 1e-12)
         gvals = g_exact
 
     n = profile.dimension

@@ -9,6 +9,7 @@ iteration.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -61,6 +62,20 @@ def _pow(x: float, p: float) -> float:
     try:
         return x ** p
     except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def _product(*terms) -> float:
+    """prod x ** p over (x, p) terms, x >= 0: left to right in doubles where
+    every factor is a normal double, through logs otherwise; inf or 0 only
+    where the product itself leaves double range."""
+    factors = [_pow(x, p) for x, p in terms]
+    if all(sys.float_info.min <= f < math.inf for f in factors):
+        return math.prod(factors)
+    log = sum(p * (math.log(x) if x > 0.0 else -math.inf) for x, p in terms)
+    try:
+        return math.exp(log)
+    except OverflowError:
         return math.inf
 
 
@@ -147,11 +162,9 @@ class SmoothingBound:
     def time_threshold(self, norm1: float) -> float:
         """Time at which the large-time branch takes over, for given L1 data."""
         _positive_finite("norm1", norm1)
-        try:
-            return (self.scale_threshold ** (self.m - 1.0)
-                    * norm1 ** (-(self.m - 1.0)))
-        except OverflowError:  # past double range: every t is small-time
-            return math.inf
+        # inf past double range: every t is small-time
+        mm = self.m - 1.0
+        return _product((self.scale_threshold, mm), (norm1, -mm))
 
     def radius_for_scale(self, s):
         """Invert the radius-to-scale map at one scale or an array of them;
@@ -191,23 +204,23 @@ class SmoothingBound:
         one evaluate_l1 gives alone. Raises ValueError, before any work,
         where a time or norm1 is not positive and finite, and DomainError
         naming the time where t^{1/(m-1)} norm1 or the bound leaves double
-        range."""
+        range; a large-time branch past double range leaves the cap."""
         ts = [float(t) for t in times]
         for t in ts:
             _positive_finite("t", t)
         threshold = self.time_threshold(norm1)
         mm = self.m - 1.0
         small_exponent = -decay_exponent(self.m, self.dimension)
-        small_factor = norm1 ** (2.0 / (self.dimension * mm + 2.0))
+        small_power = 2.0 / (self.dimension * mm + 2.0)
 
         def small_at(s):
-            return _pow(s, small_exponent) * small_factor
+            return _product((s, small_exponent), (norm1, small_power))
 
         late = [t >= threshold * (1.0 - THRESHOLD_TIE_REL) for t in ts]
         if any(late):
             r_stars = self.radius_for_scale(np.array([max(_in_range(
-                "t^(1/(m-1)) norm1", _pow(t, 1.0 / mm) * norm1, t),
-                self.scale_threshold) for t, is_late in zip(ts, late)
+                "t^(1/(m-1)) norm1", _product((t, 1.0 / mm), (norm1, 1.0)),
+                t), self.scale_threshold) for t, is_late in zip(ts, late)
                 if is_late]))
             large_time = iter(zip(r_stars.tolist(), _envelope_each(
                 self.growth, r_stars).tolist()))
@@ -221,8 +234,7 @@ class SmoothingBound:
                     r_star=None, threshold_time=threshold))
                 continue
             r_star, env = next(large_time)
-            large = _in_range("the large-time bound", _pow(t, -1.0 / mm)
-                              * _pow(env, 1.0 / mm), t)
+            large = _product((t, -1.0 / mm), (env, 1.0 / mm))
             tie = None
             if abs(t - threshold) <= THRESHOLD_TIE_REL * threshold:
                 tie = (large, small)
@@ -230,7 +242,8 @@ class SmoothingBound:
             out.append(BoundEvaluation(
                 t=t, norm_value=norm1,
                 regime="large-time" if large <= cap else "capped",
-                value=min(large, cap), r_star=r_star,
+                value=_in_range("the large-time bound", min(large, cap), t),
+                r_star=r_star,
                 threshold_time=threshold, tie_values=tie))
         return out
 
@@ -339,12 +352,13 @@ def family_rate(family, m: float, t: float, norm1: float) -> float:
     mm = m - 1.0
     if isinstance(family, PowerVolumeFamily):
         lam = family.lam
-        return _in_range("the power-family rate", _pow(t, -decay_exponent(
-            m, lam)) * norm1 ** (2.0 / (mm * lam + 2.0)), t)
+        return _in_range("the power-family rate", _product(
+            (t, -decay_exponent(m, lam)), (norm1, 2.0 / (mm * lam + 2.0))), t)
     if isinstance(family, LogVolumeFamily):
         a = family.lam + 2.0 / mm
         b = family.sigma + 1.0 / mm
-        s = _in_range("t^(1/(m-1)) norm1", _pow(t, 1.0 / mm) * norm1, t)
+        s = _in_range("t^(1/(m-1)) norm1",
+                      _product((t, 1.0 / mm), (norm1, 1.0)), t)
         if b == 0.0:
             resolved = s ** (1.0 / a)
         else:
@@ -356,7 +370,7 @@ def family_rate(family, m: float, t: float, norm1: float) -> float:
         if resolved <= 1.0:
             raise DomainError("log-family rate needs a resolved scale above 1; "
                               "increase t")
-        return _in_range("the log-family rate", _pow(t, -1.0 / mm) *
-                         _pow(resolved, 2.0 / mm) *
-                         _pow(math.log(resolved), 1.0 / mm), t)
+        return _in_range("the log-family rate", _product(
+            (t, -1.0 / mm), (resolved, 2.0 / mm),
+            (math.log(resolved), 1.0 / mm)), t)
     raise TypeError(f"unknown family {type(family).__name__}")

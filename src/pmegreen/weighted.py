@@ -23,6 +23,7 @@ from .numerics import (PANELS_PER_DECADE, gauss_nodes, gauss_panels,
 
 # the first truncation schedule; past it the horizons grow x10
 DEFAULT_HORIZONS = (10.0, 1e2, 1e3, 1e4)
+CAUCHY_REL = 1e-3  # until the last two corrected values agree to this
 # the unit ball on log panels down to _POLE; below it the tail model in 1/r
 _POLE = 1e-8
 _BALL_EDGES = np.geomspace(_POLE, 1.0, 8 * PANELS_PER_DECADE + 1)
@@ -45,7 +46,7 @@ class WeightedNorm:
 
 
 def _weighted_l1(profile: VolumeProfile, fn: Callable, weights: tuple,
-                 horizons: Sequence[float], rel_threshold: float) -> list:
+                 horizons: Sequence[float]) -> list:
     """int_{B_1} |f| + int_{M \\ B_1} |f| w with truncation diagnostics, for
     each weight w; the density |f| S is read once for all of them."""
     density = lambda r: np.abs(np.asarray(fn(r), dtype=float)) * np.asarray(
@@ -66,30 +67,27 @@ def _weighted_l1(profile: VolumeProfile, fn: Callable, weights: tuple,
         outer_truncated=diag.truncated[-1],
         horizons=diag.horizons, corrected=diag.corrected,
         slope_at_horizon=diag.exponents[-1])
-        for diag in truncated_tail(weighted, 1.0, horizons, rel_threshold)]
+        for diag in truncated_tail(weighted, 1.0, horizons, CAUCHY_REL)]
 
 
 def l1g_norm(profile: VolumeProfile, fn: Callable[[np.ndarray], np.ndarray],
-             horizons: Sequence[float] = DEFAULT_HORIZONS,
-             rel_threshold: float = 1e-3) -> WeightedNorm:
+             horizons: Sequence[float] = DEFAULT_HORIZONS) -> WeightedNorm:
     """Pole-centered weighted norm: int_{B_1} |f| + int_{M \\ B_1} |f| G.
 
     `horizons` is the first truncation schedule; the horizons grow x10 past
-    it until the corrected values agree to rel_threshold (numerics'
+    it until the corrected values agree to CAUCHY_REL (numerics'
     truncated_tail). Divergence is reported through converged=False with an
     infinite total; the per-horizon corrected truncations stay available for
     diagnosis.
     """
-    return _weighted_l1(profile, fn, (profile.green.exact,), horizons,
-                        rel_threshold)[0]
+    return _weighted_l1(profile, fn, (profile.green.exact,), horizons)[0]
 
 
 def l1_norm_radial(profile: VolumeProfile, fn: Callable,
-                   horizons: Sequence[float] = DEFAULT_HORIZONS,
-                   rel_threshold: float = 1e-3) -> WeightedNorm:
+                   horizons: Sequence[float] = DEFAULT_HORIZONS
+                   ) -> WeightedNorm:
     """Unweighted radial L1 norm with the same truncation diagnostics."""
-    return _weighted_l1(profile, fn, (np.ones_like,), horizons,
-                        rel_threshold)[0]
+    return _weighted_l1(profile, fn, (np.ones_like,), horizons)[0]
 
 
 @dataclass
@@ -117,8 +115,8 @@ def volume_growth_exponent(profile: VolumeProfile) -> float:
 
 
 def powerlaw_classify(profile: VolumeProfile, a: float,
-                      horizons: Sequence[float] = DEFAULT_HORIZONS,
-                      rel_threshold: float = 1e-3) -> PowerLawClass:
+                      horizons: Sequence[float] = DEFAULT_HORIZONS
+                      ) -> PowerLawClass:
     """Membership of u_a(r) = (1 + r)^{-a} in L1 and in the weighted space.
 
     The decision rule is strict: plain integrability needs a above the volume
@@ -128,7 +126,7 @@ def powerlaw_classify(profile: VolumeProfile, a: float,
     alpha = volume_growth_exponent(profile)
     u_a = lambda r: np.power(1.0 + np.asarray(r, dtype=float), -a)
     l1, l1g = _weighted_l1(profile, u_a, (np.ones_like, profile.green.exact),
-                           horizons, rel_threshold)
+                           horizons)
     return PowerLawClass(
         exponent=a, alpha_infinity=alpha,
         in_l1=a > alpha, in_l1g=a > 2.0,

@@ -273,11 +273,30 @@ def test_strict_tolerance_profile(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("profile", ["default", "strict"])
+def test_every_manifest_names_its_tolerance_profile(tmp_path, profile):
+    # the sweep's own manifest and each point's
+    scn = {"schema_version": SCHEMA_VERSION, "kind": "sweep", "name": "sw",
+           "base": green_scenario(name="unused"),
+           "grid": [{"profile.dimension": 3}, {"profile.dimension": 5}]}
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(write_config(tmp_path, scn)),
+                 "--out-dir", str(out), "--tolerance-profile", profile]) == 0
+    manifests = sorted(out.glob("*.manifest.json"))
+    assert [p.name for p in manifests] == [
+        "sw-000.manifest.json", "sw-001.manifest.json", "sw.manifest.json"]
+    for path in manifests:
+        assert json.loads(path.read_text())["tolerance_profile"] == profile
+
+
 def test_optimality_failure_is_exit_one(tmp_path):
+    # an absorbing boundary at r = 1 cuts into the Barenblatt support: mass
+    # leaves, and the sup decays faster than t^-0.6 by far more than
+    # slope_tol
     scn = {"schema_version": SCHEMA_VERSION, "kind": "optimality",
            "name": "opt-fail", "m": 2.0,
-           "params": {"cells": 200, "r_max": 12.0, "t_end": 2.0,
-                      "n_snapshots": 9, "slope_tol": 1e-9}}
+           "params": {"cells": 200, "r_max": 1.0, "t_end": 2.0,
+                      "n_snapshots": 9}}
     cfg = write_config(tmp_path, scn)
     out = tmp_path / "out"
     assert main(["optimality", "--config", str(cfg),
@@ -547,6 +566,8 @@ _BASE_SCENARIOS = {
     "l1g": {"profile": _EUCLID3, "params": {"exponents": [4.0]}},
     "optimality": {"m": 2.0, "params": {"t_end": 1.0}},
     "check": {"profile": _EUCLID3, "growth": {**_POWER3, "r0": 2.0}},
+    "solve": {"profile": _EUCLID3, "m": 2.0,
+              "params": {"init": {"kind": "barenblatt"}}},
 }
 # (kind, dotted key, bad value, key the error must name); each is rejected
 # before any Green, bound, quadrature or solver work
@@ -561,7 +582,16 @@ BAD_INPUTS = [
     ("optimality", "params.fit_window", [50.0, 60.0], "params.fit_window"),
     ("optimality", "params.dimension", 2, "params.dimension"),
     ("green", "profile.dimension", 2, "profile.dimension"),
-    ("green", "params.bounds", True, "params.bounds"),
+    # keys that are gone: limits come from the tolerance profile alone, and
+    # green bounds run exactly when a growth is given
+    ("green", "params.bounds", False, "params.bounds"),
+    ("green", "params.c1", 1.0, "params.c1"),
+    ("green", "params.c2", 1.0, "params.c2"),
+    ("l1g", "params.rel_threshold", 1e-3, "params.rel_threshold"),
+    ("solve", "params.tau", 0.02, "params.tau"),
+    ("optimality", "params.slope_tol", 0.05, "params.slope_tol"),
+    ("optimality", "params.band_limit", 1.3, "params.band_limit"),
+    ("optimality", "params.l1_limit", 1e-2, "params.l1_limit"),
 ]
 
 
@@ -978,8 +1008,6 @@ def assert_defaults_filled(scn, res):
         r0 = res["growth"]["r0"]
         assert p["sample_min"] == given.get("sample_min", r0)
         assert p["sample_max"] == given.get("sample_max", 1e4 * r0)
-    elif res["kind"] == "green":
-        assert p["bounds"] == given.get("bounds", res["growth"] is not None)
     elif res["kind"] == "l1g":
         assert p["horizons"] == given.get("horizons",
                                           list(weighted.DEFAULT_HORIZONS))
@@ -988,8 +1016,6 @@ def assert_defaults_filled(scn, res):
 
 
 _MINIMAL = {**_BASE_SCENARIOS,
-            "solve": {"profile": _EUCLID3, "m": 2.0,
-                      "params": {"init": {"kind": "barenblatt"}}},
             "sweep": {"base": {"schema_version": SCHEMA_VERSION,
                                "kind": "green", "profile": _EUCLID3},
                       "grid": [{}, {"growth": _POWER3}]}}

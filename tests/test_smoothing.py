@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -424,17 +425,96 @@ def test_bounds_past_double_range_name_their_time(euclid3, growth3):
     assert exc.value.t == 1e200
     slow = pg.SmoothingBound.from_profile(euclid3, 1.01, growth3)
     with pytest.raises(DomainError, match="small-time bound") as exc:
-        slow.evaluate_l1(1e-300, 1e-300)
+        slow.evaluate_l1(1e-300, 1.0)   # t^-1.48 = 1e443
     assert exc.value.t == 1e-300
-    # a volume floor of 1e-300 r^3 puts the large-time bound norm1 / V(r*)
-    # past double range at the threshold, where r* = r0
+
+
+def test_large_time_branch_past_double_range_leaves_the_cap(growth3):
+    # a volume floor of 1e-300 r^3 puts the large-time branch past double
+    # range at the threshold, where r* = r0; the small-time cap
+    # t^(-6/7) norm1^(4/7) there is the bound
     tiny = pg.SmoothingBound(m=1.5, dimension=3, growth=growth3,
                              volume_floor=lambda r: 1e-300 * np.asarray(
                                  r, dtype=float) ** 3)
     t = tiny.time_threshold(1e10)
+    assert t == pytest.approx(2e-155, rel=1e-12)
+    ev = tiny.evaluate_l1(t, 1e10)
+    assert ev.regime == "capped" and ev.tie_values[0] == math.inf
+    assert ev.value == pytest.approx(
+        t ** (-6.0 / 7.0) * 1e10 ** (4.0 / 7.0), rel=1e-12)
+    # at norm1 = 1e200 the cap, about 1e328, leaves double range too
+    t = tiny.time_threshold(1e200)
     with pytest.raises(DomainError, match="large-time bound") as exc:
-        tiny.evaluate_l1(t, 1e10)
+        tiny.evaluate_l1(t, 1e200)
     assert exc.value.t == t
+
+
+# -- the bound across the double range, on euclidean:3 with growth power:3:
+# V = (4 pi/3) R^3 and the envelope 2 R^2 give every branch in logs
+
+_LOG_MAX = math.log(sys.float_info.max)
+_LOG_TINY = math.log(5e-324)  # the least subnormal double
+_BOUNDS = {}
+
+
+def _log_branches(m, log_t, log_n):
+    """(log threshold time, log t^(1/(m-1)) norm1, log small-time bound,
+    log cap, log large-time branch) at t = e^log_t, norm1 = e^log_n."""
+    mm = m - 1.0
+    small = lambda lt: (-3.0 * lt + 2.0 * log_n) / (3.0 * mm + 2.0)
+    log_theta0 = math.log(4.0 * math.pi / 3.0) + math.log(2.0) / mm
+    log_thr = mm * (log_theta0 - log_n)
+    log_s = log_t / mm + log_n
+    log_r = max(log_s - log_theta0, 0.0) / (3.0 + 2.0 / mm)
+    large = (math.log(2.0) + 2.0 * log_r - log_t) / mm
+    return (log_thr, log_s, small(log_t), small(min(log_t, log_thr)), large)
+
+
+@pytest.mark.parametrize("t, norm1", [(1e200, 1e-200), (1e160, 1e-100)])
+def test_bound_whose_power_of_t_leaves_double_range(euclid3, growth3, t,
+                                                     norm1):
+    # t^2 overflows and t^-2 underflows, yet the scales t^2 norm1, 1e200 and
+    # 1e220, and the bounds, 1.5e-286 and 4.1e-195, fit
+    ev = pg.SmoothingBound.from_profile(euclid3, 1.5, growth3).evaluate_l1(
+        t, norm1)
+    assert ev.regime == "large-time"
+    log_large = _log_branches(1.5, math.log(t), math.log(norm1))[4]
+    assert math.log(ev.value) == pytest.approx(log_large, abs=1e-12)
+
+
+_LOG_RANGE = st.floats(min_value=math.log(1e-300), max_value=math.log(1e300))
+
+
+@given(m=st.sampled_from([1.01, 1.5, 2.0, 5.0]),
+       log_ts=st.lists(_LOG_RANGE, min_size=1, max_size=3), log_n=_LOG_RANGE)
+@settings(max_examples=60, deadline=None)
+def test_bound_across_the_double_range(euclid3, growth3, m, log_ts, log_n):
+    if m not in _BOUNDS:
+        _BOUNDS[m] = pg.SmoothingBound.from_profile(euclid3, m, growth3)
+    ts, norm1 = [math.exp(x) for x in log_ts], math.exp(log_n)
+    log_ts, log_n = [math.log(t) for t in ts], math.log(norm1)
+    out = lambda x: not _LOG_TINY + 1e-6 < x < _LOG_MAX - 1e-6
+    try:
+        evals = _BOUNDS[m].evaluate_l1_many(ts, norm1)
+    except DomainError as exc:
+        # only where the small-time bound, the scale t^(1/(m-1)) norm1 or
+        # both branches leave double range; both regimes pass within 1e-6
+        # of the threshold
+        assert exc.t in ts
+        log_t = math.log(exc.t)
+        log_thr, log_s, small, cap, large = _log_branches(m, log_t, log_n)
+        assert ((log_t <= log_thr + 1e-6 and out(small)) or
+                (log_t >= log_thr - 1e-6 and (out(log_s) or
+                                              out(min(large, cap)))))
+        return
+    for log_t, ev in zip(log_ts, evals):
+        assert 0.0 < ev.value < math.inf
+        log_thr, _, small, cap, large = _log_branches(m, log_t, log_n)
+        want = [small] if log_t < log_thr else [min(large, cap)]
+        if abs(log_t - log_thr) <= 1e-6:
+            want = [small, min(large, cap)]
+        if max(want) > math.log(sys.float_info.min):  # full precision
+            assert min(abs(math.log(ev.value) - w) for w in want) <= 1e-11
 
 
 def test_bound_whose_threshold_underflows_is_large_time(euclid3, growth3):
