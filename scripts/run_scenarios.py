@@ -5,7 +5,9 @@ Each scenario writes a CSV and a manifest into the output directory; the
 script exits with the worst exit code of its scenarios. After each verdict
 it prints the smallest margin of the scenario's manifest and the name of its
 check. A scenario whose config is rejected is reported as FAIL (exit 2) with
-the reason, and the remaining scenarios still run.
+the reason, one that raises any other exception as FAIL (exit 3) with its
+type and message after a traceback on stderr; the remaining scenarios still
+run.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from pmegreen.cli import (TOLERANCE_PROFILES, ConfigError, load_scenario,
@@ -59,6 +62,9 @@ def main(argv=None) -> int:
                                 tolerance_profile=args.tolerance_profile)
         except ConfigError as exc:  # rejected before it wrote a manifest
             code, reason = 2, f"  {exc}"
+        except Exception as exc:  # an internal error: exit 3, not a verdict
+            traceback.print_exc()
+            code, reason = 3, f"  {type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - tic
         if not reason:
             reason = "  " + smallest_margin(

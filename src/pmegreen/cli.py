@@ -575,6 +575,9 @@ def _run_bound(scn, profile, growth, tol, out_dir):
     bound = SmoothingBound.from_profile(profile, m, growth)
     try:
         evals = bound.evaluate_l1_many(ts, norm1)
+        l1g = (None if p["norm_green"] is None else [smoothing_bound_l1g(
+            m, profile.dimension, t, p["norm_green"]).value
+            for t in ts.tolist()])
     except DomainError as exc:  # a scale or bound past double range at exc.t
         where = (f"params.t_values[{ts.tolist().index(exc.t)}]"
                  if "t_values" in p else
@@ -582,10 +585,8 @@ def _run_bound(scn, profile, growth, tol, out_dir):
         raise ConfigError(f"{where}: {exc}") from exc
     vals = np.array([ev.value for ev in evals])
     csv = {"t": ts, "regime": [ev.regime for ev in evals], "bound_l1": vals}
-    if p["norm_green"] is not None:
-        csv["bound_l1g"] = [smoothing_bound_l1g(
-            m, profile.dimension, t, p["norm_green"]).value
-            for t in ts.tolist()]
+    if l1g is not None:
+        csv["bound_l1g"] = l1g
     metrics = {"threshold_time": bound.time_threshold(norm1)}
     bad = np.count_nonzero(~(np.isfinite(vals) & (vals > 0.0)))
     checks = {"finite_positive": Check(bad, 0.0),

@@ -9,8 +9,9 @@ Nonparabolicity makes G a tail integral; its far end comes from
 numerics' tail model, an r^p (log r)^q fit of 1/S integrated in closed form,
 whose divergence test marks a parabolic profile; below its first edge,
 where G blows up like r^(2-n), numerics' pole model takes over. Potentials
-of a source and of cell data share one kernel: a reverse cumulative sum of
-Gauss panels of enclosed mass / S, anchored at mass * G at the last edge.
+of a source and of cell data share numerics' tail_sums: a reverse
+cumulative sum of Gauss panels of enclosed mass / S, anchored at mass * G
+at the last edge; U inside a panel adds one Gauss rule to the next edge.
 """
 from __future__ import annotations
 
@@ -24,7 +25,8 @@ import numpy as np
 from .geometry import (AssumptionReport, GrowthFunction, VolumeProfile,
                        check_assumptions, unit_ball_volume)
 from .numerics import (Check, IntegralDivergenceError, TailTable,
-                       gauss_intervals, gauss_nodes, gauss_panels, gauss_sum)
+                       gauss_intervals, gauss_nodes, gauss_panels, gauss_sum,
+                       tail_sums)
 from .smoothing import green_ball_envelope
 
 BOUND_SLACK = 1e-9
@@ -238,21 +240,13 @@ def _panel(edges: np.ndarray, r) -> np.ndarray:
     return np.clip(idx, 0, edges.size - 2)
 
 
-def _edge_values(parts: np.ndarray, u_end: float) -> np.ndarray:
-    """The potential kernel: U(r) = int_r^inf enclosed(s)/S(s) ds at the
-    panel edges, from U = u_end (mass * G) at the last edge and the Gauss
-    panels `parts` of enclosed/S = -U'. U inside a panel is the next edge's U
-    plus one Gauss rule from r to that edge."""
-    return u_end + np.concatenate([np.cumsum(parts[::-1])[::-1], [0.0]])
-
-
 class RadialPotential:
     """Potential of a compactly supported radial source: -Lap U = psi, U(inf) = 0.
 
     U(r) = int_r^inf S(s)^{-1} [int_0^s S psi] ds on PANELS uniform panels of
     the support. The enclosed mass at r is the cumulative Gauss-panel mass of
-    psi S plus one Gauss rule from the panel's lower edge to r; the potential
-    kernel does the rest. Every step is linear in psi. Outside the support
+    psi S plus one Gauss rule from the panel's lower edge to r; tail_sums
+    does the rest. Every step is linear in psi. Outside the support
     the potential is exactly (total mass) * G(r).
     """
 
@@ -269,7 +263,7 @@ class RadialPotential:
         self._mass_edges = np.concatenate(
             [[0.0], np.cumsum(gauss_panels(self._density, self._edges))])
         self.mass = float(self._mass_edges[-1])
-        self._at_edges = _edge_values(
+        self._at_edges = tail_sums(
             gauss_panels(self._flux, self._edges),
             self.mass * float(profile.green.exact(self.support_radius)))
 
@@ -343,7 +337,7 @@ class CellPotential:
         mass_faces = np.concatenate([[0.0], np.cumsum(u * self._dvol)])
         parts, to_face = (gauss_sum((mass_faces[j] + u[j] * dvol) / area, half)
                           for j, dvol, area, half in self._rules)
-        at_edges = _edge_values(parts, mass_faces[-1] * self._g_end)
+        at_edges = tail_sums(parts, mass_faces[-1] * self._g_end)
         return at_edges[self._next] + to_face, at_edges
 
 

@@ -235,6 +235,13 @@ def truncated_tail(f: Callable[[np.ndarray], np.ndarray], start: float,
         converged=cauchy(c)) for t, c, e in zip(truncated, corrected, exponents)]
 
 
+def tail_sums(parts: np.ndarray, anchor: float) -> np.ndarray:
+    """int_{e_j}^inf at each edge e_j of a row of panels: anchor, the
+    integral past the last edge, plus the reverse cumulative sum of the
+    panel integrals `parts`; one more entry than parts."""
+    return anchor + np.concatenate([np.cumsum(parts[::-1])[::-1], [0.0]])
+
+
 def _power_law_integral(f: Callable[[np.ndarray], np.ndarray], r: np.ndarray,
                         b: float) -> np.ndarray:
     """int_r^b c s^p ds for r < b, the power law through f(a) and
@@ -394,8 +401,7 @@ class TailTable:
             count = math.ceil(PANELS_PER_DECADE * decades)
             rs = np.concatenate([rs, rs[-1] * np.logspace(0.0, decades,
                                                           count + 1)[1:]])
-        vals = float(self._far(rs[-1:])[0][0]) + np.concatenate(
-            [np.cumsum(gauss_panels(f, rs)[::-1])[::-1], [0.0]])
+        vals = tail_sums(gauss_panels(f, rs), float(self._far(rs[-1:])[0][0]))
         # drop far edges where the tail underflows, so its logarithm is finite
         self.edges = rs = rs[vals > 0.0]
         vals = vals[vals > 0.0]

@@ -87,6 +87,13 @@ def _in_range(what: str, value: float, t: float) -> float:
     return value
 
 
+def _power_rate(m: float, lam: float, t: float, norm: float) -> float:
+    """t^{-lam/((m-1)lam+2)} norm^{2/((m-1)lam+2)}: the power-law decay on
+    volume ~ r^lam."""
+    return _product((t, -decay_exponent(m, lam)),
+                    (norm, 2.0 / ((m - 1.0) * lam + 2.0)))
+
+
 def _positive_finite(name: str, value: float) -> None:
     if not 0.0 < value < math.inf:  # nan fails too
         raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -210,12 +217,7 @@ class SmoothingBound:
             _positive_finite("t", t)
         threshold = self.time_threshold(norm1)
         mm = self.m - 1.0
-        small_exponent = -decay_exponent(self.m, self.dimension)
-        small_power = 2.0 / (self.dimension * mm + 2.0)
-
-        def small_at(s):
-            return _product((s, small_exponent), (norm1, small_power))
-
+        small_at = lambda s: _power_rate(self.m, self.dimension, s, norm1)
         late = [t >= threshold * (1.0 - THRESHOLD_TIE_REL) for t in ts]
         if any(late):
             r_stars = self.radius_for_scale(np.array([max(_in_range(
@@ -250,22 +252,22 @@ class SmoothingBound:
 
 def smoothing_bound_l1g(m: float, dimension: int, t: float,
                         norm_green: float) -> BoundEvaluation:
-    """Two-regime sup-norm bound from the Green-weighted norm of the data."""
+    """Two-regime sup-norm bound from the Green-weighted norm of the data;
+    DomainError naming t where the bound leaves double range."""
     if not m > 1.0:
         raise ValueError("m must exceed 1")
     _positive_finite("t", t)
     _positive_finite("norm_green", norm_green)
-    threshold = norm_green ** (-(m - 1.0))
-    n = dimension
+    threshold = _product((norm_green, -(m - 1.0)))
     if t >= threshold * (1.0 - THRESHOLD_TIE_REL):
-        value = t ** (-1.0 / m) * norm_green ** (1.0 / m)
+        value = _product((t, -1.0 / m), (norm_green, 1.0 / m))
         regime = "large-time"
     else:
-        value = t ** (-decay_exponent(m, n)) * norm_green ** (
-            2.0 / ((m - 1.0) * n + 2.0))
+        value = _power_rate(m, dimension, t, norm_green)
         regime = "small-time"
     return BoundEvaluation(t=t, norm_value=norm_green, regime=regime,
-                           value=value, r_star=None, threshold_time=threshold)
+                           value=_in_range("the L1_G bound", value, t),
+                           r_star=None, threshold_time=threshold)
 
 
 def lambert_w0(x: float) -> float:
@@ -305,18 +307,13 @@ def lambert_w0(x: float) -> float:
 
 @dataclass(frozen=True)
 class PowerVolumeFamily:
-    """Power-law volume floor with power growth; the rate forgets k and delta."""
+    """Power-law volume floor R^lam; its rate is the power law in lam."""
 
     dimension: int
-    k: float
-    delta: float
     lam: float
 
     def __post_init__(self):
-        n = self.dimension
-        if not 2.0 < self.k <= n:
-            raise ValueError("power family needs 2 < k <= dimension")
-        if not 2.0 < self.lam <= n:
+        if not 2.0 < self.lam <= self.dimension:
             raise ValueError("power family needs 2 < lam <= dimension")
 
 
@@ -351,9 +348,8 @@ def family_rate(family, m: float, t: float, norm1: float) -> float:
         raise ValueError("t and norm1 must be positive")
     mm = m - 1.0
     if isinstance(family, PowerVolumeFamily):
-        lam = family.lam
-        return _in_range("the power-family rate", _product(
-            (t, -decay_exponent(m, lam)), (norm1, 2.0 / (mm * lam + 2.0))), t)
+        return _in_range("the power-family rate",
+                         _power_rate(m, family.lam, t, norm1), t)
     if isinstance(family, LogVolumeFamily):
         a = family.lam + 2.0 / mm
         b = family.sigma + 1.0 / mm

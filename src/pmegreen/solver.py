@@ -45,7 +45,7 @@ from .geometry import (VolumeProfile, make_growth, make_profile,
 from .green import CellPotential
 from .numerics import (Check, gauss_panels, loglog_slope, nonneg_max,
                        simpson_weights)
-from .smoothing import SmoothingBound, decay_exponent
+from .smoothing import SmoothingBound, _positive_finite, decay_exponent
 
 DEFAULT_CFL = 0.4
 NEWTON_MAX_ITER = 60
@@ -250,6 +250,7 @@ class Stepper:
             raise ValueError("the porous medium exponent must satisfy m > 1")
         if boundary not in ("absorbing", "zero_flux"):
             raise ValueError(f"unknown boundary {boundary!r}")
+        _positive_finite("cfl", cfl)
         self.grid, self.m, self.cfl = grid, float(m), float(cfl)
         self.boundary = boundary
         n, gaps, dV = grid.cells, np.diff(grid.centers), grid.cell_volumes
@@ -737,6 +738,9 @@ def run_pme(grid: RadialGrid, m: float, initial, t_end: float,
     RKL2 super-steps, and for the implicit scheme implicit_dt sets the target
     step, which a step after a dt halving approaches by doubling.
     """
+    _positive_finite("t_end", t_end)
+    if implicit_dt is not None:
+        _positive_finite("implicit_dt", implicit_dt)
     if callable(initial):
         u0 = grid.cell_average(initial)
     else:

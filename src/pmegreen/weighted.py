@@ -2,7 +2,8 @@
 
 The weighted norm is plain mass inside the unit ball plus Green-weighted mass
 outside. The ball is integrated on fixed Gauss panels in log r down to 1e-8,
-and below that by the same tail model as the outside, in 1/r. The outer part runs through numerics' tail model: cumulative Gauss panels in
+and below that by the same tail model as the outside, in 1/r. The outer
+part runs through numerics' tail model: cumulative Gauss panels in
 s = log r to each truncation horizon, corrected by the remainder of an
 r^p (log r)^q fit, with horizons growing until the corrected values go Cauchy
 or the fitted exponent shows divergence.
@@ -17,9 +18,9 @@ import numpy as np
 
 from .geometry import GrowthFunction, ProfileError, VolumeProfile
 from .green import GreenData
-from .numerics import (PANELS_PER_DECADE, gauss_nodes, gauss_panels,
-                       gauss_sum, invert_increasing, tail_remainder,
-                       truncated_tail)
+from .numerics import (PANELS_PER_DECADE, TailTruncations, gauss_nodes,
+                       gauss_panels, gauss_sum, invert_increasing,
+                       tail_remainder, truncated_tail)
 
 # the first truncation schedule; past it the horizons grow x10
 DEFAULT_HORIZONS = (10.0, 1e2, 1e3, 1e4)
@@ -31,18 +32,14 @@ _BALL_EDGES = np.geomspace(_POLE, 1.0, 8 * PANELS_PER_DECADE + 1)
 
 @dataclass
 class WeightedNorm:
-    """Green-weighted L1 data for one radial function."""
+    """Green-weighted L1 data for one radial function: the mass inside the
+    unit ball, the total, and the outside's truncation record, whose value
+    is the outer part."""
 
     inner: float
-    outer: float
     total: float
-    truncation_radius: float
-    tail_estimate: float
     converged: bool
-    outer_truncated: float
-    horizons: tuple              # the given schedule and the ones grown past it
-    corrected: tuple
-    slope_at_horizon: float      # the fitted tail exponent p at the last horizon
+    tail: TailTruncations
 
 
 def _weighted_l1(profile: VolumeProfile, fn: Callable, weights: tuple,
@@ -59,15 +56,10 @@ def _weighted_l1(profile: VolumeProfile, fn: Callable, weights: tuple,
         d = density(r)
         return np.stack([d * np.asarray(w(r), dtype=float) for w in weights])
 
-    return [WeightedNorm(
-        inner=inner, outer=diag.value, total=inner + diag.value,
-        truncation_radius=diag.horizons[-1],
-        tail_estimate=diag.corrected[-1] - diag.truncated[-1],
-        converged=diag.converged and math.isfinite(inner),
-        outer_truncated=diag.truncated[-1],
-        horizons=diag.horizons, corrected=diag.corrected,
-        slope_at_horizon=diag.exponents[-1])
-        for diag in truncated_tail(weighted, 1.0, horizons, CAUCHY_REL)]
+    return [WeightedNorm(inner=inner, total=inner + tail.value,
+                         converged=tail.converged and math.isfinite(inner),
+                         tail=tail)
+            for tail in truncated_tail(weighted, 1.0, horizons, CAUCHY_REL)]
 
 
 def l1g_norm(profile: VolumeProfile, fn: Callable[[np.ndarray], np.ndarray],
@@ -77,8 +69,7 @@ def l1g_norm(profile: VolumeProfile, fn: Callable[[np.ndarray], np.ndarray],
     `horizons` is the first truncation schedule; the horizons grow x10 past
     it until the corrected values agree to CAUCHY_REL (numerics'
     truncated_tail). Divergence is reported through converged=False with an
-    infinite total; the per-horizon corrected truncations stay available for
-    diagnosis.
+    infinite total; `tail` keeps the per-horizon truncations for diagnosis.
     """
     return _weighted_l1(profile, fn, (profile.green.exact,), horizons)[0]
 

@@ -928,6 +928,34 @@ def test_bound_times_past_double_range_name_their_index(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
+def test_l1g_bound_whose_threshold_overflows_is_exit_zero(tmp_path, capsys):
+    # norm_green^-(m-1) = 1e1200 is past double range: every row is
+    # small-time
+    scn = {"schema_version": SCHEMA_VERSION, "kind": "bound", "name": "b",
+           "profile": _EUCLID3, "growth": _POWER3, "m": 5.0,
+           "params": {"norm_green": 1e-300}}
+    assert main(["bound", "--config", str(write_config(tmp_path, scn)),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    _, rows = read_rows(tmp_path / "out" / "b.csv")
+    assert rows and all(0.0 < float(row["bound_l1g"]) < math.inf
+                        for row in rows)
+
+
+def test_l1g_bound_past_double_range_names_its_index(tmp_path, capsys):
+    # at m = 1.01 the L1_G bound at t = 1e-10 is about 1e310
+    scn = {"schema_version": SCHEMA_VERSION, "kind": "bound", "name": "b",
+           "profile": _EUCLID3, "growth": _POWER3, "m": 1.01,
+           "params": {"t_values": [1e-10, 1.0], "norm_green": 1e300}}
+    assert main(["bound", "--config", str(write_config(tmp_path, scn)),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert ("error: params.t_values[0]: the L1_G bound is inf at t = 1e-10"
+            in err and "Traceback" not in err)
+    assert not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.filterwarnings("error")
 def test_bound_just_inside_double_range_is_exit_zero(tmp_path):
     # t^2 = 1e300 at m = 1.5 still fits
     assert main(["bound", "--profile", "euclidean:3", "--growth", "power:3",
@@ -1243,6 +1271,33 @@ def test_run_scenarios_reports_config_errors(tmp_path, monkeypatch, capsys):
     assert lines[2].startswith("swept") and "FAIL (exit 2)" in lines[2]
     assert (tmp_path / "out" / "good.csv").exists()
     assert (tmp_path / "out" / "swept.csv").exists()
+
+
+def test_run_scenarios_reports_internal_errors(tmp_path, monkeypatch, capsys):
+    # an exception other than ConfigError is exit 3, not a failed check,
+    # and the later scenarios still run
+    runner = load_runner()
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    write_config(scenarios, green_scenario("boom"), "boom.json")
+    write_config(scenarios, green_scenario("good"), "good.json")
+    green = pg.cli._RUNNERS["green"]
+
+    def raising(scn, *args):
+        if scn["name"] == "boom":
+            raise RuntimeError("internal fault")
+        return green(scn, *args)
+
+    monkeypatch.setitem(pg.cli._RUNNERS, "green", raising)
+    monkeypatch.setattr(runner, "SCENARIO_DIR", scenarios)
+    assert runner.main(["--out-dir", str(tmp_path / "out")]) == 3
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert lines[0].startswith("boom") and "FAIL (exit 3)" in lines[0]
+    assert "RuntimeError: internal fault" in lines[0]
+    assert "Traceback" in err
+    assert lines[1].startswith("good") and " ok " in lines[1]
+    assert (tmp_path / "out" / "good.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

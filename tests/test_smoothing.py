@@ -363,7 +363,7 @@ def test_lambert_round_trip(w):
 # -- preset decay-rate families ---------------------------------------------
 
 def test_power_family_rate_exponents():
-    fam = pg.PowerVolumeFamily(dimension=5, k=3.0, delta=1.0, lam=3.0)
+    fam = pg.PowerVolumeFamily(dimension=5, lam=3.0)
     # lam = 3, m = 2: t exponent -3/5, data exponent 2/5
     r1 = pg.family_rate(fam, 2.0, 1.0, 1.0)
     assert r1 == pytest.approx(1.0, rel=1e-14)
@@ -373,18 +373,9 @@ def test_power_family_rate_exponents():
         32.0 ** 0.4, rel=1e-13)
 
 
-def test_power_family_rate_forgets_certificate_params():
-    a = pg.PowerVolumeFamily(dimension=5, k=3.0, delta=1.0, lam=3.0)
-    b = pg.PowerVolumeFamily(dimension=5, k=5.0, delta=7.0, lam=3.0)
-    for t in (0.5, 10.0, 1e4):
-        assert pg.family_rate(a, 2.0, t, 2.0) == pg.family_rate(b, 2.0, t, 2.0)
-
-
 def test_power_family_validation():
     with pytest.raises(ValueError):
-        pg.PowerVolumeFamily(dimension=5, k=2.0, delta=1.0, lam=3.0)
-    with pytest.raises(ValueError):
-        pg.PowerVolumeFamily(dimension=5, k=3.0, delta=1.0, lam=6.0)
+        pg.PowerVolumeFamily(dimension=5, lam=6.0)
     with pytest.raises(ValueError):
         pg.LogVolumeFamily(dimension=4, delta=1.0, lam=3.0, sigma=1.0)
 
@@ -406,7 +397,7 @@ def test_log_family_power_resolution_exact():
 
 
 @pytest.mark.parametrize("family", [
-    pg.PowerVolumeFamily(dimension=5, k=3.0, delta=1.0, lam=3.0),
+    pg.PowerVolumeFamily(dimension=5, lam=3.0),
     pg.LogVolumeFamily(dimension=4, delta=2.0, lam=3.0, sigma=1.0)],
     ids=["power", "log"])
 def test_family_rate_past_double_range_names_t(family):
@@ -517,6 +508,56 @@ def test_bound_across_the_double_range(euclid3, growth3, m, log_ts, log_n):
             assert min(abs(math.log(ev.value) - w) for w in want) <= 1e-11
 
 
+def _log_l1g_branches(m, log_t, log_g):
+    """(log threshold time, log small-time bound, log large-time bound) of
+    the L1_G bound in dimension 3 at t = e^log_t, norm_green = e^log_g."""
+    return (-(m - 1.0) * log_g,
+            (-3.0 * log_t + 2.0 * log_g) / (3.0 * (m - 1.0) + 2.0),
+            (log_g - log_t) / m)
+
+
+@given(m=st.sampled_from([1.01, 1.5, 2.0, 5.0]), log_t=_LOG_RANGE,
+       log_g=_LOG_RANGE)
+@settings(max_examples=200, deadline=None)
+def test_l1g_bound_across_the_double_range(m, log_t, log_g):
+    t, norm_green = math.exp(log_t), math.exp(log_g)
+    log_t, log_g = math.log(t), math.log(norm_green)
+    log_thr, small, large = _log_l1g_branches(m, log_t, log_g)
+    want = [small] if log_t < log_thr else [large]
+    if abs(log_t - log_thr) <= 1e-6:  # either branch on the threshold
+        want = [small, large]
+    try:
+        ev = pg.smoothing_bound_l1g(m, 3, t, norm_green)
+    except DomainError as exc:
+        # only where the closed form leaves double range
+        assert exc.t == t
+        assert any(not _LOG_TINY + 1e-6 < w < _LOG_MAX - 1e-6 for w in want)
+        return
+    assert 0.0 < ev.value < math.inf
+    if max(want) > math.log(sys.float_info.min):  # full precision
+        assert min(abs(math.log(ev.value) - w) for w in want) <= 1e-11
+
+
+@pytest.mark.parametrize("t, norm_green", [(1e300, 1e-300), (1e-10, 1e300)],
+                         ids=["large-time-underflows", "small-time-overflows"])
+def test_l1g_bound_past_double_range_names_t(t, norm_green):
+    # m = 1.01: the bounds, near 1e-594 and 1e310, leave double range
+    with pytest.raises(DomainError, match="outside double range") as exc:
+        pg.smoothing_bound_l1g(1.01, 3, t, norm_green)
+    assert exc.value.t == t
+
+
+def test_l1g_bound_whose_threshold_overflows_is_small_time():
+    # the threshold norm_green^-(m-1) = 1e1200 is past double range: every
+    # t is early
+    for t in (1e-300, 1.0, 1e300):
+        ev = pg.smoothing_bound_l1g(5.0, 3, t, 1e-300)
+        assert ev.regime == "small-time" and ev.threshold_time == math.inf
+        assert math.log(ev.value) == pytest.approx(
+            _log_l1g_branches(5.0, math.log(t), math.log(1e-300))[1],
+            abs=1e-11)
+
+
 def test_bound_whose_threshold_underflows_is_large_time(euclid3, growth3):
     # norm1^-(m-1) = 1e-400 rounds the threshold to 0: every time is late,
     # and the cap at time 0 is inf
@@ -547,7 +588,7 @@ def test_log_family_tracks_generic_bound():
 
 
 def test_family_rate_validation():
-    fam = pg.PowerVolumeFamily(dimension=5, k=3.0, delta=1.0, lam=3.0)
+    fam = pg.PowerVolumeFamily(dimension=5, lam=3.0)
     with pytest.raises(ValueError):
         pg.family_rate(fam, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
@@ -563,8 +604,7 @@ def test_one_decay_exponent():
     for m, n in ((2.0, 3), (1.5, 5), (3.0, 4)):
         alpha = decay_exponent(m, n)
         assert pg.BarenblattParams(n, m, 1.0).alpha == alpha
-        fam = pg.PowerVolumeFamily(dimension=n, k=3.0, delta=1.0,
-                                   lam=float(n))
+        fam = pg.PowerVolumeFamily(dimension=n, lam=float(n))
         assert pg.family_rate(fam, m, 7.0, 1.0) == 7.0 ** -alpha
         assert pg.smoothing_bound_l1g(m, n, 1e-3, 1.0).value == (
             1e-3 ** -alpha)

@@ -155,6 +155,23 @@ def test_run_pme_rejects_nonfinite_data(euclid3, monkeypatch, scheme, bad,
                    implicit_dt=0.01)
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["cfl", "implicit_dt", "t_end"])
+def test_run_pme_rejects_solver_inputs_before_stepping(euclid3, mass1_params,
+                                                       monkeypatch, name, bad):
+    # unchecked, cfl 0, a negative implicit_dt and an infinite t_end never
+    # return, and the others fail deep in a step or run a nonsense record
+    grid = pg.RadialGrid.make(euclid3, 12.0, 100)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(pg.solver.Stepper, "step", no_step)
+    args = {"t_end": 0.1, "scheme": "implicit", "implicit_dt": 0.01, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        pg.run_pme(grid, 2.0, pg.barenblatt_datum(mass1_params), **args)
+
+
 @pytest.mark.parametrize("m, mass, snaps", [(2.0, 1.0, [25.0, 50.0]),
                                              (1.5, 100.0, [2.5, 5.0])])
 def test_snapshot_times_are_times_integrated(euclid3, monkeypatch, m, mass,

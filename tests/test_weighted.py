@@ -23,8 +23,8 @@ def test_l1g_norm_exponential_closed_form(euclid3):
     assert res.converged
     assert res.inner == pytest.approx(4.0 * math.pi * (2.0 - 5.0 / math.e),
                                       rel=1e-9)
-    assert res.outer == pytest.approx(2.0 / math.e, rel=1e-8)
-    assert res.total == pytest.approx(res.inner + res.outer, rel=1e-12)
+    assert res.tail.value == pytest.approx(2.0 / math.e, rel=1e-8)
+    assert res.total == pytest.approx(res.inner + res.tail.value, rel=1e-12)
 
 
 def test_l1g_norm_zero_function(euclid3):
@@ -194,10 +194,10 @@ def test_divergence_diagnostics_visible(euclid5):
     # a = 2.5 converges in the weighted norm but slowly; the diagnostics
     # should expose the per-horizon corrected truncations
     cls = pg.powerlaw_classify(euclid5, 2.5)
-    diag = cls.l1g_diag
-    assert len(diag.corrected) == len(diag.horizons)
-    assert math.isfinite(diag.outer_truncated)
-    assert diag.slope_at_horizon == pytest.approx(-1.5, abs=0.1)
+    tail = cls.l1g_diag.tail
+    assert len(tail.corrected) == len(tail.horizons)
+    assert math.isfinite(tail.truncated[-1])
+    assert tail.exponents[-1] == pytest.approx(-1.5, abs=0.1)
 
 
 # -- exact references for slow tails ------------------------------------------
@@ -219,9 +219,10 @@ def test_l1g_norm_slow_tails_match_closed_form(euclid3, a, value):
     assert res.converged
     assert res.total == pytest.approx(value, rel=1e-4)
     # the default schedule is the first one; growth only extends it
-    assert res.horizons[:4] == pg.weighted.DEFAULT_HORIZONS
-    assert all(b == 10.0 * h for h, b in zip(res.horizons[3:], res.horizons[4:]))
-    assert res.truncation_radius <= pg.numerics.HORIZON_CAP
+    horizons = res.tail.horizons
+    assert horizons[:4] == pg.weighted.DEFAULT_HORIZONS
+    assert all(b == 10.0 * h for h, b in zip(horizons[3:], horizons[4:]))
+    assert horizons[-1] <= pg.numerics.HORIZON_CAP
 
 
 @pytest.mark.parametrize("a", [1.95, 2.0])
